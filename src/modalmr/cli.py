@@ -29,10 +29,11 @@ from .kernels import (
     hypothesis_kernel,
     representing_function,
 )
-from .solver import (
+from .solver import (  # noqa: F401 - fit_hq stays importable from here
     RmrConfig,
-    fit_gradient,
+    fit_data,
     fit_hq,
+    fitted_values,
     load_model,
     predict,
     save_model,
@@ -353,20 +354,11 @@ def _cmd_check_kernel(opts) -> int:
 def _cmd_fit(opts) -> int:
     _require(opts, "data", "out")
     x, y = harness.read_dataset_file(opts["data"])
-    kernel = _kernel_from(opts)
-    config = _solver_from(opts)
-    gram = kernel.cross(x, x)
-    if opts["method"] == "hq":
-        model = fit_hq(gram, y, config, train_inputs=x, kernel=kernel)
-    elif opts["method"] == "gradient":
-        model = fit_gradient(gram, y, config.phi, config, train_inputs=x, kernel=kernel)
-    else:
-        raise InputError("method must be hq or gradient")
+    model = fit_data(x, y, _kernel_from(opts), _solver_from(opts), method=opts["method"])
     save_model(opts["out"], model)
-    fitted = gram.T @ model.alpha
     if opts["fitted-out"]:
         harness.write_csv(opts["fitted-out"], ["index", "fitted"],
-                          list(enumerate(fitted.tolist())))
+                          list(enumerate(fitted_values(model).tolist())))
     print(
         f"fit: m={model.m}, objective={model.objective_trace[-1]:.12g}, "
         f"iterations={len(model.objective_trace) - 1}, model -> {opts['out']}"

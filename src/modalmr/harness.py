@@ -20,7 +20,14 @@ from .errors import InputError, NumericError
 from .kernels import HypothesisKernel, hypothesis_kernel
 from .markov import TransitionKernel, absolute_spectral_gap, sample_chain
 from .risk import NoiseModel, SyntheticTask, excess_risk, make_task
-from .solver import RmrConfig, fit_hq, predict, schedule_theorem2
+from .solver import (  # noqa: F401 - fit_hq stays importable from here
+    RmrConfig,
+    distinct_gram,
+    fit_data,
+    fit_hq,
+    predict,
+    schedule_theorem2,
+)
 
 __all__ = [
     "Dataset",
@@ -148,9 +155,7 @@ def _schedule_params(schedule, m: int, gamma_abs: float):
 
 def _fit_one(task, kernel, solver, lam, sigma, m, dataset_seed):
     data = generate_dataset(task, m, dataset_seed)
-    cfg = replace(solver, lam=lam, sigma=sigma)
-    gram = kernel.cross(data.x, data.x)
-    model = fit_hq(gram, data.y, cfg, train_inputs=data.x, kernel=kernel)
+    model = fit_data(data.x, data.y, kernel, replace(solver, lam=lam, sigma=sigma))
     return excess_risk(task, model)
 
 
@@ -342,23 +347,26 @@ def robustness_comparison(
 ) -> RobustnessComparison:
     """Modal fit versus kernel ridge on identical data.
 
-    Both use the same gram matrix and the same lambda; the ridge baseline is
-    the closed-form solution of min (1/m)||y - G^T a||^2 + lam ||a||^2.
-    Errors are pi-weighted squared distances to f* on the chain states.
+    Both use the same kernel and the same lambda; the ridge baseline is
+    the closed-form solution of min (1/m)||y - G^T a||^2 + lam ||a||^2.  Like
+    the modal fit it is solved over the distinct covariate rows: with row
+    counts C and per-row sums beta of a, (K C K^T + lam m C^-1) beta = K s,
+    where s holds the per-row sums of y.  Errors are pi-weighted squared
+    distances to f* on the chain states.
     """
     if kernel is None:
         kernel = _default_kernel()
 
     def one(rep: int) -> RobustnessRow:
         data = generate_dataset(task, m, derive_seed(seed, 0, rep))
-        gram = kernel.cross(data.x, data.x)
-        model = fit_hq(gram, data.y, config, train_inputs=data.x, kernel=kernel)
+        model = fit_data(data.x, data.y, kernel, config)
         states = task.chain.state_embedding
         rmr_preds = predict(model, states)
-        A = gram @ gram.T
-        A[np.diag_indices_from(A)] += max(config.lam, 1e-12) * m
-        ls_alpha = np.linalg.solve(A, gram @ data.y)
-        ls_preds = ls_alpha @ kernel.cross(data.x, states)
+        groups, gram = distinct_gram(kernel, data.x)
+        A = (gram * groups.counts) @ gram.T
+        A[np.diag_indices_from(A)] += max(config.lam, 1e-12) * m / groups.counts
+        ls_beta = np.linalg.solve(A, gram @ groups.sums(data.y))
+        ls_preds = ls_beta @ kernel.cross(data.x[groups.first], states)
         return RobustnessRow(rep, _pi_weighted_mse(task, rmr_preds), _pi_weighted_mse(task, ls_preds))
 
     rows = _run_jobs([lambda rep=rep: one(rep) for rep in range(n_replicates)], jobs)
@@ -395,6 +403,9 @@ def read_dataset_file(path):
                 raise InputError(f"{path}: row {i} has {len(parts)} fields, expected {d + 1}")
             x[i] = [float(v) for v in parts[:d]]
             y[i] = float(parts[d])
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(y)
+    if not finite.all():
+        raise InputError(f"{path}: row {int(np.argmin(finite))} has a non-finite value")
     return x, y
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InputError, SingularSystem
 from .kernels import RepresentingFunction, hypothesis_kernel
 from .risk import SyntheticTask
-from .solver import RmrConfig, RmrModel, fit_hq
+from .solver import CovariateGroups, RmrConfig, RmrModel, distinct_gram, fit_hq, fitted_values
 
 __all__ = [
     "BreakdownReport",
@@ -52,8 +52,7 @@ def breakdown_N(model: RmrModel, y, phi: RepresentingFunction) -> float:
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != model.m:
         raise InputError(f"y has length {y.shape[0]}, model was fit on {model.m}")
-    gram = model.kernel.cross(model.train_inputs, model.train_inputs)
-    residuals = y - gram.T @ model.alpha
+    residuals = y - fitted_values(model)
     cfg = model.config
     peak = phi(0.0)
     fit_term = float(np.sum(phi(residuals / cfg.sigma))) / peak
@@ -75,23 +74,29 @@ def breakdown_bracket(N: float, m: int):
     return low, high, fraction
 
 
-def _ridge_coefficients(gram, targets, rows=None):
+def _ridge_coefficients(gram, groups, targets, rows=None):
     """Small-ridge least-squares fit used only to seed the solver.
 
-    Minimizes the squared residuals of the selected sample rows; this is the
-    non-robust estimate that follows outliers, which is exactly why it makes
-    a useful second starting point for the non-concave modal objective.
+    Minimizes ||t_R - G_R^T a||^2 + r ||a||^2 over the selected sample rows R
+    (all samples by default); this is the non-robust estimate that follows
+    outliers, which is exactly why it makes a useful second starting point
+    for the non-concave modal objective.  The minimizer (G_R G_R^T + r I)^-1
+    G_R t_R is constant on each covariate row, so it is solved exactly over
+    the per-row sums beta on the n x n gram: (K D K^T + r C^-1) beta = K s,
+    where D counts the selected samples per row, C all samples per row and s
+    sums the selected targets per row.  r = 1e-8 * (trace(G_R G_R^T)/m + 1).
     """
-    m = gram.shape[0]
-    cols = gram if rows is None else gram[:, rows]
+    picked = groups.index if rows is None else groups.index[rows]
     t = targets if rows is None else targets[rows]
-    A = cols @ cols.T
-    ridge = 1e-8 * (np.trace(A) / m + 1.0)
-    A[np.diag_indices_from(A)] += ridge
+    selected = np.bincount(picked, minlength=groups.n).astype(float)
+    A = (gram * selected) @ gram.T
+    ridge = 1e-8 * (groups.counts @ np.diag(A) / groups.m + 1.0)
+    A[np.diag_indices_from(A)] += ridge / groups.counts
     try:
-        return np.linalg.solve(A, cols @ t)
+        beta = np.linalg.solve(A, gram @ np.bincount(picked, weights=t, minlength=groups.n))
     except np.linalg.LinAlgError:
         return None
+    return groups.expand(beta)
 
 
 def fit_hq_multistart(
@@ -112,18 +117,20 @@ def fit_hq_multistart(
     quadratic loss chases; on small problems (up to ``singleton_anchor_limit``
     samples) one anchored start per sample additionally seeds the basin
     around each sample's consensus.  Returns the fit with the best final
-    objective.
+    objective.  ``gram`` and ``train_inputs`` follow the rule of ``fit_hq``;
+    the seeds are solved over the distinct covariate rows.
     """
-    gram = np.asarray(gram, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     m = y.shape[0]
+    groups = CovariateGroups.for_fit(train_inputs, m)
+    reduced = groups.reduce_gram(gram)
     inits = [np.zeros(m)]
-    ls = _ridge_coefficients(gram, y)
+    ls = _ridge_coefficients(reduced, groups, y)
     if ls is not None:
         inits.append(ls)
     if m <= singleton_anchor_limit:
         for i in range(m):
-            anchor = _ridge_coefficients(gram, y, rows=np.array([i]))
+            anchor = _ridge_coefficients(reduced, groups, y, rows=np.array([i]))
             if anchor is not None:
                 inits.append(anchor)
     inits.extend(np.asarray(v, dtype=float) for v in extra_inits)
@@ -131,7 +138,7 @@ def fit_hq_multistart(
     failure = None
     for init in inits:
         try:
-            model = fit_hq(gram, y, config, init=init, train_inputs=train_inputs, kernel=kernel)
+            model = fit_hq(reduced, y, config, init=init, train_inputs=train_inputs, kernel=kernel)
         except SingularSystem as exc:
             failure = exc
             continue
@@ -157,6 +164,8 @@ def contamination_experiment(
     the worst-case construction: identical arbitrary points.  Each refit is
     a deterministic multistart so the reported optimum reflects the better
     of the clean-tracking and outlier-tracking modes of the objective.
+    Only grams over the distinct covariate rows are built; the outliers'
+    shared covariate adds at most one row.
     """
     from .harness import generate_dataset  # deferred; harness imports risk/solver only
 
@@ -165,7 +174,7 @@ def contamination_experiment(
     data = generate_dataset(task, m, seed)
     if kernel is None:
         kernel = hypothesis_kernel("gaussian-rbf", bandwidth=0.5)
-    gram = kernel.cross(data.x, data.x)
+    _, gram = distinct_gram(kernel, data.x)
     clean = fit_hq_multistart(gram, data.y, config, train_inputs=data.x, kernel=kernel)
     clean_norm = float(np.linalg.norm(clean.alpha))
     N = breakdown_N(clean, data.y, config.phi)
@@ -181,9 +190,8 @@ def contamination_experiment(
                 continue
             xc = np.vstack([data.x, np.tile(outlier_x, (n, 1))])
             yc = np.concatenate([data.y, np.full(n, float(magnitude))])
-            gc = kernel.cross(xc, xc)
-            out_rows = np.arange(m, m + n)
-            anchor = _ridge_coefficients(gc, yc, rows=out_rows)
+            groups_c, gc = distinct_gram(kernel, xc)
+            anchor = _ridge_coefficients(gc, groups_c, yc, rows=np.arange(m, m + n))
             extras = [anchor] if anchor is not None else []
             model = fit_hq_multistart(gc, yc, config, extras, train_inputs=xc, kernel=kernel)
             curve.append((int(n), float(magnitude), float(np.linalg.norm(model.alpha))))

@@ -7,6 +7,10 @@ The estimator maximizes
 where K_i is column i of the gram matrix.  For Gaussian-family phi the
 maximization runs as half-quadratic (HQ) alternation; for the other
 representing functions a proximal gradient-ascent solver is provided.
+
+Samples that share a covariate row share a gram column, so every solver works
+on the n distinct rows (``CovariateGroups``) and the n x n gram over them;
+all-distinct data is the case n = m of the same code.
 """
 
 from __future__ import annotations
@@ -29,10 +33,13 @@ from .kernels import (
 __all__ = [
     "RmrConfig",
     "RmrModel",
+    "CovariateGroups",
     "objective",
     "fit_hq",
     "fit_gradient",
     "fit_data",
+    "distinct_gram",
+    "fitted_values",
     "predict",
     "schedule_theorem2",
     "save_model",
@@ -45,7 +52,7 @@ _GAUSSIAN_FAMILY = {
     "correntropy": (1.0, 0.5),
 }
 
-_DIRECT_SOLVE_LIMIT = 600  # above this, the HQ inner solve switches to CG
+_DIRECT_SOLVE_LIMIT = 600  # above this many distinct covariates, the HQ inner solve uses CG
 
 
 @dataclass(frozen=True)
@@ -103,61 +110,180 @@ class RmrModel:
 
     def coefficient_penalty(self) -> float:
         """||alpha||_q^q for the model's own q."""
-        if self.config.q == 1:
-            return float(np.sum(np.abs(self.alpha)))
-        return float(np.sum(self.alpha * self.alpha))
-
-
-def _check_problem(gram, y, alpha=None):
-    gram = np.asarray(gram, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    m = y.shape[0]
-    if gram.ndim != 2 or gram.shape != (m, m):
-        raise InputError(f"gram must be {m}x{m} to match y, got {gram.shape}")
-    if alpha is not None:
-        alpha = np.asarray(alpha, dtype=float).ravel()
-        if alpha.shape[0] != m:
-            raise InputError(f"alpha has length {alpha.shape[0]}, expected {m}")
-        return gram, y, alpha
-    return gram, y
+        return _penalty(self.alpha, self.config.q)
 
 
 def _penalty(alpha: np.ndarray, q: int) -> float:
+    """||alpha||_q^q, the one penalty used by every objective and statistic.
+
+    np.add.reduce is np.sum's arithmetic without its dispatch cost, which
+    line searches pay once per objective evaluation."""
     if q == 1:
-        return float(np.sum(np.abs(alpha)))
-    return float(alpha @ alpha)
+        return float(np.add.reduce(np.abs(alpha)))
+    return float(np.add.reduce(alpha * alpha))
 
 
-def objective(alpha, gram, y, phi: RepresentingFunction, config: RmrConfig) -> float:
-    """Value of the regularized modal objective at alpha."""
-    gram, y, alpha = _check_problem(gram, y, alpha)
+@dataclass(frozen=True)
+class CovariateGroups:
+    """Samples grouped by exact covariate row, in first-occurrence order.
+
+    Distinct row s first appears at sample ``first[s]``, sample i lies on row
+    ``index[i]`` and ``counts[s]`` samples share row s.  A fit depends on the
+    coefficients of one row only through their sum beta_s, so every solver
+    works on the n per-row sums.  All-distinct covariates give the identity
+    grouping with unit counts; the reductions below then return their input
+    unchanged, so that case reproduces the plain m-sample arithmetic exactly.
+    """
+
+    first: np.ndarray
+    index: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, inputs) -> "CovariateGroups":
+        """Group the rows of an (m, d) covariate array; they must be finite
+        (np.unique would make every NaN row a group of its own)."""
+        x = as_covariate_array(inputs)
+        if not np.all(np.isfinite(x)):
+            raise InputError("covariates must be finite")
+        _, first, index = np.unique(x, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return cls._from(first[order], rank[index.reshape(-1)])
+
+    @classmethod
+    def identity(cls, m: int) -> "CovariateGroups":
+        """Every sample on a row of its own."""
+        return cls._from(np.arange(m), np.arange(m))
+
+    @classmethod
+    def for_fit(cls, train_inputs, m: int) -> "CovariateGroups":
+        """Grouping of train_inputs, or the identity when they are not given."""
+        groups = cls.identity(m) if train_inputs is None else cls.of(train_inputs)
+        if groups.m != m:
+            raise InputError(f"{groups.m} training inputs for {m} targets")
+        return groups
+
+    @classmethod
+    def _from(cls, first, index):
+        counts = np.bincount(index, minlength=first.size).astype(float)
+        return cls(first, index, counts)
+
+    @property
+    def n(self) -> int:
+        return self.first.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.index.shape[0]
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-row sums of a per-sample vector."""
+        if self.n == self.m:
+            return values
+        return np.bincount(self.index, weights=values, minlength=self.n)
+
+    def spread(self, values: np.ndarray) -> np.ndarray:
+        """A per-row vector repeated for each sample on the row."""
+        return values if self.n == self.m else values[self.index]
+
+    def expand(self, beta: np.ndarray) -> np.ndarray:
+        """Minimum-norm per-sample coefficients with row sums beta:
+        alpha_i = beta_s / c_s, which has the least ||alpha||_2 by
+        Cauchy-Schwarz and the least ||alpha||_1 by the triangle inequality."""
+        return self.spread(beta / self.counts)
+
+    def reduce_gram(self, gram) -> np.ndarray:
+        """The n x n gram over the distinct rows, given either that matrix or
+        the m x m sample gram (the two shapes coincide when n = m)."""
+        gram = np.asarray(gram, dtype=float)
+        if gram.shape == (self.n, self.n):
+            return gram
+        if gram.shape == (self.m, self.m):
+            return gram[np.ix_(self.first, self.first)]
+        raise InputError(
+            f"gram must be {self.m}x{self.m}, or {self.n}x{self.n} over the distinct "
+            f"inputs, got {gram.shape}"
+        )
+
+
+def _check_problem(gram, y, train_inputs=None, alpha=None):
+    """(n x n gram, y, groups, alpha): validated targets, the grouping of
+    train_inputs and a fresh copy of alpha (zeros when not given)."""
+    y = np.asarray(y, dtype=float).ravel()
     m = y.shape[0]
-    residuals = y - gram.T @ alpha
-    fit = float(np.sum(phi(residuals / config.sigma))) / (m * config.sigma)
+    if not np.all(np.isfinite(y)):
+        raise InputError("targets must be finite")
+    groups = CovariateGroups.for_fit(train_inputs, m)
+    gram = groups.reduce_gram(gram)
+    if alpha is None:
+        return gram, y, groups, np.zeros(m)
+    alpha = np.array(alpha, dtype=float).ravel()
+    if alpha.shape[0] != m:
+        raise InputError(f"alpha has length {alpha.shape[0]}, expected {m}")
+    return gram, y, groups, alpha
+
+
+def _fitted(gram, groups, beta):
+    """Per-sample fitted values (K^T beta)[index] from per-row sums beta."""
+    return groups.spread(gram.T @ beta)
+
+
+def _objective(alpha, gram, y, phi, config, groups):
+    m = y.shape[0]
+    residuals = y - _fitted(gram, groups, groups.sums(alpha))
+    fit = float(np.add.reduce(phi(residuals / config.sigma))) / (m * config.sigma)
     return fit - config.lam * _penalty(alpha, config.q)
+
+
+def objective(
+    alpha, gram, y, phi: RepresentingFunction, config: RmrConfig, *, train_inputs=None
+) -> float:
+    """Value of the regularized modal objective at alpha.
+
+    ``gram`` and ``train_inputs`` follow the rule of ``fit_hq``.  Residuals
+    only need the per-row sums of alpha, so the value is exact for any alpha,
+    constant on each covariate row or not.
+    """
+    gram, y, groups, alpha = _check_problem(gram, y, train_inputs, alpha)
+    return _objective(alpha, gram, y, phi, config, groups)
 
 
 def _hq_weights(residuals: np.ndarray, sigma: float, a_sq: float) -> np.ndarray:
     return np.exp(-(residuals * residuals) / (2.0 * a_sq * sigma * sigma))
 
 
-def _solve_weighted_ridge(gram, w, y, kappa, alpha_guess):
-    """argmin over alpha of sum_i w_i (y_i - K_i^T alpha)^2 + kappa ||alpha||^2.
+def _row_targets(groups, w, y):
+    """Per-row weights W_s = sum of w_i and weighted-mean targets ybar_s.
 
-    Normal equations (G W G^T + kappa I) alpha = G W y.  Direct solve for
+    sum_i w_i (y_i - f_s(i))^2 = sum_s W_s (ybar_s - f_s)^2 + const, so a
+    weighted least-squares step over the samples is the same step over the
+    distinct rows.  A row whose weights all underflow takes the plain mean.
+    """
+    row_w = groups.sums(w)
+    spread_w = groups.spread(row_w)
+    share = np.divide(w, spread_w, out=groups.expand(np.ones(groups.n)), where=spread_w > 0)
+    return row_w, groups.sums(share * y)
+
+
+def _solve_weighted_ridge(gram, w, y, kappa, beta_guess):
+    """argmin over beta of sum_s w_s (y_s - K_s^T beta)^2 + sum_s kappa_s beta_s^2.
+
+    Normal equations (K W K^T + diag(kappa)) beta = K W y.  Direct solve for
     small systems; warm-started CG above _DIRECT_SOLVE_LIMIT.  CG keeps the
     HQ ascent property because it monotonically decreases this quadratic
     starting from the current iterate.
     """
-    m = y.shape[0]
+    n = y.shape[0]
     b = gram @ (w * y)
-    if m <= _DIRECT_SOLVE_LIMIT:
+    if n <= _DIRECT_SOLVE_LIMIT:
         A = (gram * w) @ gram.T
         A[np.diag_indices_from(A)] += kappa
         try:
             out = np.linalg.solve(A, b)
         except np.linalg.LinAlgError:
-            jitter = 1e-10 * np.trace(A) / m
+            jitter = 1e-10 * np.trace(A) / n
             if jitter <= 0:
                 raise SingularSystem("weighted system singular with zero trace") from None
             A[np.diag_indices_from(A)] += jitter
@@ -172,8 +298,8 @@ def _solve_weighted_ridge(gram, w, y, kappa, alpha_guess):
     def matvec(v):
         return gram @ (w * (gram.T @ v)) + kappa * v
 
-    op = LinearOperator((m, m), matvec=matvec, dtype=float)
-    out, info = cg(op, b, x0=alpha_guess, rtol=1e-12, atol=0.0, maxiter=max(200, m // 4))
+    op = LinearOperator((n, n), matvec=matvec, dtype=float)
+    out, info = cg(op, b, x0=beta_guess, rtol=1e-12, atol=0.0, maxiter=max(200, n // 4))
     if info < 0 or not np.all(np.isfinite(out)):
         raise SingularSystem(f"conjugate gradient failed with status {info}")
     return out
@@ -187,31 +313,31 @@ def _soft(value: float, threshold: float) -> float:
     return 0.0
 
 
-def _l1_coordinate_descent(gram, w, y, alpha, lam, tau, sweeps):
-    """Cyclic soft-thresholding on (tau/2) sum_i w_i r_i^2 + lam ||alpha||_1.
+def _l1_coordinate_descent(gram, w, y, beta, lam, tau, sweeps):
+    """Cyclic soft-thresholding on (tau/2) sum_s w_s r_s^2 + lam ||beta||_1.
 
     Each coordinate update is an exact 1-D minimization, so every sweep
     decreases this surrogate, preserving outer-loop ascent.
     """
-    m = y.shape[0]
-    alpha = alpha.copy()
-    residual = y - gram.T @ alpha
-    # quadratic coefficient per coordinate: tau * sum_i w_i G_ji^2
+    n = y.shape[0]
+    beta = beta.copy()
+    residual = y - gram.T @ beta
+    # quadratic coefficient per coordinate: tau * sum_s w_s K_js^2
     quad = tau * ((gram * gram) @ w)
     for _ in range(sweeps):
         max_change = 0.0
-        for j in range(m):
+        for j in range(n):
             gj = gram[j]
-            old = alpha[j]
+            old = beta[j]
             lin = tau * (gj @ (w * residual)) + quad[j] * old
             new = _soft(lin, lam) / quad[j] if quad[j] > 0 else 0.0
             if new != old:
                 residual += gj * (old - new)
-                alpha[j] = new
+                beta[j] = new
                 max_change = max(max_change, abs(new - old))
         if max_change <= 1e-15:
             break
-    return alpha
+    return beta
 
 
 def gaussian_family_params(phi: RepresentingFunction):
@@ -239,39 +365,69 @@ def fit_hq(gram, y, config: RmrConfig, init=None, *, train_inputs=None, kernel=N
     so the inner problem is min sum w_i r_i^2 + kappa||alpha||^2 with
     kappa = 2 a^2 lam m sigma^3 / c.  For q=1 the same matching gives the
     scaling tau = c / (a^2 m sigma^3) on the quadratic part.
+
+    Both steps run over the n distinct covariate rows rather than the m
+    samples.  Sample i lies on row s(i), row s holds c_s samples, and K is the
+    n x n gram over the distinct rows.  The residuals r_i = y_i - (K^T beta)_s(i)
+    depend on alpha only through the row sums beta_s = sum_{i in s} alpha_i.
+    Among all alpha with given row sums, alpha_i = beta_s / c_s has the least
+    ||alpha||^2 = sum_s beta_s^2 / c_s (Cauchy-Schwarz) and the least
+    ||alpha||_1 = sum_s |beta_s| (triangle inequality).  With W_s = sum_{i in s} w_i
+    and b_s = sum_{i in s} w_i y_i, the q=2 step is therefore the n x n solve
+
+        (K diag(W) K^T + kappa diag(1/c)) beta = K b,
+
+    whose minimum-norm expansion alpha_i = beta_s(i) / c_s(i) is exactly the
+    m x m solution of (G W G^T + kappa I) alpha = G W y.  The q=1 step runs
+    coordinate descent on beta with the penalty sum_s |beta_s|.  A warm start
+    is reduced to its row sums after its objective is recorded; reducing can
+    only raise the objective, so the trace stays monotone.  The half-quadratic
+    ascent argument carries over to beta unchanged, and the direct/CG switch
+    at _DIRECT_SOLVE_LIMIT counts distinct rows.
+
+    Without ``train_inputs`` every sample is its own row and ``gram`` is the
+    m x m sample gram.  With them, ``gram`` may be the m x m sample gram (its
+    submatrix at the first occurrences is used) or the n x n gram over the
+    distinct rows in first-occurrence order; the two shapes coincide when
+    n = m.  The returned alpha is per sample either way.
     """
-    gram, y = _check_problem(gram, y)
+    gram, y, groups, alpha = _check_problem(gram, y, train_inputs, init)
     coeff, a_sq = gaussian_family_params(config.phi)
     m = y.shape[0]
     sigma = config.sigma
-    if init is None:
-        alpha = np.zeros(m)
-    else:
-        _, _, alpha = _check_problem(gram, y, init)
-        alpha = alpha.copy()
     kappa = 2.0 * a_sq * config.lam * m * sigma**3 / coeff
     tau = coeff / (a_sq * m * sigma**3)
-    trace = [objective(alpha, gram, y, config.phi, config)]
+    trace = [_objective(alpha, gram, y, config.phi, config, groups)]
+    beta = groups.sums(alpha)
     for _ in range(config.max_hq_iters):
-        residuals = y - gram.T @ alpha
-        w = _hq_weights(residuals, sigma, a_sq)
+        residuals = y - _fitted(gram, groups, beta)
+        row_w, row_y = _row_targets(groups, _hq_weights(residuals, sigma, a_sq), y)
         if config.q == 2:
-            alpha = _solve_weighted_ridge(gram, w, y, kappa, alpha)
+            beta = _solve_weighted_ridge(gram, row_w, row_y, kappa / groups.counts, beta)
         else:
-            alpha = _l1_coordinate_descent(
-                gram, w, y, alpha, config.lam, tau, config.inner_max_iters
+            beta = _l1_coordinate_descent(
+                gram, row_w, row_y, beta, config.lam, tau, config.inner_max_iters
             )
-        trace.append(objective(alpha, gram, y, config.phi, config))
+        alpha = groups.expand(beta)
+        trace.append(_objective(alpha, gram, y, config.phi, config, groups))
         if abs(trace[-1] - trace[-2]) < config.tol:
             break
     return RmrModel(alpha, train_inputs, kernel, config, tuple(trace))
 
 
-def _smooth_gradient(alpha, gram, y, phi, config):
-    """Gradient of the fit term (and of the q=2 penalty, which is smooth)."""
+def _smooth_gradient(alpha, gram, y, phi, config, groups=None):
+    """Gradient of the fit term (and of the q=2 penalty, which is smooth).
+
+    The fit-term gradient is -(K @ per-row sums of phi'(r_i/sigma))[s(i)]
+    / (m sigma^2), exact for any alpha.  ``groups`` None means every sample
+    is its own row (``gram`` is then the m x m sample gram).
+    """
     m = y.shape[0]
-    residuals = y - gram.T @ alpha
-    grad = -(gram @ phi.derivative(residuals / config.sigma)) / (m * config.sigma**2)
+    if groups is None:
+        groups = CovariateGroups.identity(m)
+    residuals = y - _fitted(gram, groups, groups.sums(alpha))
+    slopes = groups.sums(phi.derivative(residuals / config.sigma))
+    grad = -groups.spread(gram @ slopes) / (m * config.sigma**2)
     if config.q == 2:
         grad = grad - 2.0 * config.lam * alpha
     return grad
@@ -293,22 +449,20 @@ def fit_gradient(
     q=2 treats the penalty as part of the smooth objective; q=1 takes a
     gradient step on the fit term followed by soft-thresholding.  Steps are
     accepted only when the objective does not decrease, with up to 50
-    halvings of the step size before LineSearchFailed.
+    halvings of the step size before LineSearchFailed.  The iterates stay
+    per-sample; residuals and gradients go through the n x n gram over the
+    distinct rows (``gram`` and ``train_inputs`` follow the rule of
+    ``fit_hq``), which leaves the ascent in alpha unchanged.
     """
-    gram, y = _check_problem(gram, y)
+    gram, y, groups, alpha = _check_problem(gram, y, train_inputs, init)
     cfg = replace(config, phi=phi)
-    if init is None:
-        alpha = np.zeros(y.shape[0])
-    else:
-        _, _, alpha = _check_problem(gram, y, init)
-        alpha = alpha.copy()
     if max_iters is None:
         max_iters = max(cfg.max_hq_iters, 2000)
-    current = objective(alpha, gram, y, phi, cfg)
+    current = _objective(alpha, gram, y, phi, cfg, groups)
     trace = [current]
     step = 1.0
     for _ in range(max_iters):
-        grad = _smooth_gradient(alpha, gram, y, phi, cfg)
+        grad = _smooth_gradient(alpha, gram, y, phi, cfg, groups)
         step = min(step * 4.0, 1e8)
         for _halving in range(51):
             if cfg.q == 1:
@@ -316,7 +470,7 @@ def fit_gradient(
                 candidate = np.sign(moved) * np.maximum(np.abs(moved) - step * cfg.lam, 0.0)
             else:
                 candidate = alpha + step * grad
-            value = objective(candidate, gram, y, phi, cfg)
+            value = _objective(candidate, gram, y, phi, cfg, groups)
             if value >= current:
                 break
             step *= 0.5
@@ -330,15 +484,34 @@ def fit_gradient(
     return RmrModel(alpha, train_inputs, kernel, cfg, tuple(trace))
 
 
-def fit_data(x, y, kernel: HypothesisKernel, config: RmrConfig, method: str = "hq") -> RmrModel:
-    """Convenience wrapper: build the gram matrix from raw covariates and fit."""
+def distinct_gram(kernel: HypothesisKernel, x):
+    """(groups, gram): the grouping of x and the n x n gram over its distinct
+    rows in first-occurrence order, the only gram a fit on x needs."""
+    groups = CovariateGroups.of(x)
+    rows = as_covariate_array(x)[groups.first]
+    return groups, kernel.cross(rows, rows)
+
+
+def fit_data(
+    x, y, kernel: HypothesisKernel, config: RmrConfig, method: str = "hq", init=None
+) -> RmrModel:
+    """Fit on raw covariates, building only the gram over their distinct rows."""
+    if method not in ("hq", "gradient"):
+        raise InputError(f"unknown fit method {method!r}")
     x = as_covariate_array(x)
-    gram = kernel.cross(x, x)
+    _, gram = distinct_gram(kernel, x)
     if method == "hq":
-        return fit_hq(gram, y, config, train_inputs=x, kernel=kernel)
-    if method == "gradient":
-        return fit_gradient(gram, y, config.phi, config, train_inputs=x, kernel=kernel)
-    raise InputError(f"unknown fit method {method!r}")
+        return fit_hq(gram, y, config, init, train_inputs=x, kernel=kernel)
+    return fit_gradient(gram, y, config.phi, config, init, train_inputs=x, kernel=kernel)
+
+
+def fitted_values(model: RmrModel) -> np.ndarray:
+    """In-sample fits f(x_i) = sum_j alpha_j K(x_j, x_i), through the gram
+    over the distinct training rows."""
+    if model.train_inputs is None or model.kernel is None:
+        raise InputError("model lacks training inputs / kernel; cannot evaluate fits")
+    groups, gram = distinct_gram(model.kernel, model.train_inputs)
+    return _fitted(gram, groups, groups.sums(model.alpha))
 
 
 def predict(model: RmrModel, x):

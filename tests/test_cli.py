@@ -94,6 +94,14 @@ class TestFitPredict:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("row", ["0.5 nan", "nan 1.0"])
+    def test_non_finite_dataset_is_validation_error(self, tmp_path, capsys, row):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"2 1\n0.25 0.5\n{row}\n")
+        code = run("fit", "--data", str(bad), "--out", str(tmp_path / "model.txt"))
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path, capsys):

@@ -217,6 +217,13 @@ class TestIO:
         with pytest.raises(InputError):
             read_dataset_file(path)
 
+    @pytest.mark.parametrize("row", ["nan 1.0", "0.5 nan", "inf 1.0", "0.5 -inf"])
+    def test_non_finite_dataset_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2 1\n0.25 0.5\n{row}\n")
+        with pytest.raises(InputError, match="row 1"):
+            read_dataset_file(path)
+
     def test_csv_formatting(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, ["a", "b"], [(1, 0.123456789012345), (2, 1e-13)])

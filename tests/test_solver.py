@@ -1,13 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modalmr.solver
 from _oracles import grid_oracle_max, objective_value
-from modalmr.errors import InputError, NonGaussianPhi, SingularSystem
+from modalmr.errors import InputError, LineSearchFailed, NonGaussianPhi, SingularSystem
 from modalmr.kernels import gram_matrix, hypothesis_kernel, representing_function
 from modalmr.solver import (
+    CovariateGroups,
     RmrConfig,
     RmrModel,
     fit_data,
@@ -361,3 +365,157 @@ def test_objective_value_oracle_consistency():
     assert objective(alpha, gram, y, GAUSS, cfg) == pytest.approx(
         objective_value(alpha, gram, y, GAUSS, 0.5, 0.01, 1), abs=1e-14
     )
+
+
+RBF = hypothesis_kernel("gaussian-rbf", bandwidth=0.5)
+
+
+class TestCovariateGroups:
+    def test_first_occurrence_order(self):
+        x = np.array([[0.7], [0.2], [0.7], [0.9], [0.2], [0.7]])
+        groups = CovariateGroups.of(x)
+        np.testing.assert_array_equal(groups.first, [0, 1, 3])
+        np.testing.assert_array_equal(groups.index, [0, 1, 0, 2, 1, 0])
+        np.testing.assert_array_equal(groups.counts, [3.0, 2.0, 1.0])
+        np.testing.assert_array_equal(groups.sums(np.arange(6.0)), [7.0, 5.0, 3.0])
+        np.testing.assert_array_equal(groups.expand(np.array([3.0, 1.0, 5.0])),
+                                      [1.0, 0.5, 1.0, 5.0, 0.5, 1.0])
+
+    def test_distinct_rows_give_identity(self):
+        groups = CovariateGroups.of(np.array([[0.1, 0.2], [0.1, 0.3], [0.2, 0.2]]))
+        np.testing.assert_array_equal(groups.first, np.arange(3))
+        np.testing.assert_array_equal(groups.index, np.arange(3))
+        np.testing.assert_array_equal(groups.counts, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariates_rejected(self, bad):
+        x = np.array([[0.1], [bad], [0.1]])
+        with pytest.raises(InputError):
+            CovariateGroups.of(x)
+        with pytest.raises(InputError):
+            fit_data(x, np.zeros(3), RBF, RmrConfig(sigma=1.0, lam=0.1))
+
+    def test_non_finite_targets_rejected(self):
+        with pytest.raises(InputError):
+            fit_data(np.array([[0.1], [0.2]]), np.array([0.0, np.nan]), RBF,
+                     RmrConfig(sigma=1.0, lam=0.1))
+
+
+class TestGramShapes:
+    def setup_method(self):
+        rng = np.random.default_rng(4)
+        self.x = np.array([0.1, 0.4, 0.8])[rng.integers(0, 3, 20)].reshape(-1, 1)
+        self.y = rng.normal(0, 0.5, 20)
+        self.cfg = RmrConfig(sigma=0.8, lam=0.05, q=2, tol=1e-12)
+
+    def test_sample_and_distinct_grams_agree(self):
+        groups = CovariateGroups.of(self.x)
+        rows = self.x[groups.first]
+        small = fit_hq(RBF.cross(rows, rows), self.y, self.cfg, train_inputs=self.x, kernel=RBF)
+        full = fit_hq(RBF.cross(self.x, self.x), self.y, self.cfg, train_inputs=self.x,
+                      kernel=RBF)
+        np.testing.assert_array_equal(small.alpha, full.alpha)
+        assert small.objective_trace == full.objective_trace
+
+    def test_other_shapes_rejected(self):
+        with pytest.raises(InputError):
+            fit_hq(np.eye(5), self.y, self.cfg, train_inputs=self.x)
+        with pytest.raises(InputError):
+            fit_hq(np.eye(3), self.y, self.cfg)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_uneven_warm_start_keeps_trace_monotone(self, q):
+        cfg = replace(self.cfg, q=q)
+        gram = RBF.cross(self.x, self.x)
+        init = np.random.default_rng(5).normal(0, 0.3, 20)
+        model = fit_hq(gram, self.y, cfg, init=init, train_inputs=self.x, kernel=RBF)
+        trace = np.array(model.objective_trace)
+        assert trace[0] == objective(init, gram, self.y, GAUSS, cfg, train_inputs=self.x)
+        assert trace[0] == pytest.approx(objective(init, gram, self.y, GAUSS, cfg), rel=1e-12)
+        assert np.all(np.diff(trace) >= -1e-12 * np.maximum(1.0, np.abs(trace[1:])))
+
+
+@st.composite
+def grouped_problems(draw, max_rows=8, max_samples=64):
+    """m <= 64 samples on <= 8 distinct covariates, random y, sigma and lambda."""
+    rows = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=max_rows, unique=True))
+    n = len(rows)
+    m = draw(st.integers(n, max_samples))
+    index = np.array(
+        list(range(n)) + draw(st.lists(st.integers(0, n - 1), min_size=m - n, max_size=m - n))
+    )
+    order = draw(st.permutations(range(m)))
+    x = np.array(rows)[index[list(order)]].reshape(-1, 1)
+    y = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=m, max_size=m)))
+    sigma = draw(st.floats(0.5, 2.0))
+    lam = draw(st.floats(0.01, 1.0))
+    return x, y, sigma, lam
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestDistinctReduction:
+    @PROPERTY
+    @given(grouped_problems())
+    def test_q2_matches_dense_solve(self, problem):
+        x, y, sigma, lam = problem
+        cfg = RmrConfig(sigma=sigma, lam=lam, q=2, tol=1e-10)
+        reduced = fit_data(x, y, RBF, cfg)
+        dense = fit_hq(RBF.cross(x, x), y, cfg)
+        scale = np.max(np.abs(dense.alpha)) + 1e-300
+        np.testing.assert_allclose(reduced.alpha, dense.alpha, rtol=1e-8, atol=1e-8 * scale)
+        assert len(reduced.objective_trace) == len(dense.objective_trace)
+        np.testing.assert_allclose(reduced.objective_trace[1:], dense.objective_trace[1:],
+                                   rtol=1e-10, atol=1e-12)
+
+    @PROPERTY
+    @given(grouped_problems())
+    def test_q1_constant_per_row_and_monotone(self, problem):
+        x, y, sigma, lam = problem
+        cfg = RmrConfig(sigma=sigma, lam=lam, q=1, max_hq_iters=50, tol=1e-10)
+        model = fit_data(x, y, RBF, cfg)
+        groups = CovariateGroups.of(x)
+        np.testing.assert_array_equal(model.alpha, model.alpha[groups.first][groups.index])
+        trace = np.array(model.objective_trace)
+        assert np.all(np.diff(trace) >= -1e-12 * np.maximum(1.0, np.abs(trace[1:])))
+        dense_value = objective(model.alpha, RBF.cross(x, x), y, GAUSS, cfg)
+        assert dense_value == pytest.approx(trace[-1], rel=1e-12, abs=1e-14)
+
+    @PROPERTY
+    @given(grouped_problems(), st.sampled_from(["epanechnikov", "triangular", "gaussian"]),
+           st.sampled_from([1, 2]))
+    def test_gradient_distinct_gram_matches_sample_gram(self, problem, kind, q):
+        x, y, sigma, lam = problem
+        phi = representing_function(kind)
+        cfg = RmrConfig(sigma=sigma, lam=lam, q=q)
+        groups = CovariateGroups.of(x)
+        rows = x[groups.first]
+
+        def fit(gram):
+            # a subgradient at a kink of a compact phi can stall the line
+            # search; both grams must then stall alike
+            try:
+                return fit_gradient(gram, y, phi, cfg, max_iters=50, train_inputs=x)
+            except LineSearchFailed as exc:
+                return exc
+
+        small, full = fit(RBF.cross(rows, rows)), fit(RBF.cross(x, x))
+        if isinstance(full, LineSearchFailed):
+            assert isinstance(small, LineSearchFailed)
+            return
+        np.testing.assert_allclose(small.alpha, full.alpha, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(small.objective_trace, full.objective_trace,
+                                   rtol=1e-12, atol=1e-15)
+
+    @PROPERTY
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24, unique=True),
+           st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+    def test_all_distinct_is_bit_identical_to_sample_gram(self, rows, seed, q):
+        x = np.array(rows).reshape(-1, 1)
+        y = np.random.default_rng(seed).uniform(-1.5, 1.5, len(rows))
+        cfg = RmrConfig(sigma=0.8, lam=0.05, q=q, max_hq_iters=50)
+        model = fit_data(x, y, RBF, cfg)
+        direct = fit_hq(RBF.cross(x, x), y, cfg, train_inputs=x, kernel=RBF)
+        np.testing.assert_array_equal(model.alpha, direct.alpha)
+        assert model.objective_trace == direct.objective_trace
