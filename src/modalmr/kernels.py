@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import InputError
 
@@ -146,6 +145,8 @@ def check_calibration(
     the bump; the kink points of the compact kinds land on grid nodes for
     any symmetric grid whose quarter points are nodes.
     """
+    from scipy.integrate import simpson
+
     if grid_halfwidth <= 0:
         raise InputError("grid_halfwidth must be positive")
     if grid_points <= 2:

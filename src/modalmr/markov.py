@@ -365,6 +365,8 @@ def read_transition_file(path) -> TransitionKernel:
     if len(tokens) != need:
         raise InputError(f"{path}: expected {need} tokens for n={n}, d={d}, found {len(tokens)}")
     body = np.array([float(t) for t in tokens[2:]])
+    if not np.all(np.isfinite(body)):
+        raise InputError(f"{path}: non-finite value in the transition matrix or embedding")
     P = body[: n * n].reshape(n, n)
     emb = body[n * n :].reshape(n, d)
     return TransitionKernel(n, P, emb)

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from .errors import InputError, NonSmoothNoise
-from .kernels import RepresentingFunction
+from .kernels import _SQRT_2PI, RepresentingFunction
 from .markov import TransitionKernel, stationary_distribution
 from .solver import RmrModel, predict
 
@@ -61,14 +60,32 @@ class NoiseModel:
     weights: tuple = field(default_factory=tuple)
 
     def density(self, t):
+        """Density at t.  Each kind repeats the arithmetic of SciPy's
+        distribution objects, so the values match theirs bit for bit."""
         t = np.asarray(t, dtype=float)
         if self.kind == "gaussian":
-            out = stats.norm.pdf(t, scale=self.params["scale"])
+            scale = self.params["scale"]
+            x = t / scale
+            out = np.exp(-x**2 / 2.0) / _SQRT_2PI / scale
         elif self.kind == "student-t":
-            out = stats.t.pdf(t, df=self.params["dof"], scale=self.params["scale"])
+            from scipy import special
+
+            dof, scale = self.params["dof"], self.params["scale"]
+            x = t / scale
+            log_pdf = (
+                np.log(special.poch(0.5 * dof, 0.5))
+                - 0.5 * (np.log(dof) + np.log(np.pi))
+                - (dof + 1) / 2 * np.log1p(x * x / dof)
+            )
+            out = np.exp(log_pdf) / scale
         elif self.kind == "shifted-gamma":
+            from scipy import special
+
             k, theta = self.params["shape"], self.params["scale"]
-            out = stats.gamma.pdf(t + (k - 1.0) * theta, k, scale=theta)
+            x = (t + (k - 1.0) * theta) / theta
+            with np.errstate(invalid="ignore"):
+                log_pdf = special.xlogy(k - 1.0, x) - x - special.gammaln(k)
+                out = np.where(x < 0.0, 0.0, np.exp(log_pdf) / theta)
         elif self.kind == "mixture":
             out = sum(
                 w * comp.density(t) for w, comp in zip(self.weights, self.components)
@@ -95,6 +112,20 @@ class NoiseModel:
                     out[mask] = comp.sample(rng, count)
             return out
         raise InputError(f"unknown noise kind {self.kind!r}")  # pragma: no cover
+
+
+def _student_t_quantile(q: float, dof: float, scale: float) -> float:
+    """The q-quantile of scale * t(dof)."""
+    from scipy import special
+
+    return float(special.stdtrit(dof, q) * scale)
+
+
+def _gamma_quantile(q: float, shape: float, scale: float) -> float:
+    """The q-quantile of Gamma(shape, scale)."""
+    from scipy import special
+
+    return float(special.gammaincinv(shape, q) * scale)
 
 
 def _validate_noise(model: NoiseModel) -> NoiseModel:
@@ -126,7 +157,7 @@ def gaussian_noise(scale: float = 1.0) -> NoiseModel:
 def student_t_noise(dof: float, scale: float = 1.0) -> NoiseModel:
     if dof <= 0 or scale <= 0:
         raise InputError("dof and scale must be positive")
-    half = scale * max(10.0, float(stats.t.ppf(1.0 - 2.5e-5, dof)))
+    half = scale * max(10.0, _student_t_quantile(1.0 - 2.5e-5, dof, 1.0))
     return _validate_noise(
         NoiseModel("student-t", {"dof": float(dof), "scale": float(scale)}, half, smooth=True)
     )
@@ -143,7 +174,7 @@ def shifted_gamma_noise(shape: float, scale: float = 1.0) -> NoiseModel:
     if scale <= 0:
         raise InputError("scale must be positive")
     shift = (shape - 1.0) * scale
-    right = float(stats.gamma.ppf(1.0 - 5e-5, shape, scale=scale)) - shift
+    right = _gamma_quantile(1.0 - 5e-5, shape, scale) - shift
     half = max(10.0 * scale, shift, right)
     return _validate_noise(
         NoiseModel(

@@ -15,11 +15,11 @@ all-distinct data is the case n = m of the same code.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import InputError, LineSearchFailed, NonGaussianPhi, SingularSystem
 from .kernels import (
@@ -53,6 +53,8 @@ _GAUSSIAN_FAMILY = {
 }
 
 _DIRECT_SOLVE_LIMIT = 600  # above this many distinct covariates, the HQ inner solve uses CG
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -268,12 +270,13 @@ def _row_targets(groups, w, y):
 
 
 def _solve_weighted_ridge(gram, w, y, kappa, beta_guess):
-    """argmin over beta of sum_s w_s (y_s - K_s^T beta)^2 + sum_s kappa_s beta_s^2.
+    """(beta, capped): argmin over beta of sum_s w_s (y_s - K_s^T beta)^2 +
+    sum_s kappa_s beta_s^2, and whether CG stopped at its iteration cap.
 
     Normal equations (K W K^T + diag(kappa)) beta = K W y.  Direct solve for
     small systems; warm-started CG above _DIRECT_SOLVE_LIMIT.  CG keeps the
     HQ ascent property because it monotonically decreases this quadratic
-    starting from the current iterate.
+    starting from the current iterate, even when it stops at its cap.
     """
     n = y.shape[0]
     b = gram @ (w * y)
@@ -293,7 +296,9 @@ def _solve_weighted_ridge(gram, w, y, kappa, beta_guess):
                 raise SingularSystem("weighted system singular after jitter") from None
         if not np.all(np.isfinite(out)):
             raise SingularSystem("weighted system produced non-finite coefficients")
-        return out
+        return out, False
+
+    from scipy.sparse.linalg import LinearOperator, cg
 
     def matvec(v):
         return gram @ (w * (gram.T @ v)) + kappa * v
@@ -302,7 +307,7 @@ def _solve_weighted_ridge(gram, w, y, kappa, beta_guess):
     out, info = cg(op, b, x0=beta_guess, rtol=1e-12, atol=0.0, maxiter=max(200, n // 4))
     if info < 0 or not np.all(np.isfinite(out)):
         raise SingularSystem(f"conjugate gradient failed with status {info}")
-    return out
+    return out, info > 0
 
 
 def _soft(value: float, threshold: float) -> float:
@@ -399,11 +404,14 @@ def fit_hq(gram, y, config: RmrConfig, init=None, *, train_inputs=None, kernel=N
     tau = coeff / (a_sq * m * sigma**3)
     trace = [_objective(alpha, gram, y, config.phi, config, groups)]
     beta = groups.sums(alpha)
+    stopped = "max_hq_iters"
+    cg_capped = 0
     for _ in range(config.max_hq_iters):
         residuals = y - _fitted(gram, groups, beta)
         row_w, row_y = _row_targets(groups, _hq_weights(residuals, sigma, a_sq), y)
         if config.q == 2:
-            beta = _solve_weighted_ridge(gram, row_w, row_y, kappa / groups.counts, beta)
+            beta, capped = _solve_weighted_ridge(gram, row_w, row_y, kappa / groups.counts, beta)
+            cg_capped += capped
         else:
             beta = _l1_coordinate_descent(
                 gram, row_w, row_y, beta, config.lam, tau, config.inner_max_iters
@@ -411,7 +419,21 @@ def fit_hq(gram, y, config: RmrConfig, init=None, *, train_inputs=None, kernel=N
         alpha = groups.expand(beta)
         trace.append(_objective(alpha, gram, y, config.phi, config, groups))
         if abs(trace[-1] - trace[-2]) < config.tol:
+            stopped = "tol"
             break
+    if cg_capped:
+        log.warning(
+            "hq fit: %d of %d conjugate-gradient inner solves stopped at their "
+            "iteration cap before reaching their tolerance", cg_capped, len(trace) - 1,
+        )
+    if config.q == 1:
+        inner = "coordinate descent"
+    else:
+        inner = "direct" if groups.n <= _DIRECT_SOLVE_LIMIT else "CG"
+    log.info(
+        "hq fit (q=%d, %s inner solve, %d distinct of %d samples): "
+        "%d iterations, stopped by %s", config.q, inner, groups.n, m, len(trace) - 1, stopped,
+    )
     return RmrModel(alpha, train_inputs, kernel, config, tuple(trace))
 
 
@@ -461,6 +483,7 @@ def fit_gradient(
     current = _objective(alpha, gram, y, phi, cfg, groups)
     trace = [current]
     step = 1.0
+    stopped = "max_iters"
     for _ in range(max_iters):
         grad = _smooth_gradient(alpha, gram, y, phi, cfg, groups)
         step = min(step * 4.0, 1e8)
@@ -480,7 +503,13 @@ def fit_gradient(
         alpha, current = candidate, value
         trace.append(current)
         if gain < cfg.tol:
+            stopped = "tol"
             break
+    log.info(
+        "gradient fit (q=%d, phi=%s, %d distinct of %d samples): "
+        "%d iterations, stopped by %s", cfg.q, phi.kind, groups.n, y.shape[0], len(trace) - 1,
+        stopped,
+    )
     return RmrModel(alpha, train_inputs, kernel, cfg, tuple(trace))
 
 
@@ -607,6 +636,10 @@ def load_model(path) -> RmrModel:
         ).reshape(m, d)
     except (IndexError, ValueError) as exc:
         raise InputError(f"malformed model file {path}: {exc}") from exc
+    for name, values in (("kernel parameters", list(kparams.values())), ("sigma", sigma),
+                         ("lambda", lam), ("alpha", alpha), ("inputs", inputs)):
+        if not np.all(np.isfinite(values)):
+            raise InputError(f"model file {path}: non-finite {name}")
     config = RmrConfig(sigma=sigma, lam=lam, q=q, phi=representing_function(phi_kind))
     kernel = hypothesis_kernel(kkind, **kparams)
     return RmrModel(alpha, inputs, kernel, config, tuple())

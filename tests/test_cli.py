@@ -34,6 +34,14 @@ class TestChainInfo:
         assert run("chain-info", "--chain-file", str(path)) == 0
         assert "gamma_a = 0.5" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_chain_file_is_validation_error(self, tmp_path, capsys, bad):
+        path = tmp_path / "chain.txt"
+        path.write_text(f"2 1\n0.7 0.3\n0.2 0.8\n0.0\n{bad}\n")
+        assert run("chain-info", "--chain-file", str(path)) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "non-finite" in err
+
     def test_missing_family_is_validation_error(self, capsys):
         assert run("chain-info") == 1
 
@@ -101,6 +109,23 @@ class TestFitPredict:
         code = run("fit", "--data", str(bad), "--out", str(tmp_path / "model.txt"))
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("section", ["alpha", "inputs"])
+    def test_non_finite_model_file_is_validation_error(self, tmp_path, dataset_path, capsys,
+                                                      section):
+        model_path = tmp_path / "model.txt"
+        assert run("fit", "--data", str(dataset_path), "--out", str(model_path)) == 0
+        lines = model_path.read_text().splitlines()
+        at = lines.index(section) + 1
+        lines[at] = " ".join(["nan"] * len(lines[at].split()))
+        model_path.write_text("\n".join(lines) + "\n")
+        preds_path = tmp_path / "preds.csv"
+        code = run("predict", "--model", str(model_path), "--data", str(dataset_path),
+                   "--out", str(preds_path))
+        assert code == 1
+        assert f"non-finite {section}" in capsys.readouterr().err
+        assert not preds_path.exists()
 
 
 class TestConfigFile:

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modalmr.errors import InputError, NonSmoothNoise
 from modalmr.kernels import hypothesis_kernel, representing_function
 from modalmr.markov import iid_chain, transition_kernel, two_state_chain
 from modalmr.risk import (
     NoiseModel,
+    _gamma_quantile,
+    _student_t_quantile,
     _validate_noise,
     comparison_gap,
     default_target,
@@ -91,6 +95,76 @@ class TestNoiseModels:
         assert student_t_noise(2.0).smooth
         assert shifted_gamma_noise(2.0).smooth
         assert not shifted_gamma_noise(1.5).smooth
+
+
+EXACT = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+SCALES = st.floats(1e-3, 10.0, exclude_min=True)
+DOFS = st.floats(0.5, 50.0, exclude_min=True)
+SHAPES = st.one_of(st.just(1.0), st.floats(1.0, 10.0))
+# points in units of the scale, reaching far into the tails
+UNITS = st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=40)
+LEVELS = st.floats(1e-6, 1.0 - 1e-6)
+
+
+class TestScipyExactness:
+    """The densities and quantiles reproduce scipy.stats bit for bit; scipy.stats
+    is imported here only, as the reference."""
+
+    @staticmethod
+    def _assert_same(model, t, reference):
+        assert np.array_equal(model.density(t), reference(t))
+        assert model.density(float(t[0])) == float(reference(t[0]))
+
+    @EXACT
+    @given(SCALES, UNITS)
+    def test_gaussian_density(self, scale, units):
+        from scipy import stats
+
+        model = NoiseModel("gaussian", {"scale": scale}, 10.0 * scale, smooth=True)
+        self._assert_same(model, np.array(units) * scale,
+                          lambda t: stats.norm.pdf(t, scale=scale))
+
+    @EXACT
+    @given(DOFS, SCALES, UNITS)
+    def test_student_t_density(self, dof, scale, units):
+        from scipy import stats
+
+        model = NoiseModel("student-t", {"dof": dof, "scale": scale}, 10.0 * scale, smooth=True)
+        self._assert_same(model, np.array(units) * scale,
+                          lambda t: stats.t.pdf(t, df=dof, scale=scale))
+
+    @EXACT
+    @given(SHAPES, SCALES, UNITS)
+    def test_shifted_gamma_density_inside_and_outside_support(self, shape, scale, units):
+        from scipy import stats
+
+        shift = (shape - 1.0) * scale
+        model = NoiseModel("shifted-gamma", {"shape": shape, "scale": scale}, 10.0 * scale,
+                           smooth=shape >= 2.0)
+        # the support starts at -shift: points on its edge, one ulp left of it,
+        # and at the drawn distances from the edge and from the mode
+        t = np.concatenate([[-shift, np.nextafter(-shift, -np.inf)],
+                            np.array(units) * scale - shift, np.array(units) * scale])
+        self._assert_same(model, t,
+                          lambda t: stats.gamma.pdf(t + shift, shape, scale=scale))
+        assert model.density(-shift - scale) == 0.0
+
+    @EXACT
+    @given(DOFS, SCALES, LEVELS)
+    def test_student_t_quantile(self, dof, scale, q):
+        from scipy import stats
+
+        for level in (q, 1.0 - 2.5e-5):
+            assert _student_t_quantile(level, dof, scale) == stats.t.ppf(level, dof, scale=scale)
+
+    @EXACT
+    @given(SHAPES, SCALES, LEVELS)
+    def test_gamma_quantile(self, shape, scale, q):
+        from scipy import stats
+
+        for level in (q, 1.0 - 5e-5):
+            assert _gamma_quantile(level, shape, scale) == stats.gamma.ppf(level, shape,
+                                                                          scale=scale)
 
 
 class TestTask:

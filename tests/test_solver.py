@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -334,11 +336,77 @@ class TestSerialization:
         probe = rng.random((4, 2))
         np.testing.assert_array_equal(predict(loaded, probe), predict(model, probe))
 
+    # the line of a one-sample model file that holds each value
+    @pytest.mark.parametrize("name, line", [("kernel parameters", 1), ("sigma", 3),
+                                            ("lambda", 4), ("alpha", 7), ("inputs", 9)])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_model_rejected(self, tmp_path, name, line, bad):
+        kernel = hypothesis_kernel("gaussian-rbf", bandwidth=0.5)
+        model = fit_hq(np.ones((1, 1)), [0.3], RmrConfig(sigma=1.0, lam=0.1),
+                       train_inputs=[[0.2]], kernel=kernel)
+        path = tmp_path / "model.txt"
+        save_model(path, model)
+        lines = path.read_text().splitlines()
+        lines[line] = re.sub(r"[-+0-9.e]+$", bad, lines[line])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=f"non-finite {name}"):
+            load_model(path)
+
     def test_malformed_model_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("3 1\nkernel gaussian-rbf bandwidth=1.0\n")
         with pytest.raises(InputError):
             load_model(path)
+
+
+class TestFitLogging:
+    """Each fit logs one info line saying how it stopped; CG inner solves
+    that stop at their cap are reported as a warning."""
+
+    @staticmethod
+    def _messages(caplog, level):
+        return [r.getMessage() for r in caplog.records
+                if r.name == "modalmr.solver" and r.levelno == level]
+
+    def test_hq_info_line_reports_cap_and_tolerance(self, caplog):
+        caplog.set_level(logging.INFO, logger="modalmr.solver")
+        gram, y = random_instance(np.random.default_rng(3), 12)
+        fit_hq(gram, y, RmrConfig(sigma=0.7, lam=1e-3, max_hq_iters=2, tol=1e-300))
+        fit_hq(gram, y, RmrConfig(sigma=0.7, lam=1e-3, q=1, max_hq_iters=500, tol=1e-3))
+        capped, converged = self._messages(caplog, logging.INFO)
+        assert capped.startswith("hq fit (q=2, direct inner solve, 12 distinct of 12 samples)")
+        assert capped.endswith("2 iterations, stopped by max_hq_iters")
+        assert "q=1, coordinate descent inner solve" in converged
+        assert converged.endswith("stopped by tol")
+
+    def test_gradient_info_line_reports_cap(self, caplog):
+        caplog.set_level(logging.INFO, logger="modalmr.solver")
+        gram, y = random_instance(np.random.default_rng(4), 10)
+        fit_gradient(gram, y, GAUSS, RmrConfig(sigma=0.7, lam=1e-3, tol=1e-300), max_iters=3)
+        (line,) = self._messages(caplog, logging.INFO)
+        assert line.startswith("gradient fit (q=2, phi=gaussian, 10 distinct of 10 samples)")
+        assert line.endswith("3 iterations, stopped by max_iters")
+
+    def test_cg_stopping_at_its_cap_is_a_warning(self, caplog):
+        # 650 distinct 5-d points under a laplacian kernel and a tiny ridge:
+        # CG cannot reach its 1e-12 tolerance in its 200 iterations
+        rng = np.random.default_rng(0)
+        x = rng.uniform(size=(650, 5))
+        y = np.sin(6.0 * x[:, 0]) + 0.1 * rng.standard_normal(650)
+        kernel = hypothesis_kernel("laplacian", bandwidth=1.0)
+        caplog.set_level(logging.INFO, logger="modalmr.solver")
+        fit_data(x, y, kernel, RmrConfig(sigma=0.1, lam=1e-10, max_hq_iters=2))
+        (warning,) = self._messages(caplog, logging.WARNING)
+        assert warning.startswith("hq fit: 2 of 2 conjugate-gradient inner solves stopped")
+        (info,) = self._messages(caplog, logging.INFO)
+        assert "CG inner solve" in info
+
+    def test_converged_cg_is_silent(self, caplog):
+        rng = np.random.default_rng(1)
+        x = rng.uniform(size=(601, 1))
+        y = np.sin(6.0 * x[:, 0])
+        fit_data(x, y, RBF, RmrConfig(sigma=1.0, lam=0.1, max_hq_iters=2))
+        assert self._messages(caplog, logging.WARNING) == []
 
 
 def test_fit_data_wrapper():
