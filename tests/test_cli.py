@@ -110,7 +110,6 @@ class TestFitPredict:
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
 
-
     @pytest.mark.parametrize("section", ["alpha", "inputs"])
     def test_non_finite_model_file_is_validation_error(self, tmp_path, dataset_path, capsys,
                                                       section):
