@@ -83,9 +83,8 @@ class NoiseModel:
 
             k, theta = self.params["shape"], self.params["scale"]
             x = (t + (k - 1.0) * theta) / theta
-            with np.errstate(invalid="ignore"):
-                log_pdf = special.xlogy(k - 1.0, x) - x - special.gammaln(k)
-                out = np.where(x < 0.0, 0.0, np.exp(log_pdf) / theta)
+            log_pdf = special.xlogy(k - 1.0, x) - x - special.gammaln(k)
+            out = np.where(x < 0.0, 0.0, np.exp(log_pdf) / theta)
         elif self.kind == "mixture":
             out = sum(
                 w * comp.density(t) for w, comp in zip(self.weights, self.components)
