@@ -224,6 +224,8 @@ def hypothesis_kernel(kind: str, **shape_params: float) -> HypothesisKernel:
         if key not in params:
             raise InputError(f"kernel {kind!r} has no shape parameter {key!r}")
         params[key] = float(value)
+        if not math.isfinite(params[key]):
+            raise InputError(f"kernel {kind!r} shape parameter {key!r} must be finite")
     if "bandwidth" in params and params["bandwidth"] <= 0:
         raise InputError("kernel bandwidth must be positive")
     return HypothesisKernel(kind, params)

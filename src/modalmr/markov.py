@@ -63,6 +63,8 @@ class TransitionKernel:
             raise NotStochastic("transition matrix must be square")
         if n != self.n_states:
             raise NotStochastic(f"matrix is {n}x{n} but n_states={self.n_states}")
+        if not np.all(np.isfinite(P)):
+            raise NotStochastic("transition probabilities must be finite")
         if np.any(P < 0):
             raise NotStochastic("transition probabilities must be nonnegative")
         rows = P.sum(axis=1)
@@ -70,7 +72,7 @@ class TransitionKernel:
             raise NotStochastic(f"row sums deviate from 1 by {np.max(np.abs(rows - 1.0)):.3e}")
         if emb.shape[0] != n:
             raise InputError("state_embedding must have one vector per state")
-        if np.any(emb < 0) or np.any(emb > 1):
+        if not np.all((emb >= 0) & (emb <= 1)):
             raise InputError("state embedding coordinates must lie in [0, 1]")
         P.setflags(write=False)
         emb.setflags(write=False)

@@ -70,16 +70,17 @@ class RmrConfig:
     inner_max_iters: int = 20
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise InputError("sigma must be positive")
-        if self.lam < 0:
-            raise InputError("lambda must be nonnegative")
+        # written so that NaN fails each test, which a bare sigma <= 0 would pass
+        if not 0 < self.sigma < math.inf:
+            raise InputError("sigma must be positive and finite")
+        if not 0 <= self.lam < math.inf:
+            raise InputError("lambda must be nonnegative and finite")
         if self.q not in (1, 2):
             raise InputError("q must be 1 or 2")
         if self.max_hq_iters < 1:
             raise InputError("max_hq_iters must be at least 1")
-        if self.tol <= 0:
-            raise InputError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise InputError("tol must be positive and finite")
         if self.inner_max_iters < 1:
             raise InputError("inner_max_iters must be at least 1")
 
@@ -232,11 +233,15 @@ def _fitted(gram, groups, beta):
     return groups.spread(gram.T @ beta)
 
 
-def _objective(alpha, gram, y, phi, config, groups):
-    m = y.shape[0]
-    residuals = y - _fitted(gram, groups, groups.sums(alpha))
+def _value(alpha, residuals, phi, config):
+    """Objective at alpha from its per-sample residuals y_i - f(x_i)."""
+    m = residuals.shape[0]
     fit = float(np.add.reduce(phi(residuals / config.sigma))) / (m * config.sigma)
     return fit - config.lam * _penalty(alpha, config.q)
+
+
+def _objective(alpha, gram, y, phi, config, groups):
+    return _value(alpha, y - _fitted(gram, groups, groups.sums(alpha)), phi, config)
 
 
 def objective(
@@ -310,39 +315,54 @@ def _solve_weighted_ridge(gram, w, y, kappa, beta_guess):
     return out, info > 0
 
 
-def _soft(value: float, threshold: float) -> float:
-    if value > threshold:
-        return value - threshold
-    if value < -threshold:
-        return value + threshold
-    return 0.0
-
-
 def _l1_coordinate_descent(gram, w, y, beta, lam, tau, sweeps):
     """Cyclic soft-thresholding on (tau/2) sum_s w_s r_s^2 + lam ||beta||_1.
 
     Each coordinate update is an exact 1-D minimization, so every sweep
     decreases this surrogate, preserving outer-loop ascent.
+
+    The sweeps run in residual form over the fitted values u = K^T beta.  With
+    kw = tau K diag(w), the update of beta_j minimizes
+    (quad_j/2) beta_j^2 - lin_j beta_j + lam |beta_j| with
+    quad_j = tau sum_s w_s K_js^2 and lin_j = (kw y)_j - kw_j . u + quad_j beta_j,
+    so a coordinate costs one length-n dot product, plus one update of u when
+    beta_j moves.  kw, kw y and quad are built once per call with elementwise
+    products and matrix-vector products only; a matrix-matrix product here
+    would be the process's first level-3 BLAS call, and OpenBLAS would then
+    allocate its level-3 work buffers.
     """
     n = y.shape[0]
-    beta = beta.copy()
-    residual = y - gram.T @ beta
-    # quadratic coefficient per coordinate: tau * sum_s w_s K_js^2
-    quad = tau * ((gram * gram) @ w)
+    tw = tau * w
+    kw = gram * tw
+    lin0 = (kw @ y).tolist()
+    quad = ((gram * gram) @ tw).tolist()
+    u = gram.T @ beta
+    u_step = np.empty_like(u)
+    beta = beta.tolist()
+    kw_rows = list(kw)
+    rows = list(gram)
     for _ in range(sweeps):
-        max_change = 0.0
+        moved = False  # some |change| above 1e-15 in this sweep
         for j in range(n):
-            gj = gram[j]
+            curvature = quad[j]
             old = beta[j]
-            lin = tau * (gj @ (w * residual)) + quad[j] * old
-            new = _soft(lin, lam) / quad[j] if quad[j] > 0 else 0.0
+            new = 0.0
+            if curvature > 0:
+                lin = lin0[j] - float(kw_rows[j].dot(u)) + curvature * old
+                if lin > lam:
+                    new = (lin - lam) / curvature
+                elif lin < -lam:
+                    new = (lin + lam) / curvature
             if new != old:
-                residual += gj * (old - new)
+                change = new - old
+                np.multiply(rows[j], change, out=u_step)
+                u += u_step
                 beta[j] = new
-                max_change = max(max_change, abs(new - old))
-        if max_change <= 1e-15:
+                if change > 1e-15 or change < -1e-15:
+                    moved = True
+        if not moved:
             break
-    return beta
+    return np.array(beta)
 
 
 def gaussian_family_params(phi: RepresentingFunction):
@@ -402,12 +422,12 @@ def fit_hq(gram, y, config: RmrConfig, init=None, *, train_inputs=None, kernel=N
     sigma = config.sigma
     kappa = 2.0 * a_sq * config.lam * m * sigma**3 / coeff
     tau = coeff / (a_sq * m * sigma**3)
-    trace = [_objective(alpha, gram, y, config.phi, config, groups)]
     beta = groups.sums(alpha)
+    residuals = y - _fitted(gram, groups, beta)
+    trace = [_value(alpha, residuals, config.phi, config)]
     stopped = "max_hq_iters"
     cg_capped = 0
     for _ in range(config.max_hq_iters):
-        residuals = y - _fitted(gram, groups, beta)
         row_w, row_y = _row_targets(groups, _hq_weights(residuals, sigma, a_sq), y)
         if config.q == 2:
             beta, capped = _solve_weighted_ridge(gram, row_w, row_y, kappa / groups.counts, beta)
@@ -417,7 +437,8 @@ def fit_hq(gram, y, config: RmrConfig, init=None, *, train_inputs=None, kernel=N
                 gram, row_w, row_y, beta, config.lam, tau, config.inner_max_iters
             )
         alpha = groups.expand(beta)
-        trace.append(_objective(alpha, gram, y, config.phi, config, groups))
+        residuals = y - _fitted(gram, groups, beta)
+        trace.append(_value(alpha, residuals, config.phi, config))
         if abs(trace[-1] - trace[-2]) < config.tol:
             stopped = "tol"
             break
@@ -437,6 +458,15 @@ def fit_hq(gram, y, config: RmrConfig, init=None, *, train_inputs=None, kernel=N
     return RmrModel(alpha, train_inputs, kernel, config, tuple(trace))
 
 
+def _gradient(alpha, residuals, gram, phi, config, groups):
+    """Gradient of the smooth part at alpha from its per-sample residuals."""
+    slopes = groups.sums(phi.derivative(residuals / config.sigma))
+    grad = -groups.spread(gram @ slopes) / (residuals.shape[0] * config.sigma**2)
+    if config.q == 2:
+        grad = grad - 2.0 * config.lam * alpha
+    return grad
+
+
 def _smooth_gradient(alpha, gram, y, phi, config, groups=None):
     """Gradient of the fit term (and of the q=2 penalty, which is smooth).
 
@@ -444,15 +474,10 @@ def _smooth_gradient(alpha, gram, y, phi, config, groups=None):
     / (m sigma^2), exact for any alpha.  ``groups`` None means every sample
     is its own row (``gram`` is then the m x m sample gram).
     """
-    m = y.shape[0]
     if groups is None:
-        groups = CovariateGroups.identity(m)
+        groups = CovariateGroups.identity(y.shape[0])
     residuals = y - _fitted(gram, groups, groups.sums(alpha))
-    slopes = groups.sums(phi.derivative(residuals / config.sigma))
-    grad = -groups.spread(gram @ slopes) / (m * config.sigma**2)
-    if config.q == 2:
-        grad = grad - 2.0 * config.lam * alpha
-    return grad
+    return _gradient(alpha, residuals, gram, phi, config, groups)
 
 
 def fit_gradient(
@@ -475,25 +500,40 @@ def fit_gradient(
     per-sample; residuals and gradients go through the n x n gram over the
     distinct rows (``gram`` and ``train_inputs`` follow the rule of
     ``fit_hq``), which leaves the ascent in alpha unchanged.
+
+    The fitted values K^T beta of the accepted iterate are kept, and the next
+    gradient takes its residuals from them.  For q=2 a candidate's fitted
+    values are those plus step * K^T (row sums of the gradient), one
+    matrix-vector product per iteration however many halvings it takes; the
+    soft-thresholded q=1 candidate is not linear in the step, so each of its
+    halvings evaluates K^T beta afresh.
     """
     gram, y, groups, alpha = _check_problem(gram, y, train_inputs, init)
     cfg = replace(config, phi=phi)
     if max_iters is None:
         max_iters = max(cfg.max_hq_iters, 2000)
-    current = _objective(alpha, gram, y, phi, cfg, groups)
+    fitted = gram.T @ groups.sums(alpha)
+    residuals = y - groups.spread(fitted)
+    current = _value(alpha, residuals, phi, cfg)
     trace = [current]
     step = 1.0
     stopped = "max_iters"
     for _ in range(max_iters):
-        grad = _smooth_gradient(alpha, gram, y, phi, cfg, groups)
+        grad = _gradient(alpha, residuals, gram, phi, cfg, groups)
+        if cfg.q == 2:
+            # the candidate is linear in the step, and so are its fitted values
+            fitted_step = gram.T @ groups.sums(grad)
         step = min(step * 4.0, 1e8)
         for _halving in range(51):
             if cfg.q == 1:
                 moved = alpha + step * grad
                 candidate = np.sign(moved) * np.maximum(np.abs(moved) - step * cfg.lam, 0.0)
+                candidate_fitted = gram.T @ groups.sums(candidate)
             else:
                 candidate = alpha + step * grad
-            value = _objective(candidate, gram, y, phi, cfg, groups)
+                candidate_fitted = fitted + step * fitted_step
+            candidate_residuals = y - groups.spread(candidate_fitted)
+            value = _value(candidate, candidate_residuals, phi, cfg)
             if value >= current:
                 break
             step *= 0.5
@@ -501,6 +541,7 @@ def fit_gradient(
             raise LineSearchFailed("no ascent step found after 50 halvings")
         gain = value - current
         alpha, current = candidate, value
+        fitted, residuals = candidate_fitted, candidate_residuals
         trace.append(current)
         if gain < cfg.tol:
             stopped = "tol"

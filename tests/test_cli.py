@@ -127,6 +127,15 @@ class TestFitPredict:
         assert not preds_path.exists()
 
 
+    @pytest.mark.parametrize("flag", ["--sigma", "--lambda", "--bandwidth", "--tol"])
+    def test_nan_parameter_is_validation_error(self, tmp_path, dataset_path, capsys, flag):
+        model_path = tmp_path / "model.txt"
+        code = run("fit", "--data", str(dataset_path), flag, "nan", "--out", str(model_path))
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert not model_path.exists()
+
+
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -215,6 +224,15 @@ class TestExperimentCommands:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# {")
         assert lines[1] == "n_outliers,magnitude,coef_norm"
+
+    def test_shape_one_shifted_gamma_noise_runs(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        code = run(
+            "learning-curve", "--m-grid", "32,64", "--replicates", "2", "--chain-n", "6",
+            "--noise", "shifted-gamma", "--shape", "1", "--out", str(out), "--seed", "3",
+        )
+        assert code == 0
+        assert len(list(csv.DictReader(out.open()))) == 4
 
     def test_robust_compare_runs(self, tmp_path, capsys):
         out = tmp_path / "rc.csv"

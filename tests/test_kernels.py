@@ -149,3 +149,10 @@ class TestGram:
             hypothesis_kernel("gaussian-rbf", degree=3)
         with pytest.raises(InputError):
             hypothesis_kernel("gaussian-rbf", bandwidth=0.0)
+
+    @pytest.mark.parametrize("kind, param", [("gaussian-rbf", "bandwidth"),
+                                             ("polynomial", "offset")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_shape_parameters_rejected(self, kind, param, bad):
+        with pytest.raises(InputError, match="finite"):
+            hypothesis_kernel(kind, **{param: bad})

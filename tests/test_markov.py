@@ -57,9 +57,18 @@ class TestStationary:
         with pytest.raises(NotStochastic):
             transition_kernel(np.array([[1.1, -0.1], [0.2, 0.8]]), [0.0, 1.0])
 
+    @pytest.mark.parametrize("where", [(0, 0), (1, 0)])
+    def test_nan_transition_rejected(self, where):
+        P = np.array([[0.5, 0.5], [0.2, 0.8]])
+        P[where] = np.nan
+        with pytest.raises(NotStochastic, match="finite"):
+            transition_kernel(P, [0.0, 1.0])
+
     def test_embedding_bounds(self):
         with pytest.raises(InputError):
             transition_kernel(np.eye(2), [[-0.1], [1.0]])
+        with pytest.raises(InputError):
+            transition_kernel(np.eye(2), [[np.nan], [1.0]])
 
     @pytest.mark.parametrize(
         "chain",

@@ -11,6 +11,7 @@ from modalmr.markov import iid_chain, transition_kernel, two_state_chain
 from modalmr.risk import (
     NoiseModel,
     _gamma_quantile,
+    _grid_mass,
     _student_t_quantile,
     _validate_noise,
     comparison_gap,
@@ -89,6 +90,30 @@ class TestNoiseModels:
         bogus = NoiseModel("gaussian", {"scale": 5.0}, grid_halfwidth=0.5, smooth=True)
         with pytest.raises(InputError):
             _validate_noise(bogus)
+
+    @pytest.mark.parametrize("scale", [0.01, 0.5, 1.0, 3.0])
+    def test_shape_one_passes_its_grid_check(self, scale):
+        # exponential noise: the density jumps from 0 to 1/scale at the mode
+        model = shifted_gamma_noise(1.0, scale)
+        assert model.density(0.0) == 1.0 / scale
+        assert model.density(-1e-9 * scale) == 0.0
+        grid = np.linspace(-model.grid_halfwidth, model.grid_halfwidth, 10001)
+        dens = model.density(grid)
+        assert abs(_grid_mass(model, grid, dens) - 1.0) < 1e-4
+        assert np.trapezoid(dens, grid) == pytest.approx(1.000955, abs=1e-6)
+        mixture_noise([0.5, 0.5], [gaussian_noise(scale), model])
+
+    @pytest.mark.parametrize(
+        "model",
+        [gaussian_noise(0.4), student_t_noise(2.0), shifted_gamma_noise(2.0, 0.1),
+         shifted_gamma_noise(2.0, 0.5), shifted_gamma_noise(3.5, 1.0),
+         shifted_gamma_noise(7.0, 2.0)],
+    )
+    def test_grid_mass_is_the_trapezoid_rule_for_continuous_densities(self, model):
+        grid = np.linspace(-model.grid_halfwidth, model.grid_halfwidth, 10001)
+        dens = model.density(grid)
+        assert _grid_mass(model, grid, dens) == pytest.approx(np.trapezoid(dens, grid),
+                                                              rel=1e-12)
 
     def test_smooth_flags(self):
         assert gaussian_noise(1.0).smooth

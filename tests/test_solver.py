@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modalmr.solver
-from _oracles import grid_oracle_max, objective_value
+from _oracles import grid_oracle_max, l1_coordinate_descent, objective_value
 from modalmr.errors import InputError, LineSearchFailed, NonGaussianPhi, SingularSystem
 from modalmr.kernels import gram_matrix, hypothesis_kernel, representing_function
 from modalmr.solver import (
@@ -312,6 +312,12 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             RmrConfig(sigma=1.0, lam=0.1, tol=0.0)
 
+    @pytest.mark.parametrize("field", ["sigma", "lam", "tol"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values(self, field, bad):
+        with pytest.raises(InputError, match="finite"):
+            RmrConfig(**{"sigma": 1.0, "lam": 0.1, field: bad})
+
     def test_lambda_zero_allowed(self):
         assert RmrConfig(sigma=1.0, lam=0.0).lam == 0.0
 
@@ -587,3 +593,71 @@ class TestDistinctReduction:
         direct = fit_hq(RBF.cross(x, x), y, cfg, train_inputs=x, kernel=RBF)
         np.testing.assert_array_equal(model.alpha, direct.alpha)
         assert model.objective_trace == direct.objective_trace
+
+
+@st.composite
+def coordinate_problems(draw, max_rows=40):
+    """One q=1 inner problem: an RBF gram over n <= 40 covariates, distinct or
+    drawn from a few values (repeated gram rows), with random weights, targets,
+    start, tau, sweep count and lambda (large lambdas zero out coordinates)."""
+    n = draw(st.integers(1, max_rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = n if draw(st.booleans()) else draw(st.integers(1, min(n, 4)))
+    values = rng.uniform(0.0, 1.0, k)
+    x = values[np.concatenate([np.arange(k), rng.integers(0, k, n - k)])].reshape(-1, 1)
+    gram = RBF.cross(x, x)
+    w = rng.uniform(0.0, 1.0, n) * (rng.random(n) > draw(st.sampled_from([0.0, 0.3])))
+    y = rng.uniform(-1.5, 1.5, n)
+    beta = rng.normal(0.0, 0.5, n) if draw(st.booleans()) else np.zeros(n)
+    lam = draw(st.sampled_from([0.0, 1e-4, 1e-2]) | st.floats(1e-3, 10.0))
+    tau = draw(st.floats(0.1, 10.0))
+    return gram, w, y, beta, lam, tau, draw(st.integers(1, 30))
+
+
+class TestInnerLoops:
+    """The vectorised inner loops against their plain forms."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(coordinate_problems())
+    def test_coordinate_descent_matches_plain_form(self, problem):
+        gram, w, y, beta, lam, tau, sweeps = problem
+        expected = l1_coordinate_descent(gram, w, y, beta, lam, tau, sweeps)
+        got = modalmr.solver._l1_coordinate_descent(gram, w, y, beta, lam, tau, sweeps)
+        scale = max(float(np.max(np.abs(expected))), 1e-300)
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10 * scale)
+
+    def test_coordinate_descent_zeroes_out_under_large_lambda(self):
+        rng = np.random.default_rng(8)
+        gram, y = random_instance(rng, 12)
+        got = modalmr.solver._l1_coordinate_descent(
+            gram, rng.uniform(0.2, 1.0, 12), y, rng.normal(0, 1, 12), 1e3, 1.0, 20)
+        np.testing.assert_array_equal(got, np.zeros(12))
+
+    @PROPERTY
+    @given(grouped_problems(), st.sampled_from(["epanechnikov", "triangular", "gaussian"]),
+           st.sampled_from([1, 2]), st.booleans())
+    def test_gradient_trace_matches_recomputed_objective(self, problem, kind, q, distinct):
+        x, y, sigma, lam = problem
+        if distinct:
+            x = np.arange(x.shape[0], dtype=float).reshape(-1, 1) / x.shape[0]
+        phi = representing_function(kind)
+        cfg = RmrConfig(sigma=sigma, lam=lam, q=q, phi=phi, tol=1e-14)
+        try:
+            model = fit_data(x, y, RBF, cfg, method="gradient")
+        except LineSearchFailed:
+            return
+        trace = np.array(model.objective_trace)
+        assert np.all(np.diff(trace) >= 0.0)
+        value = objective(model.alpha, RBF.cross(x, x), y, phi, cfg)
+        assert value == pytest.approx(trace[-1], rel=1e-12, abs=1e-300)
+
+    @PROPERTY
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24, unique=True),
+           st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+    def test_hq_trace_is_the_objective_on_distinct_data(self, rows, seed, q):
+        x = np.array(rows).reshape(-1, 1)
+        y = np.random.default_rng(seed).uniform(-1.5, 1.5, len(rows))
+        cfg = RmrConfig(sigma=0.8, lam=0.05, q=q, max_hq_iters=30)
+        model = fit_data(x, y, RBF, cfg)
+        gram = RBF.cross(x, x)
+        assert model.objective_trace[-1] == objective(model.alpha, gram, y, GAUSS, cfg)
