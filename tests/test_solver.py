@@ -626,13 +626,6 @@ class TestInnerLoops:
         scale = max(float(np.max(np.abs(expected))), 1e-300)
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10 * scale)
 
-    def test_coordinate_descent_zeroes_out_under_large_lambda(self):
-        rng = np.random.default_rng(8)
-        gram, y = random_instance(rng, 12)
-        got = modalmr.solver._l1_coordinate_descent(
-            gram, rng.uniform(0.2, 1.0, 12), y, rng.normal(0, 1, 12), 1e3, 1.0, 20)
-        np.testing.assert_array_equal(got, np.zeros(12))
-
     @PROPERTY
     @given(grouped_problems(), st.sampled_from(["epanechnikov", "triangular", "gaussian"]),
            st.sampled_from([1, 2]), st.booleans())
@@ -645,6 +638,9 @@ class TestInnerLoops:
         try:
             model = fit_data(x, y, RBF, cfg, method="gradient")
         except LineSearchFailed:
+            # a subgradient at a kink of a compact phi can stall the line
+            # search; a smooth phi has no kink
+            assert kind != "gaussian"
             return
         trace = np.array(model.objective_trace)
         assert np.all(np.diff(trace) >= 0.0)
