@@ -60,7 +60,7 @@ _COMMON = [
     ("seed", int, 0, "base random seed"),
     ("out", str, None, "output path (CSV table or model file)"),
     ("config", str, None, "flat key = value config file; flags win"),
-    ("jobs", int, 1, "parallel replicate workers"),
+    ("jobs", int, 1, "accepted; replicates run serially, BLAS uses the cores"),
 ]
 
 _CHAIN_OPTS = [
@@ -235,19 +235,6 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _chain_from(opts, family_key="chain-family", n_key="chain-n", p_key="chain-p", q_key="chain-q"):
-    family = opts[family_key]
-    if family == "iid":
-        return markov.iid_chain(opts[n_key], d=opts["d"])
-    if family == "two-state":
-        return markov.two_state_chain(opts[p_key], opts[q_key], d=opts["d"])
-    if family == "lazy-walk":
-        return markov.lazy_random_walk(opts[n_key], opts["laziness"], d=opts["d"])
-    if family == "metropolis":
-        return markov.metropolis_grid(opts[n_key], d=opts["d"])
-    raise InputError(f"unknown chain family {family!r}")
-
-
 def _noise_from(opts):
     kind = opts["noise"]
     if kind == "gaussian":
@@ -257,6 +244,15 @@ def _noise_from(opts):
     if kind == "shifted-gamma":
         return risk.shifted_gamma_noise(opts["shape"], opts["noise-scale"])
     raise InputError(f"unknown noise kind {kind!r}")
+
+
+def _task_from(opts):
+    """The synthetic task of the chain-based experiment commands."""
+    chain = markov.builtin_chain(
+        opts["chain-family"], d=opts["d"], n=opts["chain-n"], p=opts["chain-p"],
+        q=opts["chain-q"], laziness=opts["laziness"],
+    )
+    return risk.make_task(chain, _noise_from(opts))
 
 
 def _kernel_from(opts):
@@ -299,9 +295,9 @@ def _cmd_chain_info(opts) -> int:
         _require(opts, "family")
         if opts["family"] == "two-state":
             _require(opts, "p", "q")
-        chain = _chain_from(
-            {**opts, "chain-family": opts["family"], "chain-n": opts["n"],
-             "chain-p": opts["p"], "chain-q": opts["q"]}
+        chain = markov.builtin_chain(
+            opts["family"], d=opts["d"], n=opts["n"], p=opts["p"], q=opts["q"],
+            laziness=opts["laziness"],
         )
     diag = markov.diagnose(chain, k_max=opts["k-max"], t_max=opts["tv-tmax"],
                            start_state=opts["tv-start"])
@@ -379,7 +375,7 @@ def _cmd_predict(opts) -> int:
 
 def _cmd_learning_curve(opts) -> int:
     _require(opts, "out")
-    task = risk.make_task(_chain_from(opts), _noise_from(opts))
+    task = _task_from(opts)
     config = harness.ExperimentConfig(
         task=task,
         m_grid=opts["m-grid"],
@@ -389,7 +385,7 @@ def _cmd_learning_curve(opts) -> int:
         solver=_solver_from(opts),
         kernel=_kernel_from(opts),
     )
-    result = harness.learning_curve(config, jobs=opts["jobs"])
+    result = harness.learning_curve(config)
     harness.write_csv(
         opts["out"],
         ["m", "gamma_abs", "replicate", "excess_risk", "lambda_used", "sigma_used"],
@@ -428,7 +424,7 @@ def _cmd_gamma_sweep(opts) -> int:
         solver=_solver_from(opts),
         kernel=_kernel_from(opts),
     )
-    rows = harness.gamma_sweep(config, chains, jobs=opts["jobs"])
+    rows = harness.gamma_sweep(config, chains)
     harness.write_csv(
         opts["out"],
         ["gamma_abs", "discount", "m", "n_replicates", "mean_excess_risk",
@@ -444,7 +440,7 @@ def _cmd_gamma_sweep(opts) -> int:
 
 def _cmd_breakdown(opts) -> int:
     _require(opts, "out")
-    task = risk.make_task(_chain_from(opts), _noise_from(opts))
+    task = _task_from(opts)
     config = _solver_from(opts)
     report = robustness.contamination_experiment(
         task, opts["m"], opts["n-outliers"], opts["magnitudes"], config,
@@ -472,11 +468,11 @@ def _cmd_breakdown(opts) -> int:
 
 def _cmd_robust_compare(opts) -> int:
     _require(opts, "out")
-    task = risk.make_task(_chain_from(opts), _noise_from(opts))
+    task = _task_from(opts)
     config = _solver_from(opts)
     result = harness.robustness_comparison(
         task, opts["m"], config, opts["seed"], n_replicates=opts["replicates"],
-        kernel=_kernel_from(opts), jobs=opts["jobs"],
+        kernel=_kernel_from(opts),
     )
     harness.write_csv(
         opts["out"],

@@ -1,16 +1,15 @@
 """Synthetic experiments: learning curves, gap sweeps, robustness comparison.
 
 Every experiment is a pure function of (config, seed).  Per-replicate seeds
-are spawned deterministically from the base seed, replicates are independent
-work units (optionally threaded), and aggregation is order-independent, so
-repeated runs produce identical tables byte for byte.
+are spawned deterministically from the base seed and replicates run one
+after another (BLAS threads use the cores), so repeated runs produce
+identical tables byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -153,18 +152,23 @@ def _schedule_params(schedule, m: int, gamma_abs: float):
     return schedule.lam, schedule.sigma
 
 
-def _fit_one(task, kernel, solver, lam, sigma, m, dataset_seed):
-    data = generate_dataset(task, m, dataset_seed)
-    model = fit_data(data.x, data.y, kernel, replace(solver, lam=lam, sigma=sigma))
-    return excess_risk(task, model)
+def _run_replicates(task, config: ExperimentConfig, m, lam, sigma, seeds, where):
+    """Excess risk of one fit per dataset seed, as (excess risks, failures).
 
-
-def _run_jobs(work, jobs: int):
-    """Evaluate a list of thunks, optionally on a thread pool (results keep order)."""
-    if jobs <= 1 or len(work) <= 1:
-        return [fn() for fn in work]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda fn: fn(), work))
+    A fit that raises NumericError logs a warning and scores NaN, so one bad
+    replicate cannot sink a whole experiment.
+    """
+    solver = replace(config.solver, lam=lam, sigma=sigma)
+    excesses, n_failed = [], 0
+    for rep, seed in enumerate(seeds):
+        try:
+            data = generate_dataset(task, m, seed)
+            excesses.append(excess_risk(task, fit_data(data.x, data.y, config.kernel, solver)))
+        except NumericError as exc:
+            n_failed += 1
+            log.warning("fit failed at %s replicate %d: %s", where, rep, exc)
+            excesses.append(float("nan"))
+    return excesses, n_failed
 
 
 def _bootstrap_slope(log_m, excess_lists, seed, draws=1000):
@@ -193,62 +197,32 @@ def learning_curve(config: ExperimentConfig, jobs: int = 1) -> LearningCurveResu
 
     Replicates with solver failures are dropped from the aggregation and
     counted; the slope uses only m values whose mean excess risk is positive.
+    ``jobs`` is accepted and ignored: replicates run one after another.
     """
     task = config.task
     gamma_abs = absolute_spectral_gap(task.chain)
     rows = []
+    finite = {}  # m -> its finite replicate excess risks
     n_failed = 0
     for mi, m in enumerate(config.m_grid):
         lam, sigma = _schedule_params(config.schedule, m, gamma_abs)
-        work = []
-        for rep in range(config.n_replicates):
-            dseed = derive_seed(config.seed, mi, rep)
-            work.append(
-                lambda lam=lam, sigma=sigma, m=m, dseed=dseed: _fit_one(
-                    task, config.kernel, config.solver, lam, sigma, m, dseed
-                )
-            )
-        for rep, outcome in enumerate(_run_wrapped(work, jobs)):
-            if isinstance(outcome, NumericError):
-                n_failed += 1
-                log.warning("fit failed at m=%d replicate %d: %s", m, rep, outcome)
-                outcome = float("nan")
-            rows.append(LearningCurveRow(m, gamma_abs, rep, outcome, lam, sigma))
-    means = []
-    for m in config.m_grid:
-        vals = [r.excess_risk for r in rows if r.m == m and np.isfinite(r.excess_risk)]
-        means.append((m, float(np.mean(vals)) if vals else float("nan")))
+        seeds = [derive_seed(config.seed, mi, rep) for rep in range(config.n_replicates)]
+        excesses, failed = _run_replicates(task, config, m, lam, sigma, seeds, f"m={m}")
+        n_failed += failed
+        rows += [LearningCurveRow(m, gamma_abs, rep, e, lam, sigma)
+                 for rep, e in enumerate(excesses)]
+        finite[m] = np.array([e for e in excesses if np.isfinite(e)])
+    means = [(m, float(np.mean(v)) if len(v) else float("nan")) for m, v in finite.items()]
     usable = [(m, v) for m, v in means if np.isfinite(v) and v > 0]
     if len(usable) >= 3:
         log_m = np.log([m for m, _ in usable])
         log_e = np.log([v for _, v in usable])
         slope = float(np.polyfit(log_m, log_e, 1)[0])
-        excess_lists = [
-            np.array(
-                [r.excess_risk for r in rows if r.m == m and np.isfinite(r.excess_risk)]
-            )
-            for m, _ in usable
-        ]
+        excess_lists = [finite[m] for m, _ in usable]
         ci = _bootstrap_slope(log_m, excess_lists, derive_seed(config.seed, 10**6))
     else:
         slope, ci = float("nan"), (float("nan"), float("nan"))
     return LearningCurveResult(tuple(rows), tuple(means), slope, ci, n_failed)
-
-
-def _run_wrapped(work, jobs):
-    """Run thunks, converting numeric failures into values so one bad
-    replicate cannot sink a whole experiment."""
-
-    def guarded(fn):
-        def run():
-            try:
-                return fn()
-            except NumericError as exc:
-                return exc
-
-        return run
-
-    return _run_jobs([guarded(fn) for fn in work], jobs)
 
 
 @dataclass(frozen=True)
@@ -267,7 +241,8 @@ def gamma_sweep(base_config: ExperimentConfig, chains, jobs: int = 1):
     """Mean excess risk per chain at fixed m (the largest in the grid).
 
     Replicate seeds are shared across chains so per-replicate differences
-    form a paired comparison.  Rows come back ordered by gamma_abs.
+    form a paired comparison.  Rows come back ordered by gamma_abs.  ``jobs``
+    is accepted and ignored: replicates run one after another.
     """
     task = base_config.task
     m = base_config.m_grid[-1]
@@ -278,27 +253,10 @@ def gamma_sweep(base_config: ExperimentConfig, chains, jobs: int = 1):
         chain_task = make_task(chain, task.noise, task.f_star, task.M)
         gamma = absolute_spectral_gap(chain)
         lam, sigma = _schedule_params(base_config.schedule, m, gamma)
-        work = [
-            (
-                lambda rep=rep, lam=lam, sigma=sigma: _fit_one(
-                    chain_task,
-                    base_config.kernel,
-                    base_config.solver,
-                    lam,
-                    sigma,
-                    m,
-                    derive_seed(base_config.seed, 0, rep),
-                )
-            )
-            for rep in range(base_config.n_replicates)
-        ]
-        excesses = []
-        for outcome in _run_wrapped(work, jobs):
-            if isinstance(outcome, NumericError):
-                log.warning("sweep fit failed on gamma=%.3f: %s", gamma, outcome)
-                excesses.append(float("nan"))
-            else:
-                excesses.append(outcome)
+        seeds = [derive_seed(base_config.seed, 0, rep) for rep in range(base_config.n_replicates)]
+        excesses, _ = _run_replicates(
+            chain_task, base_config, m, lam, sigma, seeds, f"gamma={gamma:.3f}"
+        )
         valid = [v for v in excesses if np.isfinite(v)]
         rows.append(
             GammaSweepRow(
@@ -352,7 +310,8 @@ def robustness_comparison(
     the modal fit it is solved over the distinct covariate rows: with row
     counts C and per-row sums beta of a, (K C K^T + lam m C^-1) beta = K s,
     where s holds the per-row sums of y.  Errors are pi-weighted squared
-    distances to f* on the chain states.
+    distances to f* on the chain states.  ``jobs`` is accepted and ignored:
+    replicates run one after another, and a numeric failure propagates.
     """
     if kernel is None:
         kernel = _default_kernel()
@@ -369,7 +328,7 @@ def robustness_comparison(
         ls_preds = ls_beta @ kernel.cross(data.x[groups.first], states)
         return RobustnessRow(rep, _pi_weighted_mse(task, rmr_preds), _pi_weighted_mse(task, ls_preds))
 
-    rows = _run_jobs([lambda rep=rep: one(rep) for rep in range(n_replicates)], jobs)
+    rows = [one(rep) for rep in range(n_replicates)]
     wins = sum(1 for r in rows if r.rmr_mse < r.ls_mse)
     return RobustnessComparison(
         rows=tuple(rows),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,7 +28,6 @@ __all__ = [
     "HypothesisKernel",
     "representing_function",
     "hypothesis_kernel",
-    "eval_phi",
     "check_calibration",
     "gram_matrix",
 ]
@@ -57,48 +57,63 @@ class RepresentingFunction:
     calibrated: bool = True
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.kind == "gaussian":
-            out = np.exp(-0.5 * u * u) / _SQRT_2PI
-        elif self.kind == "correntropy":
-            out = np.exp(-(u * u))
-        elif self.kind == "epanechnikov":
-            out = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
-        elif self.kind == "quadratic":
-            t = 1.0 - u * u
-            out = np.where(np.abs(u) <= 1.0, (15.0 / 16.0) * t * t, 0.0)
-        elif self.kind == "triangular":
-            out = np.where(np.abs(u) <= 1.0, 1.0 - np.abs(u), 0.0)
-        else:  # pragma: no cover - factory prevents this
-            raise InputError(f"unknown representing function kind {self.kind!r}")
+        out = _PHI_TABLE[self.kind].value(np.asarray(u, dtype=float))
         return float(out) if out.ndim == 0 else out
 
     def derivative(self, u):
         """phi'(u), using the zero subgradient at kink points."""
-        u = np.asarray(u, dtype=float)
-        if self.kind == "gaussian":
-            out = -u * np.exp(-0.5 * u * u) / _SQRT_2PI
-        elif self.kind == "correntropy":
-            out = -2.0 * u * np.exp(-(u * u))
-        elif self.kind == "epanechnikov":
-            out = np.where(np.abs(u) <= 1.0, -1.5 * u, 0.0)
-        elif self.kind == "quadratic":
-            out = np.where(np.abs(u) <= 1.0, -(15.0 / 4.0) * u * (1.0 - u * u), 0.0)
-        elif self.kind == "triangular":
-            out = np.where(np.abs(u) <= 1.0, -np.sign(u), 0.0)
-        else:  # pragma: no cover
-            raise InputError(f"unknown representing function kind {self.kind!r}")
+        out = _PHI_TABLE[self.kind].derivative(np.asarray(u, dtype=float))
         return float(out) if out.ndim == 0 else out
 
 
-# (peak, lipschitz, second moment, support halfwidth, calibrated)
+class _Phi(NamedTuple):
+    """One built-in kind: its constants, phi and phi', and for the Gaussian
+    family the pair (coeff, a_sq) of phi(u) = coeff * exp(-u^2 / (2 a_sq)),
+    which the half-quadratic solver needs (None for the compact kinds)."""
+
+    peak: float
+    lipschitz: float
+    second_moment: float
+    support_halfwidth: float
+    calibrated: bool
+    value: Callable
+    derivative: Callable
+    gaussian: tuple | None = None
+
+
+def _inside(u, values):
+    return np.where(np.abs(u) <= 1.0, values, 0.0)
+
+
 _PHI_TABLE = {
-    "gaussian": (1.0 / _SQRT_2PI, math.exp(-0.5) / _SQRT_2PI, 1.0, math.inf, True),
-    "epanechnikov": (0.75, 1.5, 0.2, 1.0, True),
+    "gaussian": _Phi(
+        1.0 / _SQRT_2PI, math.exp(-0.5) / _SQRT_2PI, 1.0, math.inf, True,
+        lambda u: np.exp(-0.5 * u * u) / _SQRT_2PI,
+        lambda u: -u * np.exp(-0.5 * u * u) / _SQRT_2PI,
+        (1.0 / _SQRT_2PI, 1.0),
+    ),
+    "epanechnikov": _Phi(
+        0.75, 1.5, 0.2, 1.0, True,
+        lambda u: _inside(u, 0.75 * (1.0 - u * u)),
+        lambda u: _inside(u, -1.5 * u),
+    ),
     # quartic polynomial from the same beta family as Epanechnikov
-    "quadratic": (15.0 / 16.0, 5.0 * math.sqrt(3.0) / 6.0, 1.0 / 7.0, 1.0, True),
-    "triangular": (1.0, 1.0, 1.0 / 6.0, 1.0, True),
-    "correntropy": (1.0, math.sqrt(2.0 / math.e), math.sqrt(math.pi) / 2.0, math.inf, False),
+    "quadratic": _Phi(
+        15.0 / 16.0, 5.0 * math.sqrt(3.0) / 6.0, 1.0 / 7.0, 1.0, True,
+        lambda u: _inside(u, (15.0 / 16.0) * (1.0 - u * u) * (1.0 - u * u)),
+        lambda u: _inside(u, -(15.0 / 4.0) * u * (1.0 - u * u)),
+    ),
+    "triangular": _Phi(
+        1.0, 1.0, 1.0 / 6.0, 1.0, True,
+        lambda u: _inside(u, 1.0 - np.abs(u)),
+        lambda u: _inside(u, -np.sign(u)),
+    ),
+    "correntropy": _Phi(
+        1.0, math.sqrt(2.0 / math.e), math.sqrt(math.pi) / 2.0, math.inf, False,
+        lambda u: np.exp(-(u * u)),
+        lambda u: -2.0 * u * np.exp(-(u * u)),
+        (1.0, 0.5),
+    ),
 }
 
 
@@ -106,13 +121,7 @@ def representing_function(kind: str) -> RepresentingFunction:
     """Build one of the built-in representing functions by name."""
     if kind not in _PHI_TABLE:
         raise InputError(f"unknown representing function {kind!r}; choose from {PHI_KINDS}")
-    peak, lip, m2, half, calibrated = _PHI_TABLE[kind]
-    return RepresentingFunction(kind, peak, lip, m2, half, calibrated)
-
-
-def eval_phi(phi: RepresentingFunction, u) -> float:
-    """Evaluate phi at u (0 outside the support for compact kinds)."""
-    return phi(u)
+    return RepresentingFunction(kind, *_PHI_TABLE[kind][:5])
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, LineSearchFailed, NonGaussianPhi, SingularSystem
 from .kernels import (
+    _PHI_TABLE,
     HypothesisKernel,
     RepresentingFunction,
     as_covariate_array,
@@ -45,12 +46,6 @@ __all__ = [
     "save_model",
     "load_model",
 ]
-
-# phi(u) = coeff * exp(-u^2 / (2 * a_sq)); the pair (coeff, a_sq) per kind
-_GAUSSIAN_FAMILY = {
-    "gaussian": (1.0 / math.sqrt(2.0 * math.pi), 1.0),
-    "correntropy": (1.0, 0.5),
-}
 
 _DIRECT_SOLVE_LIMIT = 600  # above this many distinct covariates, the HQ inner solve uses CG
 
@@ -367,12 +362,12 @@ def _l1_coordinate_descent(gram, w, y, beta, lam, tau, sweeps):
 
 def gaussian_family_params(phi: RepresentingFunction):
     """(coefficient, a^2) of phi(u) = c * exp(-u^2/(2 a^2)), or raise."""
-    try:
-        return _GAUSSIAN_FAMILY[phi.kind]
-    except KeyError:
+    pair = _PHI_TABLE[phi.kind].gaussian
+    if pair is None:
         raise NonGaussianPhi(
             f"half-quadratic updates need a Gaussian-family phi, got {phi.kind!r}"
-        ) from None
+        )
+    return pair
 
 
 def fit_hq(gram, y, config: RmrConfig, init=None, *, train_inputs=None, kernel=None) -> RmrModel:
@@ -483,7 +478,6 @@ def _smooth_gradient(alpha, gram, y, phi, config, groups=None):
 def fit_gradient(
     gram,
     y,
-    phi: RepresentingFunction,
     config: RmrConfig,
     init=None,
     max_iters: int | None = None,
@@ -491,7 +485,7 @@ def fit_gradient(
     train_inputs=None,
     kernel=None,
 ) -> RmrModel:
-    """Monotone (proximal) gradient ascent for any built-in phi.
+    """Monotone (proximal) gradient ascent for any built-in phi (config.phi).
 
     q=2 treats the penalty as part of the smooth objective; q=1 takes a
     gradient step on the fit term followed by soft-thresholding.  Steps are
@@ -509,31 +503,31 @@ def fit_gradient(
     halvings evaluates K^T beta afresh.
     """
     gram, y, groups, alpha = _check_problem(gram, y, train_inputs, init)
-    cfg = replace(config, phi=phi)
+    phi = config.phi
     if max_iters is None:
-        max_iters = max(cfg.max_hq_iters, 2000)
+        max_iters = max(config.max_hq_iters, 2000)
     fitted = gram.T @ groups.sums(alpha)
     residuals = y - groups.spread(fitted)
-    current = _value(alpha, residuals, phi, cfg)
+    current = _value(alpha, residuals, phi, config)
     trace = [current]
     step = 1.0
     stopped = "max_iters"
     for _ in range(max_iters):
-        grad = _gradient(alpha, residuals, gram, phi, cfg, groups)
-        if cfg.q == 2:
+        grad = _gradient(alpha, residuals, gram, phi, config, groups)
+        if config.q == 2:
             # the candidate is linear in the step, and so are its fitted values
             fitted_step = gram.T @ groups.sums(grad)
         step = min(step * 4.0, 1e8)
         for _halving in range(51):
-            if cfg.q == 1:
+            if config.q == 1:
                 moved = alpha + step * grad
-                candidate = np.sign(moved) * np.maximum(np.abs(moved) - step * cfg.lam, 0.0)
+                candidate = np.sign(moved) * np.maximum(np.abs(moved) - step * config.lam, 0.0)
                 candidate_fitted = gram.T @ groups.sums(candidate)
             else:
                 candidate = alpha + step * grad
                 candidate_fitted = fitted + step * fitted_step
             candidate_residuals = y - groups.spread(candidate_fitted)
-            value = _value(candidate, candidate_residuals, phi, cfg)
+            value = _value(candidate, candidate_residuals, phi, config)
             if value >= current:
                 break
             step *= 0.5
@@ -543,15 +537,15 @@ def fit_gradient(
         alpha, current = candidate, value
         fitted, residuals = candidate_fitted, candidate_residuals
         trace.append(current)
-        if gain < cfg.tol:
+        if gain < config.tol:
             stopped = "tol"
             break
     log.info(
         "gradient fit (q=%d, phi=%s, %d distinct of %d samples): "
-        "%d iterations, stopped by %s", cfg.q, phi.kind, groups.n, y.shape[0], len(trace) - 1,
+        "%d iterations, stopped by %s", config.q, phi.kind, groups.n, y.shape[0], len(trace) - 1,
         stopped,
     )
-    return RmrModel(alpha, train_inputs, kernel, cfg, tuple(trace))
+    return RmrModel(alpha, train_inputs, kernel, config, tuple(trace))
 
 
 def distinct_gram(kernel: HypothesisKernel, x):
@@ -572,7 +566,7 @@ def fit_data(
     _, gram = distinct_gram(kernel, x)
     if method == "hq":
         return fit_hq(gram, y, config, init, train_inputs=x, kernel=kernel)
-    return fit_gradient(gram, y, config.phi, config, init, train_inputs=x, kernel=kernel)
+    return fit_gradient(gram, y, config, init, train_inputs=x, kernel=kernel)
 
 
 def fitted_values(model: RmrModel) -> np.ndarray:

@@ -115,3 +115,43 @@ def char_poly_eigen_moduli(P):
 def trapezoid_density_normal(scale, at=0.0):
     """Standalone normal density value, independent of scipy."""
     return np.exp(-0.5 * (at / scale) ** 2) / (scale * np.sqrt(2.0 * np.pi))
+
+
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+
+def phi_value(kind, u):
+    """phi(u) by the per-kind formulas the kind table replaced, verbatim."""
+    u = np.asarray(u, dtype=float)
+    if kind == "gaussian":
+        out = np.exp(-0.5 * u * u) / _SQRT_2PI
+    elif kind == "correntropy":
+        out = np.exp(-(u * u))
+    elif kind == "epanechnikov":
+        out = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+    elif kind == "quadratic":
+        t = 1.0 - u * u
+        out = np.where(np.abs(u) <= 1.0, (15.0 / 16.0) * t * t, 0.0)
+    elif kind == "triangular":
+        out = np.where(np.abs(u) <= 1.0, 1.0 - np.abs(u), 0.0)
+    else:
+        raise ValueError(kind)
+    return float(out) if out.ndim == 0 else out
+
+
+def phi_derivative(kind, u):
+    """phi'(u) by the per-kind formulas the kind table replaced, verbatim."""
+    u = np.asarray(u, dtype=float)
+    if kind == "gaussian":
+        out = -u * np.exp(-0.5 * u * u) / _SQRT_2PI
+    elif kind == "correntropy":
+        out = -2.0 * u * np.exp(-(u * u))
+    elif kind == "epanechnikov":
+        out = np.where(np.abs(u) <= 1.0, -1.5 * u, 0.0)
+    elif kind == "quadratic":
+        out = np.where(np.abs(u) <= 1.0, -(15.0 / 4.0) * u * (1.0 - u * u), 0.0)
+    elif kind == "triangular":
+        out = np.where(np.abs(u) <= 1.0, -np.sign(u), 0.0)
+    else:
+        raise ValueError(kind)
+    return float(out) if out.ndim == 0 else out

@@ -234,6 +234,23 @@ class TestExperimentCommands:
         assert code == 0
         assert len(list(csv.DictReader(out.open()))) == 4
 
+    def test_cauchy_noise_runs(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        code = run(
+            "learning-curve", "--m-grid", "32,64", "--replicates", "2", "--chain-n", "6",
+            "--noise", "student-t", "--dof", "1", "--out", str(out), "--seed", "3",
+        )
+        assert code == 0
+        assert len(list(csv.DictReader(out.open()))) == 4
+
+    def test_student_t_dof_below_one_is_validation_error(self, tmp_path, capsys):
+        code = run(
+            "learning-curve", "--m-grid", "32", "--replicates", "1", "--noise", "student-t",
+            "--dof", "0.7", "--out", str(tmp_path / "curve.csv"),
+        )
+        assert code == 1
+        assert "at least 1" in capsys.readouterr().err
+
     def test_robust_compare_runs(self, tmp_path, capsys):
         out = tmp_path / "rc.csv"
         code = run(

@@ -1,7 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 
-from modalmr.errors import InputError
+import modalmr.harness
+from modalmr.errors import InputError, SingularSystem
 from modalmr.harness import (
     ExperimentConfig,
     FixedSchedule,
@@ -176,6 +179,64 @@ class TestGammaSweep:
         task = small_task()
         with pytest.raises(InputError):
             gamma_sweep(self.base_config(task), [iid_chain(8, d=2)])
+
+
+class TestReplicateFailures:
+    """A replicate whose fit raises a numeric error scores NaN, is counted and
+    logged once, and the other replicates run on unchanged."""
+
+    @staticmethod
+    def fail_on(monkeypatch, task, m, seed):
+        bad_y = generate_dataset(task, m, seed).y
+        real = modalmr.harness.fit_data
+
+        def fit(x, y, *args, **kwargs):
+            if np.array_equal(y, bad_y):
+                raise SingularSystem("injected failure")
+            return real(x, y, *args, **kwargs)
+
+        monkeypatch.setattr(modalmr.harness, "fit_data", fit)
+
+    @staticmethod
+    def warnings(caplog):
+        return [r.getMessage() for r in caplog.records
+                if r.name == "modalmr.harness" and r.levelno == logging.WARNING]
+
+    def test_learning_curve_counts_the_failure(self, monkeypatch, caplog):
+        config = ExperimentConfig(
+            task=small_task(), m_grid=(32, 64, 128), n_replicates=3,
+            schedule=Theorem2Schedule(2.0, 0.01), seed=2,
+        )
+        clean = learning_curve(config)
+        assert clean.n_failed == 0
+        self.fail_on(monkeypatch, config.task, 64, derive_seed(2, 1, 1))
+        caplog.set_level(logging.WARNING, logger="modalmr.harness")
+        result = learning_curve(config)
+        assert result.n_failed == 1
+        (warning,) = self.warnings(caplog)
+        assert "m=64 replicate 1" in warning and "injected failure" in warning
+        failed = [(r.m, r.replicate) for r in result.rows if np.isnan(r.excess_risk)]
+        assert failed == [(64, 1)]
+        kept = [r for r in clean.rows if (r.m, r.replicate) != (64, 1)]
+        assert [r for r in result.rows if (r.m, r.replicate) != (64, 1)] == kept
+        survivors = [r.excess_risk for r in kept if r.m == 64]
+        assert dict(result.mean_by_m)[64] == float(np.mean(survivors))
+
+    def test_gamma_sweep_averages_the_other_replicates(self, monkeypatch, caplog):
+        task = small_task()
+        config = ExperimentConfig(
+            task=task, m_grid=(64,), n_replicates=3,
+            schedule=Theorem2Schedule(2.0, 0.01), seed=5,
+        )
+        (clean,) = gamma_sweep(config, [task.chain])
+        self.fail_on(monkeypatch, task, 64, derive_seed(5, 0, 2))
+        caplog.set_level(logging.WARNING, logger="modalmr.harness")
+        (row,) = gamma_sweep(config, [task.chain])
+        (warning,) = self.warnings(caplog)
+        assert "replicate 2" in warning
+        assert np.isnan(row.replicate_excess[2])
+        assert row.replicate_excess[:2] == clean.replicate_excess[:2]
+        assert row.mean_excess_risk == float(np.mean(clean.replicate_excess[:2]))
 
 
 class TestRobustnessComparison:

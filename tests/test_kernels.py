@@ -2,41 +2,44 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modalmr.errors import InputError
+from _oracles import phi_derivative, phi_value
+from modalmr.errors import InputError, NonGaussianPhi
 from modalmr.kernels import (
     PHI_KINDS,
     check_calibration,
-    eval_phi,
     gram_matrix,
     hypothesis_kernel,
     representing_function,
 )
+from modalmr.solver import gaussian_family_params
 
 CALIBRATED = [k for k in PHI_KINDS if k != "correntropy"]
 
 
 def test_epanechnikov_at_zero():
     phi = representing_function("epanechnikov")
-    assert eval_phi(phi, 0.0) == 0.75
+    assert phi(0.0) == 0.75
 
 
 def test_gaussian_symmetry_pointwise():
     phi = representing_function("gaussian")
-    assert eval_phi(phi, 1.3) == eval_phi(phi, -1.3)
+    assert phi(1.3) == phi(-1.3)
 
 
 def test_gaussian_peak_closed_form():
     phi = representing_function("gaussian")
-    assert eval_phi(phi, 0.0) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-12)
-    assert eval_phi(phi, 0.0) == pytest.approx(0.3989422804, abs=1e-9)
+    assert phi(0.0) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-12)
+    assert phi(0.0) == pytest.approx(0.3989422804, abs=1e-9)
 
 
 def test_compact_support_is_zero_outside():
     for kind in ("epanechnikov", "quadratic", "triangular"):
         phi = representing_function(kind)
-        assert eval_phi(phi, 1.0001) == 0.0
-        assert eval_phi(phi, -5.0) == 0.0
+        assert phi(1.0001) == 0.0
+        assert phi(-5.0) == 0.0
 
 
 @pytest.mark.parametrize("kind", PHI_KINDS)
@@ -55,6 +58,39 @@ def test_symmetry_property_random(kind):
 def test_unknown_kind_rejected():
     with pytest.raises(InputError):
         representing_function("uniform")
+
+
+# the kinks and support edges, plus points well outside the compact supports
+PHI_POINTS = st.one_of(st.floats(-6.0, 6.0),
+                       st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0000001, -1.5, 40.0]))
+
+
+class TestPhiTable:
+    """The kind table reproduces the per-kind formulas it replaced, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(PHI_KINDS), st.lists(PHI_POINTS, max_size=30), PHI_POINTS)
+    def test_value_and_derivative_match_old_formulas(self, kind, values, point):
+        phi = representing_function(kind)
+        for u in (np.array(values), np.array(values).reshape(-1, 1), np.array(point), point):
+            for new, old in ((phi(u), phi_value(kind, u)),
+                             (phi.derivative(u), phi_derivative(kind, u))):
+                assert type(new) is type(old)
+                assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
+
+    @pytest.mark.parametrize("kind, pair", [("gaussian", (1.0 / math.sqrt(2.0 * math.pi), 1.0)),
+                                            ("correntropy", (1.0, 0.5))])
+    def test_gaussian_family_pairs(self, kind, pair):
+        phi = representing_function(kind)
+        assert gaussian_family_params(phi) == pair
+        coeff, a_sq = pair
+        u = np.linspace(-4.0, 4.0, 81)
+        np.testing.assert_allclose(phi(u), coeff * np.exp(-u * u / (2.0 * a_sq)), rtol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["epanechnikov", "quadratic", "triangular"])
+    def test_compact_kinds_are_not_gaussian_family(self, kind):
+        with pytest.raises(NonGaussianPhi, match=kind):
+            gaussian_family_params(representing_function(kind))
 
 
 class TestCalibration:

@@ -86,6 +86,25 @@ class TestNoiseModels:
         with pytest.raises(InputError):
             mixture_noise([0.5, 0.4], [gaussian_noise(1.0), gaussian_noise(2.0)])
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.just(1.0), st.floats(1.0, 50.0)), st.sampled_from([0.01, 0.5, 1.0, 3.0]))
+    def test_student_t_builds_for_every_dof_from_one(self, dof, scale):
+        # dof 1 is Cauchy noise; its grid reaches about 1.3e4 scales
+        model = student_t_noise(dof, scale)
+        quantile = _student_t_quantile(1.0 - 2.5e-5, dof, 1.0)
+        assert model.grid_halfwidth == scale * max(10.0, quantile)
+        assert model.density(0.0) == pytest.approx(
+            math.gamma((dof + 1) / 2) / (math.sqrt(dof * math.pi) * math.gamma(dof / 2)) / scale)
+
+    @pytest.mark.parametrize("dof", [0.999, 0.5, float("nan"), float("inf")])
+    def test_student_t_below_one_names_the_limit(self, dof, monkeypatch):
+        def no_grid_check(model):
+            raise AssertionError("the grid check ran")
+
+        monkeypatch.setattr("modalmr.risk._validate_noise", no_grid_check)
+        with pytest.raises(InputError, match="at least 1"):
+            student_t_noise(dof)
+
     def test_validator_rejects_truncated_grid(self):
         bogus = NoiseModel("gaussian", {"scale": 5.0}, grid_halfwidth=0.5, smooth=True)
         with pytest.raises(InputError):

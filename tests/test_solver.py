@@ -182,7 +182,7 @@ class TestFitGradient:
             gram, y = random_instance(rng, 6)
             cfg = RmrConfig(sigma=0.7, lam=0.05, q=q, tol=1e-12)
             hq = fit_hq(gram, y, cfg)
-            grad = fit_gradient(gram, y, GAUSS, cfg, max_iters=20000)
+            grad = fit_gradient(gram, y, replace(cfg, phi=GAUSS), max_iters=20000)
             assert grad.objective_trace[-1] == pytest.approx(
                 hq.objective_trace[-1], abs=1e-4
             )
@@ -190,7 +190,7 @@ class TestFitGradient:
     def test_epanechnikov_zero_targets(self):
         phi = representing_function("epanechnikov")
         gram = rbf_gram([0.3, 0.6])
-        model = fit_gradient(gram, np.zeros(2), phi, RmrConfig(sigma=1.0, lam=0.1, q=2))
+        model = fit_gradient(gram, np.zeros(2), RmrConfig(sigma=1.0, lam=0.1, q=2, phi=phi))
         np.testing.assert_allclose(model.alpha, np.zeros(2), atol=1e-12)
 
     def test_epanechnikov_two_point_oracle(self):
@@ -198,7 +198,7 @@ class TestFitGradient:
         gram = np.array([[1.0, 0.6], [0.6, 1.0]])
         y = np.array([0.8, -0.4])
         cfg = RmrConfig(sigma=1.0, lam=0.01, q=2, tol=1e-13)
-        model = fit_gradient(gram, y, phi, cfg, max_iters=20000)
+        model = fit_gradient(gram, y, replace(cfg, phi=phi), max_iters=20000)
         oracle = grid_oracle_max(gram, y, phi, 1.0, 0.01, 2)
         assert model.objective_trace[-1] >= oracle - 1e-2
 
@@ -206,7 +206,7 @@ class TestFitGradient:
         phi = representing_function("triangular")
         rng = np.random.default_rng(21)
         gram, y = random_instance(rng, 5)
-        model = fit_gradient(gram, y, phi, RmrConfig(sigma=0.8, lam=0.02, q=1))
+        model = fit_gradient(gram, y, RmrConfig(sigma=0.8, lam=0.02, q=1, phi=phi))
         trace = np.array(model.objective_trace)
         assert np.all(np.diff(trace) >= -1e-12)
 
@@ -388,7 +388,7 @@ class TestFitLogging:
     def test_gradient_info_line_reports_cap(self, caplog):
         caplog.set_level(logging.INFO, logger="modalmr.solver")
         gram, y = random_instance(np.random.default_rng(4), 10)
-        fit_gradient(gram, y, GAUSS, RmrConfig(sigma=0.7, lam=1e-3, tol=1e-300), max_iters=3)
+        fit_gradient(gram, y, RmrConfig(sigma=0.7, lam=1e-3, tol=1e-300, phi=GAUSS), max_iters=3)
         (line,) = self._messages(caplog, logging.INFO)
         assert line.startswith("gradient fit (q=2, phi=gaussian, 10 distinct of 10 samples)")
         assert line.endswith("3 iterations, stopped by max_iters")
@@ -570,7 +570,7 @@ class TestDistinctReduction:
             # a subgradient at a kink of a compact phi can stall the line
             # search; both grams must then stall alike
             try:
-                return fit_gradient(gram, y, phi, cfg, max_iters=50, train_inputs=x)
+                return fit_gradient(gram, y, replace(cfg, phi=phi), max_iters=50, train_inputs=x)
             except LineSearchFailed as exc:
                 return exc
 

@@ -1,8 +1,8 @@
 """Start-up guard: the CLI loads only what the command runs.
 
-`import modalmr.cli` must load no scipy module, and `--version`, `fit` and
-`predict` must not load scipy.stats, scipy.integrate or scipy.sparse, which
-together cost about a second per process.  Each step runs in one fresh
+`import modalmr.cli` must load no scipy module and no thread pool, and
+`--version`, `fit` and `predict` must not load scipy.stats, scipy.integrate
+or scipy.sparse, which together cost about a second per process.  Each step runs in one fresh
 interpreter so no other test's imports leak in.
 """
 
@@ -27,6 +27,7 @@ def scipy_modules():
 report = {}
 from modalmr.cli import main
 report["import"] = scipy_modules()
+report["pools"] = sorted(m for m in sys.modules if m.startswith("concurrent"))
 try:
     main(["--version"])
 except SystemExit as exc:
@@ -59,6 +60,12 @@ def startup(tmp_path_factory):
 def test_import_loads_no_scipy(startup):
     report, _ = startup
     assert report["import"] == []
+
+
+def test_import_loads_no_thread_pool(startup):
+    # replicates run one after another and BLAS threads use the cores
+    report, _ = startup
+    assert report["pools"] == []
 
 
 @pytest.mark.parametrize("step", ["version", "fit", "predict"])
