@@ -213,9 +213,6 @@ class HypothesisKernel:
             return (c @ p.T + offset) ** degree
         raise InputError(f"unknown hypothesis kernel kind {self.kind!r}")
 
-    def pair(self, x, y) -> float:
-        return float(self.cross(np.atleast_2d(x), np.atleast_2d(y))[0, 0])
-
 
 _KERNEL_DEFAULTS = {
     "gaussian-rbf": {"bandwidth": 1.0},

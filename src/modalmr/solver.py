@@ -47,7 +47,9 @@ __all__ = [
     "load_model",
 ]
 
-_DIRECT_SOLVE_LIMIT = 600  # above this many distinct covariates, the HQ inner solve uses CG
+# Above this many distinct covariates the q=2 HQ inner solve uses CG, whose
+# import (scipy.sparse.linalg, about 0.34 s) a one-fit process repays only there
+_DIRECT_SOLVE_LIMIT = 1000
 
 log = logging.getLogger(__name__)
 
@@ -310,54 +312,90 @@ def _solve_weighted_ridge(gram, w, y, kappa, beta_guess):
     return out, info > 0
 
 
-def _l1_coordinate_descent(gram, w, y, beta, lam, tau, sweeps):
-    """Cyclic soft-thresholding on (tau/2) sum_s w_s r_s^2 + lam ||beta||_1.
+_KKT_RTOL = 1e-10  # KKT residual, relative to max(|c|, lam), that ends a q=1 step
+_PROX_SHIFT = 1e-12  # proximal shift of H_AA, relative to its largest diagonal entry
 
-    Each coordinate update is an exact 1-D minimization, so every sweep
-    decreases this surrogate, preserving outer-loop ascent.
 
-    The sweeps run in residual form over the fitted values u = K^T beta.  With
-    kw = tau K diag(w), the update of beta_j minimizes
-    (quad_j/2) beta_j^2 - lin_j beta_j + lam |beta_j| with
-    quad_j = tau sum_s w_s K_js^2 and lin_j = (kw y)_j - kw_j . u + quad_j beta_j,
-    so a coordinate costs one length-n dot product, plus one update of u when
-    beta_j moves.  kw, kw y and quad are built once per call with elementwise
-    products and matrix-vector products only; a matrix-matrix product here
-    would be the process's first level-3 BLAS call, and OpenBLAS would then
-    allocate its level-3 work buffers.
+def _l1_active_set(gram, w, y, beta, lam, tau, max_steps):
+    """(beta, capped): feature-sign search (Lee, Battle, Raina & Ng 2007)
+    from beta for the minimiser of the q=1 surrogate, which up to a constant is
+
+        F(beta) = (1/2) beta^T H beta - c^T beta + lam ||beta||_1,
+        H = tau K diag(w) K^T,  c = tau K (w y).
+
+    With g = H beta - c, beta is optimal when g_i = -lam sign(beta_i) on the
+    nonzeros (the active set A, signs theta) and |g_i| <= lam on the zeros.
+    While a nonzero breaks its condition, a step solves H_AA beta_A =
+    c_A - lam theta_A and keeps the lowest F on the segment to that solution,
+    among its end and the points where a coefficient crosses zero (which then
+    leaves A); after that, the zero with the largest |g_i| > lam enters A with
+    theta_i = -sign(g_i).  The solve adds 1e-12 of the largest diagonal entry
+    to H_AA, so a singular H_AA (repeated or zero-weight rows) still gives a
+    descent direction, which the line search stops where a coefficient
+    crosses zero.  When no point of the segment lowers F, the step is the
+    exact 1-D soft-threshold step on the entering (or worst nonzero)
+    coordinate.  Every step lowers F, which keeps the HQ ascent monotone.
+
+    The search stops when every condition holds to _KKT_RTOL * max(|c|, lam),
+    or after max_steps steps (capped).  Column j of H is built when j first
+    enters A, as K (tau w * K_j), and g comes from these columns: an n x n
+    matrix-matrix product would be the process's first level-3 BLAS call,
+    and OpenBLAS would then allocate its level-3 work buffers.
     """
     n = y.shape[0]
     tw = tau * w
-    kw = gram * tw
-    lin0 = (kw @ y).tolist()
-    quad = ((gram * gram) @ tw).tolist()
-    u = gram.T @ beta
-    u_step = np.empty_like(u)
-    beta = beta.tolist()
-    kw_rows = list(kw)
-    rows = list(gram)
-    for _ in range(sweeps):
-        moved = False  # some |change| above 1e-15 in this sweep
-        for j in range(n):
-            curvature = quad[j]
-            old = beta[j]
-            new = 0.0
-            if curvature > 0:
-                lin = lin0[j] - float(kw_rows[j].dot(u)) + curvature * old
-                if lin > lam:
-                    new = (lin - lam) / curvature
-                elif lin < -lam:
-                    new = (lin + lam) / curvature
-            if new != old:
-                change = new - old
-                np.multiply(rows[j], change, out=u_step)
-                u += u_step
-                beta[j] = new
-                if change > 1e-15 or change < -1e-15:
-                    moved = True
-        if not moved:
-            break
-    return np.array(beta)
+    c = gram @ (tw * y)
+    beta = beta.copy()
+    tol = _KKT_RTOL * max(float(np.max(np.abs(c))), lam)
+    columns = {}
+
+    def column(j):
+        if j not in columns:
+            columns[j] = gram @ (tw * gram[j])
+        return columns[j]
+
+    steps = 0
+    while True:
+        active = np.flatnonzero(beta)
+        cols = np.array([column(j) for j in active]).reshape(active.size, n)
+        x = beta[active]
+        g = x @ cols - c
+        theta = np.sign(beta)
+        violation = np.where(theta != 0, np.abs(g + lam * theta), np.abs(g) - lam)
+        if violation.max() <= tol:
+            return beta, False
+        if steps == max_steps:
+            return beta, True
+        steps += 1
+        on_nonzeros = np.where(theta != 0, violation, -np.inf)
+        j = int(np.argmax(on_nonzeros))
+        if on_nonzeros[j] <= tol:
+            j = int(np.argmax(violation))
+            theta[j] = -np.sign(g[j])
+            active = np.append(active, j)
+            cols = np.vstack([cols, column(j)])
+            x = np.append(x, 0.0)
+        h_aa = cols[:, active]
+        shifted = h_aa.copy()
+        shifted[np.diag_indices_from(shifted)] += _PROX_SHIFT * np.max(np.diag(h_aa))
+        try:
+            d = np.linalg.solve(shifted, -(g[active] + lam * theta[active]))
+        except np.linalg.LinAlgError:  # H_AA = 0: no weight reaches A
+            d = np.full_like(x, np.nan)  # no gain below, so the 1-D step follows
+        # F(x + t d) - F(x) at the end of the segment and where an x_i crosses zero
+        crossing = np.flatnonzero(x * d < 0)
+        t_cross = -x[crossing] / d[crossing]
+        ts = np.append(t_cross[t_cross < 1.0], 1.0)
+        gain = (ts * float(g[active] @ d) + 0.5 * ts * ts * float(d @ (h_aa @ d))
+                + lam * (np.abs(x + ts[:, None] * d).sum(axis=1) - np.abs(x).sum()))
+        best = int(np.argmin(gain))
+        if gain[best] < 0:
+            beta[active] = x + ts[best] * d
+            beta[active[crossing[t_cross == ts[best]]]] = 0.0
+        else:
+            curvature = column(j)[j]
+            z = curvature * beta[j] - g[j]
+            beta[j] = np.sign(z) * max(abs(z) - lam, 0.0) / curvature if curvature > 0 else 0.0
 
 
 def gaussian_family_params(phi: RepresentingFunction):
@@ -375,7 +413,8 @@ def fit_hq(gram, y, config: RmrConfig, init=None, *, train_inputs=None, kernel=N
 
     Alternates (a) weights w_i = exp(-r_i^2 / (2 a^2 sigma^2)) at the current
     coefficients with (b) the exact penalized weighted least-squares update
-    (q=2) or cyclic soft-thresholding sweeps (q=1).  The objective trace is
+    (q=2) or the exact minimiser of the weighted lasso surrogate by an
+    active-set search (q=1, ``_l1_active_set``).  The objective trace is
     non-decreasing by construction; iteration stops once the objective gain
     drops below config.tol.
 
@@ -398,8 +437,10 @@ def fit_hq(gram, y, config: RmrConfig, init=None, *, train_inputs=None, kernel=N
         (K diag(W) K^T + kappa diag(1/c)) beta = K b,
 
     whose minimum-norm expansion alpha_i = beta_s(i) / c_s(i) is exactly the
-    m x m solution of (G W G^T + kappa I) alpha = G W y.  The q=1 step runs
-    coordinate descent on beta with the penalty sum_s |beta_s|.  A warm start
+    m x m solution of (G W G^T + kappa I) alpha = G W y.  The q=1 step is the
+    same lasso on beta with the penalty sum_s |beta_s|; one that stops at
+    config.inner_max_iters still lowers it, and such steps, like CG solves
+    stopped at their cap, are counted in one warning per fit.  A warm start
     is reduced to its row sums after its objective is recorded; reducing can
     only raise the objective, so the trace stays monotone.  The half-quadratic
     ascent argument carries over to beta unchanged, and the direct/CG switch
@@ -421,31 +462,32 @@ def fit_hq(gram, y, config: RmrConfig, init=None, *, train_inputs=None, kernel=N
     residuals = y - _fitted(gram, groups, beta)
     trace = [_value(alpha, residuals, config.phi, config)]
     stopped = "max_hq_iters"
-    cg_capped = 0
+    inner_capped = 0
     for _ in range(config.max_hq_iters):
         row_w, row_y = _row_targets(groups, _hq_weights(residuals, sigma, a_sq), y)
         if config.q == 2:
             beta, capped = _solve_weighted_ridge(gram, row_w, row_y, kappa / groups.counts, beta)
-            cg_capped += capped
         else:
-            beta = _l1_coordinate_descent(
+            beta, capped = _l1_active_set(
                 gram, row_w, row_y, beta, config.lam, tau, config.inner_max_iters
             )
+        inner_capped += capped
         alpha = groups.expand(beta)
         residuals = y - _fitted(gram, groups, beta)
         trace.append(_value(alpha, residuals, config.phi, config))
         if abs(trace[-1] - trace[-2]) < config.tol:
             stopped = "tol"
             break
-    if cg_capped:
-        log.warning(
-            "hq fit: %d of %d conjugate-gradient inner solves stopped at their "
-            "iteration cap before reaching their tolerance", cg_capped, len(trace) - 1,
-        )
     if config.q == 1:
-        inner = "coordinate descent"
+        inner = "active-set"
     else:
         inner = "direct" if groups.n <= _DIRECT_SOLVE_LIMIT else "CG"
+    if inner_capped:
+        log.warning(
+            "hq fit: %d of %d %s inner solves stopped at their iteration cap before "
+            "reaching their tolerance", inner_capped, len(trace) - 1,
+            "conjugate-gradient" if inner == "CG" else inner,
+        )
     log.info(
         "hq fit (q=%d, %s inner solve, %d distinct of %d samples): "
         "%d iterations, stopped by %s", config.q, inner, groups.n, m, len(trace) - 1, stopped,
@@ -460,19 +502,6 @@ def _gradient(alpha, residuals, gram, phi, config, groups):
     if config.q == 2:
         grad = grad - 2.0 * config.lam * alpha
     return grad
-
-
-def _smooth_gradient(alpha, gram, y, phi, config, groups=None):
-    """Gradient of the fit term (and of the q=2 penalty, which is smooth).
-
-    The fit-term gradient is -(K @ per-row sums of phi'(r_i/sigma))[s(i)]
-    / (m sigma^2), exact for any alpha.  ``groups`` None means every sample
-    is its own row (``gram`` is then the m x m sample gram).
-    """
-    if groups is None:
-        groups = CovariateGroups.identity(y.shape[0])
-    residuals = y - _fitted(gram, groups, groups.sums(alpha))
-    return _gradient(alpha, residuals, gram, phi, config, groups)
 
 
 def fit_gradient(

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: the grid search
 enumerates coefficients exhaustively, the eigenvalue cross-check goes
-through the characteristic polynomial, and the l1 coordinate descent updates
-an explicit residual vector where the library updates fitted values.
+through the characteristic polynomial, and the q=1 inner problem, which the
+library solves by an active-set search, is solved by plain cyclic coordinate
+descent.
 """
 
 import numpy as np

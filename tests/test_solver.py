@@ -160,10 +160,10 @@ class TestFitHq:
 
     def test_large_instance_uses_cg_and_agrees(self, monkeypatch):
         rng = np.random.default_rng(12)
-        states = rng.integers(0, 12, 700)
+        states = rng.integers(0, 12, 1100)
         x = np.linspace(0, 1, 12)[states]
         gram = rbf_gram(x, bandwidth=0.5)
-        y = np.sin(2 * np.pi * x) + rng.normal(0, 0.3, 700)
+        y = np.sin(2 * np.pi * x) + rng.normal(0, 0.3, 1100)
         cfg = RmrConfig(sigma=0.8, lam=0.2, q=2, tol=1e-11)
         via_cg = fit_hq(gram, y, cfg)
         trace = np.array(via_cg.objective_trace)
@@ -217,7 +217,9 @@ class TestFitGradient:
         h = 1e-6
         for _ in range(20):
             alpha = rng.normal(0, 0.5, 5)
-            analytic = modalmr.solver._smooth_gradient(alpha, gram, y, GAUSS, cfg)
+            residuals = y - gram.T @ alpha
+            analytic = modalmr.solver._gradient(alpha, residuals, gram, GAUSS, cfg,
+                                                CovariateGroups.identity(5))
             for j in range(5):
                 e = np.zeros(5)
                 e[j] = h
@@ -366,8 +368,8 @@ class TestSerialization:
 
 
 class TestFitLogging:
-    """Each fit logs one info line saying how it stopped; CG inner solves
-    that stop at their cap are reported as a warning."""
+    """Each fit logs one info line saying how it stopped; CG and active-set
+    inner solves that stop at their cap are reported as a warning."""
 
     @staticmethod
     def _messages(caplog, level):
@@ -382,7 +384,7 @@ class TestFitLogging:
         capped, converged = self._messages(caplog, logging.INFO)
         assert capped.startswith("hq fit (q=2, direct inner solve, 12 distinct of 12 samples)")
         assert capped.endswith("2 iterations, stopped by max_hq_iters")
-        assert "q=1, coordinate descent inner solve" in converged
+        assert "q=1, active-set inner solve" in converged
         assert converged.endswith("stopped by tol")
 
     def test_gradient_info_line_reports_cap(self, caplog):
@@ -394,11 +396,11 @@ class TestFitLogging:
         assert line.endswith("3 iterations, stopped by max_iters")
 
     def test_cg_stopping_at_its_cap_is_a_warning(self, caplog):
-        # 650 distinct 5-d points under a laplacian kernel and a tiny ridge:
-        # CG cannot reach its 1e-12 tolerance in its 200 iterations
+        # 1050 distinct 5-d points under a laplacian kernel and a tiny ridge:
+        # CG cannot reach its 1e-12 tolerance in its 262 iterations
         rng = np.random.default_rng(0)
-        x = rng.uniform(size=(650, 5))
-        y = np.sin(6.0 * x[:, 0]) + 0.1 * rng.standard_normal(650)
+        x = rng.uniform(size=(1050, 5))
+        y = np.sin(6.0 * x[:, 0]) + 0.1 * rng.standard_normal(1050)
         kernel = hypothesis_kernel("laplacian", bandwidth=1.0)
         caplog.set_level(logging.INFO, logger="modalmr.solver")
         fit_data(x, y, kernel, RmrConfig(sigma=0.1, lam=1e-10, max_hq_iters=2))
@@ -407,9 +409,17 @@ class TestFitLogging:
         (info,) = self._messages(caplog, logging.INFO)
         assert "CG inner solve" in info
 
+    def test_capped_active_set_steps_are_a_warning(self, caplog):
+        gram, y = random_instance(np.random.default_rng(3), 12)
+        caplog.set_level(logging.INFO, logger="modalmr.solver")
+        fit_hq(gram, y, RmrConfig(sigma=0.7, lam=1e-3, q=1, max_hq_iters=3, inner_max_iters=1))
+        (warning,) = self._messages(caplog, logging.WARNING)
+        assert re.fullmatch(r"hq fit: [1-3] of 3 active-set inner solves stopped at their "
+                            r"iteration cap before reaching their tolerance", warning)
+
     def test_converged_cg_is_silent(self, caplog):
         rng = np.random.default_rng(1)
-        x = rng.uniform(size=(601, 1))
+        x = rng.uniform(size=(1001, 1))
         y = np.sin(6.0 * x[:, 0])
         fit_data(x, y, RBF, RmrConfig(sigma=1.0, lam=0.1, max_hq_iters=2))
         assert self._messages(caplog, logging.WARNING) == []
@@ -599,7 +609,7 @@ class TestDistinctReduction:
 def coordinate_problems(draw, max_rows=40):
     """One q=1 inner problem: an RBF gram over n <= 40 covariates, distinct or
     drawn from a few values (repeated gram rows), with random weights, targets,
-    start, tau, sweep count and lambda (large lambdas zero out coordinates)."""
+    start, tau, step cap and lambda (large lambdas zero out coordinates)."""
     n = draw(st.integers(1, max_rows))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k = n if draw(st.booleans()) else draw(st.integers(1, min(n, 4)))
@@ -614,17 +624,75 @@ def coordinate_problems(draw, max_rows=40):
     return gram, w, y, beta, lam, tau, draw(st.integers(1, 30))
 
 
+def lasso_surrogate(gram, w, y, lam, tau):
+    """(H, c, F) of the q=1 inner problem F(b) = b^T H b / 2 - c^T b + lam |b|_1,
+    formed densely."""
+    H = tau * gram @ (w[:, None] * gram.T)
+    c = tau * gram @ (w * y)
+    return H, c, lambda b: 0.5 * b @ H @ b - c @ b + lam * np.sum(np.abs(b))
+
+
 class TestInnerLoops:
-    """The vectorised inner loops against their plain forms."""
+    """The q=1 active-set step against its optimality conditions and against
+    plain coordinate descent, and the vectorised gradient loop."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(coordinate_problems())
+    def test_active_set_step_not_above_coordinate_descent(self, problem):
+        gram, w, y, beta, lam, tau, _ = problem
+        _, _, surrogate = lasso_surrogate(gram, w, y, lam, tau)
+        got, _ = modalmr.solver._l1_active_set(gram, w, y, beta, lam, tau, 1000)
+        oracle = surrogate(l1_coordinate_descent(gram, w, y, beta, lam, tau, 2000))
+        assert surrogate(got) <= oracle + 1e-12 * abs(oracle)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(coordinate_problems())
-    def test_coordinate_descent_matches_plain_form(self, problem):
-        gram, w, y, beta, lam, tau, sweeps = problem
-        expected = l1_coordinate_descent(gram, w, y, beta, lam, tau, sweeps)
-        got = modalmr.solver._l1_coordinate_descent(gram, w, y, beta, lam, tau, sweeps)
-        scale = max(float(np.max(np.abs(expected))), 1e-300)
-        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10 * scale)
+    def test_active_set_step_meets_kkt_unless_capped(self, problem):
+        gram, w, y, beta, lam, tau, _ = problem
+        H, c, _ = lasso_surrogate(gram, w, y, lam, tau)
+        got, capped = modalmr.solver._l1_active_set(gram, w, y, beta, lam, tau, 1000)
+        if capped:
+            return
+        g = H @ got - c
+        theta = np.sign(got)
+        violation = np.where(theta != 0, np.abs(g + lam * theta), np.abs(g) - lam)
+        assert np.max(violation) <= 1e-9 * max(np.max(np.abs(c)), lam)
+
+    def test_separable_problem_takes_one_step_per_nonzero(self):
+        # with K = I the lasso splits into soft thresholds, b_i =
+        # sign(c_i) max(|c_i| - lam, 0) / H_ii; each entering coordinate's
+        # solve lands on its own threshold, so k nonzeros take k steps
+        rng = np.random.default_rng(6)
+        w, y, lam, tau = rng.uniform(0.5, 1.0, 8), rng.uniform(-1.5, 1.5, 8), 0.9, 2.0
+        c = tau * w * y
+        expected = np.sign(c) * np.maximum(np.abs(c) - lam, 0.0) / (tau * w)
+        k = np.count_nonzero(expected)
+        assert 0 < k < 8
+        got, capped = modalmr.solver._l1_active_set(np.eye(8), w, y, np.zeros(8), lam, tau, k)
+        assert not capped
+        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
+        _, capped = modalmr.solver._l1_active_set(np.eye(8), w, y, np.zeros(8), lam, tau, k - 1)
+        assert capped
+
+    def test_zero_weights_shrink_the_start_to_zero(self):
+        # H = 0 makes every active-set system singular; the 1-D steps then
+        # minimise F = lam |b|_1 one coordinate at a time
+        gram = rbf_gram([0.2, 0.5, 0.9])
+        start = np.array([0.5, -0.3, 0.0])
+        got, capped = modalmr.solver._l1_active_set(gram, np.zeros(3), np.ones(3), start,
+                                                    0.1, 1.0, 5)
+        assert not capped
+        np.testing.assert_array_equal(got, np.zeros(3))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(coordinate_problems())
+    def test_active_set_step_never_raises_surrogate(self, problem):
+        # the drawn step count caps the search, so capped exits are covered too
+        gram, w, y, beta, lam, tau, steps = problem
+        _, _, surrogate = lasso_surrogate(gram, w, y, lam, tau)
+        got, _ = modalmr.solver._l1_active_set(gram, w, y, beta, lam, tau, steps)
+        start = surrogate(beta)
+        assert surrogate(got) <= start + 1e-12 * abs(start)
 
     @PROPERTY
     @given(grouped_problems(), st.sampled_from(["epanechnikov", "triangular", "gaussian"]),

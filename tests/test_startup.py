@@ -2,8 +2,9 @@
 
 `import modalmr.cli` must load no scipy module and no thread pool, and
 `--version`, `fit` and `predict` must not load scipy.stats, scipy.integrate
-or scipy.sparse, which together cost about a second per process.  Each step runs in one fresh
-interpreter so no other test's imports leak in.
+or scipy.sparse, which together cost about a second per process.  A q=1 `fit`
+loads no scipy module at all: its active-set inner solve is numpy only.  Each
+step runs in one fresh interpreter so no other test's imports leak in.
 """
 
 import json
@@ -36,6 +37,8 @@ report["version"] = scipy_modules()
 work = Path(sys.argv[1])
 data, model = str(work / "data.txt"), str(work / "model.txt")
 Path(data).write_text("4 1\n0.1 0.3\n0.4 -0.2\n0.7 0.5\n0.9 0.1\n")
+report["fit_q1_exit"] = main(["fit", "--data", data, "--q", "1", "--out", model])
+report["fit_q1"] = scipy_modules()
 report["fit_exit"] = main(["fit", "--data", data, "--out", model])
 report["fit"] = scipy_modules()
 report["predict_exit"] = main(
@@ -74,6 +77,13 @@ def test_commands_skip_heavy_scipy_modules(startup, step):
     assert report[f"{step}_exit"] == 0
     heavy = [m for m in report[step] if m.startswith(HEAVY)]
     assert heavy == [], f"{step} loaded {heavy}"
+
+
+def test_q1_fit_loads_no_scipy(startup):
+    report, stderr = startup
+    assert report["fit_q1_exit"] == 0
+    assert report["fit_q1"] == []
+    assert "hq fit (q=1, active-set inner solve, 4 distinct of 4 samples)" in stderr
 
 
 def test_info_logging_reports_each_fit(startup):
