@@ -86,7 +86,8 @@ _SOLVER_OPTS = [
     ("phi", str, "gaussian", f"representing function: {', '.join(PHI_KINDS)}"),
     ("max-iters", int, 200, "outer iteration cap"),
     ("tol", float, 1e-8, "objective-change stopping threshold"),
-    ("inner-iters", int, 20, "active-set steps per outer step (q=1)"),
+    ("inner-iters", int, 20,
+     "active-set steps per outer step (q=1); a cold start can exceed the default and warn"),
 ]
 
 _KERNEL_OPTS = [

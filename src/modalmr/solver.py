@@ -47,9 +47,7 @@ __all__ = [
     "load_model",
 ]
 
-# Above this many distinct covariates the q=2 HQ inner solve uses CG, whose
-# import (scipy.sparse.linalg, about 0.34 s) a one-fit process repays only there
-_DIRECT_SOLVE_LIMIT = 1000
+_DIRECT_SOLVE_LIMIT = 600  # above this many distinct covariates, the HQ inner solve uses CG
 
 log = logging.getLogger(__name__)
 
@@ -337,7 +335,11 @@ def _l1_active_set(gram, w, y, beta, lam, tau, max_steps):
     coordinate.  Every step lowers F, which keeps the HQ ascent monotone.
 
     The search stops when every condition holds to _KKT_RTOL * max(|c|, lam),
-    or after max_steps steps (capped).  Column j of H is built when j first
+    or after max_steps steps (capped).  A step drops at most one nonzero
+    unless several cross zero together, so a start with more than max_steps
+    nonzeros (a dense least-squares seed) could not be pruned within the cap:
+    the search then starts from zero, which the convex lasso allows, and
+    returns the start unchanged if it ends above the start's F.  Column j of H is built when j first
     enters A, as K (tau w * K_j), and g comes from these columns: an n x n
     matrix-matrix product would be the process's first level-3 BLAS call,
     and OpenBLAS would then allocate its level-3 work buffers.
@@ -345,14 +347,18 @@ def _l1_active_set(gram, w, y, beta, lam, tau, max_steps):
     n = y.shape[0]
     tw = tau * w
     c = gram @ (tw * y)
-    beta = beta.copy()
     tol = _KKT_RTOL * max(float(np.max(np.abs(c))), lam)
     columns = {}
+    restart = np.count_nonzero(beta) > max_steps
+    start, beta = beta, (np.zeros(n) if restart else beta.copy())
 
     def column(j):
         if j not in columns:
             columns[j] = gram @ (tw * gram[j])
         return columns[j]
+
+    def surrogate(b):
+        return 0.5 * b @ (gram @ (tw * (gram.T @ b))) - c @ b + lam * np.abs(b).sum()
 
     steps = 0
     while True:
@@ -362,10 +368,11 @@ def _l1_active_set(gram, w, y, beta, lam, tau, max_steps):
         g = x @ cols - c
         theta = np.sign(beta)
         violation = np.where(theta != 0, np.abs(g + lam * theta), np.abs(g) - lam)
-        if violation.max() <= tol:
-            return beta, False
-        if steps == max_steps:
-            return beta, True
+        converged = violation.max() <= tol
+        if converged or steps == max_steps:
+            if restart and surrogate(beta) > surrogate(start):
+                beta = start.copy()
+            return beta, not converged
         steps += 1
         on_nonzeros = np.where(theta != 0, violation, -np.inf)
         j = int(np.argmax(on_nonzeros))

@@ -160,10 +160,10 @@ class TestFitHq:
 
     def test_large_instance_uses_cg_and_agrees(self, monkeypatch):
         rng = np.random.default_rng(12)
-        states = rng.integers(0, 12, 1100)
+        states = rng.integers(0, 12, 700)
         x = np.linspace(0, 1, 12)[states]
         gram = rbf_gram(x, bandwidth=0.5)
-        y = np.sin(2 * np.pi * x) + rng.normal(0, 0.3, 1100)
+        y = np.sin(2 * np.pi * x) + rng.normal(0, 0.3, 700)
         cfg = RmrConfig(sigma=0.8, lam=0.2, q=2, tol=1e-11)
         via_cg = fit_hq(gram, y, cfg)
         trace = np.array(via_cg.objective_trace)
@@ -396,11 +396,11 @@ class TestFitLogging:
         assert line.endswith("3 iterations, stopped by max_iters")
 
     def test_cg_stopping_at_its_cap_is_a_warning(self, caplog):
-        # 1050 distinct 5-d points under a laplacian kernel and a tiny ridge:
-        # CG cannot reach its 1e-12 tolerance in its 262 iterations
+        # 650 distinct 5-d points under a laplacian kernel and a tiny ridge:
+        # CG cannot reach its 1e-12 tolerance in its 200 iterations
         rng = np.random.default_rng(0)
-        x = rng.uniform(size=(1050, 5))
-        y = np.sin(6.0 * x[:, 0]) + 0.1 * rng.standard_normal(1050)
+        x = rng.uniform(size=(650, 5))
+        y = np.sin(6.0 * x[:, 0]) + 0.1 * rng.standard_normal(650)
         kernel = hypothesis_kernel("laplacian", bandwidth=1.0)
         caplog.set_level(logging.INFO, logger="modalmr.solver")
         fit_data(x, y, kernel, RmrConfig(sigma=0.1, lam=1e-10, max_hq_iters=2))
@@ -419,7 +419,7 @@ class TestFitLogging:
 
     def test_converged_cg_is_silent(self, caplog):
         rng = np.random.default_rng(1)
-        x = rng.uniform(size=(1001, 1))
+        x = rng.uniform(size=(601, 1))
         y = np.sin(6.0 * x[:, 0])
         fit_data(x, y, RBF, RmrConfig(sigma=1.0, lam=0.1, max_hq_iters=2))
         assert self._messages(caplog, logging.WARNING) == []
@@ -683,6 +683,31 @@ class TestInnerLoops:
                                                     0.1, 1.0, 5)
         assert not capped
         np.testing.assert_array_equal(got, np.zeros(3))
+
+    def test_start_denser_than_the_cap_restarts_from_zero(self):
+        # a dense least-squares-like start on 300 rows: a step drops at most
+        # one nonzero, so the search runs from zero instead
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0, 1, 300)
+        gram, w, y = rbf_gram(x), rng.uniform(0.5, 1.0, 300), np.sin(2 * np.pi * x)
+        _, _, surrogate = lasso_surrogate(gram, w, y, 1e-3, 1.0)
+        start = rng.normal(0, 1, 300)
+        got, _ = modalmr.solver._l1_active_set(gram, w, y, start, 1e-3, 1.0, 20)
+        cold, _ = modalmr.solver._l1_active_set(gram, w, y, np.zeros(300), 1e-3, 1.0, 20)
+        np.testing.assert_array_equal(got, cold)
+        assert surrogate(got) < surrogate(start)
+
+    def test_restart_ending_above_a_dense_start_keeps_the_start(self):
+        # with K = I the soft-threshold solution is dense here; two steps
+        # from zero reach two of its eight coordinates, so it is kept
+        rng = np.random.default_rng(9)
+        w, lam, tau = rng.uniform(0.5, 1.0, 8), 0.01, 2.0
+        y = rng.choice([-1.0, 1.0], 8) * rng.uniform(0.5, 1.5, 8)
+        c = tau * w * y
+        optimum = np.sign(c) * (np.abs(c) - lam) / (tau * w)
+        got, capped = modalmr.solver._l1_active_set(np.eye(8), w, y, optimum, lam, tau, 2)
+        assert capped
+        np.testing.assert_array_equal(got, optimum)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(coordinate_problems())
