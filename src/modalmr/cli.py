@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, harness, markov, risk, robustness
+from . import __version__, harness
 from .errors import InputError, ModalRegressionError, NumericError
 from .kernels import (
     KERNEL_KINDS,
@@ -237,6 +237,8 @@ def _fmt(value: float) -> str:
 
 
 def _noise_from(opts):
+    from . import risk
+
     kind = opts["noise"]
     if kind == "gaussian":
         return risk.gaussian_noise(opts["noise-scale"])
@@ -249,6 +251,8 @@ def _noise_from(opts):
 
 def _task_from(opts):
     """The synthetic task of the chain-based experiment commands."""
+    from . import markov, risk
+
     chain = markov.builtin_chain(
         opts["chain-family"], d=opts["d"], n=opts["chain-n"], p=opts["chain-p"],
         q=opts["chain-q"], laziness=opts["laziness"],
@@ -290,6 +294,8 @@ def _require(opts, *names):
 
 
 def _cmd_chain_info(opts) -> int:
+    from . import markov
+
     if opts["chain-file"]:
         chain = markov.read_transition_file(opts["chain-file"])
     else:
@@ -407,6 +413,8 @@ def _cmd_learning_curve(opts) -> int:
 
 
 def _cmd_gamma_sweep(opts) -> int:
+    from . import markov, risk
+
     _require(opts, "out")
     n = opts["chain-n"]
     chains = []
@@ -440,6 +448,8 @@ def _cmd_gamma_sweep(opts) -> int:
 
 
 def _cmd_breakdown(opts) -> int:
+    from . import robustness
+
     _require(opts, "out")
     task = _task_from(opts)
     config = _solver_from(opts)

@@ -11,14 +11,13 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .errors import InputError, NumericError
 from .kernels import HypothesisKernel, hypothesis_kernel
-from .markov import TransitionKernel, absolute_spectral_gap, sample_chain
-from .risk import NoiseModel, SyntheticTask, excess_risk, make_task
 from .solver import (  # noqa: F401 - fit_hq stays importable from here
     RmrConfig,
     distinct_gram,
@@ -27,6 +26,9 @@ from .solver import (  # noqa: F401 - fit_hq stays importable from here
     predict,
     schedule_theorem2,
 )
+
+if TYPE_CHECKING:  # markov and risk load with the first experiment that needs them
+    from .risk import SyntheticTask
 
 __all__ = [
     "Dataset",
@@ -71,6 +73,8 @@ class Dataset:
 
 def generate_dataset(task: SyntheticTask, m: int, seed: int) -> Dataset:
     """Stationary chain path -> embedded covariates -> y = f*(x) + noise."""
+    from .markov import sample_chain
+
     if m < 1:
         raise InputError("m must be at least 1")
     chain_seed = derive_seed(seed, 0)
@@ -158,6 +162,8 @@ def _run_replicates(task, config: ExperimentConfig, m, lam, sigma, seeds, where)
     A fit that raises NumericError logs a warning and scores NaN, so one bad
     replicate cannot sink a whole experiment.
     """
+    from .risk import excess_risk
+
     solver = replace(config.solver, lam=lam, sigma=sigma)
     excesses, n_failed = [], 0
     for rep, seed in enumerate(seeds):
@@ -199,6 +205,8 @@ def learning_curve(config: ExperimentConfig, jobs: int = 1) -> LearningCurveResu
     counted; the slope uses only m values whose mean excess risk is positive.
     ``jobs`` is accepted and ignored: replicates run one after another.
     """
+    from .markov import absolute_spectral_gap
+
     task = config.task
     gamma_abs = absolute_spectral_gap(task.chain)
     rows = []
@@ -244,6 +252,9 @@ def gamma_sweep(base_config: ExperimentConfig, chains, jobs: int = 1):
     form a paired comparison.  Rows come back ordered by gamma_abs.  ``jobs``
     is accepted and ignored: replicates run one after another.
     """
+    from .markov import absolute_spectral_gap
+    from .risk import make_task
+
     task = base_config.task
     m = base_config.m_grid[-1]
     rows = []
@@ -383,6 +394,9 @@ def write_csv(path, header, rows) -> None:
 
 
 def _manifest_value(value):
+    from .markov import TransitionKernel
+    from .risk import NoiseModel, SyntheticTask
+
     if isinstance(value, (Theorem2Schedule, FixedSchedule, RmrConfig)):
         out = {"type": type(value).__name__}
         out.update({k: _manifest_value(v) for k, v in asdict(value).items()})

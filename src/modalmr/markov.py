@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +52,8 @@ class TransitionKernel:
     n_states: int
     P: np.ndarray
     state_embedding: np.ndarray
+    # the stationary vector, kept by stationary_distribution on first use
+    _pi: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         P = np.array(self.P, dtype=float)
@@ -94,11 +96,15 @@ def _unit_eigen_indices(eigenvalues: np.ndarray) -> np.ndarray:
 
 
 def stationary_distribution(kernel: TransitionKernel) -> np.ndarray:
-    """Unique probability vector pi with pi P = pi.
+    """Unique probability vector pi with pi P = pi, read-only.
 
-    Raises NonUniqueStationary when eigenvalue 1 of P is not simple (for
-    example the identity chain or a disconnected chain).
+    The dense eigendecomposition behind it runs once per kernel; the vector
+    is kept on the kernel for every later call.  Raises NonUniqueStationary
+    when eigenvalue 1 of P is not simple (for example the identity chain or
+    a disconnected chain).
     """
+    if kernel._pi is not None:
+        return kernel._pi
     P = kernel.P
     vals, vecs = np.linalg.eig(P.T)
     unit = _unit_eigen_indices(vals)
@@ -112,6 +118,8 @@ def stationary_distribution(kernel: TransitionKernel) -> np.ndarray:
     residual = np.max(np.abs(pi @ P - pi))
     if residual > 1e-10:
         raise NonUniqueStationary(f"stationary residual {residual:.3e} exceeds tolerance")
+    pi.setflags(write=False)
+    object.__setattr__(kernel, "_pi", pi)
     return pi
 
 

@@ -41,6 +41,13 @@ log = logging.getLogger(__name__)
 
 _MODE_GRID_POINTS = 10001
 _MAX_GRID_STEPS = 2**20
+# series and continued fractions of the incomplete beta and gamma functions
+_SERIES_TERMS = 100_000
+_SERIES_EPS = 1e-16
+# quantile root finding on log x: at most this many steps, and the relative
+# step that counts as converged
+_ROOT_STEPS = 200
+_ROOT_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -61,31 +68,29 @@ class NoiseModel:
     weights: tuple = field(default_factory=tuple)
 
     def density(self, t):
-        """Density at t.  Each kind repeats the arithmetic of SciPy's
-        distribution objects, so the values match theirs bit for bit."""
+        """Density at t.  Each kind uses the arithmetic of SciPy's distribution
+        objects, with the log-gamma constants from ``math.lgamma``; the values
+        agree with SciPy's to about 1e-15 relative."""
         t = np.asarray(t, dtype=float)
         if self.kind == "gaussian":
             scale = self.params["scale"]
             x = t / scale
             out = np.exp(-x**2 / 2.0) / _SQRT_2PI / scale
         elif self.kind == "student-t":
-            from scipy import special
-
             dof, scale = self.params["dof"], self.params["scale"]
             x = t / scale
-            log_pdf = (
-                np.log(special.poch(0.5 * dof, 0.5))
-                - 0.5 * (np.log(dof) + np.log(np.pi))
-                - (dof + 1) / 2 * np.log1p(x * x / dof)
-            )
+            log_pdf = _student_t_log_norm(dof) - (dof + 1) / 2 * np.log1p(x * x / dof)
             out = np.exp(log_pdf) / scale
         elif self.kind == "shifted-gamma":
-            from scipy import special
-
             k, theta = self.params["shape"], self.params["scale"]
             x = (t + (k - 1.0) * theta) / theta
-            log_pdf = special.xlogy(k - 1.0, x) - x - special.gammaln(k)
-            out = np.where(x < 0.0, 0.0, np.exp(log_pdf) / theta)
+            # the support is x > 0, and x = 0 too at shape 1, where the
+            # (k - 1) log x term is 0 everywhere (0 log 0 = 0)
+            inside = x >= 0.0 if k == 1.0 else x > 0.0
+            x_in = np.where(inside, x, 1.0)
+            x_log_x = (k - 1.0) * np.log(x_in) if k != 1.0 else 0.0
+            log_pdf = x_log_x - x_in - math.lgamma(k)
+            out = np.where(inside, np.exp(log_pdf) / theta, 0.0)
         elif self.kind == "mixture":
             out = sum(
                 w * comp.density(t) for w, comp in zip(self.weights, self.components)
@@ -114,18 +119,155 @@ class NoiseModel:
         raise InputError(f"unknown noise kind {self.kind!r}")  # pragma: no cover
 
 
-def _student_t_quantile(q: float, dof: float, scale: float) -> float:
-    """The q-quantile of scale * t(dof)."""
-    from scipy import special
+def _student_t_log_norm(dof: float) -> float:
+    """log of the t(dof) density at 0: Gamma((dof+1)/2) / (Gamma(dof/2) sqrt(dof pi))."""
+    return math.lgamma(0.5 * dof + 0.5) - math.lgamma(0.5 * dof) - 0.5 * (
+        math.log(dof) + math.log(math.pi))
 
-    return float(special.stdtrit(dof, q) * scale)
+
+def _log_root(log_value, target: float, lo: float, hi: float, u: float) -> float:
+    """The u in [lo, hi] where a monotone log F(u) equals ``target``.
+
+    ``log_value(u)`` returns (log F(u), d log F / du).  Newton steps from u;
+    a step that would leave the bracket, which every evaluation narrows,
+    bisects it instead.
+    """
+    for _ in range(_ROOT_STEPS):
+        value, slope = log_value(u)
+        gap = value - target
+        if gap * slope > 0.0:
+            hi = u
+        else:
+            lo = u
+        new = u - gap / slope if slope else math.inf
+        if not lo <= new <= hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - u) <= _ROOT_TOL * max(1.0, abs(u)):
+            return new
+        u = new
+    return u
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b) x^-a (1-x)^-b B(a, b) a, by modified
+    Lentz; it converges fast for x < (a+1)/(a+b+2)."""
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, _SERIES_TERMS):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((a - 1.0 + m2) * (a + m2))
+        d = 1.0 / (1.0 + aa * d)
+        c = 1.0 + aa / c
+        h *= d * c
+        aa = -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2))
+        d = 1.0 / (1.0 + aa * d)
+        c = 1.0 + aa / c
+        h *= d * c
+        if abs(d * c - 1.0) < _SERIES_EPS:
+            break
+    return h
+
+
+def _student_t_quantile(q: float, dof: float, scale: float) -> float:
+    """The q-quantile of scale * t(dof).
+
+    For t > 0 with x = dof/(dof+t^2) and y = 1 - x, the two tails give
+    2 P(T > t) = I_x(dof/2, 1/2) and the centre P(|T| < t) = I_y(1/2, dof/2).
+    The tails solve the first form and the centre (q within 1/4 of the
+    median) the second, so the target is never a difference of nearly equal
+    numbers.  One continued fraction gives both forms, the smaller one to
+    full relative accuracy, and its prefactor x^a y^b / B(a, b) is t times
+    the density, the slope of the Newton steps on log F against log t.  The
+    bracket: P(|T| < t) <= 2 t p(0) from below, and the power-law envelope
+    of the density, P(T > t) <= p(0) dof^((dof-1)/2) t^-dof, from above.
+    """
+    if q == 0.5:
+        return 0.0
+    tail = min(q, 1.0 - q)
+    central = tail >= 0.25
+    a = 0.5 * dof
+    log_norm = _student_t_log_norm(dof)
+    log_beta = -log_norm - 0.5 * math.log(dof)  # log B(dof/2, 1/2)
+
+    def log_value(u):
+        r = math.exp(2.0 * u) / dof  # t^2 / dof
+        x, log_x = 1.0 / (1.0 + r), -math.log1p(r)
+        log_front = a * log_x + 0.5 * (math.log(r) + log_x) - log_beta
+        if x < (a + 1.0) / (a + 2.5):
+            log_tail = log_front + math.log(_beta_fraction(a, 0.5, x) / a)
+            log_centre = math.log1p(-math.exp(log_tail))
+        else:
+            log_centre = log_front + math.log(2.0 * _beta_fraction(0.5, a, r * x))
+            log_tail = math.log1p(-math.exp(log_centre))
+        if central:
+            return log_centre, 2.0 * math.exp(log_front - log_centre)
+        return log_tail, -2.0 * math.exp(log_front - log_tail)
+
+    lo = math.log(1.0 - 2.0 * tail) - math.log(2.0) - log_norm
+    hi = (log_norm + 0.5 * (dof - 1.0) * math.log(dof) - math.log(tail)) / dof
+    if central:
+        u = _log_root(log_value, math.log(1.0 - 2.0 * tail), lo, hi, lo)
+    else:
+        u = _log_root(log_value, math.log(2.0 * tail), lo, hi, hi)
+    return math.copysign(math.exp(u), q - 0.5) * scale
+
+
+def _gamma_fraction(a: float, x: float) -> float:
+    """Continued fraction of Q(a, x) e^x x^-a Gamma(a), by modified Lentz;
+    it converges fast for x >= a + 1."""
+    b = x + 1.0 - a
+    c, d = math.inf, 1.0 / b
+    h = d
+    for i in range(1, _SERIES_TERMS):
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        h *= d * c
+        if abs(d * c - 1.0) < _SERIES_EPS:
+            break
+    return h
 
 
 def _gamma_quantile(q: float, shape: float, scale: float) -> float:
-    """The q-quantile of Gamma(shape, scale)."""
-    from scipy import special
+    """The q-quantile of Gamma(shape, scale).
 
-    return float(special.gammaincinv(shape, q) * scale)
+    Newton steps on log P(shape, x) (below the median) or log Q(shape, x)
+    against log x, with slope +-x p(x) / P or Q from the gamma density p.
+    P comes from its power series below x = shape + 1 and Q from its
+    continued fraction above; each is exact to rounding there and the other
+    is its complement.  The bracket: P <= x^shape / Gamma(shape+1) from below
+    and the Chernoff bound Q <= 2^shape e^(-x/2) from above.
+    """
+    lower = q < 0.5
+    log_gamma = math.lgamma(shape)
+
+    def log_value(u):
+        x = math.exp(u)
+        log_front = shape * u - x - log_gamma  # log of x p(x)
+        if x < shape + 1.0:
+            term = total = 1.0 / shape
+            for n in range(1, _SERIES_TERMS):
+                term *= x / (shape + n)
+                total += term
+                if term < total * _SERIES_EPS:
+                    break
+            log_p = log_front + math.log(total)
+            log_q = math.log1p(-math.exp(log_p))
+        else:
+            log_q = log_front + math.log(_gamma_fraction(shape, x))
+            log_p = math.log1p(-math.exp(log_q))
+        if lower:
+            return log_p, math.exp(log_front - log_p)
+        return log_q, -math.exp(log_front - log_q)
+
+    lo = (math.log(q) + math.lgamma(shape + 1.0)) / shape
+    hi = math.log(2.0 * (shape * math.log(2.0) - math.log1p(-q)))
+    if lower:
+        u = _log_root(log_value, math.log(q), lo, hi, lo)
+    else:
+        u = _log_root(log_value, math.log1p(-q), lo, hi, hi)
+    return math.exp(u) * scale
 
 
 def _grid_mass(model: NoiseModel, grid: np.ndarray, dens: np.ndarray) -> float:
@@ -202,10 +344,10 @@ def shifted_gamma_noise(shape: float, scale: float = 1.0) -> NoiseModel:
     An asymmetric noise whose conditional mean differs from its mode, which
     is the case modal regression targets and mean regression cannot.
     """
-    if shape < 1.0:
-        raise InputError("shape must be at least 1 for a finite mode at zero")
-    if scale <= 0:
-        raise InputError("scale must be positive")
+    if not 1.0 <= shape < math.inf:
+        raise InputError("shape must be at least 1 and finite, for a finite mode at zero")
+    if not 0 < scale < math.inf:
+        raise InputError("scale must be positive and finite")
     shift = (shape - 1.0) * scale
     right = _gamma_quantile(1.0 - 5e-5, shape, scale) - shift
     half = max(10.0 * scale, shift, right)
@@ -259,7 +401,6 @@ class SyntheticTask:
             raise InputError(
                 f"|f*| reaches {np.max(np.abs(values)):.4g} on the states, above M={self.M}"
             )
-        pi.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "state_values", values)

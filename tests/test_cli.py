@@ -1,5 +1,6 @@
 import csv
 
+import numpy as np
 import pytest
 
 from modalmr.cli import _COMMAND_OPTIONS, main
@@ -224,6 +225,28 @@ class TestExperimentCommands:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# {")
         assert lines[1] == "n_outliers,magnitude,coef_norm"
+
+    @pytest.mark.parametrize("argv, chains", [
+        (["learning-curve", "--m-grid", "20,30,40", "--replicates", "2", "--chain-n", "6"], 1),
+        (["gamma-sweep", "--gamma-list", "0.5,1.0", "--chain-n", "6", "--m", "20",
+          "--replicates", "2"], 2),
+        (["breakdown", "--chain-family", "iid", "--chain-n", "6", "--m", "15",
+          "--noise-scale", "0.1", "--lambda", "0.001", "--n-outliers", "0,2",
+          "--magnitudes", "1e2"], 1),
+    ])
+    def test_one_stationary_eigendecomposition_per_chain(self, tmp_path, monkeypatch,
+                                                         argv, chains):
+        # the task, every stationary chain path and the pi-weighted errors
+        # share one dense eig of P^T per chain
+        eig, shapes = np.linalg.eig, []
+
+        def counted(a):
+            shapes.append(a.shape)
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        assert run(*argv, "--out", str(tmp_path / "out.csv")) == 0
+        assert len(shapes) == chains
 
     def test_shape_one_shifted_gamma_noise_runs(self, tmp_path):
         out = tmp_path / "curve.csv"

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,8 +80,9 @@ class TestNoiseModels:
     def test_invalid_constructions(self):
         with pytest.raises(InputError):
             gaussian_noise(0.0)
-        with pytest.raises(InputError):
-            shifted_gamma_noise(0.5)
+        for shape, scale in [(0.5, 1.0), (math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan)]:
+            with pytest.raises(InputError):
+                shifted_gamma_noise(shape, scale)
         with pytest.raises(InputError):
             student_t_noise(-1.0)
         with pytest.raises(InputError):
@@ -104,6 +106,17 @@ class TestNoiseModels:
         monkeypatch.setattr("modalmr.risk._validate_noise", no_grid_check)
         with pytest.raises(InputError, match="at least 1"):
             student_t_noise(dof)
+
+    @pytest.mark.parametrize("offset", [1e-12, 1e-9, 1e-6, 2e-4, 1e-2, 0.2])
+    def test_student_t_quantile_closed_forms(self, offset):
+        # dof 1 (Cauchy) and dof 2 have closed-form quantiles; near the median
+        # SciPy's own ppf loses digits at dof 1
+        for q in (0.5 + offset, 0.5 - offset):
+            assert _student_t_quantile(q, 1.0, 1.0) == pytest.approx(
+                math.tan(math.pi * (q - 0.5)), rel=1e-13, abs=0.0)
+            assert _student_t_quantile(q, 2.0, 1.0) == pytest.approx(
+                (2.0 * q - 1.0) / math.sqrt(2.0 * q * (1.0 - q)), rel=1e-13, abs=0.0)
+        assert _student_t_quantile(0.5, 3.0, 2.0) == 0.0
 
     def test_validator_rejects_truncated_grid(self):
         bogus = NoiseModel("gaussian", {"scale": 5.0}, grid_halfwidth=0.5, smooth=True)
@@ -151,13 +164,18 @@ LEVELS = st.floats(1e-6, 1.0 - 1e-6)
 
 
 class TestScipyExactness:
-    """The densities and quantiles reproduce scipy.stats bit for bit; scipy.stats
-    is imported here only, as the reference."""
+    """The densities and quantiles agree with scipy.stats, the Gaussian density
+    bit for bit and the others within stated tolerances: 1e-13 relative for
+    densities (exactly 0.0 where SciPy gives 0) and 1e-12 relative for
+    quantiles and grid halfwidths.  scipy.stats is imported here only, as the
+    reference."""
 
     @staticmethod
-    def _assert_same(model, t, reference):
-        assert np.array_equal(model.density(t), reference(t))
-        assert model.density(float(t[0])) == float(reference(t[0]))
+    def _assert_close(model, t, reference, rtol=1e-13):
+        # atol 0: a zero reference value must come out exactly 0.0
+        np.testing.assert_allclose(model.density(t), reference(t), rtol=rtol, atol=0.0)
+        assert model.density(float(t[0])) == pytest.approx(float(reference(t[0])),
+                                                            rel=rtol, abs=0.0)
 
     @EXACT
     @given(SCALES, UNITS)
@@ -165,8 +183,9 @@ class TestScipyExactness:
         from scipy import stats
 
         model = NoiseModel("gaussian", {"scale": scale}, 10.0 * scale, smooth=True)
-        self._assert_same(model, np.array(units) * scale,
-                          lambda t: stats.norm.pdf(t, scale=scale))
+        t = np.array(units) * scale
+        assert np.array_equal(model.density(t), stats.norm.pdf(t, scale=scale))
+        assert model.density(float(t[0])) == float(stats.norm.pdf(t[0], scale=scale))
 
     @EXACT
     @given(DOFS, SCALES, UNITS)
@@ -174,8 +193,8 @@ class TestScipyExactness:
         from scipy import stats
 
         model = NoiseModel("student-t", {"dof": dof, "scale": scale}, 10.0 * scale, smooth=True)
-        self._assert_same(model, np.array(units) * scale,
-                          lambda t: stats.t.pdf(t, df=dof, scale=scale))
+        self._assert_close(model, np.array(units) * scale,
+                           lambda t: stats.t.pdf(t, df=dof, scale=scale))
 
     @EXACT
     @given(SHAPES, SCALES, UNITS)
@@ -189,17 +208,38 @@ class TestScipyExactness:
         # and at the drawn distances from the edge and from the mode
         t = np.concatenate([[-shift, np.nextafter(-shift, -np.inf)],
                             np.array(units) * scale - shift, np.array(units) * scale])
-        self._assert_same(model, t,
-                          lambda t: stats.gamma.pdf(t + shift, shape, scale=scale))
+        self._assert_close(model, t, lambda t: stats.gamma.pdf(t + shift, shape, scale=scale))
         assert model.density(-shift - scale) == 0.0
+
+    @staticmethod
+    def _t_ppf(q, dof, scale):
+        """SciPy's t quantile.  Within 1/4 of the median it inverts the central
+        form P(|T| < t) = I_{t^2/(dof+t^2)}(1/2, dof/2) with betaincinv:
+        stats.t.ppf itself loses digits there (against 40-digit mpmath, 8e-6
+        relative at dof 1, q = 0.5 + 1e-12, and 1.8e-11 at dof 13.7, q = 0.5
+        + 1e-6), while the betaincinv form stays within 1e-15."""
+        from scipy import special, stats
+
+        if abs(q - 0.5) > 0.25:
+            return stats.t.ppf(q, dof, scale=scale)
+        y = special.betaincinv(0.5, 0.5 * dof, abs(2.0 * q - 1.0))
+        return math.copysign(math.sqrt(dof * y / (1.0 - y)), q - 0.5) * scale
 
     @EXACT
     @given(DOFS, SCALES, LEVELS)
     def test_student_t_quantile(self, dof, scale, q):
-        from scipy import stats
-
         for level in (q, 1.0 - 2.5e-5):
-            assert _student_t_quantile(level, dof, scale) == stats.t.ppf(level, dof, scale=scale)
+            assert _student_t_quantile(level, dof, scale) == pytest.approx(
+                self._t_ppf(level, dof, scale), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dof", [0.5, 1.0, 2.0, 3.0, 7.23, 13.7, 50.0])
+    def test_student_t_quantile_near_the_median(self, dof):
+        # the central form keeps full relative accuracy here (1.2e-14 at
+        # worst); a solve on the tail form alone reaches 1.6e-13 at dof 3
+        for offset in (1e-15, 1e-12, 1e-9, 1e-6, 1e-4, 1e-2, 0.2):
+            for q in (0.5 + offset, 0.5 - offset):
+                assert _student_t_quantile(q, dof, 1.0) == pytest.approx(
+                    self._t_ppf(q, dof, 1.0), rel=5e-14, abs=0.0)
 
     @EXACT
     @given(SHAPES, SCALES, LEVELS)
@@ -207,8 +247,32 @@ class TestScipyExactness:
         from scipy import stats
 
         for level in (q, 1.0 - 5e-5):
-            assert _gamma_quantile(level, shape, scale) == stats.gamma.ppf(level, shape,
-                                                                          scale=scale)
+            assert _gamma_quantile(level, shape, scale) == pytest.approx(
+                stats.gamma.ppf(level, shape, scale=scale), rel=1e-12, abs=0.0)
+
+    # the grid check is skipped: these tests are about the halfwidth alone
+
+    @EXACT
+    @given(st.one_of(st.just(1.0), st.floats(1.0, 50.0)), SCALES)
+    def test_student_t_grid_halfwidth(self, dof, scale):
+        from scipy import stats
+
+        want = scale * max(10.0, stats.t.ppf(1.0 - 2.5e-5, dof))
+        with mock.patch("modalmr.risk._validate_noise", lambda model: model):
+            got = student_t_noise(dof, scale).grid_halfwidth
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @EXACT
+    @given(SHAPES, SCALES)
+    def test_shifted_gamma_grid_halfwidth(self, shape, scale):
+        from scipy import stats
+
+        shift = (shape - 1.0) * scale
+        right = stats.gamma.ppf(1.0 - 5e-5, shape, scale=scale) - shift
+        want = max(10.0 * scale, shift, right)
+        with mock.patch("modalmr.risk._validate_noise", lambda model: model):
+            got = shifted_gamma_noise(shape, scale).grid_halfwidth
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestTask:

@@ -656,7 +656,12 @@ class TestInnerLoops:
         g = H @ got - c
         theta = np.sign(got)
         violation = np.where(theta != 0, np.abs(g + lam * theta), np.abs(g) - lam)
-        assert np.max(violation) <= 1e-9 * max(np.max(np.abs(c)), lam)
+        # the dense H @ got carries rounding up to about eps |H|_inf |got|_inf,
+        # which outgrows the solver's own tolerance on ill-conditioned H with
+        # large coefficients (lam = 0, cond(H) ~ 2e17, |got| ~ 1e6)
+        rounding = 4.0 * np.finfo(float).eps * np.linalg.norm(H, np.inf) * np.max(np.abs(got),
+                                                                                   initial=0.0)
+        assert np.max(violation) <= 1e-9 * max(np.max(np.abs(c)), lam) + rounding
 
     def test_separable_problem_takes_one_step_per_nonzero(self):
         # with K = I the lasso splits into soft thresholds, b_i =

@@ -2,9 +2,12 @@
 
 `import modalmr.cli` must load no scipy module and no thread pool, and
 `--version`, `fit` and `predict` must not load scipy.stats, scipy.integrate
-or scipy.sparse, which together cost about a second per process.  A q=1 `fit`
-loads no scipy module at all: its active-set inner solve is numpy only.  Each
-step runs in one fresh interpreter so no other test's imports leak in.
+or scipy.sparse, which together cost about a second per process, nor the
+experiment modules modalmr.markov, modalmr.risk and modalmr.robustness.  A
+q=1 `fit` loads no scipy module at all: its active-set inner solve is numpy
+only.  A `learning-curve` with student-t or shifted-gamma noise loads no
+scipy module either: the noise densities and quantiles are numpy and math.
+Each script runs in one fresh interpreter so no other test's imports leak in.
 """
 
 import json
@@ -17,6 +20,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy.stats", "scipy.integrate", "scipy.sparse")
+EXPERIMENT = ("modalmr.markov", "modalmr.risk", "modalmr.robustness")
 
 SCRIPT = r"""
 import json, sys
@@ -24,6 +28,9 @@ from pathlib import Path
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def modalmr_modules():
+    return sorted(m for m in sys.modules if m.startswith("modalmr."))
 
 report = {}
 from modalmr.cli import main
@@ -34,6 +41,7 @@ try:
 except SystemExit as exc:
     report["version_exit"] = exc.code
 report["version"] = scipy_modules()
+report["version_modalmr"] = modalmr_modules()
 work = Path(sys.argv[1])
 data, model = str(work / "data.txt"), str(work / "model.txt")
 Path(data).write_text("4 1\n0.1 0.3\n0.4 -0.2\n0.7 0.5\n0.9 0.1\n")
@@ -41,23 +49,51 @@ report["fit_q1_exit"] = main(["fit", "--data", data, "--q", "1", "--out", model]
 report["fit_q1"] = scipy_modules()
 report["fit_exit"] = main(["fit", "--data", data, "--out", model])
 report["fit"] = scipy_modules()
+report["fit_modalmr"] = modalmr_modules()
 report["predict_exit"] = main(
     ["predict", "--model", model, "--data", data, "--out", str(work / "preds.csv")]
 )
 report["predict"] = scipy_modules()
+report["predict_modalmr"] = modalmr_modules()
+print(json.dumps(report))
+"""
+
+CURVES = r"""
+import json, sys
+from pathlib import Path
+
+from modalmr.cli import main
+
+report = {}
+for noise in ("student-t", "shifted-gamma"):
+    report[f"{noise}_exit"] = main([
+        "learning-curve", "--chain-family", "lazy-walk", "--chain-n", "4",
+        "--noise", noise, "--m-grid", "20,30,40", "--replicates", "2",
+        "--out", str(Path(sys.argv[1]) / f"{noise}.csv"),
+    ])
+    report[noise] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps(report))
 """
 
 
-@pytest.fixture(scope="module")
-def startup(tmp_path_factory):
+def _run(script, tmp_path_factory):
     env = dict(os.environ, MODALMR_LOG="info")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path_factory.mktemp("startup"))],
+        [sys.executable, "-c", script, str(tmp_path_factory.mktemp("startup"))],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1]), proc.stderr
+
+
+@pytest.fixture(scope="module")
+def startup(tmp_path_factory):
+    return _run(SCRIPT, tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def curves(tmp_path_factory):
+    return _run(CURVES, tmp_path_factory)[0]
 
 
 def test_import_loads_no_scipy(startup):
@@ -77,6 +113,19 @@ def test_commands_skip_heavy_scipy_modules(startup, step):
     assert report[f"{step}_exit"] == 0
     heavy = [m for m in report[step] if m.startswith(HEAVY)]
     assert heavy == [], f"{step} loaded {heavy}"
+
+
+@pytest.mark.parametrize("step", ["version", "fit", "predict"])
+def test_commands_skip_experiment_modules(startup, step):
+    report, _ = startup
+    loaded = [m for m in report[f"{step}_modalmr"] if m.startswith(EXPERIMENT)]
+    assert loaded == [], f"{step} loaded {loaded}"
+
+
+@pytest.mark.parametrize("noise", ["student-t", "shifted-gamma"])
+def test_learning_curve_loads_no_scipy(curves, noise):
+    assert curves[f"{noise}_exit"] == 0
+    assert curves[noise] == []
 
 
 def test_q1_fit_loads_no_scipy(startup):
