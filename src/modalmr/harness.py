@@ -177,25 +177,38 @@ def _run_replicates(task, config: ExperimentConfig, m, lam, sigma, seeds, where)
     return excesses, n_failed
 
 
-def _bootstrap_slope(log_m, excess_lists, seed, draws=1000):
-    """Percentile CI of the log-log slope under replicate resampling.
+_BOOTSTRAP_DRAWS = 1000
+
+
+def _bootstrap_means(excess_lists, rng, draws):
+    """(draws, len(excess_lists)) means of replicate resamples.
+
+    Each draw resamples every list in turn with its own ``rng.integers``
+    call, as a per-draw loop would: one bulk call gives other resamples,
+    since the bounded generator buffers 32-bit halves within a call.
+    """
+    picks = [np.empty((draws, len(vals)), dtype=np.int64) for vals in excess_lists]
+    for d in range(draws):
+        for vals, rows in zip(excess_lists, picks):
+            rows[d] = rng.integers(0, len(vals), len(vals))
+    return np.column_stack([vals[rows].mean(axis=1) for vals, rows in zip(excess_lists, picks)])
+
+
+def _bootstrap_slope(log_m, excess_lists, seed, draws=_BOOTSTRAP_DRAWS):
+    """Percentile CI of the log-log slope under replicate resampling, and the
+    number of draws it used.
 
     ``excess_lists`` holds one array of replicate excess risks per m value;
-    lengths may differ when fits failed.
+    lengths may differ when fits failed.  A draw with a mean at or below zero
+    has no log and is dropped.
     """
-    rng = np.random.default_rng(seed)
-    slopes = []
-    for _ in range(draws):
-        means = np.array(
-            [vals[rng.integers(0, len(vals), len(vals))].mean() for vals in excess_lists]
-        )
-        if np.any(means <= 0):
-            continue
-        slopes.append(np.polyfit(log_m, np.log(means), 1)[0])
-    if not slopes:
-        return (float("nan"), float("nan"))
+    means = _bootstrap_means(excess_lists, np.random.default_rng(seed), draws)
+    kept = means[~np.any(means <= 0, axis=1)]
+    if not len(kept):
+        return (float("nan"), float("nan")), 0
+    slopes = np.polyfit(log_m, np.log(kept).T, 1)[0]
     lo, hi = np.percentile(slopes, [5.0, 95.0])
-    return (float(lo), float(hi))
+    return (float(lo), float(hi)), len(kept)
 
 
 def learning_curve(config: ExperimentConfig, jobs: int = 1) -> LearningCurveResult:
@@ -227,9 +240,14 @@ def learning_curve(config: ExperimentConfig, jobs: int = 1) -> LearningCurveResu
         log_e = np.log([v for _, v in usable])
         slope = float(np.polyfit(log_m, log_e, 1)[0])
         excess_lists = [finite[m] for m, _ in usable]
-        ci = _bootstrap_slope(log_m, excess_lists, derive_seed(config.seed, 10**6))
+        ci, kept = _bootstrap_slope(log_m, excess_lists, derive_seed(config.seed, 10**6))
     else:
-        slope, ci = float("nan"), (float("nan"), float("nan"))
+        slope, ci, kept = float("nan"), (float("nan"), float("nan")), 0
+    log.info(
+        "learning curve over m = %s: %d failed fits, slope %.6g, %d of %d bootstrap "
+        "draws kept", list(config.m_grid), n_failed, slope, kept,
+        _BOOTSTRAP_DRAWS if len(usable) >= 3 else 0,
+    )
     return LearningCurveResult(tuple(rows), tuple(means), slope, ci, n_failed)
 
 

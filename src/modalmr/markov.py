@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,7 @@ CHAIN_FAMILIES = ("iid", "two-state", "lazy-walk", "metropolis")
 
 _SIMPLE_TOL = 1e-8  # |lambda - 1| below this counts as the unit eigenvalue
 _ROW_TOL = 1e-12
+_WALK_BLOCK = 1 << 16  # chain steps converted to Python floats at a time
 
 
 @dataclass(frozen=True)
@@ -226,10 +228,18 @@ def sample_chain(kernel: TransitionKernel, m: int, seed: int, start="stationary"
             raise InputError(f"start state {s0} outside [0, {n})")
         states[0] = s0
     draws = rng.random(m - 1)
-    cur = states[0]
-    for t in range(1, m):
-        cur = int(np.searchsorted(cum[cur], draws[t - 1], side="right"))
-        states[t] = cur
+    # bisect_right on Python lists is searchsorted(side="right") without a
+    # numpy call per step.  A row is sorted except that its last entry, set
+    # to 1.0, may sit an ulp below the one before; every draw is below 1.0,
+    # so both searches find the same first entry above the draw.
+    rows = cum.tolist()
+    cur = int(states[0])
+    for lo in range(0, m - 1, _WALK_BLOCK):
+        path = []
+        for u in draws[lo:lo + _WALK_BLOCK].tolist():
+            cur = bisect_right(rows[cur], u)
+            path.append(cur)
+        states[lo + 1:lo + 1 + len(path)] = path
     return states
 
 

@@ -144,7 +144,10 @@ class CovariateGroups:
         x = as_covariate_array(inputs)
         if not np.all(np.isfinite(x)):
             raise InputError("covariates must be finite")
-        _, first, index = np.unique(x, axis=0, return_index=True, return_inverse=True)
+        if x.shape[1] == 1:  # a plain sort of the column, not of (m, 1) row records
+            _, first, index = np.unique(x[:, 0], return_index=True, return_inverse=True)
+        else:
+            _, first, index = np.unique(x, axis=0, return_index=True, return_inverse=True)
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)

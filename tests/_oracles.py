@@ -4,7 +4,9 @@ These deliberately avoid the library's own code paths: the grid search
 enumerates coefficients exhaustively, the eigenvalue cross-check goes
 through the characteristic polynomial, and the q=1 inner problem, which the
 library solves by an active-set search, is solved by plain cyclic coordinate
-descent.
+descent.  The chain walk, the bootstrap slope CI and the covariate grouping
+are the library's earlier per-step, per-draw and row-record forms, kept
+verbatim as the references its batched forms must reproduce.
 """
 
 import numpy as np
@@ -111,6 +113,58 @@ def char_poly_eigen_moduli(P):
     """Eigenvalue moduli via the characteristic polynomial's roots."""
     coeffs = np.poly(np.asarray(P, dtype=float))
     return np.sort(np.abs(np.roots(coeffs)))[::-1]
+
+
+def sample_chain_per_step(P, pi, m, seed, start="stationary"):
+    """State path with one searchsorted call per step; ``pi`` is the
+    stationary vector the "stationary" start draws from."""
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(P, axis=1)
+    cum[:, -1] = 1.0
+    states = np.empty(m, dtype=np.int64)
+    if isinstance(start, str):
+        cpi = np.cumsum(pi)
+        cpi[-1] = 1.0
+        states[0] = int(np.searchsorted(cpi, rng.random(), side="right"))
+    else:
+        states[0] = int(start)
+    draws = rng.random(m - 1)
+    cur = states[0]
+    for t in range(1, m):
+        cur = int(np.searchsorted(cum[cur], draws[t - 1], side="right"))
+        states[t] = cur
+    return states
+
+
+def bootstrap_slope_per_draw(log_m, excess_lists, seed, draws=1000):
+    """Per-draw resampled means (draws, len(excess_lists)), the 5-95%
+    percentile CI of the log-log slope, and the number of draws kept: one
+    resample, mean and polyfit per draw."""
+    rng = np.random.default_rng(seed)
+    all_means, slopes = [], []
+    for _ in range(draws):
+        means = np.array(
+            [vals[rng.integers(0, len(vals), len(vals))].mean() for vals in excess_lists]
+        )
+        all_means.append(means)
+        if np.any(means <= 0):
+            continue
+        slopes.append(np.polyfit(log_m, np.log(means), 1)[0])
+    if not slopes:
+        return np.array(all_means), (float("nan"), float("nan")), 0
+    lo, hi = np.percentile(slopes, [5.0, 95.0])
+    return np.array(all_means), (float(lo), float(hi)), len(slopes)
+
+
+def group_rows(x):
+    """(first, index, counts) of the distinct rows of an (m, d) array in
+    first-occurrence order, from np.unique over row records (axis=0)."""
+    _, first, index = np.unique(x, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    index = rank[index.reshape(-1)]
+    return first[order], index, np.bincount(index, minlength=first.size).astype(float)
 
 
 def trapezoid_density_normal(scale, at=0.0):

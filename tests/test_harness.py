@@ -1,9 +1,15 @@
 import logging
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import modalmr.harness
+import modalmr.markov
+import modalmr.risk
+from _oracles import bootstrap_slope_per_draw
 from modalmr.errors import InputError, SingularSystem
 from modalmr.harness import (
     ExperimentConfig,
@@ -19,6 +25,7 @@ from modalmr.harness import (
     write_dataset_file,
     write_manifest,
 )
+from modalmr.harness import _BOOTSTRAP_DRAWS, _bootstrap_means, _bootstrap_slope
 from modalmr.kernels import hypothesis_kernel
 from modalmr.markov import absolute_spectral_gap, iid_chain, transition_kernel
 from modalmr.risk import gaussian_noise, make_task, student_t_noise
@@ -144,6 +151,97 @@ class TestLearningCurve:
                 task=small_task(), m_grid=(64,), n_replicates=0,
                 schedule=FixedSchedule(0.1, 1.0), seed=0,
             )
+
+    @staticmethod
+    def tiny_config():
+        return ExperimentConfig(
+            task=small_task(), m_grid=(32, 64, 128), n_replicates=2,
+            schedule=Theorem2Schedule(2.0, 0.01), seed=9,
+        )
+
+    def test_no_numpy_call_per_draw_or_step(self, monkeypatch):
+        # one polyfit for the point slope and one for all bootstrap draws;
+        # a chain path searches with numpy only for its stationary start
+        counts = {"polyfit": 0, "searchsorted": 0, "paths": 0}
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np, "polyfit", counted("polyfit", np.polyfit))
+        monkeypatch.setattr(np, "searchsorted", counted("searchsorted", np.searchsorted))
+        monkeypatch.setattr(modalmr.markov, "sample_chain",
+                            counted("paths", modalmr.markov.sample_chain))
+        assert np.isfinite(learning_curve(self.tiny_config()).slope_ci).all()
+        assert counts["paths"] == 6
+        assert counts["polyfit"] <= 2
+        assert counts["searchsorted"] <= counts["paths"]
+
+    def test_info_line_reports_the_curve(self, monkeypatch, caplog):
+        # a negative score at m=32 makes the draws that resample only it drop
+        scores = iter([-0.5, 1.5, 0.4, 0.5, 0.2, 0.3])
+        monkeypatch.setattr(modalmr.risk, "excess_risk", lambda task, model: next(scores))
+        config = self.tiny_config()
+        caplog.set_level(logging.INFO, logger="modalmr.harness")
+        result = learning_curve(config)
+        (line,) = [r.getMessage() for r in caplog.records
+                   if r.name == "modalmr.harness" and r.levelno == logging.INFO]
+        kept = re.fullmatch(
+            rf"learning curve over m = \[32, 64, 128\]: 0 failed fits, "
+            rf"slope {result.slope:.6g}, (\d+) of 1000 bootstrap draws kept", line)
+        assert kept
+        excess = [np.array([-0.5, 1.5]), np.array([0.4, 0.5]), np.array([0.2, 0.3])]
+        _, ci, expected = bootstrap_slope_per_draw(
+            np.log(config.m_grid), excess, derive_seed(config.seed, 10**6))
+        assert 600 < int(kept.group(1)) == expected < 900
+        assert result.slope_ci == ci
+
+
+class TestBootstrapSlope:
+    """The batched bootstrap against the per-draw loop it replaced: the same
+    resamples, the same means bit for bit, and the same CI up to the rounding
+    of one least-squares solve over many right-hand sides."""
+
+    DROPPED = [[-1.0, 2.0], [1.0, 1.0, 0.5], [0.5]]  # a quarter of draws dropped
+    ALL_DROPPED = [[-1.0], [1.0, 2.0], [0.25, 0.5]]  # every draw dropped
+
+    @staticmethod
+    def compare(lists, seed, draws):
+        excess = [np.array(v, dtype=float) for v in lists]
+        log_m = np.log(32.0 * 2.0 ** np.arange(len(excess)))
+        means, ci, kept = bootstrap_slope_per_draw(log_m, excess, seed, draws)
+        got = _bootstrap_means(excess, np.random.default_rng(seed), draws)
+        assert got.tobytes() == means.tobytes()
+        got_ci, got_kept = _bootstrap_slope(log_m, excess, seed, draws)
+        assert got_kept == kept
+        np.testing.assert_allclose(got_ci, ci, rtol=1e-12, atol=0)
+        return got_ci, ci, kept
+
+    @settings(max_examples=150, deadline=None)
+    @given(lists=st.lists(st.lists(st.floats(-0.5, 2.0), min_size=1, max_size=7),
+                          min_size=3, max_size=7),
+           seed=st.integers(0, 2**63))
+    @example(lists=DROPPED, seed=4)
+    @example(lists=ALL_DROPPED, seed=5)
+    def test_matches_per_draw_loop(self, lists, seed):
+        self.compare(lists, seed, draws=100)
+
+    @settings(max_examples=10, deadline=None)
+    @given(lists=st.lists(st.lists(st.floats(0.01, 2.0), min_size=4, max_size=4),
+                          min_size=5, max_size=5),
+           seed=st.integers(0, 2**63))
+    def test_exact_on_five_m_values_of_four_replicates(self, lists, seed):
+        # the benchmark's shape: the CI is equal, not only close
+        got, ci, _ = self.compare(lists, seed, _BOOTSTRAP_DRAWS)
+        assert got == ci
+
+    def test_dropped_draws_are_counted(self):
+        *_, kept = self.compare(self.DROPPED, 4, 1000)
+        assert 600 < kept < 900
+        got, ci, kept = self.compare(self.ALL_DROPPED, 5, 1000)
+        assert kept == 0 and np.isnan(got).all() and np.isnan(ci).all()
 
 
 class TestGammaSweep:

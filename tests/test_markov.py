@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from _oracles import char_poly_eigen_moduli
+import modalmr.markov
+from _oracles import char_poly_eigen_moduli, sample_chain_per_step
 from modalmr.errors import (
     InputError,
     NonUniqueStationary,
@@ -204,6 +208,41 @@ class TestSampling:
         np.add.at(counts, (path[:-1], path[1:]), 1.0)
         rows = counts / counts.sum(axis=1, keepdims=True)
         assert np.max(np.abs(rows - chain.P)) < 0.02
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 6), m=st.integers(1, 40), seed=st.integers(0, 2**63),
+           start=st.integers(-1, 5), block=st.integers(1, 8), data=st.data())
+    @example(n=3, m=1, seed=0, start=-1, block=1, data=None)
+    @example(n=3, m=2, seed=1, start=2, block=1, data=None)
+    @example(n=4, m=40, seed=2, start=-1, block=3, data=None)
+    def test_walk_matches_per_step_search(self, n, m, seed, start, block, data):
+        # random row-stochastic matrices with zero entries; blocks of a few
+        # steps so that paths cross block boundaries
+        weights = np.ones((n, n))
+        if data is not None:
+            weights = data.draw(arrays(float, (n, n), elements=st.sampled_from(
+                [0.0, 0.0, 0.1, 1 / 3, 0.5, 1.0, 7.0])))
+        weights[weights.sum(axis=1) == 0, 0] = 1.0
+        chain = transition_kernel(weights / weights.sum(axis=1, keepdims=True),
+                                  np.linspace(0, 1, n))
+        pi = None
+        if start < 0:
+            try:
+                pi, start = stationary_distribution(chain), "stationary"
+            except NonUniqueStationary:
+                start = 0
+        start = start if isinstance(start, str) else start % n
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modalmr.markov, "_WALK_BLOCK", block)
+            path = sample_chain(chain, m, seed, start)
+        np.testing.assert_array_equal(path, sample_chain_per_step(chain.P, pi, m, seed, start))
+
+    def test_walk_crosses_the_default_block(self):
+        chain = lazy_random_walk(6, 0.3)
+        m = modalmr.markov._WALK_BLOCK + 5
+        path = sample_chain(chain, m, seed=3)
+        np.testing.assert_array_equal(
+            path, sample_chain_per_step(chain.P, stationary_distribution(chain), m, 3))
 
     def test_invalid_start(self):
         with pytest.raises(InputError):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import modalmr.solver
-from _oracles import grid_oracle_max, l1_coordinate_descent, objective_value
+from _oracles import grid_oracle_max, group_rows, l1_coordinate_descent, objective_value
 from modalmr.errors import InputError, LineSearchFailed, NonGaussianPhi, SingularSystem
 from modalmr.kernels import gram_matrix, hypothesis_kernel, representing_function
 from modalmr.solver import (
@@ -470,6 +471,19 @@ class TestCovariateGroups:
         np.testing.assert_array_equal(groups.first, np.arange(3))
         np.testing.assert_array_equal(groups.index, np.arange(3))
         np.testing.assert_array_equal(groups.counts, np.ones(3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 40), st.integers(1, 3)), data=st.data())
+    def test_grouping_matches_row_records(self, shape, data):
+        # one column takes a plain sort and more take np.unique(axis=0); both
+        # must group ties and +-0.0 alike, in first-occurrence order
+        x = data.draw(arrays(float, shape, elements=st.sampled_from(
+            [0.0, -0.0, 0.25, -0.25, 1.0, 5e-324, -5e-324, 0.1 + 0.2, 0.3])))
+        groups = CovariateGroups.of(x)
+        first, index, counts = group_rows(x)
+        np.testing.assert_array_equal(groups.first, first)
+        np.testing.assert_array_equal(groups.index, index)
+        np.testing.assert_array_equal(groups.counts, counts)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_covariates_rejected(self, bad):
