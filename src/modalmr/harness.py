@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import InputError, NumericError
 from .kernels import HypothesisKernel, hypothesis_kernel
-from .solver import (  # noqa: F401 - fit_hq stays importable from here
+from .solver import (
     RmrConfig,
     distinct_gram,
     fit_data,
@@ -180,18 +181,94 @@ def _run_replicates(task, config: ExperimentConfig, m, lam, sigma, seeds, where)
 _BOOTSTRAP_DRAWS = 1000
 
 
+def _lemire_indices(halves, n):
+    """Indices in [0, n) from 32-bit halves h as the bounded generator maps
+    them, (h * n) >> 32 (Lemire's multiply-shift), and whether any h lands
+    in its rejection zone (h * n) mod 2^32 < (2^32 - n) mod n, where the
+    generator would discard h and draw again."""
+    scaled = halves.astype(np.uint64) * np.uint64(n)
+    rejected = bool(np.any((scaled & 0xFFFFFFFF) < (2**32 - n) % n))
+    return (scaled >> 32).astype(np.int64), rejected
+
+
+def _bulk_picks(sizes, rng, draws):
+    """Resample indices, one (draws, n) array per list size, from one bulk
+    draw of the generator's 32-bit stream; None if a half needs rejection.
+
+    ``rng.integers(0, n, n)`` takes n halves from the stream, one per index,
+    and a list of length 1 takes none.  The generator keeps the spare half of
+    a 64-bit output between calls, so the per-draw loop reads one unbroken
+    stream: draw by draw, list by list.  A rejection would shift every later
+    index, so it ends the bulk path.
+    """
+    width = sum(n for n in sizes if n > 1)
+    halves = rng.integers(0, 2**32, draws * width, dtype=np.uint32).reshape(draws, width)
+    picks, col = [], 0
+    for n in sizes:
+        if n <= 1:
+            picks.append(np.zeros((draws, n), dtype=np.int64))
+            continue
+        rows, rejected = _lemire_indices(halves[:, col:col + n], n)
+        if rejected:
+            return None
+        picks.append(rows)
+        col += n
+    return picks
+
+
 def _bootstrap_means(excess_lists, rng, draws):
     """(draws, len(excess_lists)) means of replicate resamples.
 
-    Each draw resamples every list in turn with its own ``rng.integers``
-    call, as a per-draw loop would: one bulk call gives other resamples,
-    since the bounded generator buffers 32-bit halves within a call.
+    The resamples are those of a per-draw loop that resamples every list in
+    turn with its own ``rng.integers(0, n, n)`` call, taken from one bulk
+    draw of the generator's stream (``_bulk_picks``): a constant number of
+    generator calls however many draws.  The first draw is also made by real
+    ``integers`` calls from the starting state; if it disagrees, or a half
+    needs rejection (odds about n / 2^32 per half), the loop runs instead
+    from that state, so the resamples never differ from the loop's.
     """
-    picks = [np.empty((draws, len(vals)), dtype=np.int64) for vals in excess_lists]
-    for d in range(draws):
-        for vals, rows in zip(excess_lists, picks):
-            rows[d] = rng.integers(0, len(vals), len(vals))
+    sizes = [len(vals) for vals in excess_lists]
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    first = [rng.integers(0, n, n) for n in sizes]
+    bitgen.state = start
+    picks = _bulk_picks(sizes, rng, draws)
+    if picks is None or (draws and not all(
+            np.array_equal(rows[0], want) for rows, want in zip(picks, first))):
+        bitgen.state = start
+        picks = [np.empty((draws, n), dtype=np.int64) for n in sizes]
+        for d in range(draws):
+            for n, rows in zip(sizes, picks):
+                rows[d] = rng.integers(0, n, n)
     return np.column_stack([vals[rows].mean(axis=1) for vals, rows in zip(excess_lists, picks)])
+
+
+def _percentiles(values, qs):
+    """``np.percentile(values, qs)`` of finite 1-d values, bit for bit, as
+    Python floats, without the numpy.ma import np.percentile brings.
+
+    numpy's default ``linear`` method: virtual index v = (n - 1) q / 100,
+    neighbours floor(v) and floor(v) + 1 (both the last element once
+    v >= n - 1, with t = v + 1), picked by the same partition, and numpy's
+    ``_lerp``: a + (b - a) t, or b - (b - a)(1 - t) when t >= 0.5.
+    """
+    n = len(values)
+    spots = []
+    for q in qs:
+        virtual = (n - 1) * (float(q) / 100.0)
+        below = math.floor(virtual)
+        above = below + 1
+        if virtual >= n - 1:
+            below = above = -1
+        spots.append((virtual, below, above))
+    ordered = np.partition(values, sorted({0, -1, *(i for s in spots for i in s[1:])}))
+    out = []
+    for virtual, below, above in spots:
+        a, b = float(ordered[below]), float(ordered[above])
+        t = virtual - below
+        diff = b - a
+        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return out
 
 
 def _bootstrap_slope(log_m, excess_lists, seed, draws=_BOOTSTRAP_DRAWS):
@@ -207,8 +284,8 @@ def _bootstrap_slope(log_m, excess_lists, seed, draws=_BOOTSTRAP_DRAWS):
     if not len(kept):
         return (float("nan"), float("nan")), 0
     slopes = np.polyfit(log_m, np.log(kept).T, 1)[0]
-    lo, hi = np.percentile(slopes, [5.0, 95.0])
-    return (float(lo), float(hi)), len(kept)
+    lo, hi = _percentiles(slopes, (5.0, 95.0))
+    return (lo, hi), len(kept)
 
 
 def learning_curve(config: ExperimentConfig, jobs: int = 1) -> LearningCurveResult:
@@ -347,10 +424,10 @@ def robustness_comparison(
 
     def one(rep: int) -> RobustnessRow:
         data = generate_dataset(task, m, derive_seed(seed, 0, rep))
-        model = fit_data(data.x, data.y, kernel, config)
+        groups, gram = distinct_gram(kernel, data.x)
+        model = fit_hq(gram, data.y, config, train_inputs=data.x, kernel=kernel, _groups=groups)
         states = task.chain.state_embedding
         rmr_preds = predict(model, states)
-        groups, gram = distinct_gram(kernel, data.x)
         A = (gram * groups.counts) @ gram.T
         A[np.diag_indices_from(A)] += max(config.lam, 1e-12) * m / groups.counts
         ls_beta = np.linalg.solve(A, gram @ groups.sums(data.y))

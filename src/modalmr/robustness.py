@@ -108,6 +108,7 @@ def fit_hq_multistart(
     train_inputs=None,
     kernel=None,
     singleton_anchor_limit: int = 8,
+    _groups=None,
 ):
     """Run half-quadratic ascent from several deterministic starts.
 
@@ -117,12 +118,13 @@ def fit_hq_multistart(
     quadratic loss chases; on small problems (up to ``singleton_anchor_limit``
     samples) one anchored start per sample additionally seeds the basin
     around each sample's consensus.  Returns the fit with the best final
-    objective.  ``gram`` and ``train_inputs`` follow the rule of ``fit_hq``;
-    the seeds are solved over the distinct covariate rows.
+    objective.  ``gram``, ``train_inputs`` and the internal ``_groups``
+    follow the rule of ``fit_hq``; the seeds are solved over the distinct
+    covariate rows, and every start reuses the one grouping.
     """
     y = np.asarray(y, dtype=float).ravel()
     m = y.shape[0]
-    groups = CovariateGroups.for_fit(train_inputs, m)
+    groups = CovariateGroups.for_fit(train_inputs, m) if _groups is None else _groups
     reduced = groups.reduce_gram(gram)
     inits = [np.zeros(m)]
     ls = _ridge_coefficients(reduced, groups, y)
@@ -138,7 +140,8 @@ def fit_hq_multistart(
     failure = None
     for init in inits:
         try:
-            model = fit_hq(reduced, y, config, init=init, train_inputs=train_inputs, kernel=kernel)
+            model = fit_hq(reduced, y, config, init=init, train_inputs=train_inputs,
+                           kernel=kernel, _groups=groups)
         except SingularSystem as exc:
             failure = exc
             continue
@@ -174,8 +177,9 @@ def contamination_experiment(
     data = generate_dataset(task, m, seed)
     if kernel is None:
         kernel = hypothesis_kernel("gaussian-rbf", bandwidth=0.5)
-    _, gram = distinct_gram(kernel, data.x)
-    clean = fit_hq_multistart(gram, data.y, config, train_inputs=data.x, kernel=kernel)
+    groups, gram = distinct_gram(kernel, data.x)
+    clean = fit_hq_multistart(gram, data.y, config, train_inputs=data.x, kernel=kernel,
+                              _groups=groups)
     clean_norm = float(np.linalg.norm(clean.alpha))
     N = breakdown_N(clean, data.y, config.phi)
     low, high, fraction = breakdown_bracket(max(N, 0.0), m)
@@ -193,7 +197,8 @@ def contamination_experiment(
             groups_c, gc = distinct_gram(kernel, xc)
             anchor = _ridge_coefficients(gc, groups_c, yc, rows=np.arange(m, m + n))
             extras = [anchor] if anchor is not None else []
-            model = fit_hq_multistart(gc, yc, config, extras, train_inputs=xc, kernel=kernel)
+            model = fit_hq_multistart(gc, yc, config, extras, train_inputs=xc, kernel=kernel,
+                                      _groups=groups_c)
             curve.append((int(n), float(magnitude), float(np.linalg.norm(model.alpha))))
     return BreakdownReport(
         N=N,

@@ -209,14 +209,18 @@ class CovariateGroups:
         )
 
 
-def _check_problem(gram, y, train_inputs=None, alpha=None):
+def _check_problem(gram, y, train_inputs=None, alpha=None, groups=None):
     """(n x n gram, y, groups, alpha): validated targets, the grouping of
-    train_inputs and a fresh copy of alpha (zeros when not given)."""
+    train_inputs (``groups`` when the caller already has it) and a fresh
+    copy of alpha (zeros when not given)."""
     y = np.asarray(y, dtype=float).ravel()
     m = y.shape[0]
     if not np.all(np.isfinite(y)):
         raise InputError("targets must be finite")
-    groups = CovariateGroups.for_fit(train_inputs, m)
+    if groups is None:
+        groups = CovariateGroups.for_fit(train_inputs, m)
+    elif groups.m != m:
+        raise InputError(f"{groups.m} training inputs for {m} targets")
     gram = groups.reduce_gram(gram)
     if alpha is None:
         return gram, y, groups, np.zeros(m)
@@ -418,7 +422,9 @@ def gaussian_family_params(phi: RepresentingFunction):
     return pair
 
 
-def fit_hq(gram, y, config: RmrConfig, init=None, *, train_inputs=None, kernel=None) -> RmrModel:
+def fit_hq(
+    gram, y, config: RmrConfig, init=None, *, train_inputs=None, kernel=None, _groups=None
+) -> RmrModel:
     """Half-quadratic ascent for Gaussian-family representing functions.
 
     Alternates (a) weights w_i = exp(-r_i^2 / (2 a^2 sigma^2)) at the current
@@ -460,9 +466,11 @@ def fit_hq(gram, y, config: RmrConfig, init=None, *, train_inputs=None, kernel=N
     m x m sample gram.  With them, ``gram`` may be the m x m sample gram (its
     submatrix at the first occurrences is used) or the n x n gram over the
     distinct rows in first-occurrence order; the two shapes coincide when
-    n = m.  The returned alpha is per sample either way.
+    n = m.  The returned alpha is per sample either way.  ``_groups`` is
+    internal: the grouping of train_inputs, from a caller that built it
+    already (``fit_data``, ``fit_hq_multistart``), so it is not built twice.
     """
-    gram, y, groups, alpha = _check_problem(gram, y, train_inputs, init)
+    gram, y, groups, alpha = _check_problem(gram, y, train_inputs, init, _groups)
     coeff, a_sq = gaussian_family_params(config.phi)
     m = y.shape[0]
     sigma = config.sigma
@@ -523,6 +531,7 @@ def fit_gradient(
     *,
     train_inputs=None,
     kernel=None,
+    _groups=None,
 ) -> RmrModel:
     """Monotone (proximal) gradient ascent for any built-in phi (config.phi).
 
@@ -539,9 +548,10 @@ def fit_gradient(
     values are those plus step * K^T (row sums of the gradient), one
     matrix-vector product per iteration however many halvings it takes; the
     soft-thresholded q=1 candidate is not linear in the step, so each of its
-    halvings evaluates K^T beta afresh.
+    halvings evaluates K^T beta afresh.  ``_groups`` is internal, as in
+    ``fit_hq``.
     """
-    gram, y, groups, alpha = _check_problem(gram, y, train_inputs, init)
+    gram, y, groups, alpha = _check_problem(gram, y, train_inputs, init, _groups)
     phi = config.phi
     if max_iters is None:
         max_iters = max(config.max_hq_iters, 2000)
@@ -598,14 +608,14 @@ def distinct_gram(kernel: HypothesisKernel, x):
 def fit_data(
     x, y, kernel: HypothesisKernel, config: RmrConfig, method: str = "hq", init=None
 ) -> RmrModel:
-    """Fit on raw covariates, building only the gram over their distinct rows."""
+    """Fit on raw covariates, grouping them once and building only the gram
+    over their distinct rows."""
     if method not in ("hq", "gradient"):
         raise InputError(f"unknown fit method {method!r}")
     x = as_covariate_array(x)
-    _, gram = distinct_gram(kernel, x)
-    if method == "hq":
-        return fit_hq(gram, y, config, init, train_inputs=x, kernel=kernel)
-    return fit_gradient(gram, y, config, init, train_inputs=x, kernel=kernel)
+    groups, gram = distinct_gram(kernel, x)
+    fit = fit_hq if method == "hq" else fit_gradient
+    return fit(gram, y, config, init, train_inputs=x, kernel=kernel, _groups=groups)
 
 
 def fitted_values(model: RmrModel) -> np.ndarray:

@@ -25,7 +25,13 @@ from modalmr.harness import (
     write_dataset_file,
     write_manifest,
 )
-from modalmr.harness import _BOOTSTRAP_DRAWS, _bootstrap_means, _bootstrap_slope
+from modalmr.harness import (
+    _BOOTSTRAP_DRAWS,
+    _bootstrap_means,
+    _bootstrap_slope,
+    _lemire_indices,
+    _percentiles,
+)
 from modalmr.kernels import hypothesis_kernel
 from modalmr.markov import absolute_spectral_gap, iid_chain, transition_kernel
 from modalmr.risk import gaussian_noise, make_task, student_t_noise
@@ -219,14 +225,22 @@ class TestBootstrapSlope:
         np.testing.assert_allclose(got_ci, ci, rtol=1e-12, atol=0)
         return got_ci, ci, kept
 
+    BENCHMARK = [[0.31, 0.52, 0.47, 0.9], [0.22, 0.4, 0.35, 0.28], [0.2, 0.18, 0.33, 0.25],
+                 [0.21, 0.19, 0.3, 0.24], [0.12, 0.15, 0.2, 0.11]]  # 5 m values x 4 replicates
+    # lengths 1, 3 and 8: the odd list leaves a spare half that starts the next
+    MIXED = [[0.7], [0.2, 0.9, 1.4], [0.3, 0.5, 0.1, 0.8, 1.2, 0.6, 0.4, 0.9]]
+
     @settings(max_examples=150, deadline=None)
     @given(lists=st.lists(st.lists(st.floats(-0.5, 2.0), min_size=1, max_size=7),
                           min_size=3, max_size=7),
-           seed=st.integers(0, 2**63))
-    @example(lists=DROPPED, seed=4)
-    @example(lists=ALL_DROPPED, seed=5)
-    def test_matches_per_draw_loop(self, lists, seed):
-        self.compare(lists, seed, draws=100)
+           seed=st.integers(0, 2**63), draws=st.integers(1, 100))
+    @example(lists=DROPPED, seed=4, draws=100)
+    @example(lists=ALL_DROPPED, seed=5, draws=100)
+    @example(lists=BENCHMARK, seed=7, draws=_BOOTSTRAP_DRAWS)
+    @example(lists=MIXED, seed=8, draws=_BOOTSTRAP_DRAWS)
+    @example(lists=MIXED[::-1], seed=9, draws=3)
+    def test_matches_per_draw_loop(self, lists, seed, draws):
+        self.compare(lists, seed, draws)
 
     @settings(max_examples=10, deadline=None)
     @given(lists=st.lists(st.lists(st.floats(0.01, 2.0), min_size=4, max_size=4),
@@ -242,6 +256,91 @@ class TestBootstrapSlope:
         assert 600 < kept < 900
         got, ci, kept = self.compare(self.ALL_DROPPED, 5, 1000)
         assert kept == 0 and np.isnan(got).all() and np.isnan(ci).all()
+
+    def test_index_helper_reports_rejection_zones(self):
+        # Lemire rejects h when (h * n) mod 2^32 < (2^32 - n) mod n: that
+        # bound is 1 for n = 3 (h = 0 only) and 4 for n = 7, where h is the
+        # half whose product leaves 0, 1, 2 or 3
+        inverse7 = pow(7, -1, 2**32)
+        for n, rejected, accepted in [
+            (3, [0], [1, 2, 2**31, 2**32 - 1]),
+            (7, [k * inverse7 % 2**32 for k in range(4)], [1, 2, 3, 4 * inverse7 % 2**32]),
+        ]:
+            for h in rejected:
+                assert _lemire_indices(np.array([[h]], dtype=np.uint32), n)[1], (n, h)
+            rows, flagged = _lemire_indices(np.array([accepted], dtype=np.uint32), n)
+            assert not flagged
+            assert rows.tolist() == [[h * n >> 32 for h in accepted]]
+        # a power of two has no rejection zone
+        assert not _lemire_indices(np.array([[0, 2**32 - 1]], dtype=np.uint32), 4)[1]
+
+    @pytest.mark.parametrize("bulk", ["rejects", "disagrees"])
+    def test_fallback_matches_per_draw_loop(self, monkeypatch, bulk):
+        # a rejection, or a first bulk draw that real integers calls do not
+        # reproduce, sends the resampling back to the per-draw loop
+        real = _lemire_indices
+
+        def forced(halves, n):
+            rows, _ = real(halves, n)
+            return ((rows, True) if bulk == "rejects" else ((rows + 1) % n, False))
+
+        monkeypatch.setattr(modalmr.harness, "_lemire_indices", forced)
+        for lists, seed in [(self.MIXED, 3), (self.DROPPED, 4), (self.BENCHMARK, 7)]:
+            self.compare(lists, seed, 200)
+
+    def test_generator_calls_do_not_grow_with_draws(self):
+        class Counting:
+            """A generator that counts the calls made to it."""
+
+            def __init__(self, seed):
+                self.rng, self.calls = np.random.default_rng(seed), 0
+
+            @property
+            def bit_generator(self):
+                return self.rng.bit_generator
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.integers(*args, **kwargs)
+
+        excess = [np.array(v) for v in self.MIXED + self.BENCHMARK]
+        counts = []
+        for draws in (1, 10, _BOOTSTRAP_DRAWS, 5000):
+            rng = Counting(11)
+            means = _bootstrap_means(excess, rng, draws)
+            want, *_ = bootstrap_slope_per_draw(np.arange(len(excess)), excess, 11, draws)
+            assert means.tobytes() == want.tobytes()
+            counts.append(rng.calls)
+        # one real call per list for the first draw, and one bulk draw
+        assert counts == [len(excess) + 1] * 4
+
+
+class TestPercentiles:
+    """The numpy-free percentile helper against np.percentile, bit for bit."""
+
+    TIES = [-1.5, -0.0, 0.0, 0.25, 0.25000000000000006, 3.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.one_of(
+               st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=2000),
+               st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                        max_size=50),
+               st.lists(st.sampled_from(TIES), min_size=1, max_size=2000)),
+           qs=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=4))
+    @example(values=[0.5], qs=[0.0, 100.0])
+    @example(values=[-0.0, 0.0, -0.0], qs=[50.0, 75.0])
+    # a full sort would put the 0.0 last and give 0.0; the partition keeps -0.0
+    @example(values=[-0.0, -0.0, -0.0, -0.0, 0.0, -0.0], qs=[95.0])
+    @example(values=list(range(1000)), qs=[5.0, 95.0, 99.95])
+    @example(values=[2.0, 1.0], qs=[50.0, 99.99999999999999])
+    def test_matches_numpy(self, values, qs):
+        # the partition np.percentile makes depends on every q asked for, and
+        # tied signed zeros may land on either side of it; so ask as it did
+        values = np.array(values, dtype=float)
+        for asked in (qs, [5.0, 95.0]):
+            got = _percentiles(values, asked)
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == np.percentile(values, asked).tobytes()
 
 
 class TestGammaSweep:

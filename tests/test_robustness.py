@@ -11,7 +11,7 @@ from modalmr.robustness import (
     contamination_experiment,
     fit_hq_multistart,
 )
-from modalmr.solver import RmrConfig, RmrModel, fit_hq
+from modalmr.solver import CovariateGroups, RmrConfig, RmrModel, fit_hq
 
 GAUSS = representing_function("gaussian")
 
@@ -145,6 +145,23 @@ class TestContamination:
             assert curve[(n, 1e6)] <= 10 * curve[(n, 1e2)]
         # above the bracket: the refit follows the outliers
         assert curve[(12, 1e6)] > 100 * report.clean_norm
+
+    def test_groups_each_covariate_array_once(self, monkeypatch):
+        # the clean data and each contaminated copy are grouped once for all
+        # the starts of their multistart fit; breakdown_N groups the clean
+        # data once more, when it evaluates the clean fit's fitted values
+        real = CovariateGroups.of.__func__
+        calls = []
+
+        def counted(cls, inputs):
+            calls.append(len(inputs))
+            return real(cls, inputs)
+
+        monkeypatch.setattr(CovariateGroups, "of", classmethod(counted))
+        task = make_task(iid_chain(4), gaussian_noise(0.1))
+        cfg = RmrConfig(sigma=1.0, lam=0.01, q=2)
+        contamination_experiment(task, 12, [0, 2, 5], [100.0, 1e4], cfg, seed=2)
+        assert calls == [12, 12, 14, 14, 17, 17]
 
     def test_small_m_rejected(self):
         task = single_state_task()

@@ -498,6 +498,32 @@ class TestCovariateGroups:
             fit_data(np.array([[0.1], [0.2]]), np.array([0.0, np.nan]), RBF,
                      RmrConfig(sigma=1.0, lam=0.1))
 
+    @pytest.mark.parametrize("method", ["hq", "gradient"])
+    def test_fit_data_groups_once(self, monkeypatch, method):
+        # the grouping distinct_gram builds is the one the fit uses
+        real = CovariateGroups.of.__func__
+        calls = []
+
+        def counted(cls, inputs):
+            calls.append(1)
+            return real(cls, inputs)
+
+        monkeypatch.setattr(CovariateGroups, "of", classmethod(counted))
+        x = np.array([[0.7], [0.2], [0.7], [0.9], [0.2]])
+        y = np.array([0.3, -0.1, 0.4, 0.8, 0.0])
+        cfg = RmrConfig(sigma=1.0, lam=0.1, max_hq_iters=5)
+        model = fit_data(x, y, RBF, cfg, method=method)
+        assert len(calls) == 1
+        fit = fit_hq if method == "hq" else fit_gradient
+        direct = fit(RBF.cross(x, x), y, cfg, train_inputs=x, kernel=RBF)
+        assert model.alpha.tobytes() == direct.alpha.tobytes()
+        assert model.objective_trace == direct.objective_trace
+
+    def test_fit_data_length_mismatch_rejected(self):
+        with pytest.raises(InputError, match="3 training inputs for 2 targets"):
+            fit_data(np.array([[0.1], [0.2], [0.1]]), np.zeros(2), RBF,
+                     RmrConfig(sigma=1.0, lam=0.1))
+
 
 class TestGramShapes:
     def setup_method(self):

@@ -7,6 +7,7 @@ experiment modules modalmr.markov, modalmr.risk and modalmr.robustness.  A
 q=1 `fit` loads no scipy module at all: its active-set inner solve is numpy
 only.  A `learning-curve` with student-t or shifted-gamma noise loads no
 scipy module either: the noise densities and quantiles are numpy and math.
+Nor does it load numpy.ma, which np.percentile would import for the slope CI.
 Each script runs in one fresh interpreter so no other test's imports leak in.
 """
 
@@ -72,6 +73,7 @@ for noise in ("student-t", "shifted-gamma"):
         "--out", str(Path(sys.argv[1]) / f"{noise}.csv"),
     ])
     report[noise] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+report["numpy.ma"] = sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma."))
 print(json.dumps(report))
 """
 
@@ -126,6 +128,10 @@ def test_commands_skip_experiment_modules(startup, step):
 def test_learning_curve_loads_no_scipy(curves, noise):
     assert curves[f"{noise}_exit"] == 0
     assert curves[noise] == []
+
+
+def test_learning_curve_loads_no_numpy_ma(curves):
+    assert curves["numpy.ma"] == []
 
 
 def test_q1_fit_loads_no_scipy(startup):
