@@ -193,13 +193,13 @@ def _lemire_indices(halves, n):
 
 def _bulk_picks(sizes, rng, draws):
     """Resample indices, one (draws, n) array per list size, from one bulk
-    draw of the generator's 32-bit stream; None if a half needs rejection.
+    draw of the generator's 32-bit stream; None if a half needs rejection,
+    which would shift every later index.
 
-    ``rng.integers(0, n, n)`` takes n halves from the stream, one per index,
-    and a list of length 1 takes none.  The generator keeps the spare half of
-    a 64-bit output between calls, so the per-draw loop reads one unbroken
-    stream: draw by draw, list by list.  A rejection would shift every later
-    index, so it ends the bulk path.
+    ``rng.integers(0, n, n)`` maps n halves of the stream, and a list of
+    length 1 takes none.  The generator keeps the spare half of a 64-bit
+    output between calls, so the per-draw loop reads one unbroken stream,
+    draw by draw and list by list.
     """
     width = sum(n for n in sizes if n > 1)
     halves = rng.integers(0, 2**32, draws * width, dtype=np.uint32).reshape(draws, width)
@@ -219,13 +219,11 @@ def _bulk_picks(sizes, rng, draws):
 def _bootstrap_means(excess_lists, rng, draws):
     """(draws, len(excess_lists)) means of replicate resamples.
 
-    The resamples are those of a per-draw loop that resamples every list in
-    turn with its own ``rng.integers(0, n, n)`` call, taken from one bulk
-    draw of the generator's stream (``_bulk_picks``): a constant number of
-    generator calls however many draws.  The first draw is also made by real
-    ``integers`` calls from the starting state; if it disagrees, or a half
-    needs rejection (odds about n / 2^32 per half), the loop runs instead
-    from that state, so the resamples never differ from the loop's.
+    The resamples are a per-draw loop's, which resamples every list in turn
+    with ``rng.integers(0, n, n)``, taken from one bulk draw of the stream
+    (``_bulk_picks``).  The first draw is also made by real ``integers``
+    calls; if it disagrees, or a half needs rejection (odds about n / 2^32),
+    the loop itself runs from the starting state.
     """
     sizes = [len(vals) for vals in excess_lists]
     bitgen = rng.bit_generator
@@ -253,7 +251,7 @@ def _percentiles(values, qs):
     ``_lerp``: a + (b - a) t, or b - (b - a)(1 - t) when t >= 0.5.
     """
     n = len(values)
-    spots = []
+    spots, kth = [], {0, -1}
     for q in qs:
         virtual = (n - 1) * (float(q) / 100.0)
         below = math.floor(virtual)
@@ -261,7 +259,8 @@ def _percentiles(values, qs):
         if virtual >= n - 1:
             below = above = -1
         spots.append((virtual, below, above))
-    ordered = np.partition(values, sorted({0, -1, *(i for s in spots for i in s[1:])}))
+        kth.update((below, above))
+    ordered = np.partition(values, sorted(kth))
     out = []
     for virtual, below, above in spots:
         a, b = float(ordered[below]), float(ordered[above])
