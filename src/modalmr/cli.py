@@ -267,10 +267,10 @@ def _kernel_from(opts):
     return hypothesis_kernel(kind, bandwidth=opts["bandwidth"])
 
 
-def _solver_from(opts, lam=None, sigma=None):
+def _solver_from(opts):
     return RmrConfig(
-        sigma=opts["sigma"] if sigma is None else sigma,
-        lam=opts["lambda"] if lam is None else lam,
+        sigma=opts["sigma"],
+        lam=opts["lambda"],
         q=opts["q"],
         phi=representing_function(opts["phi"]),
         max_hq_iters=opts["max-iters"],
@@ -382,9 +382,8 @@ def _cmd_predict(opts) -> int:
 
 def _cmd_learning_curve(opts) -> int:
     _require(opts, "out")
-    task = _task_from(opts)
     config = harness.ExperimentConfig(
-        task=task,
+        task=_task_from(opts),
         m_grid=opts["m-grid"],
         n_replicates=opts["replicates"],
         schedule=_schedule_from(opts),
@@ -451,10 +450,8 @@ def _cmd_breakdown(opts) -> int:
     from . import robustness
 
     _require(opts, "out")
-    task = _task_from(opts)
-    config = _solver_from(opts)
     report = robustness.contamination_experiment(
-        task, opts["m"], opts["n-outliers"], opts["magnitudes"], config,
+        _task_from(opts), opts["m"], opts["n-outliers"], opts["magnitudes"], _solver_from(opts),
         opts["seed"], kernel=_kernel_from(opts),
     )
     header = {
@@ -479,11 +476,9 @@ def _cmd_breakdown(opts) -> int:
 
 def _cmd_robust_compare(opts) -> int:
     _require(opts, "out")
-    task = _task_from(opts)
-    config = _solver_from(opts)
     result = harness.robustness_comparison(
-        task, opts["m"], config, opts["seed"], n_replicates=opts["replicates"],
-        kernel=_kernel_from(opts),
+        _task_from(opts), opts["m"], _solver_from(opts), opts["seed"],
+        n_replicates=opts["replicates"], kernel=_kernel_from(opts),
     )
     harness.write_csv(
         opts["out"],

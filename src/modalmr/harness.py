@@ -21,6 +21,7 @@ from .errors import InputError, NumericError
 from .kernels import HypothesisKernel, hypothesis_kernel
 from .solver import (
     RmrConfig,
+    _solve_ridge_direct,
     distinct_gram,
     fit_data,
     fit_hq,
@@ -181,64 +182,19 @@ def _run_replicates(task, config: ExperimentConfig, m, lam, sigma, seeds, where)
 _BOOTSTRAP_DRAWS = 1000
 
 
-def _lemire_indices(halves, n):
-    """Indices in [0, n) from 32-bit halves h as the bounded generator maps
-    them, (h * n) >> 32 (Lemire's multiply-shift), and whether any h lands
-    in its rejection zone (h * n) mod 2^32 < (2^32 - n) mod n, where the
-    generator would discard h and draw again."""
-    scaled = halves.astype(np.uint64) * np.uint64(n)
-    rejected = bool(np.any((scaled & 0xFFFFFFFF) < (2**32 - n) % n))
-    return (scaled >> 32).astype(np.int64), rejected
-
-
-def _bulk_picks(sizes, rng, draws):
-    """Resample indices, one (draws, n) array per list size, from one bulk
-    draw of the generator's 32-bit stream; None if a half needs rejection,
-    which would shift every later index.
-
-    ``rng.integers(0, n, n)`` maps n halves of the stream, and a list of
-    length 1 takes none.  The generator keeps the spare half of a 64-bit
-    output between calls, so the per-draw loop reads one unbroken stream,
-    draw by draw and list by list.
-    """
-    width = sum(n for n in sizes if n > 1)
-    halves = rng.integers(0, 2**32, draws * width, dtype=np.uint32).reshape(draws, width)
-    picks, col = [], 0
-    for n in sizes:
-        if n <= 1:
-            picks.append(np.zeros((draws, n), dtype=np.int64))
-            continue
-        rows, rejected = _lemire_indices(halves[:, col:col + n], n)
-        if rejected:
-            return None
-        picks.append(rows)
-        col += n
-    return picks
-
-
 def _bootstrap_means(excess_lists, rng, draws):
     """(draws, len(excess_lists)) means of replicate resamples.
 
     The resamples are a per-draw loop's, which resamples every list in turn
-    with ``rng.integers(0, n, n)``, taken from one bulk draw of the stream
-    (``_bulk_picks``).  The first draw is also made by real ``integers``
-    calls; if it disagrees, or a half needs rejection (odds about n / 2^32),
-    the loop itself runs from the starting state.
+    with ``rng.integers(0, n, n)``: given one bound per element, ``integers``
+    draws in C order from the same stream with the same rejections, so one
+    call with a (draws, sum n) array of bounds makes them all.
     """
     sizes = [len(vals) for vals in excess_lists]
-    bitgen = rng.bit_generator
-    start = bitgen.state
-    first = [rng.integers(0, n, n) for n in sizes]
-    bitgen.state = start
-    picks = _bulk_picks(sizes, rng, draws)
-    if picks is None or (draws and not all(
-            np.array_equal(rows[0], want) for rows, want in zip(picks, first))):
-        bitgen.state = start
-        picks = [np.empty((draws, n), dtype=np.int64) for n in sizes]
-        for d in range(draws):
-            for n, rows in zip(sizes, picks):
-                rows[d] = rng.integers(0, n, n)
-    return np.column_stack([vals[rows].mean(axis=1) for vals, rows in zip(excess_lists, picks)])
+    bounds = np.repeat(sizes, sizes)
+    picks = rng.integers(0, np.broadcast_to(bounds, (draws, len(bounds))))
+    rows = np.split(picks, np.cumsum(sizes)[:-1], axis=1)
+    return np.column_stack([vals[r].mean(axis=1) for vals, r in zip(excess_lists, rows)])
 
 
 def _percentiles(values, qs):
@@ -427,9 +383,8 @@ def robustness_comparison(
         model = fit_hq(gram, data.y, config, train_inputs=data.x, kernel=kernel, _groups=groups)
         states = task.chain.state_embedding
         rmr_preds = predict(model, states)
-        A = (gram * groups.counts) @ gram.T
-        A[np.diag_indices_from(A)] += max(config.lam, 1e-12) * m / groups.counts
-        ls_beta = np.linalg.solve(A, gram @ groups.sums(data.y))
+        ridge = max(config.lam, 1e-12) * m / groups.counts
+        ls_beta = _solve_ridge_direct(gram, groups.counts, ridge, groups.sums(data.y))
         ls_preds = ls_beta @ kernel.cross(data.x[groups.first], states)
         return RobustnessRow(rep, _pi_weighted_mse(task, rmr_preds), _pi_weighted_mse(task, ls_preds))
 

@@ -22,6 +22,7 @@ from .errors import InputError, SingularSystem
 from .kernels import RepresentingFunction, hypothesis_kernel
 from .risk import SyntheticTask
 from .solver import CovariateGroups, RmrConfig, RmrModel, distinct_gram, fit_hq, fitted_values
+from .solver import _fitted, _solve_ridge_direct
 
 __all__ = [
     "BreakdownReport",
@@ -30,6 +31,8 @@ __all__ = [
     "contamination_experiment",
     "fit_hq_multistart",
 ]
+
+_SINGLETON_ANCHOR_LIMIT = 8  # problems up to this many samples get one anchored start per sample
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,11 @@ def breakdown_N(model: RmrModel, y, phi: RepresentingFunction) -> float:
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != model.m:
         raise InputError(f"y has length {y.shape[0]}, model was fit on {model.m}")
-    residuals = y - fitted_values(model)
+    return _breakdown_N(model, y - fitted_values(model), phi)
+
+
+def _breakdown_N(model: RmrModel, residuals, phi: RepresentingFunction) -> float:
+    """``breakdown_N`` from the model's residuals on its training responses."""
     cfg = model.config
     peak = phi(0.0)
     fit_term = float(np.sum(phi(residuals / cfg.sigma))) / peak
@@ -89,12 +96,11 @@ def _ridge_coefficients(gram, groups, targets, rows=None):
     picked = groups.index if rows is None else groups.index[rows]
     t = targets if rows is None else targets[rows]
     selected = np.bincount(picked, minlength=groups.n).astype(float)
-    A = (gram * selected) @ gram.T
-    ridge = 1e-8 * (groups.counts @ np.diag(A) / groups.m + 1.0)
-    A[np.diag_indices_from(A)] += ridge / groups.counts
+    ridge = 1e-8 * (groups.counts @ ((gram * gram) @ selected) / groups.m + 1.0)
+    sums = np.bincount(picked, weights=t, minlength=groups.n)
     try:
-        beta = np.linalg.solve(A, gram @ np.bincount(picked, weights=t, minlength=groups.n))
-    except np.linalg.LinAlgError:
+        beta = _solve_ridge_direct(gram, selected, ridge / groups.counts, sums)
+    except SingularSystem:
         return None
     return groups.expand(beta)
 
@@ -107,7 +113,6 @@ def fit_hq_multistart(
     *,
     train_inputs=None,
     kernel=None,
-    singleton_anchor_limit: int = 8,
     _groups=None,
 ):
     """Run half-quadratic ascent from several deterministic starts.
@@ -115,7 +120,7 @@ def fit_hq_multistart(
     The modal objective is non-concave: each local maximum tracks a subset
     of samples whose residuals it drives toward zero.  A zero start favours
     the bulk consensus and the least-squares seed chases whatever the
-    quadratic loss chases; on small problems (up to ``singleton_anchor_limit``
+    quadratic loss chases; on small problems (up to ``_SINGLETON_ANCHOR_LIMIT``
     samples) one anchored start per sample additionally seeds the basin
     around each sample's consensus.  Returns the fit with the best final
     objective.  ``gram``, ``train_inputs`` and the internal ``_groups``
@@ -130,7 +135,7 @@ def fit_hq_multistart(
     ls = _ridge_coefficients(reduced, groups, y)
     if ls is not None:
         inits.append(ls)
-    if m <= singleton_anchor_limit:
+    if m <= _SINGLETON_ANCHOR_LIMIT:
         for i in range(m):
             anchor = _ridge_coefficients(reduced, groups, y, rows=np.array([i]))
             if anchor is not None:
@@ -181,7 +186,8 @@ def contamination_experiment(
     clean = fit_hq_multistart(gram, data.y, config, train_inputs=data.x, kernel=kernel,
                               _groups=groups)
     clean_norm = float(np.linalg.norm(clean.alpha))
-    N = breakdown_N(clean, data.y, config.phi)
+    residuals = data.y - _fitted(gram, groups, groups.sums(clean.alpha))
+    N = _breakdown_N(clean, residuals, config.phi)
     low, high, fraction = breakdown_bracket(max(N, 0.0), m)
     outlier_x = data.x[0]
     curve = []

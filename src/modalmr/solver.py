@@ -242,10 +242,6 @@ def _value(alpha, residuals, phi, config):
     return fit - config.lam * _penalty(alpha, config.q)
 
 
-def _objective(alpha, gram, y, phi, config, groups):
-    return _value(alpha, y - _fitted(gram, groups, groups.sums(alpha)), phi, config)
-
-
 def objective(
     alpha, gram, y, phi: RepresentingFunction, config: RmrConfig, *, train_inputs=None
 ) -> float:
@@ -256,7 +252,7 @@ def objective(
     constant on each covariate row or not.
     """
     gram, y, groups, alpha = _check_problem(gram, y, train_inputs, alpha)
-    return _objective(alpha, gram, y, phi, config, groups)
+    return _value(alpha, y - _fitted(gram, groups, groups.sums(alpha)), phi, config)
 
 
 def _hq_weights(residuals: np.ndarray, sigma: float, a_sq: float) -> np.ndarray:
@@ -276,6 +272,28 @@ def _row_targets(groups, w, y):
     return row_w, groups.sums(share * y)
 
 
+def _solve_ridge_direct(gram, d, r, s):
+    """beta solving (K diag(d) K^T + diag(r)) beta = K s by a dense solve,
+    retried once with 1e-10 trace / n added to the diagonal if singular."""
+    A = (gram * d) @ gram.T
+    A[np.diag_indices_from(A)] += r
+    b = gram @ s
+    try:
+        out = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        jitter = 1e-10 * np.trace(A) / len(A)
+        if jitter <= 0:
+            raise SingularSystem("weighted system singular with zero trace") from None
+        A[np.diag_indices_from(A)] += jitter
+        try:
+            out = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError:
+            raise SingularSystem("weighted system singular after jitter") from None
+    if not np.all(np.isfinite(out)):
+        raise SingularSystem("weighted system produced non-finite coefficients")
+    return out
+
+
 def _solve_weighted_ridge(gram, w, y, kappa, beta_guess):
     """(beta, capped): argmin over beta of sum_s w_s (y_s - K_s^T beta)^2 +
     sum_s kappa_s beta_s^2, and whether CG stopped at its iteration cap.
@@ -286,32 +304,16 @@ def _solve_weighted_ridge(gram, w, y, kappa, beta_guess):
     starting from the current iterate, even when it stops at its cap.
     """
     n = y.shape[0]
-    b = gram @ (w * y)
     if n <= _DIRECT_SOLVE_LIMIT:
-        A = (gram * w) @ gram.T
-        A[np.diag_indices_from(A)] += kappa
-        try:
-            out = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            jitter = 1e-10 * np.trace(A) / n
-            if jitter <= 0:
-                raise SingularSystem("weighted system singular with zero trace") from None
-            A[np.diag_indices_from(A)] += jitter
-            try:
-                out = np.linalg.solve(A, b)
-            except np.linalg.LinAlgError:
-                raise SingularSystem("weighted system singular after jitter") from None
-        if not np.all(np.isfinite(out)):
-            raise SingularSystem("weighted system produced non-finite coefficients")
-        return out, False
-
+        return _solve_ridge_direct(gram, w, kappa, w * y), False
     from scipy.sparse.linalg import LinearOperator, cg
 
     def matvec(v):
         return gram @ (w * (gram.T @ v)) + kappa * v
 
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    out, info = cg(op, b, x0=beta_guess, rtol=1e-12, atol=0.0, maxiter=max(200, n // 4))
+    out, info = cg(op, gram @ (w * y), x0=beta_guess, rtol=1e-12, atol=0.0,
+                   maxiter=max(200, n // 4))
     if info < 0 or not np.all(np.isfinite(out)):
         raise SingularSystem(f"conjugate gradient failed with status {info}")
     return out, info > 0

@@ -1,10 +1,10 @@
 """Independent reference computations used by the test suite.
 
 These deliberately avoid the library's own code paths: the grid search
-enumerates coefficients exhaustively, the eigenvalue cross-check goes
-through the characteristic polynomial, and the q=1 inner problem, which the
-library solves by an active-set search, is solved by plain cyclic coordinate
-descent.  The chain walk, the bootstrap slope CI and the covariate grouping
+finds the exact maximum over a coefficient grid, the eigenvalue cross-check
+goes through the characteristic polynomial, and the q=1 inner problem, which
+the library solves by an active-set search, is solved by plain cyclic
+coordinate descent.  The chain walk, the bootstrap slope CI and the covariate grouping
 are the library's earlier per-step, per-draw and row-record forms, kept
 verbatim as the references its batched forms must reproduce.
 """
@@ -21,61 +21,75 @@ def objective_value(alpha, gram, y, phi, sigma, lam, q):
     return fit - lam * pen
 
 
-def grid_oracle_max(gram, y, phi, sigma, lam, q, lo=-3.0, hi=3.0, step=0.01):
-    """Exhaustive maximum of the modal objective over a coefficient grid.
+def _grid_axis(lo, hi, step):
+    return lo + step * np.arange(int(round((hi - lo) / step)) + 1)
 
-    Handles m in {1, 2, 3}.  The m=3 sweep holds the first coordinate fixed
-    per pass and evaluates the rest in float32 blocks; the value error that
-    introduces (~1e-6) is negligible against the 1e-3 comparisons the tests
-    make.
+
+def _grid_values(points, gram, y, phi, sigma, lam, q):
+    """(fit term, objective) at each row of ``points``, in float64."""
+    r = y[None, :] - points @ gram
+    fit = phi(r / sigma).sum(axis=1) / (len(y) * sigma)
+    pen = np.abs(points).sum(axis=1) if q == 1 else (points * points).sum(axis=1)
+    return fit, fit - lam * pen
+
+
+def grid_sweep_max(gram, y, phi, sigma, lam, q, lo=-3.0, hi=3.0, step=0.01):
+    """Maximum of the modal objective over a coefficient grid, evaluated at
+    every grid point at once; for m = 3, coarse grids only."""
+    gram, y = np.asarray(gram, dtype=float), np.asarray(y, dtype=float)
+    grids = np.meshgrid(*[_grid_axis(lo, hi, step)] * len(y), indexing="ij")
+    points = np.stack([g.ravel() for g in grids], axis=1)
+    return float(_grid_values(points, gram, y, phi, sigma, lam, q)[1].max())
+
+
+def grid_oracle_max(gram, y, phi, sigma, lam, q, lo=-3.0, hi=3.0, step=0.01):
+    """Maximum of the modal objective over a coefficient grid.
+
+    Handles m in {1, 2, 3}.  m <= 2 sweeps the grid (``grid_sweep_max``).
+    m = 3 finds the same grid maximum by branch-and-bound over boxes of grid
+    points, which ``grid_sweep_max`` checks on coarse grids.  A box's fit
+    term exceeds its value at the box's middle grid point by at most
+    sum_j L_j h_j, where h_j is the box's reach from that point along a_j
+    and L_j = max|phi'| / (m sigma^2) * sum_i |K_ji| bounds the fit term's
+    slope along a_j; less lam times the least penalty on the box, that
+    bounds every grid value in it.  Boxes whose bound falls below the best
+    value seen are dropped, the rest halved along every axis until they hold
+    one point.
     """
     gram = np.asarray(gram, dtype=float)
     y = np.asarray(y, dtype=float)
     m = len(y)
-    n_steps = int(round((hi - lo) / step))
-    axis = lo + step * np.arange(n_steps + 1)
-    if m == 1:
-        a = axis[:, None]
-        r = y[None, :] - a * gram[0, 0]
-        fit = phi(r / sigma).sum(axis=1) / (m * sigma)
-        pen = np.abs(a).sum(axis=1) if q == 1 else (a * a).sum(axis=1)
-        return float((fit - lam * pen).max())
-    if m == 2:
-        g1, g2 = np.meshgrid(axis, axis, indexing="ij")
-        al = np.stack([g1.ravel(), g2.ravel()], axis=1)
-        r = y[None, :] - al @ gram
-        fit = phi(r / sigma).sum(axis=1) / (m * sigma)
-        pen = np.abs(al).sum(axis=1) if q == 1 else (al * al).sum(axis=1)
-        return float((fit - lam * pen).max())
+    if m <= 2:
+        return grid_sweep_max(gram, y, phi, sigma, lam, q, lo, hi, step)
     if m != 3:
         raise ValueError("grid oracle supports m <= 3 only")
     if phi.kind != "gaussian":
-        raise ValueError("the m=3 sweep is specialized to the standard-normal phi")
-    # standard-normal phi evaluated inline so the 6.5e8 grid evaluations run
-    # as in-place float32 kernels; the value error stays ~1e-6
-    ax32 = axis.astype(np.float32)
-    g32 = gram.astype(np.float32)
-    y32 = y.astype(np.float32)
-    t1, t2 = np.meshgrid(ax32, ax32, indexing="ij")
-    tail = np.stack([t1.ravel(), t2.ravel()], axis=1)
-    tail_r = y32[None, :] - tail @ g32[1:, :]
-    pen_tail = np.abs(tail).sum(axis=1) if q == 1 else (tail * tail).sum(axis=1)
-    g0 = g32[0]
-    scale = np.float32(1.0 / (m * sigma * np.sqrt(2.0 * np.pi)))
-    half_inv_var = np.float32(-0.5 / (sigma * sigma))
-    lam32 = np.float32(lam)
+        raise ValueError("the m=3 search is specialized to the standard-normal phi")
+    axis = _grid_axis(lo, hi, step)
+    max_slope = np.exp(-0.5) / np.sqrt(2.0 * np.pi)  # max |phi'(u)|, at u = +-1
+    lipschitz = max_slope / (m * sigma * sigma) * np.abs(gram).sum(axis=1)
+    first = np.zeros((1, m), dtype=np.int64)  # grid index ranges, ends included
+    last = np.full((1, m), len(axis) - 1)
     best = -np.inf
-    buf = np.empty_like(tail_r)
-    for a0 in ax32:
-        np.subtract(tail_r, a0 * g0[None, :], out=buf)
-        np.multiply(buf, buf, out=buf)
-        buf *= half_inv_var
-        np.exp(buf, out=buf)
-        vals = buf.sum(axis=1)
-        vals *= scale
-        vals -= lam32 * pen_tail
-        pen0 = abs(float(a0)) if q == 1 else float(a0) * float(a0)
-        best = max(best, float(vals.max()) - lam * pen0)
+    while len(first):
+        mid = (first + last) // 2
+        fit, value = _grid_values(axis[mid], gram, y, phi, sigma, lam, q)
+        best = max(best, float(value.max()))
+        reach = np.maximum(mid - first, last - mid) * step
+        a, b = axis[first], axis[last]
+        least = np.where(a > 0, a, np.where(b < 0, -b, 0.0))  # min |a_j| on the box
+        pen = least.sum(axis=1) if q == 1 else (least * least).sum(axis=1)
+        keep = (fit + reach @ lipschitz - lam * pen > best - 1e-12) & (first < last).any(axis=1)
+        first, last, mid = first[keep], last[keep], mid[keep]
+        for j in range(m):
+            split = first[:, j] < last[:, j]
+            upper = first[split]
+            upper[:, j] = mid[split, j] + 1
+            lower = last.copy()
+            lower[split, j] = mid[split, j]
+            first = np.concatenate([first, upper])
+            last = np.concatenate([lower, last[split]])
+            mid = np.concatenate([mid, mid[split]])
     return best
 
 

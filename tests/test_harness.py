@@ -29,7 +29,6 @@ from modalmr.harness import (
     _BOOTSTRAP_DRAWS,
     _bootstrap_means,
     _bootstrap_slope,
-    _lemire_indices,
     _percentiles,
 )
 from modalmr.kernels import hypothesis_kernel
@@ -257,36 +256,21 @@ class TestBootstrapSlope:
         got, ci, kept = self.compare(self.ALL_DROPPED, 5, 1000)
         assert kept == 0 and np.isnan(got).all() and np.isnan(ci).all()
 
-    def test_index_helper_reports_rejection_zones(self):
-        # Lemire rejects h when (h * n) mod 2^32 < (2^32 - n) mod n: that
-        # bound is 1 for n = 3 (h = 0 only) and 4 for n = 7, where h is the
-        # half whose product leaves 0, 1, 2 or 3
-        inverse7 = pow(7, -1, 2**32)
-        for n, rejected, accepted in [
-            (3, [0], [1, 2, 2**31, 2**32 - 1]),
-            (7, [k * inverse7 % 2**32 for k in range(4)], [1, 2, 3, 4 * inverse7 % 2**32]),
-        ]:
-            for h in rejected:
-                assert _lemire_indices(np.array([[h]], dtype=np.uint32), n)[1], (n, h)
-            rows, flagged = _lemire_indices(np.array([accepted], dtype=np.uint32), n)
-            assert not flagged
-            assert rows.tolist() == [[h * n >> 32 for h in accepted]]
-        # a power of two has no rejection zone
-        assert not _lemire_indices(np.array([[0, 2**32 - 1]], dtype=np.uint32), 4)[1]
-
-    @pytest.mark.parametrize("bulk", ["rejects", "disagrees"])
-    def test_fallback_matches_per_draw_loop(self, monkeypatch, bulk):
-        # a rejection, or a first bulk draw that real integers calls do not
-        # reproduce, sends the resampling back to the per-draw loop
-        real = _lemire_indices
-
-        def forced(halves, n):
-            rows, _ = real(halves, n)
-            return ((rows, True) if bulk == "rejects" else ((rows + 1) % n, False))
-
-        monkeypatch.setattr(modalmr.harness, "_lemire_indices", forced)
-        for lists, seed in [(self.MIXED, 3), (self.DROPPED, 4), (self.BENCHMARK, 7)]:
-            self.compare(lists, seed, 200)
+    @settings(max_examples=100, deadline=None)
+    @given(bounds=st.lists(st.one_of(st.integers(1, 9), st.sampled_from([2**31 + 1, 3 * 2**30])),
+                           min_size=1, max_size=12),
+           rows=st.integers(0, 20), seed=st.integers(0, 2**63))
+    @example(bounds=[2**31 + 1, 3 * 2**30], rows=200, seed=1)
+    def test_bound_per_element_matches_scalar_calls(self, bounds, rows, seed):
+        # what the one-call resample relies on: integers with an array of
+        # bounds draws element by element in C order, each as a scalar-bound
+        # call would, rejections included (about half of all halves for the
+        # two large bounds), and leaves the generator in the same state
+        loop, bulk = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [[loop.integers(0, n) for n in bounds] for _ in range(rows)]
+        got = bulk.integers(0, np.broadcast_to(bounds, (rows, len(bounds))))
+        assert got.tolist() == want
+        assert bulk.bit_generator.state == loop.bit_generator.state
 
     def test_generator_calls_do_not_grow_with_draws(self):
         class Counting:
@@ -311,8 +295,7 @@ class TestBootstrapSlope:
             want, *_ = bootstrap_slope_per_draw(np.arange(len(excess)), excess, 11, draws)
             assert means.tobytes() == want.tobytes()
             counts.append(rng.calls)
-        # one real call per list for the first draw, and one bulk draw
-        assert counts == [len(excess) + 1] * 4
+        assert counts == [1] * 4
 
 
 class TestPercentiles:

@@ -148,8 +148,8 @@ class TestContamination:
 
     def test_groups_each_covariate_array_once(self, monkeypatch):
         # the clean data and each contaminated copy are grouped once for all
-        # the starts of their multistart fit; breakdown_N groups the clean
-        # data once more, when it evaluates the clean fit's fitted values
+        # the starts of their multistart fit, and the breakdown statistic
+        # reuses the clean grouping
         real = CovariateGroups.of.__func__
         calls = []
 
@@ -161,7 +161,7 @@ class TestContamination:
         task = make_task(iid_chain(4), gaussian_noise(0.1))
         cfg = RmrConfig(sigma=1.0, lam=0.01, q=2)
         contamination_experiment(task, 12, [0, 2, 5], [100.0, 1e4], cfg, seed=2)
-        assert calls == [12, 12, 14, 14, 17, 17]
+        assert calls == [12, 14, 14, 17, 17]
 
     def test_small_m_rejected(self):
         task = single_state_task()

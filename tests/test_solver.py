@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import modalmr.solver
-from _oracles import grid_oracle_max, group_rows, l1_coordinate_descent, objective_value
+from _oracles import (
+    grid_oracle_max,
+    grid_sweep_max,
+    group_rows,
+    l1_coordinate_descent,
+    objective_value,
+)
 from modalmr.errors import InputError, LineSearchFailed, NonGaussianPhi, SingularSystem
 from modalmr.kernels import gram_matrix, hypothesis_kernel, representing_function
 from modalmr.solver import (
@@ -71,6 +77,22 @@ class TestObjective:
             objective(np.zeros(3), np.eye(2), np.zeros(2), GAUSS, cfg)
         with pytest.raises(InputError):
             objective(np.zeros(2), np.eye(2), np.zeros(3), GAUSS, cfg)
+
+
+class TestGridOracle:
+    @settings(max_examples=15, deadline=None)
+    @given(points=arrays(float, 3, elements=st.floats(0.0, 1.0)),
+           y=arrays(float, 3, elements=st.floats(-1.5, 1.5)),
+           bandwidth=st.sampled_from([0.3, 1.0]), sigma=st.sampled_from([0.5, 1.0]),
+           lam=st.sampled_from([0.01, 0.1]), q=st.sampled_from([1, 2]),
+           step=st.sampled_from([0.1, 0.15]))
+    def test_branch_and_bound_matches_sweep(self, points, y, bandwidth, sigma, lam, q, step):
+        # the m=3 oracle prunes boxes by a bound; on a grid coarse enough to
+        # sweep, it must find the sweep's maximum
+        gram = rbf_gram(points, bandwidth)
+        got = grid_oracle_max(gram, y, GAUSS, sigma, lam, q, step=step)
+        assert got == pytest.approx(grid_sweep_max(gram, y, GAUSS, sigma, lam, q, step=step),
+                                    rel=0, abs=1e-12)
 
 
 class TestFitHq:
