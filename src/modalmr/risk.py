@@ -39,30 +39,22 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_MODE_GRID_POINTS = 10001
-_MAX_GRID_STEPS = 2**20
-# series and continued fractions of the incomplete beta and gamma functions
-_SERIES_TERMS = 100_000
-_SERIES_EPS = 1e-16
-# quantile root finding on log x: at most this many steps, and the relative
-# step that counts as converged
-_ROOT_STEPS = 200
-_ROOT_TOL = 1e-14
+_MASS_POINTS = 10001  # quad_points of the rule that checks a noise density
+_BODY_SCALES = 10.0  # the noise body ends this many scales from the mode
+_BUMP_REACH = 8.0  # a phi of unbounded support is cut this many sigma out
+_JUMP_GAP = 1e-9  # the piece left of a support start ends this fraction short of it
 
 
 @dataclass(frozen=True)
 class NoiseModel:
     """A noise distribution with density mode pinned at zero.
 
-    ``grid_halfwidth`` is wide enough that the density carries all but 1e-4
-    of its mass inside [-H, H]; heavy-tailed kinds therefore use grids much
-    wider than 10x their nominal scale.  ``smooth`` records whether the
-    density has a bounded second derivative (needed by comparison_gap).
+    ``smooth`` records whether the density has a bounded second derivative
+    (needed by comparison_gap).
     """
 
     kind: str
     params: dict
-    grid_halfwidth: float
     smooth: bool
     components: tuple = field(default_factory=tuple)
     weights: tuple = field(default_factory=tuple)
@@ -125,216 +117,122 @@ def _student_t_log_norm(dof: float) -> float:
         math.log(dof) + math.log(math.pi))
 
 
-def _log_root(log_value, target: float, lo: float, hi: float, u: float) -> float:
-    """The u in [lo, hi] where a monotone log F(u) equals ``target``.
+def _noise_cuts(model: NoiseModel):
+    """(cuts, support starts, scale) of a noise density, for ``_line_rule``.
 
-    ``log_value(u)`` returns (log F(u), d log F / du).  Newton steps from u;
-    a step that would leave the bracket, which every evaluation narrows,
-    bisects it instead.
+    The cuts are the mode 0 (where a shape-1 shifted gamma jumps), a shifted
+    gamma's support start, and the ends of the noise body 10 scales from the
+    mode.  A mixture takes its components' cuts and starts and their largest
+    scale.
     """
-    for _ in range(_ROOT_STEPS):
-        value, slope = log_value(u)
-        gap = value - target
-        if gap * slope > 0.0:
-            hi = u
-        else:
-            lo = u
-        new = u - gap / slope if slope else math.inf
-        if not lo <= new <= hi:
-            new = 0.5 * (lo + hi)
-        if abs(new - u) <= _ROOT_TOL * max(1.0, abs(u)):
-            return new
-        u = new
-    return u
+    if model.kind == "mixture":
+        parts = [_noise_cuts(c) for c in model.components]
+        return ([t for p in parts for t in p[0]], [t for p in parts for t in p[1]],
+                max(p[2] for p in parts))
+    scale = model.params["scale"]
+    body = _BODY_SCALES * scale
+    if model.kind == "shifted-gamma":
+        start = -(model.params["shape"] - 1.0) * scale
+        return [start, 0.0, body], [start], scale
+    return [-body, 0.0, body], [], scale
 
 
-def _beta_fraction(a: float, b: float, x: float) -> float:
-    """Continued fraction of I_x(a, b) x^-a (1-x)^-b B(a, b) a, by modified
-    Lentz; it converges fast for x < (a+1)/(a+b+2)."""
-    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
-    h = d
-    for m in range(1, _SERIES_TERMS):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((a - 1.0 + m2) * (a + m2))
-        d = 1.0 / (1.0 + aa * d)
-        c = 1.0 + aa / c
-        h *= d * c
-        aa = -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2))
-        d = 1.0 / (1.0 + aa * d)
-        c = 1.0 + aa / c
-        h *= d * c
-        if abs(d * c - 1.0) < _SERIES_EPS:
-            break
-    return h
+def _boole(intervals: int):
+    """Nodes and composite Boole weights on [0, 1]; ``intervals`` is a
+    multiple of 4.  The rule is exact for quintics, and its error on a smooth
+    piece, h^6 (f^(5)(b) - f^(5)(a)) / 1890 to leading order, cancels between
+    neighbouring pieces of about equal step."""
+    u = np.linspace(0.0, 1.0, intervals + 1)
+    w = np.full(intervals + 1, 32.0)
+    w[2::4] = 12.0
+    w[4::4] = 14.0
+    w[0] = w[-1] = 7.0
+    return u, w * (2.0 / (45.0 * intervals))
 
 
-def _student_t_quantile(q: float, dof: float, scale: float) -> float:
-    """The q-quantile of scale * t(dof).
+def _line_rule(noise: NoiseModel, cuts, points: int):
+    """Nodes and weights of a quadrature rule for integrands p(t) g(t) over
+    the whole real line, p the noise density.
 
-    For t > 0 with x = dof/(dof+t^2) and y = 1 - x, the two tails give
-    2 P(T > t) = I_x(dof/2, 1/2) and the centre P(|T| < t) = I_y(1/2, dof/2).
-    The tails solve the first form and the centre (q within 1/4 of the
-    median) the second, so the target is never a difference of nearly equal
-    numbers.  One continued fraction gives both forms, the smaller one to
-    full relative accuracy, and its prefactor x^a y^b / B(a, b) is t times
-    the density, the slope of the Newton steps on log F against log t.  The
-    bracket: P(|T| < t) <= 2 t p(0) from below, and the power-law envelope
-    of the density, P(T > t) <= p(0) dof^((dof-1)/2) t^-dof, from above.
+    The line is cut at ``cuts`` and at the density's own cuts
+    (``_noise_cuts``), so that a kink or jump of g or p sits on a node.
+    Between the outermost cuts each piece gets composite Boole with a step
+    of at most 1/(points - 1) of their span, and at least points/16 intervals,
+    which resolves a noise body much narrower than the span.  A piece that
+    starts at a shifted gamma's support start is mapped t = a + (b - a) u^2:
+    p rises like (t - a)^(shape - 1) there, and p dt like u^(2 shape - 1) du,
+    which is smooth for shape 1.  The piece left of a support start ends
+    1e-9 of its length short of it, so that a jump there (shape 1) is not
+    counted on both sides.  Beyond the outermost cuts each tail is mapped
+    t = cut +- scale tan(theta), theta in [0, pi/2]: there the Cauchy
+    density is uniform in theta, and a Student-t with dof >= 1 decays no
+    slower.  theta = (pi/2) v (2 - v), uniform in v, grades the tail mesh
+    towards pi/2, where p dt vanishes like (pi/2 - theta)^(dof - 1) for dof
+    just above 1; the last node, at tan(pi/2) ~ 1.6e16 in floating point,
+    has weight 0.  Nodes come out increasing, each cut once.
     """
-    if q == 0.5:
-        return 0.0
-    tail = min(q, 1.0 - q)
-    central = tail >= 0.25
-    a = 0.5 * dof
-    log_norm = _student_t_log_norm(dof)
-    log_beta = -log_norm - 0.5 * math.log(dof)  # log B(dof/2, 1/2)
-
-    def log_value(u):
-        r = math.exp(2.0 * u) / dof  # t^2 / dof
-        x, log_x = 1.0 / (1.0 + r), -math.log1p(r)
-        log_front = a * log_x + 0.5 * (math.log(r) + log_x) - log_beta
-        if x < (a + 1.0) / (a + 2.5):
-            log_tail = log_front + math.log(_beta_fraction(a, 0.5, x) / a)
-            log_centre = math.log1p(-math.exp(log_tail))
-        else:
-            log_centre = log_front + math.log(2.0 * _beta_fraction(0.5, a, r * x))
-            log_tail = math.log1p(-math.exp(log_centre))
-        if central:
-            return log_centre, 2.0 * math.exp(log_front - log_centre)
-        return log_tail, -2.0 * math.exp(log_front - log_tail)
-
-    lo = math.log(1.0 - 2.0 * tail) - math.log(2.0) - log_norm
-    hi = (log_norm + 0.5 * (dof - 1.0) * math.log(dof) - math.log(tail)) / dof
-    if central:
-        u = _log_root(log_value, math.log(1.0 - 2.0 * tail), lo, hi, lo)
-    else:
-        u = _log_root(log_value, math.log(2.0 * tail), lo, hi, hi)
-    return math.copysign(math.exp(u), q - 0.5) * scale
-
-
-def _gamma_fraction(a: float, x: float) -> float:
-    """Continued fraction of Q(a, x) e^x x^-a Gamma(a), by modified Lentz;
-    it converges fast for x >= a + 1."""
-    b = x + 1.0 - a
-    c, d = math.inf, 1.0 / b
-    h = d
-    for i in range(1, _SERIES_TERMS):
-        an = -i * (i - a)
-        b += 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        h *= d * c
-        if abs(d * c - 1.0) < _SERIES_EPS:
-            break
-    return h
-
-
-def _gamma_quantile(q: float, shape: float, scale: float) -> float:
-    """The q-quantile of Gamma(shape, scale).
-
-    Newton steps on log P(shape, x) (below the median) or log Q(shape, x)
-    against log x, with slope +-x p(x) / P or Q from the gamma density p.
-    P comes from its power series below x = shape + 1 and Q from its
-    continued fraction above; each is exact to rounding there and the other
-    is its complement.  The bracket: P <= x^shape / Gamma(shape+1) from below
-    and the Chernoff bound Q <= 2^shape e^(-x/2) from above.
-    """
-    lower = q < 0.5
-    log_gamma = math.lgamma(shape)
-
-    def log_value(u):
-        x = math.exp(u)
-        log_front = shape * u - x - log_gamma  # log of x p(x)
-        if x < shape + 1.0:
-            term = total = 1.0 / shape
-            for n in range(1, _SERIES_TERMS):
-                term *= x / (shape + n)
-                total += term
-                if term < total * _SERIES_EPS:
-                    break
-            log_p = log_front + math.log(total)
-            log_q = math.log1p(-math.exp(log_p))
-        else:
-            log_q = log_front + math.log(_gamma_fraction(shape, x))
-            log_p = math.log1p(-math.exp(log_q))
-        if lower:
-            return log_p, math.exp(log_front - log_p)
-        return log_q, -math.exp(log_front - log_q)
-
-    lo = (math.log(q) + math.lgamma(shape + 1.0)) / shape
-    hi = math.log(2.0 * (shape * math.log(2.0) - math.log1p(-q)))
-    if lower:
-        u = _log_root(log_value, math.log(q), lo, hi, lo)
-    else:
-        u = _log_root(log_value, math.log1p(-q), lo, hi, hi)
-    return math.exp(u) * scale
-
-
-def _grid_mass(model: NoiseModel, grid: np.ndarray, dens: np.ndarray) -> float:
-    """Trapezoid mass of the density on an increasing grid around the mode 0.
-
-    Each side of 0 is integrated on its own and closed at 0 by the density
-    just on that side (1e-9 steps away), so a density that jumps at its mode
-    (shifted gamma of shape 1) counts the jump as a jump; one trapezoid across
-    it would add half a grid step of mass.  Where the density is continuous
-    at 0 this equals the plain trapezoid rule up to rounding.
-    """
-    left, right = grid < 0.0, grid > 0.0
-    below, above = model.density(np.array([-1e-9, 1e-9]) * (grid[1] - grid[0]))
-    return float(
-        np.trapezoid(np.append(dens[left], below), np.append(grid[left], 0.0))
-        + np.trapezoid(np.insert(dens[right], 0, above), np.insert(grid[right], 0, 0.0))
-    )
+    own, starts, scale = _noise_cuts(noise)
+    cuts = sorted({*own, *map(float, cuts)})
+    step = (cuts[-1] - cuts[0]) / (points - 1)
+    least = 4 * math.ceil(points / 64)
+    u, w = _boole(least)
+    tan = np.tan(0.5 * math.pi * u * (2.0 - u))
+    tail_w = math.pi * scale * (1.0 + tan * tan) * (1.0 - u) * w
+    left = cuts[0] - (_JUMP_GAP * scale if cuts[0] in starts else 0.0)
+    segments = [(left - scale * tan[::-1], tail_w[::-1])]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        # a piece of exactly k steps gets k intervals despite rounding
+        u, w = _boole(max(least, 4 * math.ceil((b - a) / (4.0 * step) - 1e-9)))
+        if b in starts:
+            b -= _JUMP_GAP * (b - a)
+        if a in starts:
+            u, w = u * u, 2.0 * u * w
+        x = a + (b - a) * u
+        x[-1] = b  # exactly the next piece's first node
+        segments.append((x, (b - a) * w))
+    segments.append((cuts[-1] + scale * tan, tail_w))
+    nodes, weights = [], []
+    for x, w in segments:
+        if nodes and x[0] == nodes[-1][-1]:
+            weights[-1][-1] += w[0]
+            x, w = x[1:], w[1:]
+        nodes.append(x)
+        weights.append(w.copy())
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def _validate_noise(model: NoiseModel) -> NoiseModel:
-    """Grid check of the mode-at-zero and unit-mass requirements.
-
-    The grid has 10001 points, or more where that keeps its step under
-    1/(8 p(0)) so that it resolves the peak: a student-t grid spans 1.3e4
-    scales at dof 1, and 10001 points there put the trapezoid mass at 1.185.
-    At most about 1e6 points bound the memory of the check.  A NaN peak or
-    halfwidth keeps 10001 points, and the finiteness check below fails.
-    """
-    steps = 16.0 * model.grid_halfwidth * model.density(0.0)
-    points = _MODE_GRID_POINTS
-    if steps > points - 1:
-        points = 2 * math.ceil(min(steps, _MAX_GRID_STEPS) / 2) + 1
-    grid = np.linspace(-model.grid_halfwidth, model.grid_halfwidth, points)
-    dens = model.density(grid)
+    """Check on ``_line_rule`` that the density peaks at 0 and has unit mass."""
+    nodes, weights = _line_rule(model, [], _MASS_POINTS)
+    dens = model.density(nodes)
     if not np.all(np.isfinite(dens)):
         raise InputError(f"{model.kind} density is not finite on its grid")
-    step = grid[1] - grid[0]
-    peak_at = grid[int(np.argmax(dens))]
-    if abs(peak_at) > step * (1 + 1e-12):
-        raise InputError(
-            f"{model.kind} noise mode sits at {peak_at:.4g}, not at 0"
-        )
-    mass = _grid_mass(model, grid, dens)
+    peak = int(np.argmax(dens))
+    if dens[peak] > model.density(0.0) * (1.0 + 1e-12):
+        raise InputError(f"{model.kind} noise mode sits at {nodes[peak]:.4g}, not at 0")
+    mass = float(np.sum(weights * dens))
     if abs(mass - 1.0) > 1e-4:
         raise InputError(f"{model.kind} density mass on its grid is {mass:.6f}, not 1")
     return model
 
 
 def gaussian_noise(scale: float = 1.0) -> NoiseModel:
-    if scale <= 0:
-        raise InputError("scale must be positive")
-    return _validate_noise(
-        NoiseModel("gaussian", {"scale": float(scale)}, 10.0 * scale, smooth=True)
-    )
+    if not 0 < scale < math.inf:
+        raise InputError("scale must be positive and finite")
+    return _validate_noise(NoiseModel("gaussian", {"scale": float(scale)}, smooth=True))
 
 
 def student_t_noise(dof: float, scale: float = 1.0) -> NoiseModel:
-    """Student-t noise; dof 1 is Cauchy noise.  Below dof 1 the grid that holds
-    all but 5e-5 of the mass widens fast (1.3e5 scales at dof 0.8, 1.6e8 at
-    dof 0.5), and the check grid with it, so dof must be at least 1."""
+    """Student-t noise; dof 1 is Cauchy noise.  Below dof 1 the density decays
+    slower than 1/t^2, so on the tan-mapped tails of ``_line_rule`` its
+    integrand grows without bound towards theta = pi/2; dof must be at least
+    1."""
     if not 0 < scale < math.inf:
         raise InputError("scale must be positive and finite")
     if not 1 <= dof < math.inf:
         raise InputError(f"student-t dof must be at least 1 and finite, got {dof}")
-    half = scale * max(10.0, _student_t_quantile(1.0 - 2.5e-5, dof, 1.0))
     return _validate_noise(
-        NoiseModel("student-t", {"dof": float(dof), "scale": float(scale)}, half, smooth=True)
+        NoiseModel("student-t", {"dof": float(dof), "scale": float(scale)}, smooth=True)
     )
 
 
@@ -348,17 +246,8 @@ def shifted_gamma_noise(shape: float, scale: float = 1.0) -> NoiseModel:
         raise InputError("shape must be at least 1 and finite, for a finite mode at zero")
     if not 0 < scale < math.inf:
         raise InputError("scale must be positive and finite")
-    shift = (shape - 1.0) * scale
-    right = _gamma_quantile(1.0 - 5e-5, shape, scale) - shift
-    half = max(10.0 * scale, shift, right)
-    return _validate_noise(
-        NoiseModel(
-            "shifted-gamma",
-            {"shape": float(shape), "scale": float(scale)},
-            half,
-            smooth=shape >= 2.0,
-        )
-    )
+    params = {"shape": float(shape), "scale": float(scale)}
+    return _validate_noise(NoiseModel("shifted-gamma", params, smooth=shape >= 2.0))
 
 
 def mixture_noise(weights, components) -> NoiseModel:
@@ -368,17 +257,8 @@ def mixture_noise(weights, components) -> NoiseModel:
         raise InputError("weights and components must be equal-length and nonempty")
     if any(v < 0 for v in w) or abs(sum(w) - 1.0) > 1e-12:
         raise InputError("weights must be a probability vector")
-    half = max(c.grid_halfwidth for c in comps)
-    return _validate_noise(
-        NoiseModel(
-            "mixture",
-            {},
-            half,
-            smooth=all(c.smooth for c in comps),
-            components=comps,
-            weights=w,
-        )
-    )
+    smooth = all(c.smooth for c in comps)
+    return _validate_noise(NoiseModel("mixture", {}, smooth, components=comps, weights=w))
 
 
 @dataclass(frozen=True)
@@ -428,8 +308,8 @@ def empirical_modal_risk(f_values, y, phi: RepresentingFunction, sigma: float) -
     y = np.asarray(y, dtype=float).ravel()
     if f_values.shape != y.shape:
         raise InputError(f"f has length {f_values.shape[0]}, y has {y.shape[0]}")
-    if sigma <= 0:
-        raise InputError("sigma must be positive")
+    if not 0 < sigma < math.inf:  # NaN fails this test; it would pass sigma <= 0
+        raise InputError("sigma must be positive and finite")
     m = y.shape[0]
     return float(np.sum(phi((y - f_values) / sigma))) / (m * sigma)
 
@@ -458,20 +338,22 @@ def surrogate_risk(
 ) -> float:
     """Smoothed risk sum_s pi_s * int (1/sigma) phi((t - Delta_s)/sigma) p(t) dt.
 
-    Composite trapezoid over a grid wide enough for both the noise mass and
-    the shifted bumps.
+    One ``_line_rule`` for all states, cut at each Delta_s and at Delta_s +-
+    sigma * reach, where reach is phi's support halfwidth (8 for the Gaussian
+    kinds); ``quad_points`` is the least number of nodes.
     """
-    if sigma <= 0:
-        raise InputError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise InputError("sigma must be positive and finite")
     if quad_points < 3:
         raise InputError("quad_points too small for quadrature")
     offsets = _state_offsets(task, f_values_on_states)
-    reach = phi.support_halfwidth if math.isfinite(phi.support_halfwidth) else 8.0
-    half = task.noise.grid_halfwidth + float(np.max(np.abs(offsets))) + sigma * reach
-    grid = np.linspace(-half, half, int(quad_points))
-    dens = task.noise.density(grid)
-    bumps = phi((grid[None, :] - offsets[:, None]) / sigma) / sigma
-    per_state = np.trapezoid(bumps * dens[None, :], grid, axis=1)
+    if not np.all(np.isfinite(offsets)):
+        raise InputError("f values on the states must be finite")
+    half = sigma * min(phi.support_halfwidth, _BUMP_REACH)
+    cuts = np.concatenate([offsets - half, offsets, offsets + half])
+    nodes, weights = _line_rule(task.noise, cuts, int(quad_points))
+    bumps = phi((nodes[None, :] - offsets[:, None]) / sigma) / sigma
+    per_state = np.sum(bumps * (weights * task.noise.density(nodes)), axis=1)
     return float(task.pi @ per_state)
 
 
@@ -485,7 +367,9 @@ def comparison_gap(
     """|R(f*) - R(f) - (R^s(f*) - R^s(f))| and its second-order bound.
 
     The bound is C1 * sigma^2 with C1 = sup|p''| * int u^2 phi(u) du; the
-    density curvature is estimated by central differences on the noise grid.
+    density curvature is estimated by central differences on the nodes of
+    the noise's own ``_line_rule``, whose step near the mode is 20 scales /
+    (quad_points - 1).
     """
     if not task.noise.smooth:
         raise NonSmoothNoise(
@@ -496,10 +380,10 @@ def comparison_gap(
     r_sur_star = surrogate_risk(task, task.state_values, phi, sigma, quad_points)
     r_sur_f = surrogate_risk(task, f_values_on_states, phi, sigma, quad_points)
     gap = abs(r_true_star - r_true_f - (r_sur_star - r_sur_f))
-    grid = np.linspace(-task.noise.grid_halfwidth, task.noise.grid_halfwidth, int(quad_points))
-    dens = task.noise.density(grid)
-    step = grid[1] - grid[0]
-    curvature = np.abs(dens[2:] - 2.0 * dens[1:-1] + dens[:-2]) / (step * step)
+    nodes, _ = _line_rule(task.noise, [], int(quad_points))
+    steps = np.diff(nodes)
+    slopes = np.diff(task.noise.density(nodes)) / steps
+    curvature = np.abs(2.0 * np.diff(slopes) / (steps[1:] + steps[:-1]))
     bound = float(np.max(curvature)) * phi.second_moment * sigma * sigma
     return gap, bound
 

@@ -274,7 +274,8 @@ def _row_targets(groups, w, y):
 
 def _solve_ridge_direct(gram, d, r, s):
     """beta solving (K diag(d) K^T + diag(r)) beta = K s by a dense solve,
-    retried once with 1e-10 trace / n added to the diagonal if singular."""
+    retried once with 1e-10 trace / n added to the diagonal if singular, which
+    is logged as a warning."""
     A = (gram * d) @ gram.T
     A[np.diag_indices_from(A)] += r
     b = gram @ s
@@ -284,6 +285,8 @@ def _solve_ridge_direct(gram, d, r, s):
         jitter = 1e-10 * np.trace(A) / len(A)
         if jitter <= 0:
             raise SingularSystem("weighted system singular with zero trace") from None
+        log.warning("singular weighted system: retrying with %.3g added to its diagonal",
+                    jitter)
         A[np.diag_indices_from(A)] += jitter
         try:
             out = np.linalg.solve(A, b)

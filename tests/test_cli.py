@@ -257,6 +257,18 @@ class TestExperimentCommands:
         assert code == 0
         assert len(list(csv.DictReader(out.open()))) == 4
 
+    @pytest.mark.parametrize("shape", ["1.01", "1.05", "1.125"])
+    def test_shifted_gamma_noise_near_shape_one_runs(self, tmp_path, shape):
+        # the density rises like x^(shape - 1) from its support start; a
+        # uniform check grid put its mass at 1.000429 for shape 1.01
+        out = tmp_path / "curve.csv"
+        code = run(
+            "learning-curve", "--m-grid", "32,64", "--replicates", "2", "--chain-n", "6",
+            "--noise", "shifted-gamma", "--shape", shape, "--out", str(out), "--seed", "3",
+        )
+        assert code == 0
+        assert len(list(csv.DictReader(out.open()))) == 4
+
     def test_cauchy_noise_runs(self, tmp_path):
         out = tmp_path / "curve.csv"
         code = run(

@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modalmr.errors import InputError, NonSmoothNoise
-from modalmr.kernels import hypothesis_kernel, representing_function
+from modalmr.kernels import PHI_KINDS, hypothesis_kernel, representing_function
 from modalmr.markov import iid_chain, transition_kernel, two_state_chain
 from modalmr.risk import (
     NoiseModel,
-    _gamma_quantile,
-    _grid_mass,
-    _student_t_quantile,
+    _line_rule,
     _validate_noise,
     comparison_gap,
     default_target,
@@ -55,14 +52,10 @@ class TestNoiseModels:
         ],
     )
     def test_mode_at_zero_and_unit_mass(self, model):
-        grid = np.linspace(-model.grid_halfwidth, model.grid_halfwidth, 10001)
-        dens = model.density(grid)
-        step = grid[1] - grid[0]
-        assert abs(grid[int(np.argmax(dens))]) <= step * (1 + 1e-12)
-        assert abs(np.trapezoid(dens, grid) - 1.0) < 1e-4
-
-    def test_heavy_tail_grid_is_wide(self):
-        assert student_t_noise(2.0).grid_halfwidth > 50.0
+        nodes, weights = _line_rule(model, [], 10001)
+        dens = model.density(nodes)
+        assert nodes[int(np.argmax(dens))] == 0.0
+        assert np.sum(weights * dens) == pytest.approx(1.0, abs=1e-9)
 
     def test_sampling_matches_density_roughly(self):
         model = shifted_gamma_noise(2.0, 1.0)
@@ -78,8 +71,9 @@ class TestNoiseModels:
         np.testing.assert_array_equal(a, b)
 
     def test_invalid_constructions(self):
-        with pytest.raises(InputError):
-            gaussian_noise(0.0)
+        for scale in (0.0, math.nan, math.inf):
+            with pytest.raises(InputError):
+                gaussian_noise(scale)
         for shape, scale in [(0.5, 1.0), (math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan)]:
             with pytest.raises(InputError):
                 shifted_gamma_noise(shape, scale)
@@ -91,10 +85,8 @@ class TestNoiseModels:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.one_of(st.just(1.0), st.floats(1.0, 50.0)), st.sampled_from([0.01, 0.5, 1.0, 3.0]))
     def test_student_t_builds_for_every_dof_from_one(self, dof, scale):
-        # dof 1 is Cauchy noise; its grid reaches about 1.3e4 scales
+        # dof 1 is Cauchy noise
         model = student_t_noise(dof, scale)
-        quantile = _student_t_quantile(1.0 - 2.5e-5, dof, 1.0)
-        assert model.grid_halfwidth == scale * max(10.0, quantile)
         assert model.density(0.0) == pytest.approx(
             math.gamma((dof + 1) / 2) / (math.sqrt(dof * math.pi) * math.gamma(dof / 2)) / scale)
 
@@ -107,45 +99,53 @@ class TestNoiseModels:
         with pytest.raises(InputError, match="at least 1"):
             student_t_noise(dof)
 
-    @pytest.mark.parametrize("offset", [1e-12, 1e-9, 1e-6, 2e-4, 1e-2, 0.2])
-    def test_student_t_quantile_closed_forms(self, offset):
-        # dof 1 (Cauchy) and dof 2 have closed-form quantiles; near the median
-        # SciPy's own ppf loses digits at dof 1
-        for q in (0.5 + offset, 0.5 - offset):
-            assert _student_t_quantile(q, 1.0, 1.0) == pytest.approx(
-                math.tan(math.pi * (q - 0.5)), rel=1e-13, abs=0.0)
-            assert _student_t_quantile(q, 2.0, 1.0) == pytest.approx(
-                (2.0 * q - 1.0) / math.sqrt(2.0 * q * (1.0 - q)), rel=1e-13, abs=0.0)
-        assert _student_t_quantile(0.5, 3.0, 2.0) == 0.0
-
-    def test_validator_rejects_truncated_grid(self):
-        bogus = NoiseModel("gaussian", {"scale": 5.0}, grid_halfwidth=0.5, smooth=True)
-        with pytest.raises(InputError):
-            _validate_noise(bogus)
+    def test_validator_rejects_bad_mass_and_mode(self):
+        wide, narrow = gaussian_noise(1.0), gaussian_noise(0.5)
+        heavy = NoiseModel("mixture", {}, smooth=True, components=(wide, wide),
+                           weights=(0.7, 0.7))
+        with pytest.raises(InputError, match="mass on its grid is 1.400000"):
+            _validate_noise(heavy)
+        # 1.5 N(0, 1) - 0.5 N(0, 1/4) is a density of unit mass with its modes
+        # at +-sqrt(ln(8/3) / 1.5) = +-0.809
+        dipped = NoiseModel("mixture", {}, smooth=True, components=(wide, narrow),
+                            weights=(1.5, -0.5))
+        with pytest.raises(InputError, match=r"mode sits at -0\.80"):
+            _validate_noise(dipped)
 
     @pytest.mark.parametrize("scale", [0.01, 0.5, 1.0, 3.0])
     def test_shape_one_passes_its_grid_check(self, scale):
-        # exponential noise: the density jumps from 0 to 1/scale at the mode
+        # exponential noise: the density jumps from 0 to 1/scale at the mode,
+        # and the rule counts the jump on its right side only
         model = shifted_gamma_noise(1.0, scale)
         assert model.density(0.0) == 1.0 / scale
         assert model.density(-1e-9 * scale) == 0.0
-        grid = np.linspace(-model.grid_halfwidth, model.grid_halfwidth, 10001)
-        dens = model.density(grid)
-        assert abs(_grid_mass(model, grid, dens) - 1.0) < 1e-4
-        assert np.trapezoid(dens, grid) == pytest.approx(1.000955, abs=1e-6)
+        nodes, weights = _line_rule(model, [], 10001)
+        assert np.sum(weights * model.density(nodes)) == pytest.approx(1.0, abs=1e-13)
         mixture_noise([0.5, 0.5], [gaussian_noise(scale), model])
 
+    @pytest.mark.parametrize("shape", [1.01, 1.05, 1.125, 1.15, 1.17, 1.2])
+    @pytest.mark.parametrize("scale", [0.01, 0.5, 1.0, 3.0])
+    def test_shifted_gamma_builds_near_shape_one(self, shape, scale):
+        # the density rises like x^(shape - 1) from its support start
+        model = shifted_gamma_noise(shape, scale)
+        nodes, weights = _line_rule(model, [], 10001)
+        assert np.sum(weights * model.density(nodes)) == pytest.approx(1.0, abs=1e-7)
+
     @pytest.mark.parametrize(
-        "model",
-        [gaussian_noise(0.4), student_t_noise(2.0), shifted_gamma_noise(2.0, 0.1),
-         shifted_gamma_noise(2.0, 0.5), shifted_gamma_noise(3.5, 1.0),
-         shifted_gamma_noise(7.0, 2.0)],
+        "model, mean, square",
+        [(gaussian_noise(0.4), 0.0, 0.16),
+         (student_t_noise(5.0, 0.5), 0.0, 0.25 * 5.0 / 3.0),
+         (shifted_gamma_noise(1.0, 0.5), 0.5, 0.5),
+         (shifted_gamma_noise(1.05, 0.01), 0.01, 2.05e-4),
+         (shifted_gamma_noise(1.125, 3.0), 3.0, 19.125),
+         (shifted_gamma_noise(7.0, 2.0), 2.0, 32.0)],
     )
-    def test_grid_mass_is_the_trapezoid_rule_for_continuous_densities(self, model):
-        grid = np.linspace(-model.grid_halfwidth, model.grid_halfwidth, 10001)
-        dens = model.density(grid)
-        assert _grid_mass(model, grid, dens) == pytest.approx(np.trapezoid(dens, grid),
-                                                              rel=1e-12)
+    def test_rule_gives_mean_and_second_moment(self, model, mean, square):
+        # shifted gamma: mean scale, second moment (shape + 1) scale^2
+        nodes, weights = _line_rule(model, [], 10001)
+        dens = weights * model.density(nodes)
+        assert np.sum(nodes * dens) == pytest.approx(mean, rel=1e-9, abs=1e-14)
+        assert np.sum(nodes * nodes * dens) == pytest.approx(square, rel=1e-9)
 
     def test_smooth_flags(self):
         assert gaussian_noise(1.0).smooth
@@ -160,15 +160,12 @@ DOFS = st.floats(0.5, 50.0, exclude_min=True)
 SHAPES = st.one_of(st.just(1.0), st.floats(1.0, 10.0))
 # points in units of the scale, reaching far into the tails
 UNITS = st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=40)
-LEVELS = st.floats(1e-6, 1.0 - 1e-6)
 
 
 class TestScipyExactness:
-    """The densities and quantiles agree with scipy.stats, the Gaussian density
-    bit for bit and the others within stated tolerances: 1e-13 relative for
-    densities (exactly 0.0 where SciPy gives 0) and 1e-12 relative for
-    quantiles and grid halfwidths.  scipy.stats is imported here only, as the
-    reference."""
+    """The densities agree with scipy.stats, the Gaussian density bit for bit
+    and the others within 1e-13 relative (exactly 0.0 where SciPy gives 0).
+    scipy.stats is imported here only, as the reference."""
 
     @staticmethod
     def _assert_close(model, t, reference, rtol=1e-13):
@@ -182,7 +179,7 @@ class TestScipyExactness:
     def test_gaussian_density(self, scale, units):
         from scipy import stats
 
-        model = NoiseModel("gaussian", {"scale": scale}, 10.0 * scale, smooth=True)
+        model = NoiseModel("gaussian", {"scale": scale}, smooth=True)
         t = np.array(units) * scale
         assert np.array_equal(model.density(t), stats.norm.pdf(t, scale=scale))
         assert model.density(float(t[0])) == float(stats.norm.pdf(t[0], scale=scale))
@@ -192,7 +189,7 @@ class TestScipyExactness:
     def test_student_t_density(self, dof, scale, units):
         from scipy import stats
 
-        model = NoiseModel("student-t", {"dof": dof, "scale": scale}, 10.0 * scale, smooth=True)
+        model = NoiseModel("student-t", {"dof": dof, "scale": scale}, smooth=True)
         self._assert_close(model, np.array(units) * scale,
                            lambda t: stats.t.pdf(t, df=dof, scale=scale))
 
@@ -202,7 +199,7 @@ class TestScipyExactness:
         from scipy import stats
 
         shift = (shape - 1.0) * scale
-        model = NoiseModel("shifted-gamma", {"shape": shape, "scale": scale}, 10.0 * scale,
+        model = NoiseModel("shifted-gamma", {"shape": shape, "scale": scale},
                            smooth=shape >= 2.0)
         # the support starts at -shift: points on its edge, one ulp left of it,
         # and at the drawn distances from the edge and from the mode
@@ -210,69 +207,6 @@ class TestScipyExactness:
                             np.array(units) * scale - shift, np.array(units) * scale])
         self._assert_close(model, t, lambda t: stats.gamma.pdf(t + shift, shape, scale=scale))
         assert model.density(-shift - scale) == 0.0
-
-    @staticmethod
-    def _t_ppf(q, dof, scale):
-        """SciPy's t quantile.  Within 1/4 of the median it inverts the central
-        form P(|T| < t) = I_{t^2/(dof+t^2)}(1/2, dof/2) with betaincinv:
-        stats.t.ppf itself loses digits there (against 40-digit mpmath, 8e-6
-        relative at dof 1, q = 0.5 + 1e-12, and 1.8e-11 at dof 13.7, q = 0.5
-        + 1e-6), while the betaincinv form stays within 1e-15."""
-        from scipy import special, stats
-
-        if abs(q - 0.5) > 0.25:
-            return stats.t.ppf(q, dof, scale=scale)
-        y = special.betaincinv(0.5, 0.5 * dof, abs(2.0 * q - 1.0))
-        return math.copysign(math.sqrt(dof * y / (1.0 - y)), q - 0.5) * scale
-
-    @EXACT
-    @given(DOFS, SCALES, LEVELS)
-    def test_student_t_quantile(self, dof, scale, q):
-        for level in (q, 1.0 - 2.5e-5):
-            assert _student_t_quantile(level, dof, scale) == pytest.approx(
-                self._t_ppf(level, dof, scale), rel=1e-12, abs=0.0)
-
-    @pytest.mark.parametrize("dof", [0.5, 1.0, 2.0, 3.0, 7.23, 13.7, 50.0])
-    def test_student_t_quantile_near_the_median(self, dof):
-        # the central form keeps full relative accuracy here (1.2e-14 at
-        # worst); a solve on the tail form alone reaches 1.6e-13 at dof 3
-        for offset in (1e-15, 1e-12, 1e-9, 1e-6, 1e-4, 1e-2, 0.2):
-            for q in (0.5 + offset, 0.5 - offset):
-                assert _student_t_quantile(q, dof, 1.0) == pytest.approx(
-                    self._t_ppf(q, dof, 1.0), rel=5e-14, abs=0.0)
-
-    @EXACT
-    @given(SHAPES, SCALES, LEVELS)
-    def test_gamma_quantile(self, shape, scale, q):
-        from scipy import stats
-
-        for level in (q, 1.0 - 5e-5):
-            assert _gamma_quantile(level, shape, scale) == pytest.approx(
-                stats.gamma.ppf(level, shape, scale=scale), rel=1e-12, abs=0.0)
-
-    # the grid check is skipped: these tests are about the halfwidth alone
-
-    @EXACT
-    @given(st.one_of(st.just(1.0), st.floats(1.0, 50.0)), SCALES)
-    def test_student_t_grid_halfwidth(self, dof, scale):
-        from scipy import stats
-
-        want = scale * max(10.0, stats.t.ppf(1.0 - 2.5e-5, dof))
-        with mock.patch("modalmr.risk._validate_noise", lambda model: model):
-            got = student_t_noise(dof, scale).grid_halfwidth
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-
-    @EXACT
-    @given(SHAPES, SCALES)
-    def test_shifted_gamma_grid_halfwidth(self, shape, scale):
-        from scipy import stats
-
-        shift = (shape - 1.0) * scale
-        right = stats.gamma.ppf(1.0 - 5e-5, shape, scale=scale) - shift
-        want = max(10.0 * scale, shift, right)
-        with mock.patch("modalmr.risk._validate_noise", lambda model: model):
-            got = shifted_gamma_noise(shape, scale).grid_halfwidth
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestTask:
@@ -376,6 +310,57 @@ class TestSurrogateRisk:
             assert coarse >= fine - 1e-6
 
 
+    def test_cauchy_noise_matches_a_fine_uniform_grid(self):
+        # 0.5011025237379 is the trapezoid value on 2e6 uniform points; a
+        # uniform grid of 20001 points over the noise's 1e-4 mass interval,
+        # 1.3e4 scales wide, reads 0.56159
+        task = make_task(iid_chain(4), student_t_noise(1.0, 0.5))
+        value = surrogate_risk(task, task.state_values + 0.1, GAUSS, 0.3)
+        assert value == pytest.approx(0.5011025237379, abs=1e-12)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.3, 3.0, -7.5])
+    def test_triangular_phi_on_cauchy_noise_closed_form(self, offset):
+        # phi(u) = 1 - |u| has kinks at u = 0, +-1; with F(t) = atan(t/s)/pi
+        # and G(t) = s ln(1 + (t/s)^2) / (2 pi), the antiderivatives of p and
+        # t p, the smoothed density at offset d is
+        # (G(d) - G(a) - a (F(d) - F(a)) + c (F(c) - F(d)) - G(c) + G(d)) / sigma^2
+        # with a = d - sigma and c = d + sigma
+        s, sigma = 0.1, 1.0
+        task = make_task(iid_chain(2), student_t_noise(1.0, s), f_star=lambda x: 0.0)
+        F = lambda t: math.atan(t / s) / math.pi  # noqa: E731
+        G = lambda t: s * math.log1p((t / s) ** 2) / (2.0 * math.pi)  # noqa: E731
+        a, d, c = offset - sigma, offset, offset + sigma
+        exact = (G(d) - G(a) - a * (F(d) - F(a)) + c * (F(c) - F(d)) - G(c) + G(d)) / sigma**2
+        value = surrogate_risk(task, [offset, offset], representing_function("triangular"), sigma)
+        assert value == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            st.builds(student_t_noise, st.one_of(st.just(1.0), st.floats(1.0, 50.0)),
+                      st.floats(0.1, 3.0)),
+            st.builds(gaussian_noise, st.floats(0.1, 3.0)),
+            st.builds(shifted_gamma_noise, st.one_of(st.just(1.0), st.floats(1.0, 10.0)),
+                      st.floats(0.1, 3.0)),
+        ),
+        st.floats(0.05, 2.0),
+        st.sampled_from(PHI_KINDS),
+        st.integers(2, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_converged_at_the_default_points(self, noise, sigma, kind, n, seed):
+        task = make_task(iid_chain(n), noise)
+        f = task.state_values + np.random.default_rng(seed).normal(0.0, 0.5, n)
+        phi = representing_function(kind)
+        fine = surrogate_risk(task, f, phi, sigma, 200010)
+        assert surrogate_risk(task, f, phi, sigma) == pytest.approx(fine, rel=1e-6, abs=0.0)
+
+    def test_non_finite_f_rejected(self):
+        task = make_task(iid_chain(3), gaussian_noise(1.0))
+        with pytest.raises(InputError, match="finite"):
+            surrogate_risk(task, [0.0, math.nan, 0.0], GAUSS, 0.5)
+
+
 class TestComparisonGap:
     def test_truth_gap_is_zero(self):
         task = make_task(iid_chain(4), gaussian_noise(1.0))
@@ -400,6 +385,20 @@ class TestComparisonGap:
         task = make_task(iid_chain(4), shifted_gamma_noise(1.5))
         with pytest.raises(NonSmoothNoise):
             comparison_gap(task, task.state_values + 0.1, GAUSS, 0.3)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("risk", ["empirical", "surrogate", "gap"])
+def test_sigma_must_be_positive_and_finite(risk, sigma):
+    task = make_task(iid_chain(3), gaussian_noise(1.0))
+    f = task.state_values + 0.1
+    call = {
+        "empirical": lambda: empirical_modal_risk(f, task.state_values, GAUSS, sigma),
+        "surrogate": lambda: surrogate_risk(task, f, GAUSS, sigma),
+        "gap": lambda: comparison_gap(task, f, GAUSS, sigma),
+    }[risk]
+    with pytest.raises(InputError, match="sigma must be positive and finite"):
+        call()
 
 
 class TestExcessRisk:
