@@ -139,6 +139,7 @@ class TestNoiseModels:
          (shifted_gamma_noise(1.05, 0.01), 0.01, 2.05e-4),
          (shifted_gamma_noise(1.125, 3.0), 3.0, 19.125),
          (shifted_gamma_noise(7.0, 2.0), 2.0, 32.0)],
+        ids=["gaussian", "student_t", "gamma-1", "gamma-1.05", "gamma-1.125", "gamma-7"],
     )
     def test_rule_gives_mean_and_second_moment(self, model, mean, square):
         # shifted gamma: mean scale, second moment (shape + 1) scale^2
