@@ -84,7 +84,7 @@ _SOLVER_OPTS = [
     ("lambda", float, 0.1, "regularization weight"),
     ("q", int, 2, "penalty exponent, 1 or 2"),
     ("phi", str, "gaussian", f"representing function: {', '.join(PHI_KINDS)}"),
-    ("max-iters", int, 200, "outer iteration cap"),
+    ("max-iters", int, 200, "outer iteration cap; gradient fits run max(this, 2000)"),
     ("tol", float, 1e-8, "objective-change stopping threshold"),
     ("inner-iters", int, 20,
      "active-set steps per outer step (q=1); a cold start can exceed the default and warn"),

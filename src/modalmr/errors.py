@@ -42,9 +42,5 @@ class NonGaussianPhi(InputError):
     """Half-quadratic updates require a Gaussian-family representing function."""
 
 
-class LineSearchFailed(NumericError):
-    """Backtracking line search exhausted its halvings without ascent."""
-
-
 class NonSmoothNoise(InputError):
     """Noise density lacks the bounded second derivative the bound needs."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -442,52 +442,20 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _manifest_value(value):
-    from .markov import TransitionKernel
-    from .risk import NoiseModel, SyntheticTask
-
-    if isinstance(value, (Theorem2Schedule, FixedSchedule, RmrConfig)):
-        out = {"type": type(value).__name__}
-        out.update({k: _manifest_value(v) for k, v in asdict(value).items()})
-        return out
-    if isinstance(value, HypothesisKernel):
-        return {"kind": value.kind, **value.shape_params}
-    if isinstance(value, TransitionKernel):
-        return {
-            "n_states": value.n_states,
-            "dim": value.dim,
-            "P": value.P.tolist(),
-            "embedding": value.state_embedding.tolist(),
-        }
-    if isinstance(value, NoiseModel):
-        return {"kind": value.kind, **value.params}
-    if isinstance(value, SyntheticTask):
-        return {
-            "f_star": getattr(value.f_star, "__name__", "custom"),
-            "M": value.M,
-            "noise": _manifest_value(value.noise),
-            "chain": _manifest_value(value.chain),
-        }
-    if isinstance(value, np.ndarray):
+def _plain(value):
+    """json.dump's fallback: numpy values as plain ones, a dataclass as its fields."""
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
-    if isinstance(value, dict):
-        return {k: _manifest_value(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_manifest_value(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
+    if is_dataclass(value):
+        return vars(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def write_manifest(path, command: str, config: dict, extras: dict | None = None) -> None:
     """JSON record of the full experiment configuration and library version."""
-    payload = {
-        "command": command,
-        "version": __version__,
-        "config": _manifest_value(config),
-    }
+    payload = {"command": command, "version": __version__, "config": config}
     if extras:
-        payload["results"] = _manifest_value(extras)
+        payload["results"] = extras
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_plain)
         fh.write("\n")

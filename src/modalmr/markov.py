@@ -93,10 +93,6 @@ def transition_kernel(P, state_embedding) -> TransitionKernel:
     return TransitionKernel(P.shape[0], P, state_embedding)
 
 
-def _unit_eigen_indices(eigenvalues: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(np.abs(eigenvalues - 1.0) < _SIMPLE_TOL)
-
-
 def stationary_distribution(kernel: TransitionKernel) -> np.ndarray:
     """Unique probability vector pi with pi P = pi, read-only.
 
@@ -109,7 +105,7 @@ def stationary_distribution(kernel: TransitionKernel) -> np.ndarray:
         return kernel._pi
     P = kernel.P
     vals, vecs = np.linalg.eig(P.T)
-    unit = _unit_eigen_indices(vals)
+    unit = np.flatnonzero(np.abs(vals - 1.0) < _SIMPLE_TOL)
     if len(unit) != 1:
         raise NonUniqueStationary(
             f"eigenvalue 1 has multiplicity {len(unit)}; stationary distribution not unique"
@@ -140,38 +136,30 @@ def adjoint_kernel(kernel: TransitionKernel, pi: np.ndarray) -> np.ndarray:
     return adj
 
 
-def absolute_spectral_gap(kernel: TransitionKernel) -> float:
-    """1 - max |lambda| over non-unit eigenvalues; 0 if eigenvalue 1 repeats."""
-    vals = np.linalg.eigvals(kernel.P)
-    order = np.argsort(np.abs(vals - 1.0))
-    rest = vals[order[1:]]
+def _gap(vals: np.ndarray, size) -> float:
+    """1 - max size(lambda) over the eigenvalues other than the one nearest 1,
+    at least 0; 1 for a single state and 0 if eigenvalue 1 repeats."""
+    rest = vals[np.argsort(np.abs(vals - 1.0))[1:]]
     if len(rest) == 0:
         return 1.0
     if np.any(np.abs(rest - 1.0) < _SIMPLE_TOL):
         return 0.0
-    gap = 1.0 - float(np.max(np.abs(rest)))
-    return max(gap, 0.0)
+    return max(1.0 - float(np.max(size(rest))), 0.0)
 
 
-def _reversible_eigenvalues(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Spectrum of a pi-reversible P via the symmetrized D^1/2 P D^-1/2."""
+def absolute_spectral_gap(kernel: TransitionKernel) -> float:
+    """1 - max |lambda| over non-unit eigenvalues; 0 if eigenvalue 1 repeats."""
+    return _gap(np.linalg.eigvals(kernel.P), np.abs)
+
+
+def _gap_of_reversible(P: np.ndarray, pi: np.ndarray) -> float:
+    """1 - (largest eigenvalue below 1) of a pi-reversible P, from the
+    spectrum of the symmetrized D^1/2 P D^-1/2."""
     if np.any(pi <= 0):
         raise ZeroMass("spectral decomposition requires positive stationary mass")
     root = np.sqrt(pi)
     sym = (root[:, None] * P) / root[None, :]
-    sym = 0.5 * (sym + sym.T)
-    return np.linalg.eigvalsh(sym)
-
-
-def _gap_of_reversible(P: np.ndarray, pi: np.ndarray) -> float:
-    vals = _reversible_eigenvalues(P, pi)
-    order = np.argsort(np.abs(vals - 1.0))
-    rest = vals[order[1:]]
-    if len(rest) == 0:
-        return 1.0
-    if np.any(np.abs(rest - 1.0) < _SIMPLE_TOL):
-        return 0.0
-    return 1.0 - float(np.max(rest))
+    return _gap(np.linalg.eigvalsh(0.5 * (sym + sym.T)), np.real)
 
 
 def spectral_gap_reversible(kernel: TransitionKernel) -> float:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError, NonSmoothNoise
-from .kernels import _SQRT_2PI, RepresentingFunction
+from .kernels import _SQRT_2PI, RepresentingFunction, _boole
 from .markov import TransitionKernel, stationary_distribution
 from .solver import RmrModel, predict
 
@@ -137,19 +137,6 @@ def _noise_cuts(model: NoiseModel):
     return [-body, 0.0, body], [], scale
 
 
-def _boole(intervals: int):
-    """Nodes and composite Boole weights on [0, 1]; ``intervals`` is a
-    multiple of 4.  The rule is exact for quintics, and its error on a smooth
-    piece, h^6 (f^(5)(b) - f^(5)(a)) / 1890 to leading order, cancels between
-    neighbouring pieces of about equal step."""
-    u = np.linspace(0.0, 1.0, intervals + 1)
-    w = np.full(intervals + 1, 32.0)
-    w[2::4] = 12.0
-    w[4::4] = 14.0
-    w[0] = w[-1] = 7.0
-    return u, w * (2.0 / (45.0 * intervals))
-
-
 def _line_rule(noise: NoiseModel, cuts, points: int):
     """Nodes and weights of a quadrature rule for integrands p(t) g(t) over
     the whole real line, p the noise density.
@@ -241,13 +228,14 @@ def shifted_gamma_noise(shape: float, scale: float = 1.0) -> NoiseModel:
 
     An asymmetric noise whose conditional mean differs from its mode, which
     is the case modal regression targets and mean regression cannot.
+    p rises like x^(shape - 1), so p'' is bounded (``smooth``) from shape 3.
     """
     if not 1.0 <= shape < math.inf:
         raise InputError("shape must be at least 1 and finite, for a finite mode at zero")
     if not 0 < scale < math.inf:
         raise InputError("scale must be positive and finite")
     params = {"shape": float(shape), "scale": float(scale)}
-    return _validate_noise(NoiseModel("shifted-gamma", params, smooth=shape >= 2.0))
+    return _validate_noise(NoiseModel("shifted-gamma", params, smooth=shape >= 3.0))
 
 
 def mixture_noise(weights, components) -> NoiseModel:

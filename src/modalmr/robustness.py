@@ -3,10 +3,11 @@
 The breakdown statistic of a fitted coefficient vector is
 
     N = phi(0)^-1 * sum_i phi(r_i / sigma) - phi(0)^-1 * lam * m * sigma * ||alpha||_q^q
+      = m * sigma * J(alpha) / phi(0),
 
-and the critical number of arbitrary outliers n* lies in the width-1 integer
-bracket [floor(N), floor(N)+1], giving breakdown fraction n*/(m + n*).  The
-contamination experiment reproduces both regimes empirically: below the
+J the modal objective (``solver.objective``), and the critical number of
+arbitrary outliers n* lies in the width-1 integer bracket [floor(N), floor(N)+1],
+giving breakdown fraction n*/(m + n*).  The contamination experiment reproduces both regimes empirically: below the
 bracket the refit ignores arbitrarily large outliers; above it the refit
 follows them and the coefficient norm grows with the outlier magnitude.
 """
@@ -21,8 +22,8 @@ import numpy as np
 from .errors import InputError, SingularSystem
 from .kernels import RepresentingFunction, hypothesis_kernel
 from .risk import SyntheticTask
-from .solver import CovariateGroups, RmrConfig, RmrModel, distinct_gram, fit_hq, fitted_values
-from .solver import _fitted, _solve_ridge_direct
+from .solver import RmrConfig, RmrModel, distinct_gram, fit_hq, objective
+from .solver import _check_problem, _solve_ridge_direct
 
 __all__ = [
     "BreakdownReport",
@@ -52,19 +53,14 @@ def breakdown_N(model: RmrModel, y, phi: RepresentingFunction) -> float:
     """Breakdown statistic of a fitted model on its own training responses."""
     if model.train_inputs is None or model.kernel is None:
         raise InputError("model must carry its training inputs and kernel")
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != model.m:
-        raise InputError(f"y has length {y.shape[0]}, model was fit on {model.m}")
-    return _breakdown_N(model, y - fitted_values(model), phi)
+    _, gram = distinct_gram(model.kernel, model.train_inputs)
+    value = objective(model.alpha, gram, y, phi, model.config, train_inputs=model.train_inputs)
+    return _statistic(value, model.m, model.config.sigma, phi)
 
 
-def _breakdown_N(model: RmrModel, residuals, phi: RepresentingFunction) -> float:
-    """``breakdown_N`` from the model's residuals on its training responses."""
-    cfg = model.config
-    peak = phi(0.0)
-    fit_term = float(np.sum(phi(residuals / cfg.sigma))) / peak
-    penalty_term = cfg.lam * model.m * cfg.sigma * model.coefficient_penalty() / peak
-    return fit_term - penalty_term
+def _statistic(value: float, m: int, sigma: float, phi: RepresentingFunction) -> float:
+    """N = m sigma J / phi(0) from an m-sample fit's objective value J."""
+    return m * sigma * value / phi(0.0)
 
 
 def breakdown_bracket(N: float, m: int):
@@ -127,10 +123,8 @@ def fit_hq_multistart(
     follow the rule of ``fit_hq``; the seeds are solved over the distinct
     covariate rows, and every start reuses the one grouping.
     """
-    y = np.asarray(y, dtype=float).ravel()
+    reduced, y, groups, _ = _check_problem(gram, y, train_inputs, groups=_groups)
     m = y.shape[0]
-    groups = CovariateGroups.for_fit(train_inputs, m) if _groups is None else _groups
-    reduced = groups.reduce_gram(gram)
     inits = [np.zeros(m)]
     ls = _ridge_coefficients(reduced, groups, y)
     if ls is not None:
@@ -186,8 +180,7 @@ def contamination_experiment(
     clean = fit_hq_multistart(gram, data.y, config, train_inputs=data.x, kernel=kernel,
                               _groups=groups)
     clean_norm = float(np.linalg.norm(clean.alpha))
-    residuals = data.y - _fitted(gram, groups, groups.sums(clean.alpha))
-    N = _breakdown_N(clean, residuals, config.phi)
+    N = _statistic(clean.objective_trace[-1], m, config.sigma, config.phi)
     low, high, fraction = breakdown_bracket(max(N, 0.0), m)
     outlier_x = data.x[0]
     curve = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, LineSearchFailed, NonGaussianPhi, SingularSystem
+from .errors import InputError, NonGaussianPhi, SingularSystem
 from .kernels import (
     _PHI_TABLE,
     HypothesisKernel,
@@ -159,14 +159,6 @@ class CovariateGroups:
         return cls._from(np.arange(m), np.arange(m))
 
     @classmethod
-    def for_fit(cls, train_inputs, m: int) -> "CovariateGroups":
-        """Grouping of train_inputs, or the identity when they are not given."""
-        groups = cls.identity(m) if train_inputs is None else cls.of(train_inputs)
-        if groups.m != m:
-            raise InputError(f"{groups.m} training inputs for {m} targets")
-        return groups
-
-    @classmethod
     def _from(cls, first, index):
         counts = np.bincount(index, minlength=first.size).astype(float)
         return cls(first, index, counts)
@@ -211,15 +203,16 @@ class CovariateGroups:
 
 def _check_problem(gram, y, train_inputs=None, alpha=None, groups=None):
     """(n x n gram, y, groups, alpha): validated targets, the grouping of
-    train_inputs (``groups`` when the caller already has it) and a fresh
-    copy of alpha (zeros when not given)."""
+    train_inputs (``groups`` when the caller has it, the identity without
+    inputs) and a fresh finite copy of alpha (zeros when not given)."""
     y = np.asarray(y, dtype=float).ravel()
     m = y.shape[0]
     if not np.all(np.isfinite(y)):
         raise InputError("targets must be finite")
     if groups is None:
-        groups = CovariateGroups.for_fit(train_inputs, m)
-    elif groups.m != m:
+        groups = (CovariateGroups.identity(m) if train_inputs is None
+                  else CovariateGroups.of(train_inputs))
+    if groups.m != m:
         raise InputError(f"{groups.m} training inputs for {m} targets")
     gram = groups.reduce_gram(gram)
     if alpha is None:
@@ -227,6 +220,8 @@ def _check_problem(gram, y, train_inputs=None, alpha=None, groups=None):
     alpha = np.array(alpha, dtype=float).ravel()
     if alpha.shape[0] != m:
         raise InputError(f"alpha has length {alpha.shape[0]}, expected {m}")
+    if not np.all(np.isfinite(alpha)):
+        raise InputError("coefficients must be finite")
     return gram, y, groups, alpha
 
 
@@ -543,7 +538,8 @@ def fit_gradient(
     q=2 treats the penalty as part of the smooth objective; q=1 takes a
     gradient step on the fit term followed by soft-thresholding.  Steps are
     accepted only when the objective does not decrease, with up to 50
-    halvings of the step size before LineSearchFailed.  The iterates stay
+    halvings of the step size; when none ascends (a maximum, or a kink of
+    phi) the fit stops there, by "no ascent step".  The iterates stay
     per-sample; residuals and gradients go through the n x n gram over the
     distinct rows (``gram`` and ``train_inputs`` follow the rule of
     ``fit_hq``), which leaves the ascent in alpha unchanged.
@@ -586,7 +582,8 @@ def fit_gradient(
                 break
             step *= 0.5
         else:
-            raise LineSearchFailed("no ascent step found after 50 halvings")
+            stopped = "no ascent step"
+            break
         gain = value - current
         alpha, current = candidate, value
         fitted, residuals = candidate_fitted, candidate_residuals

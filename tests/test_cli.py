@@ -1,4 +1,5 @@
 import csv
+import logging
 
 import numpy as np
 import pytest
@@ -92,6 +93,21 @@ class TestFitPredict:
             "--phi", "epanechnikov", "--sigma", "1.0", "--lambda", "0.01",
             "--out", str(model_path),
         ) == 0
+
+    def test_gradient_fit_at_a_kink_maximum_stops_there(self, tmp_path, capsys, caplog):
+        # from alpha = 0 the residuals (0, 0, 0, 1) put three samples on the
+        # kink of the triangular phi, where no step of the zero subgradient
+        # ascends: the fit stops at its start and says why
+        caplog.set_level(logging.INFO, logger="modalmr.solver")
+        data = tmp_path / "kink.txt"
+        data.write_text("4 1\n0 0\n1 0\n0.5 0\n0.75 1\n")
+        assert run(
+            "fit", "--data", str(data), "--method", "gradient", "--phi", "triangular",
+            "--sigma", "1", "--lambda", "1", "--q", "2", "--bandwidth", "0.5",
+            "--out", str(tmp_path / "model.txt"),
+        ) == 0
+        assert "iterations=0," in capsys.readouterr().out
+        assert caplog.records[-1].getMessage().endswith("0 iterations, stopped by no ascent step")
 
     def test_numeric_failure_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -229,7 +229,7 @@ class TestBootstrapSlope:
     # lengths 1, 3 and 8: the odd list leaves a spare half that starts the next
     MIXED = [[0.7], [0.2, 0.9, 1.4], [0.3, 0.5, 0.1, 0.8, 1.2, 0.6, 0.4, 0.9]]
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(lists=st.lists(st.lists(st.floats(-0.5, 2.0), min_size=1, max_size=7),
                           min_size=3, max_size=7),
            seed=st.integers(0, 2**63), draws=st.integers(1, 100))
@@ -241,7 +241,7 @@ class TestBootstrapSlope:
     def test_matches_per_draw_loop(self, lists, seed, draws):
         self.compare(lists, seed, draws)
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     @given(lists=st.lists(st.lists(st.floats(0.01, 2.0), min_size=4, max_size=4),
                           min_size=5, max_size=5),
            seed=st.integers(0, 2**63))
@@ -256,7 +256,7 @@ class TestBootstrapSlope:
         got, ci, kept = self.compare(self.ALL_DROPPED, 5, 1000)
         assert kept == 0 and np.isnan(got).all() and np.isnan(ci).all()
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(bounds=st.lists(st.one_of(st.integers(1, 9), st.sampled_from([2**31 + 1, 3 * 2**30])),
                            min_size=1, max_size=12),
            rows=st.integers(0, 20), seed=st.integers(0, 2**63))
@@ -303,7 +303,7 @@ class TestPercentiles:
 
     TIES = [-1.5, -0.0, 0.0, 0.25, 0.25000000000000006, 3.0]
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(values=st.one_of(
                st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=2000),
                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,

@@ -209,7 +209,7 @@ class TestSampling:
         rows = counts / counts.sum(axis=1, keepdims=True)
         assert np.max(np.abs(rows - chain.P)) < 0.02
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(n=st.integers(1, 6), m=st.integers(1, 40), seed=st.integers(0, 2**63),
            start=st.integers(-1, 5), block=st.integers(1, 8), data=st.data())
     @example(n=3, m=1, seed=0, start=-1, block=1, data=None)

@@ -151,7 +151,7 @@ class TestNoiseModels:
     def test_smooth_flags(self):
         assert gaussian_noise(1.0).smooth
         assert student_t_noise(2.0).smooth
-        assert shifted_gamma_noise(2.0).smooth
+        assert not shifted_gamma_noise(2.0).smooth  # p'' is unbounded below shape 3
         assert not shifted_gamma_noise(1.5).smooth
 
 
@@ -382,8 +382,9 @@ class TestComparisonGap:
             assert gaps[1] / gaps[0] < 0.5 + 0.1
             assert gaps[2] / gaps[1] < 0.5 + 0.1
 
-    def test_non_smooth_noise_rejected(self):
-        task = make_task(iid_chain(4), shifted_gamma_noise(1.5))
+    @pytest.mark.parametrize("shape", [1.5, 2.0, 2.5])
+    def test_non_smooth_noise_rejected(self, shape):
+        task = make_task(iid_chain(4), shifted_gamma_noise(shape))
         with pytest.raises(NonSmoothNoise):
             comparison_gap(task, task.state_values + 0.1, GAUSS, 0.3)
 

@@ -17,7 +17,7 @@ from _oracles import (
     l1_coordinate_descent,
     objective_value,
 )
-from modalmr.errors import InputError, LineSearchFailed, NonGaussianPhi, SingularSystem
+from modalmr.errors import InputError, NonGaussianPhi, SingularSystem
 from modalmr.kernels import PHI_KINDS, gram_matrix, hypothesis_kernel, representing_function
 from modalmr.solver import (
     CovariateGroups,
@@ -80,7 +80,7 @@ class TestObjective:
 
 
 class TestGridOracle:
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     @given(points=arrays(float, 3, elements=st.floats(0.0, 1.0)),
            y=arrays(float, 3, elements=st.floats(-1.5, 1.5)),
            bandwidth=st.sampled_from([0.3, 1.0]), sigma=st.sampled_from([0.5, 1.0]),
@@ -503,7 +503,7 @@ class TestCovariateGroups:
         np.testing.assert_array_equal(groups.index, np.arange(3))
         np.testing.assert_array_equal(groups.counts, np.ones(3))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(shape=st.tuples(st.integers(1, 40), st.integers(1, 3)), data=st.data())
     def test_grouping_matches_row_records(self, shape, data):
         # one column takes a plain sort and more take np.unique(axis=0); both
@@ -528,6 +528,14 @@ class TestCovariateGroups:
         with pytest.raises(InputError):
             fit_data(np.array([[0.1], [0.2]]), np.array([0.0, np.nan]), RBF,
                      RmrConfig(sigma=1.0, lam=0.1))
+
+    @pytest.mark.parametrize("method", ["hq", "gradient"])
+    def test_non_finite_init_rejected(self, method):
+        # an InputError, which the CLI reports with exit code 1; a NaN start
+        # would otherwise give a NaN model without an error
+        with pytest.raises(InputError, match="coefficients must be finite"):
+            fit_data(np.array([[0.1], [0.2]]), np.zeros(2), RBF, RmrConfig(sigma=1.0, lam=0.1),
+                     method=method, init=np.array([0.0, np.nan]))
 
     @pytest.mark.parametrize("method", ["hq", "gradient"])
     def test_fit_data_groups_once(self, monkeypatch, method):
@@ -648,17 +656,9 @@ class TestDistinctReduction:
         rows = x[groups.first]
 
         def fit(gram):
-            # a subgradient at a kink of a compact phi can stall the line
-            # search; both grams must then stall alike
-            try:
-                return fit_gradient(gram, y, replace(cfg, phi=phi), max_iters=50, train_inputs=x)
-            except LineSearchFailed as exc:
-                return exc
+            return fit_gradient(gram, y, replace(cfg, phi=phi), max_iters=50, train_inputs=x)
 
         small, full = fit(RBF.cross(rows, rows)), fit(RBF.cross(x, x))
-        if isinstance(full, LineSearchFailed):
-            assert isinstance(small, LineSearchFailed)
-            return
         np.testing.assert_allclose(small.alpha, full.alpha, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(small.objective_trace, full.objective_trace,
                                    rtol=1e-12, atol=1e-15)
@@ -716,13 +716,7 @@ class TestMonotoneTrace:
     def test_gradient(self, problem, kind, q):
         x, y, sigma, lam = problem
         cfg = RmrConfig(sigma=sigma, lam=lam, q=q, phi=representing_function(kind))
-        try:
-            model = fit_gradient(RBF.cross(x, x), y, cfg, max_iters=200, train_inputs=x)
-        except LineSearchFailed:
-            # the triangular phi peaks in a kink: from residuals exactly 0 the
-            # gradient may be no ascent direction, and the fit stops instead
-            assert kind == "triangular"
-            return
+        model = fit_gradient(RBF.cross(x, x), y, cfg, max_iters=200, train_inputs=x)
         self.assert_monotone(model)
 
     @PROPERTY
@@ -835,13 +829,7 @@ class TestInnerLoops:
             x = np.arange(x.shape[0], dtype=float).reshape(-1, 1) / x.shape[0]
         phi = representing_function(kind)
         cfg = RmrConfig(sigma=sigma, lam=lam, q=q, phi=phi, tol=1e-14)
-        try:
-            model = fit_data(x, y, RBF, cfg, method="gradient")
-        except LineSearchFailed:
-            # a subgradient at a kink of a compact phi can stall the line
-            # search; a smooth phi has no kink
-            assert kind != "gaussian"
-            return
+        model = fit_data(x, y, RBF, cfg, method="gradient")
         trace = np.array(model.objective_trace)
         assert np.all(np.diff(trace) >= 0.0)
         value = objective(model.alpha, RBF.cross(x, x), y, phi, cfg)

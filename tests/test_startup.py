@@ -8,6 +8,8 @@ q=1 `fit` loads no scipy module at all: its active-set inner solve is numpy
 only.  A `learning-curve` with student-t or shifted-gamma noise loads no
 scipy module either: the noise densities and quantiles are numpy and math.
 Nor does it load numpy.ma, which np.percentile would import for the slope CI.
+`check-kernel` loads no scipy module (its quadrature is numpy), and
+`chain-info --out` loads neither modalmr.risk nor modalmr.robustness.
 Each script runs in one fresh interpreter so no other test's imports leak in.
 """
 
@@ -77,6 +79,21 @@ report["numpy.ma"] = sorted(m for m in sys.modules if m == "numpy.ma" or m.start
 print(json.dumps(report))
 """
 
+OTHERS = r"""
+import json, sys
+from pathlib import Path
+
+from modalmr.cli import main
+
+report = {"check_kernel_exit": main(["check-kernel", "--phi", "triangular"])}
+report["check_kernel"] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+report["chain_info_exit"] = main([
+    "chain-info", "--family", "lazy-walk", "--n", "4", "--out", str(Path(sys.argv[1]) / "tv.csv"),
+])
+report["chain_info"] = sorted(m for m in sys.modules if m.startswith("modalmr."))
+print(json.dumps(report))
+"""
+
 
 def _run(script, tmp_path_factory):
     env = dict(os.environ, MODALMR_LOG="info")
@@ -96,6 +113,11 @@ def startup(tmp_path_factory):
 @pytest.fixture(scope="module")
 def curves(tmp_path_factory):
     return _run(CURVES, tmp_path_factory)[0]
+
+
+@pytest.fixture(scope="module")
+def others(tmp_path_factory):
+    return _run(OTHERS, tmp_path_factory)[0]
 
 
 def test_import_loads_no_scipy(startup):
@@ -144,3 +166,15 @@ def test_q1_fit_loads_no_scipy(startup):
 def test_info_logging_reports_each_fit(startup):
     _, stderr = startup
     assert "hq fit (q=2, direct inner solve, 4 distinct of 4 samples)" in stderr
+
+
+def test_check_kernel_loads_no_scipy(others):
+    assert others["check_kernel_exit"] == 0
+    assert others["check_kernel"] == []
+
+
+def test_chain_info_loads_neither_risk_nor_robustness(others):
+    assert others["chain_info_exit"] == 0
+    assert "modalmr.markov" in others["chain_info"]
+    loaded = [m for m in others["chain_info"] if m in ("modalmr.risk", "modalmr.robustness")]
+    assert loaded == [], f"chain-info loaded {loaded}"
