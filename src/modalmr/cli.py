@@ -13,7 +13,6 @@ list of valid keys for the chosen command.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -184,13 +183,17 @@ def _dest(name: str) -> str:
     return name.replace("-", "_")
 
 
-def build_parser() -> _Parser:
+def build_parser(argv) -> _Parser:
+    """The parser of every command, with the options of the commands that
+    ``argv`` names: each option costs an ``add_argument`` call, so a run
+    builds only what it can parse."""
     parser = _Parser(prog="modalmr", description=__doc__)
     parser.add_argument("--version", action="version", version=f"modalmr {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    named = set(argv)
     for command, options in _COMMAND_OPTIONS.items():
         p = sub.add_parser(command, help=f"run {command}")
-        for name, typ, _default, help_text in options:
+        for name, typ, _default, help_text in options if command in named else ():
             p.add_argument(f"--{name}", type=typ, default=None, dest=_dest(name), help=help_text)
     return parser
 
@@ -447,6 +450,8 @@ def _cmd_gamma_sweep(opts) -> int:
 
 
 def _cmd_breakdown(opts) -> int:
+    import json
+
     from . import robustness
 
     _require(opts, "out")
@@ -518,7 +523,8 @@ def main(argv=None) -> int:
         print(f"error: MODALMR_LOG must be one of {sorted(_LOG_LEVELS)}", file=sys.stderr)
         return 1
     logging.basicConfig(level=_LOG_LEVELS[level_name], stream=sys.stderr)
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         opts = _merge_options(args, _COMMAND_OPTIONS[args.command])

@@ -8,11 +8,10 @@ identical tables byte for byte.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-from dataclasses import dataclass, field, is_dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -57,8 +56,7 @@ def derive_seed(*parts: int) -> int:
     return int(state[0]) ^ (int(state[1]) << 32)
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(NamedTuple):
     """Sampled (x, y) pairs plus full provenance of how they were drawn."""
 
     x: np.ndarray
@@ -89,16 +87,14 @@ def generate_dataset(task: SyntheticTask, m: int, seed: int) -> Dataset:
                    f_star_values=f_vals, seed=seed)
 
 
-@dataclass(frozen=True)
-class Theorem2Schedule:
+class Theorem2Schedule(NamedTuple):
     """Gap-aware schedule: lambda and sigma decay as powers of (2g - g^2) m."""
 
     beta: float
     s: float
 
 
-@dataclass(frozen=True)
-class FixedSchedule:
+class FixedSchedule(NamedTuple):
     lam: float
     sigma: float
 
@@ -132,8 +128,7 @@ class ExperimentConfig:
         object.__setattr__(self, "m_grid", grid)
 
 
-@dataclass(frozen=True)
-class LearningCurveRow:
+class LearningCurveRow(NamedTuple):
     m: int
     gamma_abs: float
     replicate: int
@@ -142,8 +137,7 @@ class LearningCurveRow:
     sigma_used: float
 
 
-@dataclass(frozen=True)
-class LearningCurveResult:
+class LearningCurveResult(NamedTuple):
     rows: tuple
     mean_by_m: tuple  # (m, mean excess risk) pairs
     slope: float
@@ -283,8 +277,7 @@ def learning_curve(config: ExperimentConfig, jobs: int = 1) -> LearningCurveResu
     return LearningCurveResult(tuple(rows), tuple(means), slope, ci, n_failed)
 
 
-@dataclass(frozen=True)
-class GammaSweepRow:
+class GammaSweepRow(NamedTuple):
     gamma_abs: float
     discount: float  # 2*gamma - gamma^2
     m: int
@@ -335,15 +328,13 @@ def gamma_sweep(base_config: ExperimentConfig, chains, jobs: int = 1):
     return rows
 
 
-@dataclass(frozen=True)
-class RobustnessRow:
+class RobustnessRow(NamedTuple):
     replicate: int
     rmr_mse: float
     ls_mse: float
 
 
-@dataclass(frozen=True)
-class RobustnessComparison:
+class RobustnessComparison(NamedTuple):
     rows: tuple
     mean_rmr_mse: float
     mean_ls_mse: float
@@ -443,16 +434,16 @@ def write_csv(path, header, rows) -> None:
 
 
 def _plain(value):
-    """json.dump's fallback: numpy values as plain ones, a dataclass as its fields."""
+    """json.dump's fallback: numpy values as plain ones."""
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
-    if is_dataclass(value):
-        return vars(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def write_manifest(path, command: str, config: dict, extras: dict | None = None) -> None:
     """JSON record of the full experiment configuration and library version."""
+    import json
+
     payload = {"command": command, "version": __version__, "config": config}
     if extras:
         payload["results"] = extras

@@ -13,7 +13,6 @@ Two unrelated kinds of "kernel" live here and are kept deliberately distinct:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,8 +37,7 @@ PHI_KINDS = ("gaussian", "epanechnikov", "quadratic", "triangular", "correntropy
 KERNEL_KINDS = ("gaussian-rbf", "laplacian", "polynomial")
 
 
-@dataclass(frozen=True)
-class RepresentingFunction:
+class RepresentingFunction(NamedTuple):
     """A smoothing kernel phi with its frozen calibration constants.
 
     ``lipschitz_bound`` and ``second_moment`` are exact values for the
@@ -124,8 +122,7 @@ def representing_function(kind: str) -> RepresentingFunction:
     return RepresentingFunction(kind, *_PHI_TABLE[kind][:5])
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(NamedTuple):
     """Numerical check of the representing-function requirements."""
 
     kind: str
@@ -163,41 +160,46 @@ def check_calibration(
     """Verify symmetry, peak dominance, unit integral and moments on a grid.
 
     The grid should cover the support generously (halfwidth >= 8 for the
-    Gaussian kind) and use enough points for composite Boole; ``grid_points`` is
-    rounded up to 4k+1, and on 16k+1 (10001) the quarter points, the compact
-    kinds' kinks at halfwidth 2, end Boole panels.
+    Gaussian kind).  [0, halfwidth] is cut at the compact kinds' support end
+    1 when it lies inside, each piece gets composite Boole with an equal step
+    of at most 2 halfwidth / (grid_points - 1), and the rule is mirrored onto
+    [-halfwidth, 0].  So the kinks at 0 and +-1 end Boole panels whatever the
+    halfwidth and point count, and phi(t) is compared with phi(-t) exactly.
     """
     if grid_halfwidth <= 0:
         raise InputError("grid_halfwidth must be positive")
     if grid_points <= 2:
         raise InputError("grid_points must exceed 2")
-    intervals = 4 * math.ceil((int(grid_points) - 1) / 4)
-    lin = np.linspace(-grid_halfwidth, grid_halfwidth, intervals + 1)
-    grid = 0.5 * (lin - lin[::-1])  # exactly antisymmetric nodes
-    weights = 2.0 * grid_halfwidth * _boole(intervals)[1]
-    vals = phi(grid)
-    symmetry = float(np.max(np.abs(vals - vals[::-1])))
-    excess = float(np.max(vals) - phi.peak_value)
-    integral = float(weights @ vals)
-    second = float(weights @ (grid * grid * vals))
-    step = grid[1] - grid[0]
-    lipschitz = float(np.max(np.abs(np.diff(vals))) / step)
+    step = 2.0 * grid_halfwidth / (int(grid_points) - 1)
+    cuts = [0.0, grid_halfwidth]
+    if phi.support_halfwidth < grid_halfwidth:
+        cuts.insert(1, phi.support_halfwidth)
+    pieces = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        # a piece of exactly k steps gets k intervals despite rounding
+        u, w = _boole(4 * math.ceil((b - a) / (4.0 * step) - 1e-9))
+        t = a + (b - a) * u
+        t[-1] = b  # exactly the next piece's first node
+        pieces.append((t, (b - a) * w))
+    t, w = (np.concatenate(parts) for parts in zip(*pieces))
+    right, left = phi(t), phi(-t)
+    both = right + left
+    slopes = [np.abs(np.diff(phi(sign * x))) / np.diff(x) for x, _ in pieces for sign in (1, -1)]
     return CalibrationReport(
         kind=phi.kind,
-        max_symmetry_violation=symmetry,
-        max_excess_over_peak=excess,
-        integral_error=abs(integral - 1.0),
-        second_moment=second,
-        lipschitz_estimate=lipschitz,
+        max_symmetry_violation=float(np.max(np.abs(right - left))),
+        max_excess_over_peak=float(max(np.max(right), np.max(left)) - phi.peak_value),
+        integral_error=abs(float(w @ both) - 1.0),
+        second_moment=float(w @ (t * t * both)),
+        lipschitz_estimate=float(max(np.max(s) for s in slopes)),
     )
 
 
-@dataclass(frozen=True)
-class HypothesisKernel:
+class HypothesisKernel(NamedTuple):
     """Two-argument kernel K(x, x') used to span the hypothesis space."""
 
     kind: str
-    shape_params: dict = field(default_factory=dict)
+    shape_params: dict
 
     def cross(self, centers, points) -> np.ndarray:
         """Matrix with entry (i, p) = K(centers[i], points[p])."""

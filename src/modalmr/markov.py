@@ -13,6 +13,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -325,8 +326,7 @@ def builtin_chain(family: str, d: int = 1, **params) -> TransitionKernel:
     raise InputError(f"unknown chain family {family!r}; choose from {CHAIN_FAMILIES}")
 
 
-@dataclass(frozen=True)
-class ChainDiagnostics:
+class ChainDiagnostics(NamedTuple):
     """Stationary distribution, reversibility and the three gaps.
 
     ``gamma`` is NaN for non-reversible chains (the reversible gap is not

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ _BUMP_REACH = 8.0  # a phi of unbounded support is cut this many sigma out
 _JUMP_GAP = 1e-9  # the piece left of a support start ends this fraction short of it
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(NamedTuple):
     """A noise distribution with density mode pinned at zero.
 
     ``smooth`` records whether the density has a bounded second derivative
@@ -56,8 +55,8 @@ class NoiseModel:
     kind: str
     params: dict
     smooth: bool
-    components: tuple = field(default_factory=tuple)
-    weights: tuple = field(default_factory=tuple)
+    components: tuple = ()
+    weights: tuple = ()
 
     def density(self, t):
         """Density at t.  Each kind uses the arithmetic of SciPy's distribution

@@ -15,7 +15,7 @@ follows them and the coefficient norm grows with the outlier magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ __all__ = [
 _SINGLETON_ANCHOR_LIMIT = 8  # problems up to this many samples get one anchored start per sample
 
 
-@dataclass(frozen=True)
-class BreakdownReport:
+class BreakdownReport(NamedTuple):
     """Breakdown statistic, bracket and the measured contamination curve."""
 
     N: float

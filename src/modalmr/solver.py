@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,8 +122,7 @@ def _penalty(alpha: np.ndarray, q: int) -> float:
     return float(np.add.reduce(alpha * alpha))
 
 
-@dataclass(frozen=True)
-class CovariateGroups:
+class CovariateGroups(NamedTuple):
     """Samples grouped by exact covariate row, in first-occurrence order.
 
     Distinct row s first appears at sample ``first[s]``, sample i lies on row
@@ -272,7 +272,7 @@ def _solve_ridge_direct(gram, d, r, s):
     retried once with 1e-10 trace / n added to the diagonal if singular, which
     is logged as a warning."""
     A = (gram * d) @ gram.T
-    A[np.diag_indices_from(A)] += r
+    A.flat[:: len(A) + 1] += r
     b = gram @ s
     try:
         out = np.linalg.solve(A, b)
@@ -282,7 +282,7 @@ def _solve_ridge_direct(gram, d, r, s):
             raise SingularSystem("weighted system singular with zero trace") from None
         log.warning("singular weighted system: retrying with %.3g added to its diagonal",
                     jitter)
-        A[np.diag_indices_from(A)] += jitter
+        A.flat[:: len(A) + 1] += jitter
         try:
             out = np.linalg.solve(A, b)
         except np.linalg.LinAlgError:
@@ -297,24 +297,34 @@ def _solve_weighted_ridge(gram, w, y, kappa, beta_guess):
     sum_s kappa_s beta_s^2, and whether CG stopped at its iteration cap.
 
     Normal equations (K W K^T + diag(kappa)) beta = K W y.  Direct solve for
-    small systems; warm-started CG above _DIRECT_SOLVE_LIMIT.  CG keeps the
-    HQ ascent property because it monotonically decreases this quadratic
-    starting from the current iterate, even when it stops at its cap.
+    small systems; above _DIRECT_SOLVE_LIMIT, conjugate gradients warm-started
+    at beta_guess, step for step SciPy's cg, ending once ||r|| < 1e-12 ||b||.
+    CG keeps the HQ ascent property because it monotonically decreases this
+    quadratic starting from the current iterate, even when it stops at its cap.
     """
     n = y.shape[0]
     if n <= _DIRECT_SOLVE_LIMIT:
         return _solve_ridge_direct(gram, w, kappa, w * y), False
-    from scipy.sparse.linalg import LinearOperator, cg
 
     def matvec(v):
         return gram @ (w * (gram.T @ v)) + kappa * v
-
-    op = LinearOperator((n, n), matvec=matvec, dtype=float)
-    out, info = cg(op, gram @ (w * y), x0=beta_guess, rtol=1e-12, atol=0.0,
-                   maxiter=max(200, n // 4))
-    if info < 0 or not np.all(np.isfinite(out)):
-        raise SingularSystem(f"conjugate gradient failed with status {info}")
-    return out, info > 0
+    b = gram @ (w * y)
+    if not b.any():
+        return np.zeros(n), False
+    x, p, rho_prev, capped = beta_guess.copy(), None, None, True
+    r = b - matvec(x)
+    for _ in range(max(200, n // 4)):
+        if np.linalg.norm(r) < 1e-12 * np.linalg.norm(b):
+            capped = False
+            break
+        rho = r @ r
+        p = r if p is None else r + (rho / rho_prev) * p
+        ap = matvec(p)
+        step = rho / (p @ ap)
+        x, r, rho_prev = x + step * p, r - step * ap, rho
+    if not np.all(np.isfinite(x)):
+        raise SingularSystem("conjugate gradient produced non-finite coefficients")
+    return x, capped
 
 
 _KKT_RTOL = 1e-10  # KKT residual, relative to max(|c|, lam), that ends a q=1 step

@@ -195,6 +195,12 @@ class TestFlags:
             for name, *_ in options:
                 assert f"--{name}" in text
 
+    def test_command_name_as_option_value(self, tmp_path, monkeypatch, dataset_path):
+        # the parser gets the options of every command argv names, "predict" too
+        monkeypatch.chdir(tmp_path)
+        assert run("fit", "--data", str(dataset_path), "--out", "predict") == 0
+        assert (tmp_path / "predict").read_text().startswith("40 1\n")
+
     def test_bad_log_level(self, monkeypatch):
         monkeypatch.setenv("MODALMR_LOG", "verbose")
         assert run("chain-info", "--family", "iid") == 1

@@ -132,6 +132,15 @@ class TestCalibration:
         report = check_calibration(phi, 10, 100001)
         assert report.integral_error == pytest.approx(math.sqrt(math.pi) - 1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("kind", ["triangular", "epanechnikov", "quadratic"])
+    @pytest.mark.parametrize("points", [1000, 1002, 10001])
+    @pytest.mark.parametrize("half", [2.0, 2.5, 3.0])
+    def test_kinks_end_panels_at_any_grid(self, kind, points, half):
+        # the kinks at 0 and +-1 are nodes whatever the point count and halfwidth
+        report = check_calibration(representing_function(kind), half, points)
+        assert report.integral_error < 1e-12
+        assert report.ok()
+
     def test_rejects_bad_grid(self):
         phi = representing_function("gaussian")
         with pytest.raises(InputError):

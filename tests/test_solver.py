@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -845,3 +845,46 @@ class TestInnerLoops:
         model = fit_data(x, y, RBF, cfg)
         gram = RBF.cross(x, x)
         assert model.objective_trace[-1] == objective(model.alpha, gram, y, GAUSS, cfg)
+
+
+class TestConjugateGradient:
+    """The q=2 inner solve above _DIRECT_SOLVE_LIMIT repeats the arithmetic
+    of scipy.sparse.linalg.cg, which is imported here only, as the reference.
+    K diag(w) K^T + diag(kappa) is symmetric positive definite for any K."""
+
+    @staticmethod
+    def numpy_cg(gram, w, y, kappa, guess):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(modalmr.solver, "_DIRECT_SOLVE_LIMIT", 0)
+            return modalmr.solver._solve_weighted_ridge(gram, w, y, kappa, guess)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 40, 260]),
+           st.sampled_from([1e-9, 1e-3, 1.0, 100.0]), st.booleans(), st.booleans())
+    # a tiny ridge on 260 rows needs more than the 200-step cap
+    @example(seed=0, n=260, ridge=1e-9, warm=True, zero_b=False)
+    @example(seed=0, n=40, ridge=1.0, warm=True, zero_b=True)
+    def test_matches_scipy_cg(self, seed, n, ridge, warm, zero_b):
+        from scipy.sparse.linalg import LinearOperator, cg
+
+        rng = np.random.default_rng(seed)
+        gram = rng.standard_normal((n, n))
+        w = rng.uniform(0.1, 1.0, n)
+        y = np.zeros(n) if zero_b else rng.standard_normal(n)
+        kappa = ridge * rng.uniform(0.5, 2.0, n)
+        guess = rng.standard_normal(n) if warm else np.zeros(n)
+        op = LinearOperator((n, n), matvec=lambda v: gram @ (w * (gram.T @ v)) + kappa * v,
+                            dtype=float)
+        ref, info = cg(op, gram @ (w * y), x0=guess.copy(), rtol=1e-12, atol=0.0,
+                       maxiter=max(200, n // 4))
+        start = guess.copy()
+        got, capped = self.numpy_cg(gram, w, y, kappa, start)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        assert capped == (info > 0)
+        np.testing.assert_array_equal(start, guess)
+
+    def test_non_finite_result_raises(self):
+        gram = np.eye(3)
+        gram[0, 1] = np.nan
+        with pytest.raises(SingularSystem, match="conjugate gradient"):
+            self.numpy_cg(gram, np.ones(3), np.ones(3), np.ones(3), np.zeros(3))

@@ -1,15 +1,15 @@
 """Start-up guard: the CLI loads only what the command runs.
 
-`import modalmr.cli` must load no scipy module and no thread pool, and
-`--version`, `fit` and `predict` must not load scipy.stats, scipy.integrate
-or scipy.sparse, which together cost about a second per process, nor the
-experiment modules modalmr.markov, modalmr.risk and modalmr.robustness.  A
-q=1 `fit` loads no scipy module at all: its active-set inner solve is numpy
-only.  A `learning-curve` with student-t or shifted-gamma noise loads no
-scipy module either: the noise densities and quantiles are numpy and math.
-Nor does it load numpy.ma, which np.percentile would import for the slope CI.
-`check-kernel` loads no scipy module (its quadrature is numpy), and
-`chain-info --out` loads neither modalmr.risk nor modalmr.robustness.
+No command loads any scipy module: SciPy is a test dependency only.
+`import modalmr.cli` loads no thread pool, and `--version`, `fit` and
+`predict` load neither json nor the experiment modules modalmr.markov,
+modalmr.risk and modalmr.robustness.  The commands checked are `--version`,
+a q=1 `fit` (active-set inner solve), a q=2 `fit` on 4 rows (direct solve)
+and on 700 distinct rows (conjugate gradients), `predict`, `check-kernel`
+and `learning-curve` with student-t and shifted-gamma noise.  The learning
+curve loads no numpy.ma either, which np.percentile would import for the
+slope CI, and `chain-info --out` loads neither modalmr.risk nor
+modalmr.robustness.
 Each script runs in one fresh interpreter so no other test's imports leak in.
 """
 
@@ -22,11 +22,10 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("scipy.stats", "scipy.integrate", "scipy.sparse")
 EXPERIMENT = ("modalmr.markov", "modalmr.risk", "modalmr.robustness")
 
 SCRIPT = r"""
-import json, sys
+import sys
 from pathlib import Path
 
 def scipy_modules():
@@ -45,6 +44,7 @@ except SystemExit as exc:
     report["version_exit"] = exc.code
 report["version"] = scipy_modules()
 report["version_modalmr"] = modalmr_modules()
+report["version_json"] = "json" in sys.modules
 work = Path(sys.argv[1])
 data, model = str(work / "data.txt"), str(work / "model.txt")
 Path(data).write_text("4 1\n0.1 0.3\n0.4 -0.2\n0.7 0.5\n0.9 0.1\n")
@@ -53,11 +53,19 @@ report["fit_q1"] = scipy_modules()
 report["fit_exit"] = main(["fit", "--data", data, "--out", model])
 report["fit"] = scipy_modules()
 report["fit_modalmr"] = modalmr_modules()
+report["fit_json"] = "json" in sys.modules
 report["predict_exit"] = main(
     ["predict", "--model", model, "--data", data, "--out", str(work / "preds.csv")]
 )
 report["predict"] = scipy_modules()
 report["predict_modalmr"] = modalmr_modules()
+report["predict_json"] = "json" in sys.modules
+large = str(work / "large.txt")
+rows = "".join(f"{i / 699!r} {(-1) ** i * 0.5!r}\n" for i in range(700))
+Path(large).write_text("700 1\n" + rows)
+report["fit_large_exit"] = main(["fit", "--data", large, "--out", model])
+report["fit_large"] = scipy_modules()
+import json
 print(json.dumps(report))
 """
 
@@ -131,12 +139,17 @@ def test_import_loads_no_thread_pool(startup):
     assert report["pools"] == []
 
 
-@pytest.mark.parametrize("step", ["version", "fit", "predict"])
-def test_commands_skip_heavy_scipy_modules(startup, step):
+@pytest.mark.parametrize("step", ["version", "fit", "fit_large", "predict"])
+def test_commands_load_no_scipy(startup, step):
     report, _ = startup
     assert report[f"{step}_exit"] == 0
-    heavy = [m for m in report[step] if m.startswith(HEAVY)]
-    assert heavy == [], f"{step} loaded {heavy}"
+    assert report[step] == [], f"{step} loaded {report[step]}"
+
+
+@pytest.mark.parametrize("step", ["version", "fit", "predict"])
+def test_commands_load_no_json(startup, step):
+    report, _ = startup
+    assert not report[f"{step}_json"]
 
 
 @pytest.mark.parametrize("step", ["version", "fit", "predict"])
@@ -166,6 +179,7 @@ def test_q1_fit_loads_no_scipy(startup):
 def test_info_logging_reports_each_fit(startup):
     _, stderr = startup
     assert "hq fit (q=2, direct inner solve, 4 distinct of 4 samples)" in stderr
+    assert "hq fit (q=2, CG inner solve, 700 distinct of 700 samples)" in stderr
 
 
 def test_check_kernel_loads_no_scipy(others):
