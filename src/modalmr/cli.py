@@ -21,7 +21,9 @@ import numpy as np
 
 from . import __version__, harness
 from .errors import InputError, ModalRegressionError, NumericError
+from .harness import _fmt
 from .kernels import (
+    _KERNEL_DEFAULTS,
     KERNEL_KINDS,
     PHI_KINDS,
     check_calibration,
@@ -208,6 +210,8 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise InputError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
+            if key.strip() in values:
+                raise InputError(f"{path}:{lineno}: repeated key {key.strip()!r}")
             values[key.strip()] = value.strip()
     return values
 
@@ -235,39 +239,23 @@ def _merge_options(args, options):
     return merged
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
-def _noise_from(opts):
-    from . import risk
-
-    kind = opts["noise"]
-    if kind == "gaussian":
-        return risk.gaussian_noise(opts["noise-scale"])
-    if kind == "student-t":
-        return risk.student_t_noise(opts["dof"], opts["noise-scale"])
-    if kind == "shifted-gamma":
-        return risk.shifted_gamma_noise(opts["shape"], opts["noise-scale"])
-    raise InputError(f"unknown noise kind {kind!r}")
-
-
-def _task_from(opts):
-    """The synthetic task of the chain-based experiment commands."""
+def _task_from(opts, chain=None):
+    """The named noise on ``chain``, by default on the chain the options name."""
     from . import markov, risk
 
-    chain = markov.builtin_chain(
-        opts["chain-family"], d=opts["d"], n=opts["chain-n"], p=opts["chain-p"],
-        q=opts["chain-q"], laziness=opts["laziness"],
-    )
-    return risk.make_task(chain, _noise_from(opts))
+    if chain is None:
+        chain = markov.builtin_chain(
+            opts["chain-family"], d=opts["d"], n=opts["chain-n"], p=opts["chain-p"],
+            q=opts["chain-q"], laziness=opts["laziness"],
+        )
+    noise = risk.builtin_noise(opts["noise"], opts["noise-scale"], dof=opts["dof"],
+                               shape=opts["shape"])
+    return risk.make_task(chain, noise)
 
 
 def _kernel_from(opts):
     kind = opts["kernel"]
-    if kind == "polynomial":
-        return hypothesis_kernel(kind, degree=opts["degree"], offset=opts["offset"])
-    return hypothesis_kernel(kind, bandwidth=opts["bandwidth"])
+    return hypothesis_kernel(kind, **{k: opts[k] for k in _KERNEL_DEFAULTS.get(kind, ())})
 
 
 def _solver_from(opts):
@@ -415,19 +403,13 @@ def _cmd_learning_curve(opts) -> int:
 
 
 def _cmd_gamma_sweep(opts) -> int:
-    from . import markov, risk
+    from . import markov
 
     _require(opts, "out")
-    n = opts["chain-n"]
-    chains = []
-    for gap in opts["gamma-list"]:
-        if not 0.0 < gap <= 1.0:
-            raise InputError("gamma values must lie in (0, 1]")
-        P = (1.0 - gap) * np.eye(n) + gap * np.full((n, n), 1.0 / n)
-        chains.append(markov.transition_kernel(P, markov.iid_chain(n, d=opts["d"]).state_embedding))
-    task = risk.make_task(chains[-1], _noise_from(opts))
+    chains = [markov.uniform_gap_chain(opts["chain-n"], gap, opts["d"])
+              for gap in opts["gamma-list"]]
     config = harness.ExperimentConfig(
-        task=task,
+        task=_task_from(opts, chains[-1]),
         m_grid=(opts["m"],),
         n_replicates=opts["replicates"],
         schedule=_schedule_from(opts),
@@ -529,7 +511,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         opts = _merge_options(args, _COMMAND_OPTIONS[args.command])
         return _HANDLERS[args.command](opts)
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

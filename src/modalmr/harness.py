@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -399,20 +400,30 @@ def write_dataset_file(path, dataset: Dataset) -> None:
 
 
 def read_dataset_file(path):
-    """Returns (x, y) arrays from the plain-text dataset format."""
+    """Returns (x, y) arrays from the plain-text dataset format.
+
+    The rows are counted against the header as they are read, and nothing is
+    allocated from the header's count; blank lines may follow the rows.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise InputError(f"{path}: expected 'm d' header")
         m, d = int(header[0]), int(header[1])
-        x = np.empty((m, d))
-        y = np.empty(m)
-        for i in range(m):
-            parts = fh.readline().split()
-            if len(parts) != d + 1:
+        if m < 1 or d < 1:
+            raise InputError(f"{path}: m and d must be at least 1, got m={m}, d={d}")
+        values = array("d")
+        for i, line in enumerate(fh):
+            parts = line.split()
+            if i >= m and parts:
+                raise InputError(f"{path}: header gives {m} rows, the file has more")
+            if i < m and len(parts) != d + 1:
                 raise InputError(f"{path}: row {i} has {len(parts)} fields, expected {d + 1}")
-            x[i] = [float(v) for v in parts[:d]]
-            y[i] = float(parts[d])
+            values.extend(map(float, parts))
+    if len(values) < m * (d + 1):
+        raise InputError(f"{path}: header gives {m} rows, the file has {len(values) // (d + 1)}")
+    table = np.frombuffer(values).reshape(m, d + 1)
+    x, y = table[:, :d].copy(), table[:, d].copy()
     finite = np.isfinite(x).all(axis=1) & np.isfinite(y)
     if not finite.all():
         raise InputError(f"{path}: row {int(np.argmin(finite))} has a non-finite value")

@@ -33,12 +33,12 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-PHI_KINDS = ("gaussian", "epanechnikov", "quadratic", "triangular", "correntropy")
-KERNEL_KINDS = ("gaussian-rbf", "laplacian", "polynomial")
-
 
 class RepresentingFunction(NamedTuple):
-    """A smoothing kernel phi with its frozen calibration constants.
+    """A smoothing kernel phi: its frozen calibration constants, phi and phi',
+    and for the Gaussian family the pair (coeff, a_sq) of
+    phi(u) = coeff * exp(-u^2 / (2 a_sq)), which the half-quadratic solver
+    needs (None for the compact kinds).
 
     ``lipschitz_bound`` and ``second_moment`` are exact values for the
     built-in kinds; ``check_calibration`` re-derives them numerically.
@@ -52,74 +52,63 @@ class RepresentingFunction(NamedTuple):
     lipschitz_bound: float
     second_moment: float
     support_halfwidth: float
-    calibrated: bool = True
+    calibrated: bool
+    value: Callable
+    slope: Callable
+    gaussian: tuple | None = None
 
     def __call__(self, u):
-        out = _PHI_TABLE[self.kind].value(np.asarray(u, dtype=float))
+        out = self.value(np.asarray(u, dtype=float))
         return float(out) if out.ndim == 0 else out
 
     def derivative(self, u):
         """phi'(u), using the zero subgradient at kink points."""
-        out = _PHI_TABLE[self.kind].derivative(np.asarray(u, dtype=float))
+        out = self.slope(np.asarray(u, dtype=float))
         return float(out) if out.ndim == 0 else out
-
-
-class _Phi(NamedTuple):
-    """One built-in kind: its constants, phi and phi', and for the Gaussian
-    family the pair (coeff, a_sq) of phi(u) = coeff * exp(-u^2 / (2 a_sq)),
-    which the half-quadratic solver needs (None for the compact kinds)."""
-
-    peak: float
-    lipschitz: float
-    second_moment: float
-    support_halfwidth: float
-    calibrated: bool
-    value: Callable
-    derivative: Callable
-    gaussian: tuple | None = None
 
 
 def _inside(u, values):
     return np.where(np.abs(u) <= 1.0, values, 0.0)
 
 
-_PHI_TABLE = {
-    "gaussian": _Phi(
-        1.0 / _SQRT_2PI, math.exp(-0.5) / _SQRT_2PI, 1.0, math.inf, True,
+_PHI_TABLE = {phi.kind: phi for phi in (
+    RepresentingFunction(
+        "gaussian", 1.0 / _SQRT_2PI, math.exp(-0.5) / _SQRT_2PI, 1.0, math.inf, True,
         lambda u: np.exp(-0.5 * u * u) / _SQRT_2PI,
         lambda u: -u * np.exp(-0.5 * u * u) / _SQRT_2PI,
         (1.0 / _SQRT_2PI, 1.0),
     ),
-    "epanechnikov": _Phi(
-        0.75, 1.5, 0.2, 1.0, True,
+    RepresentingFunction(
+        "epanechnikov", 0.75, 1.5, 0.2, 1.0, True,
         lambda u: _inside(u, 0.75 * (1.0 - u * u)),
         lambda u: _inside(u, -1.5 * u),
     ),
     # quartic polynomial from the same beta family as Epanechnikov
-    "quadratic": _Phi(
-        15.0 / 16.0, 5.0 * math.sqrt(3.0) / 6.0, 1.0 / 7.0, 1.0, True,
+    RepresentingFunction(
+        "quadratic", 15.0 / 16.0, 5.0 * math.sqrt(3.0) / 6.0, 1.0 / 7.0, 1.0, True,
         lambda u: _inside(u, (15.0 / 16.0) * (1.0 - u * u) * (1.0 - u * u)),
         lambda u: _inside(u, -(15.0 / 4.0) * u * (1.0 - u * u)),
     ),
-    "triangular": _Phi(
-        1.0, 1.0, 1.0 / 6.0, 1.0, True,
+    RepresentingFunction(
+        "triangular", 1.0, 1.0, 1.0 / 6.0, 1.0, True,
         lambda u: _inside(u, 1.0 - np.abs(u)),
         lambda u: _inside(u, -np.sign(u)),
     ),
-    "correntropy": _Phi(
-        1.0, math.sqrt(2.0 / math.e), math.sqrt(math.pi) / 2.0, math.inf, False,
+    RepresentingFunction(
+        "correntropy", 1.0, math.sqrt(2.0 / math.e), math.sqrt(math.pi) / 2.0, math.inf, False,
         lambda u: np.exp(-(u * u)),
         lambda u: -2.0 * u * np.exp(-(u * u)),
         (1.0, 0.5),
     ),
-}
+)}
+PHI_KINDS = tuple(_PHI_TABLE)
 
 
 def representing_function(kind: str) -> RepresentingFunction:
     """Build one of the built-in representing functions by name."""
     if kind not in _PHI_TABLE:
         raise InputError(f"unknown representing function {kind!r}; choose from {PHI_KINDS}")
-    return RepresentingFunction(kind, *_PHI_TABLE[kind][:5])
+    return _PHI_TABLE[kind]
 
 
 class CalibrationReport(NamedTuple):
@@ -234,6 +223,7 @@ _KERNEL_DEFAULTS = {
     "laplacian": {"bandwidth": 1.0},
     "polynomial": {"degree": 2.0, "offset": 1.0},
 }
+KERNEL_KINDS = tuple(_KERNEL_DEFAULTS)
 
 
 def hypothesis_kernel(kind: str, **shape_params: float) -> HypothesisKernel:

@@ -36,6 +36,7 @@ __all__ = [
     "two_state_chain",
     "lazy_random_walk",
     "metropolis_grid",
+    "uniform_gap_chain",
     "diagnose",
     "read_transition_file",
     "write_transition_file",
@@ -313,6 +314,16 @@ def metropolis_grid(n: int, target=None, d: int = 1) -> TransitionKernel:
     return TransitionKernel(n, P, _grid_embedding(n, d))
 
 
+def uniform_gap_chain(n: int, gap: float, d: int = 1) -> TransitionKernel:
+    """(1 - gap) I + gap / n on n grid states, with absolute spectral gap ``gap``."""
+    if not 0.0 < gap <= 1.0:
+        raise InputError("gamma values must lie in (0, 1]")
+    if n < 2:
+        raise InputError("uniform-gap chain needs at least 2 states")
+    P = (1.0 - gap) * np.eye(n) + gap * np.full((n, n), 1.0 / n)
+    return TransitionKernel(n, P, _grid_embedding(n, d))
+
+
 def builtin_chain(family: str, d: int = 1, **params) -> TransitionKernel:
     """Dispatch on family name: iid, two-state, lazy-walk, metropolis."""
     if family == "iid":
@@ -369,6 +380,8 @@ def read_transition_file(path) -> TransitionKernel:
     if len(tokens) < 2:
         raise InputError(f"{path}: expected 'n d' header")
     n, d = int(tokens[0]), int(tokens[1])
+    if n < 1 or d < 1:
+        raise InputError(f"{path}: n and d must be at least 1, got n={n}, d={d}")
     need = 2 + n * n + n * d
     if len(tokens) != need:
         raise InputError(f"{path}: expected {need} tokens for n={n}, d={d}, found {len(tokens)}")

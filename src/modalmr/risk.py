@@ -29,6 +29,7 @@ __all__ = [
     "student_t_noise",
     "shifted_gamma_noise",
     "mixture_noise",
+    "builtin_noise",
     "make_task",
     "empirical_modal_risk",
     "true_modal_risk",
@@ -246,6 +247,17 @@ def mixture_noise(weights, components) -> NoiseModel:
         raise InputError("weights must be a probability vector")
     smooth = all(c.smooth for c in comps)
     return _validate_noise(NoiseModel("mixture", {}, smooth, components=comps, weights=w))
+
+
+def builtin_noise(kind: str, scale: float = 1.0, **params) -> NoiseModel:
+    """Dispatch on kind name: gaussian, student-t (``dof``), shifted-gamma (``shape``)."""
+    if kind == "gaussian":
+        return gaussian_noise(scale)
+    if kind == "student-t":
+        return student_t_noise(params["dof"], scale)
+    if kind == "shifted-gamma":
+        return shifted_gamma_noise(params["shape"], scale)
+    raise InputError(f"unknown noise kind {kind!r}")
 
 
 @dataclass(frozen=True)

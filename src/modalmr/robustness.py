@@ -20,7 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, SingularSystem
-from .kernels import RepresentingFunction, hypothesis_kernel
+from .harness import _default_kernel, generate_dataset
+from .kernels import RepresentingFunction
 from .risk import SyntheticTask
 from .solver import RmrConfig, RmrModel, distinct_gram, fit_hq, objective
 from .solver import _check_problem, _solve_ridge_direct
@@ -168,13 +169,11 @@ def contamination_experiment(
     Only grams over the distinct covariate rows are built; the outliers'
     shared covariate adds at most one row.
     """
-    from .harness import generate_dataset  # deferred; harness imports risk/solver only
-
     if m < 10:
         raise InputError("contamination experiment needs m >= 10")
     data = generate_dataset(task, m, seed)
     if kernel is None:
-        kernel = hypothesis_kernel("gaussian-rbf", bandwidth=0.5)
+        kernel = _default_kernel()
     groups, gram = distinct_gram(kernel, data.x)
     clean = fit_hq_multistart(gram, data.y, config, train_inputs=data.x, kernel=kernel,
                               _groups=groups)

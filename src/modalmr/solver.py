@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import InputError, NonGaussianPhi, SingularSystem
 from .kernels import (
-    _PHI_TABLE,
     HypothesisKernel,
     RepresentingFunction,
     as_covariate_array,
@@ -207,6 +206,8 @@ def _check_problem(gram, y, train_inputs=None, alpha=None, groups=None):
     inputs) and a fresh finite copy of alpha (zeros when not given)."""
     y = np.asarray(y, dtype=float).ravel()
     m = y.shape[0]
+    if m < 1:
+        raise InputError("need at least one sample")
     if not np.all(np.isfinite(y)):
         raise InputError("targets must be finite")
     if groups is None:
@@ -424,12 +425,11 @@ def _l1_active_set(gram, w, y, beta, lam, tau, max_steps):
 
 def gaussian_family_params(phi: RepresentingFunction):
     """(coefficient, a^2) of phi(u) = c * exp(-u^2/(2 a^2)), or raise."""
-    pair = _PHI_TABLE[phi.kind].gaussian
-    if pair is None:
+    if phi.gaussian is None:
         raise NonGaussianPhi(
             f"half-quadratic updates need a Gaussian-family phi, got {phi.kind!r}"
         )
-    return pair
+    return phi.gaussian
 
 
 def fit_hq(
@@ -703,6 +703,14 @@ def save_model(path, model: RmrModel) -> None:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
+def _keyed(line: str, key: str) -> str:
+    """The value of a model-file line ``key value``."""
+    name, value = line.split()
+    if name != key:
+        raise InputError(f"expected {key} line")
+    return value
+
+
 def load_model(path) -> RmrModel:
     """Inverse of save_model.  The objective trace is a fit artifact and is
     not persisted; loaded models carry an empty trace."""
@@ -710,6 +718,8 @@ def load_model(path) -> RmrModel:
         lines = [ln.rstrip("\n") for ln in fh]
     try:
         m, d = (int(t) for t in lines[0].split())
+        if m < 1 or d < 1:
+            raise InputError(f"m and d must be at least 1, got m={m}, d={d}")
         kparts = lines[1].split()
         if kparts[0] != "kernel":
             raise InputError("expected kernel line")
@@ -718,10 +728,10 @@ def load_model(path) -> RmrModel:
         for tok in kparts[2:]:
             key, _, val = tok.partition("=")
             kparams[key] = float(val)
-        phi_kind = lines[2].split()[1]
-        sigma = float(lines[3].split()[1])
-        lam = float(lines[4].split()[1])
-        q = int(lines[5].split()[1])
+        phi_kind = _keyed(lines[2], "phi")
+        sigma = float(_keyed(lines[3], "sigma"))
+        lam = float(_keyed(lines[4], "lambda"))
+        q = int(_keyed(lines[5], "q"))
         if lines[6] != "alpha":
             raise InputError("expected alpha section")
         alpha = np.array([float(lines[7 + i]) for i in range(m)])
@@ -730,6 +740,8 @@ def load_model(path) -> RmrModel:
         inputs = np.array(
             [[float(t) for t in lines[8 + m + i].split()] for i in range(m)]
         ).reshape(m, d)
+        if any(line.strip() for line in lines[8 + 2 * m:]):
+            raise InputError("text after the inputs section")
     except (IndexError, ValueError) as exc:
         raise InputError(f"malformed model file {path}: {exc}") from exc
     for name, values in (("kernel parameters", list(kparams.values())), ("sigma", sigma),
@@ -738,4 +750,8 @@ def load_model(path) -> RmrModel:
             raise InputError(f"model file {path}: non-finite {name}")
     config = RmrConfig(sigma=sigma, lam=lam, q=q, phi=representing_function(phi_kind))
     kernel = hypothesis_kernel(kkind, **kparams)
+    if not len(kparts) - 2 == len(kparams) == len(kernel.shape_params):
+        raise InputError(
+            f"model file {path}: kernel {kkind!r} takes each of {sorted(kernel.shape_params)} once"
+        )
     return RmrModel(alpha, inputs, kernel, config, tuple())

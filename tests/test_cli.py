@@ -1,8 +1,12 @@
+import contextlib
 import csv
+import io
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modalmr.cli import _COMMAND_OPTIONS, main
 from modalmr.harness import generate_dataset, write_dataset_file
@@ -153,6 +157,107 @@ class TestFitPredict:
         assert not model_path.exists()
 
 
+class TestInputFiles:
+    """A bad input or output file exits 1 with an ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("case", ["data", "model", "config", "out-is-directory"])
+    def test_file_error_is_validation_error(self, tmp_path, dataset_path, capsys, case):
+        missing = str(tmp_path / "missing.txt")
+        model_path = tmp_path / "model.txt"
+        argv = {
+            "data": ["fit", "--data", missing, "--out", str(model_path)],
+            "model": ["predict", "--model", missing, "--data", str(dataset_path),
+                      "--out", str(tmp_path / "preds.csv")],
+            "config": ["fit", "--data", str(dataset_path), "--out", str(model_path),
+                       "--config", missing],
+            "out-is-directory": ["fit", "--data", str(dataset_path), "--out", str(tmp_path)],
+        }[case]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind, text", [
+        pytest.param("data", "0 1\n", id="data-m0"),
+        pytest.param("data", "2 -1\n0.5\n0.25\n", id="data-d-negative"),
+        pytest.param("model", "0 1\nkernel gaussian-rbf bandwidth=0.5\nphi gaussian\n"
+                     "sigma 1.0\nlambda 0.1\nq 2\nalpha\ninputs\n", id="model-m0"),
+        pytest.param("chain", "-1 1\n", id="chain-n-negative"),
+        pytest.param("chain", "0 1\n", id="chain-n0"),
+    ])
+    def test_count_below_one_is_validation_error(self, tmp_path, dataset_path, capsys, kind,
+                                                 text):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        out = str(tmp_path / "out.txt")
+        argv = {
+            "data": ["fit", "--data", str(path), "--out", out],
+            "model": ["predict", "--model", str(path), "--data", str(dataset_path), "--out", out],
+            "chain": ["chain-info", "--chain-file", str(path)],
+        }[kind]
+        assert run(*argv) == 1
+        assert "must be at least 1" in capsys.readouterr().err
+
+
+# replacements that no slot of a valid input file accepts
+_JUNK = ("x", "nan", "inf", "-inf", "1e999", "=")
+
+
+def _mutate(text, spot, op):
+    """``text`` with one whitespace-separated token deleted, doubled or replaced."""
+    lines = [line.split() for line in text.splitlines()]
+    spots = [(i, j) for i, line in enumerate(lines) for j in range(len(line))]
+    i, j = spots[spot % len(spots)]
+    token = lines[i][j]
+    lines[i][j:j + 1] = [] if op == "delete" else [token, token] if op == "double" else [op]
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A valid dataset, model, chain and config file, and the command reading each."""
+    work = tmp_path_factory.mktemp("fuzz")
+    data = work / "data.txt"
+    data.write_text("4 1\n0.1 0.3\n0.4 -0.2\n0.7 0.5\n0.9 0.1\n")
+    model = work / "model.txt"
+    assert main(["fit", "--data", str(data), "--out", str(model)]) == 0
+    mutated = str(work / "mutated.txt")
+    out = str(work / "out.txt")
+    return work, {
+        "data": (data.read_text(), ["fit", "--data", mutated, "--out", out]),
+        "model": (model.read_text(),
+                  ["predict", "--model", mutated, "--data", str(data), "--out", out]),
+        "chain": ("2 1\n0.7 0.3\n0.2 0.8\n0.0\n1.0\n", ["chain-info", "--chain-file", mutated]),
+        "config": ("sigma = 0.8\nlambda = 0.01\nq = 1\nbandwidth = 0.5\nmax-iters = 50\n"
+                   "tol = 1e-8\n", ["fit", "--data", str(data), "--out", out, "--config", mutated]),
+    }
+
+
+class TestMalformedFiles:
+    """Every token-level mutation of a valid input file is malformed: the
+    command reading it returns 1 with an ``error:`` line and raises nothing."""
+
+    def test_valid_files_run(self, valid_inputs):
+        work, cases = valid_inputs
+        for text, argv in cases.values():
+            (work / "mutated.txt").write_text(text)
+            assert main(argv) == 0
+
+    @settings(max_examples=250)
+    @given(st.sampled_from(["data", "model", "chain", "config"]), st.integers(0, 10**6),
+           st.sampled_from(("delete", "double") + _JUNK))
+    def test_mutated_file_exits_one(self, valid_inputs, kind, spot, op):
+        work, cases = valid_inputs
+        text, argv = cases[kind]
+        mutated = _mutate(text, spot, op)
+        assume(mutated != text)  # "=" in place of a config line's "="
+        (work / "mutated.txt").write_text(mutated)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 1, err.getvalue()
+        assert err.getvalue().startswith("error: ")
+
+
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -177,6 +282,12 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("family two-state\n")
         assert run("chain-info", "--config", str(cfg)) == 1
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = two-state\np = 0.3\nq = 0.2\np = 0.9\n")
+        assert run("chain-info", "--config", str(cfg)) == 1
+        assert "run.cfg:4: repeated key 'p'" in capsys.readouterr().err
 
 
 class TestFlags:

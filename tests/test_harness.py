@@ -12,6 +12,7 @@ import modalmr.risk
 from _oracles import bootstrap_slope_per_draw
 from modalmr.errors import InputError, SingularSystem
 from modalmr.harness import (
+    Dataset,
     ExperimentConfig,
     FixedSchedule,
     Theorem2Schedule,
@@ -451,6 +452,32 @@ class TestIO:
         x, y = read_dataset_file(path)
         np.testing.assert_array_equal(x, data.x)
         np.testing.assert_array_equal(y, data.y)
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 6), st.integers(1, 3), st.data())
+    def test_dataset_file_round_trip_is_bit_faithful(self, tmp_path_factory, m, d, data):
+        values = st.floats(allow_nan=False, allow_infinity=False)
+        x = np.array(data.draw(st.lists(values, min_size=m * d, max_size=m * d))).reshape(m, d)
+        y = np.array(data.draw(st.lists(values, min_size=m, max_size=m)))
+        path = tmp_path_factory.mktemp("io") / "data.txt"
+        write_dataset_file(path, Dataset(x, y, np.zeros(m, int), y, y, 0))
+        got_x, got_y = read_dataset_file(path)
+        assert got_x.shape == x.shape and got_x.tobytes() == x.tobytes()
+        assert got_y.shape == y.shape and got_y.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("text", ["1 1\n0.1 0.2\n0.3 0.4\n", "100000000000 1\n0.1 0.2\n"],
+                             ids=["extra-row", "huge-header"])
+    def test_row_count_must_match_header(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(InputError, match="header gives"):
+            read_dataset_file(path)
+
+    def test_trailing_blank_lines_allowed(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text("2 1\n0.1 0.2\n0.3 0.4\n\n  \n")
+        x, y = read_dataset_file(path)
+        assert x.tolist() == [[0.1], [0.3]] and y.tolist() == [0.2, 0.4]
 
     def test_malformed_dataset(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -333,6 +333,18 @@ class TestFileFormat:
         np.testing.assert_array_equal(loaded.P, chain.P)
         np.testing.assert_array_equal(loaded.state_embedding, chain.state_embedding)
 
+    @settings(max_examples=60)
+    @given(st.integers(1, 5), st.integers(1, 3), st.data())
+    def test_round_trip_is_bit_faithful(self, tmp_path_factory, n, d, data):
+        weights = data.draw(arrays(float, (n, n), elements=st.floats(0.01, 1.0)))
+        P = weights / weights.sum(axis=1, keepdims=True)
+        emb = data.draw(arrays(float, (n, d), elements=st.floats(0.0, 1.0)))
+        path = tmp_path_factory.mktemp("chain") / "chain.txt"
+        write_transition_file(path, transition_kernel(P, emb))
+        loaded = read_transition_file(path)
+        assert loaded.P.tobytes() == P.tobytes()
+        assert loaded.state_embedding.tobytes() == emb.tobytes()
+
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 1\n0.5 0.5\n")

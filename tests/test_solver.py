@@ -78,6 +78,11 @@ class TestObjective:
         with pytest.raises(InputError):
             objective(np.zeros(2), np.eye(2), np.zeros(3), GAUSS, cfg)
 
+    @pytest.mark.parametrize("fit", [fit_hq, fit_gradient])
+    def test_no_samples_rejected(self, fit):
+        with pytest.raises(InputError, match="at least one sample"):
+            fit(np.zeros((0, 0)), np.zeros(0), RmrConfig(sigma=1.0, lam=0.1))
+
 
 class TestGridOracle:
     @settings(max_examples=15)
@@ -382,6 +387,18 @@ class TestSerialization:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InputError, match=f"non-finite {name}"):
             load_model(path)
+
+    def test_rows_after_the_inputs_rejected(self, tmp_path):
+        kernel = hypothesis_kernel("gaussian-rbf", bandwidth=0.5)
+        model = fit_hq(np.ones((1, 1)), [0.3], RmrConfig(sigma=1.0, lam=0.1),
+                       train_inputs=[[0.2]], kernel=kernel)
+        path = tmp_path / "model.txt"
+        save_model(path, model)
+        path.write_text(path.read_text() + "\n0.7\n")
+        with pytest.raises(InputError, match="after the inputs"):
+            load_model(path)
+        path.write_text(path.read_text().replace("\n0.7\n", "\n \n"))
+        assert load_model(path).m == 1
 
     def test_malformed_model_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
