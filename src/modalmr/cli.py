@@ -254,6 +254,9 @@ def _task_from(opts, chain=None):
 
 
 def _kernel_from(opts):
+    """The named kernel; every kernel's shape options are checked, used or not."""
+    for other, names in _KERNEL_DEFAULTS.items():
+        hypothesis_kernel(other, **{k: opts[k] for k in names})
     kind = opts["kernel"]
     return hypothesis_kernel(kind, **{k: opts[k] for k in _KERNEL_DEFAULTS.get(kind, ())})
 
@@ -276,6 +279,14 @@ def _schedule_from(opts):
     if opts["schedule"] == "fixed":
         return harness.FixedSchedule(opts["lambda"], opts["sigma"])
     raise InputError("schedule must be theorem2 or fixed")
+
+
+def _experiment_from(opts, task, m_grid):
+    return harness.ExperimentConfig(
+        task=task, m_grid=m_grid, n_replicates=opts["replicates"],
+        schedule=_schedule_from(opts), seed=opts["seed"], solver=_solver_from(opts),
+        kernel=_kernel_from(opts),
+    )
 
 
 def _require(opts, *names):
@@ -373,16 +384,7 @@ def _cmd_predict(opts) -> int:
 
 def _cmd_learning_curve(opts) -> int:
     _require(opts, "out")
-    config = harness.ExperimentConfig(
-        task=_task_from(opts),
-        m_grid=opts["m-grid"],
-        n_replicates=opts["replicates"],
-        schedule=_schedule_from(opts),
-        seed=opts["seed"],
-        solver=_solver_from(opts),
-        kernel=_kernel_from(opts),
-    )
-    result = harness.learning_curve(config)
+    result = harness.learning_curve(_experiment_from(opts, _task_from(opts), opts["m-grid"]))
     harness.write_csv(
         opts["out"],
         ["m", "gamma_abs", "replicate", "excess_risk", "lambda_used", "sigma_used"],
@@ -408,15 +410,7 @@ def _cmd_gamma_sweep(opts) -> int:
     _require(opts, "out")
     chains = [markov.uniform_gap_chain(opts["chain-n"], gap, opts["d"])
               for gap in opts["gamma-list"]]
-    config = harness.ExperimentConfig(
-        task=_task_from(opts, chains[-1]),
-        m_grid=(opts["m"],),
-        n_replicates=opts["replicates"],
-        schedule=_schedule_from(opts),
-        seed=opts["seed"],
-        solver=_solver_from(opts),
-        kernel=_kernel_from(opts),
-    )
+    config = _experiment_from(opts, _task_from(opts, chains[-1]), (opts["m"],))
     rows = harness.gamma_sweep(config, chains)
     harness.write_csv(
         opts["out"],

@@ -1,9 +1,11 @@
 """Synthetic experiments: learning curves, gap sweeps, robustness comparison.
 
-Every experiment is a pure function of (config, seed).  Per-replicate seeds
-are spawned deterministically from the base seed and replicates run one
-after another (BLAS threads use the cores), so repeated runs produce
-identical tables byte for byte.
+Every experiment is a pure function of (config, seed).  Learning curves and
+gap sweeps share one replicate sweep over (chain, m) pairs, ``_sweep``,
+which seeds replicate ``rep`` at grid position ``mi`` with
+``derive_seed(seed, mi, rep)`` on every chain.  Replicates run one after
+another (BLAS threads use the cores), so repeated runs produce identical
+tables byte for byte.
 """
 
 from __future__ import annotations
@@ -153,25 +155,40 @@ def _schedule_params(schedule, m: int, gamma_abs: float):
     return schedule.lam, schedule.sigma
 
 
-def _run_replicates(task, config: ExperimentConfig, m, lam, sigma, seeds, where):
-    """Excess risk of one fit per dataset seed, as (excess risks, failures).
+def _sweep(config: ExperimentConfig, chains):
+    """Replicate fits on each chain at each m of ``config.m_grid``.
 
-    A fit that raises NumericError logs a warning and scores NaN, so one bad
-    replicate cannot sink a whole experiment.
+    Yields (gamma_abs, m, lambda, sigma, replicate excess risks, failures)
+    per (chain, m).  Replicate ``rep`` at grid position ``mi`` draws its data
+    from ``derive_seed(config.seed, mi, rep)`` whatever the chain, so
+    replicates pair across chains.  A fit that raises NumericError logs a
+    warning and scores NaN, so one bad replicate cannot sink a whole
+    experiment.
     """
-    from .risk import excess_risk
+    from .markov import absolute_spectral_gap
+    from .risk import excess_risk, make_task
 
-    solver = replace(config.solver, lam=lam, sigma=sigma)
-    excesses, n_failed = [], 0
-    for rep, seed in enumerate(seeds):
-        try:
-            data = generate_dataset(task, m, seed)
-            excesses.append(excess_risk(task, fit_data(data.x, data.y, config.kernel, solver)))
-        except NumericError as exc:
-            n_failed += 1
-            log.warning("fit failed at %s replicate %d: %s", where, rep, exc)
-            excesses.append(float("nan"))
-    return excesses, n_failed
+    task = config.task
+    for chain in chains:
+        if chain.dim != task.chain.dim:
+            raise InputError("all sweep chains must share the task's embedding dimension")
+        chain_task = make_task(chain, task.noise, task.f_star, task.M)
+        gamma = absolute_spectral_gap(chain)
+        for mi, m in enumerate(config.m_grid):
+            lam, sigma = _schedule_params(config.schedule, m, gamma)
+            solver = replace(config.solver, lam=lam, sigma=sigma)
+            excesses, n_failed = [], 0
+            for rep in range(config.n_replicates):
+                try:
+                    data = generate_dataset(chain_task, m, derive_seed(config.seed, mi, rep))
+                    model = fit_data(data.x, data.y, config.kernel, solver)
+                    excesses.append(excess_risk(chain_task, model))
+                except NumericError as exc:
+                    n_failed += 1
+                    log.warning("fit failed at gamma=%.3f, m=%d replicate %d: %s",
+                                gamma, m, rep, exc)
+                    excesses.append(float("nan"))
+            yield gamma, m, lam, sigma, excesses, n_failed
 
 
 _BOOTSTRAP_DRAWS = 1000
@@ -245,17 +262,10 @@ def learning_curve(config: ExperimentConfig, jobs: int = 1) -> LearningCurveResu
     counted; the slope uses only m values whose mean excess risk is positive.
     ``jobs`` is accepted and ignored: replicates run one after another.
     """
-    from .markov import absolute_spectral_gap
-
-    task = config.task
-    gamma_abs = absolute_spectral_gap(task.chain)
     rows = []
     finite = {}  # m -> its finite replicate excess risks
     n_failed = 0
-    for mi, m in enumerate(config.m_grid):
-        lam, sigma = _schedule_params(config.schedule, m, gamma_abs)
-        seeds = [derive_seed(config.seed, mi, rep) for rep in range(config.n_replicates)]
-        excesses, failed = _run_replicates(task, config, m, lam, sigma, seeds, f"m={m}")
+    for gamma_abs, m, lam, sigma, excesses, failed in _sweep(config, [config.task.chain]):
         n_failed += failed
         rows += [LearningCurveRow(m, gamma_abs, rep, e, lam, sigma)
                  for rep, e in enumerate(excesses)]
@@ -290,41 +300,19 @@ class GammaSweepRow(NamedTuple):
 
 
 def gamma_sweep(base_config: ExperimentConfig, chains, jobs: int = 1):
-    """Mean excess risk per chain at fixed m (the largest in the grid).
+    """Mean excess risk per chain at every m of the config's grid.
 
     Replicate seeds are shared across chains so per-replicate differences
-    form a paired comparison.  Rows come back ordered by gamma_abs.  ``jobs``
-    is accepted and ignored: replicates run one after another.
+    form a paired comparison.  Rows come back ordered by gamma_abs, then by
+    m.  ``jobs`` is accepted and ignored: replicates run one after another.
     """
-    from .markov import absolute_spectral_gap
-    from .risk import make_task
-
-    task = base_config.task
-    m = base_config.m_grid[-1]
     rows = []
-    for chain in chains:
-        if chain.dim != task.chain.dim:
-            raise InputError("all sweep chains must share the task's embedding dimension")
-        chain_task = make_task(chain, task.noise, task.f_star, task.M)
-        gamma = absolute_spectral_gap(chain)
-        lam, sigma = _schedule_params(base_config.schedule, m, gamma)
-        seeds = [derive_seed(base_config.seed, 0, rep) for rep in range(base_config.n_replicates)]
-        excesses, _ = _run_replicates(
-            chain_task, base_config, m, lam, sigma, seeds, f"gamma={gamma:.3f}"
-        )
+    for gamma, m, lam, sigma, excesses, _ in _sweep(base_config, chains):
         valid = [v for v in excesses if np.isfinite(v)]
-        rows.append(
-            GammaSweepRow(
-                gamma_abs=gamma,
-                discount=2.0 * gamma - gamma * gamma,
-                m=m,
-                n_replicates=base_config.n_replicates,
-                mean_excess_risk=float(np.mean(valid)) if valid else float("nan"),
-                lambda_used=lam,
-                sigma_used=sigma,
-                replicate_excess=tuple(excesses),
-            )
-        )
+        rows.append(GammaSweepRow(
+            gamma, 2.0 * gamma - gamma * gamma, m, base_config.n_replicates,
+            float(np.mean(valid)) if valid else float("nan"), lam, sigma, tuple(excesses),
+        ))
     rows.sort(key=lambda r: r.gamma_abs)
     return rows
 

@@ -203,6 +203,16 @@ def _validate_noise(model: NoiseModel) -> NoiseModel:
     return model
 
 
+def _check_dof(dof: float) -> None:
+    if not 1 <= dof < math.inf:
+        raise InputError(f"student-t dof must be at least 1 and finite, got {dof}")
+
+
+def _check_shape(shape: float) -> None:
+    if not 1.0 <= shape < math.inf:
+        raise InputError("shape must be at least 1 and finite, for a finite mode at zero")
+
+
 def gaussian_noise(scale: float = 1.0) -> NoiseModel:
     if not 0 < scale < math.inf:
         raise InputError("scale must be positive and finite")
@@ -216,8 +226,7 @@ def student_t_noise(dof: float, scale: float = 1.0) -> NoiseModel:
     1."""
     if not 0 < scale < math.inf:
         raise InputError("scale must be positive and finite")
-    if not 1 <= dof < math.inf:
-        raise InputError(f"student-t dof must be at least 1 and finite, got {dof}")
+    _check_dof(dof)
     return _validate_noise(
         NoiseModel("student-t", {"dof": float(dof), "scale": float(scale)}, smooth=True)
     )
@@ -230,8 +239,7 @@ def shifted_gamma_noise(shape: float, scale: float = 1.0) -> NoiseModel:
     is the case modal regression targets and mean regression cannot.
     p rises like x^(shape - 1), so p'' is bounded (``smooth``) from shape 3.
     """
-    if not 1.0 <= shape < math.inf:
-        raise InputError("shape must be at least 1 and finite, for a finite mode at zero")
+    _check_shape(shape)
     if not 0 < scale < math.inf:
         raise InputError("scale must be positive and finite")
     params = {"shape": float(shape), "scale": float(scale)}
@@ -249,8 +257,14 @@ def mixture_noise(weights, components) -> NoiseModel:
     return _validate_noise(NoiseModel("mixture", {}, smooth, components=comps, weights=w))
 
 
+_PARAM_CHECKS = {"dof": _check_dof, "shape": _check_shape}
+
+
 def builtin_noise(kind: str, scale: float = 1.0, **params) -> NoiseModel:
-    """Dispatch on kind name: gaussian, student-t (``dof``), shifted-gamma (``shape``)."""
+    """Dispatch on kind name: gaussian, student-t (``dof``), shifted-gamma (``shape``).
+    Every parameter given is checked, used or not; only the named noise is built."""
+    for key, value in params.items():
+        _PARAM_CHECKS[key](value)
     if kind == "gaussian":
         return gaussian_noise(scale)
     if kind == "student-t":

@@ -18,6 +18,10 @@ def run(*argv):
     return main(list(argv))
 
 
+def read_rows(path):
+    return list(csv.DictReader(path.read_text().splitlines()))
+
+
 @pytest.fixture()
 def dataset_path(tmp_path):
     task = make_task(iid_chain(8), gaussian_noise(0.3))
@@ -54,7 +58,7 @@ class TestChainInfo:
     def test_csv_output(self, tmp_path):
         out = tmp_path / "tv.csv"
         assert run("chain-info", "--family", "iid", "--n", "4", "--out", str(out)) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert rows and float(rows[0]["tv_distance"]) == pytest.approx(0.0, abs=1e-12)
         assert (tmp_path / "tv.csv.manifest.json").exists()
 
@@ -86,8 +90,8 @@ class TestFitPredict:
             "predict", "--model", str(model_path), "--data", str(dataset_path),
             "--out", str(preds_path),
         ) == 0
-        fitted = [float(r["fitted"]) for r in csv.DictReader(fitted_path.open())]
-        preds = [float(r["prediction"]) for r in csv.DictReader(preds_path.open())]
+        fitted = [float(r["fitted"]) for r in read_rows(fitted_path)]
+        preds = [float(r["prediction"]) for r in read_rows(preds_path)]
         assert max(abs(a - b) for a, b in zip(fitted, preds)) < 1e-12
 
     def test_gradient_method(self, tmp_path, dataset_path):
@@ -154,6 +158,23 @@ class TestFitPredict:
         code = run("fit", "--data", str(dataset_path), flag, "nan", "--out", str(model_path))
         assert code == 1
         assert "finite" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("kernel", ["gaussian-rbf", "laplacian", "polynomial"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--bandwidth", "nan", "'bandwidth' must be finite"),
+        ("--bandwidth", "0", "bandwidth must be positive"),
+        ("--degree", "nan", "'degree' must be finite"),
+        ("--offset", "inf", "'offset' must be finite"),
+    ])
+    def test_every_kernel_option_is_checked(self, tmp_path, dataset_path, capsys, kernel,
+                                            flag, value, message):
+        # an option the chosen kernel does not use is checked all the same
+        model_path = tmp_path / "model.txt"
+        code = run("fit", "--data", str(dataset_path), "--kernel", kernel, flag, value,
+                   "--out", str(model_path))
+        assert code == 1
+        assert message in capsys.readouterr().err
         assert not model_path.exists()
 
 
@@ -330,7 +351,7 @@ class TestExperimentCommands:
             "--chain-n", "6", "--out", str(out), "--seed", "3",
         )
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert len(rows) == 6
         assert set(rows[0]) == {"m", "gamma_abs", "replicate", "excess_risk",
                                 "lambda_used", "sigma_used"}
@@ -388,7 +409,7 @@ class TestExperimentCommands:
             "--noise", "shifted-gamma", "--shape", "1", "--out", str(out), "--seed", "3",
         )
         assert code == 0
-        assert len(list(csv.DictReader(out.open()))) == 4
+        assert len(read_rows(out)) == 4
 
     @pytest.mark.parametrize("shape", ["1.01", "1.05", "1.125"])
     def test_shifted_gamma_noise_near_shape_one_runs(self, tmp_path, shape):
@@ -400,7 +421,7 @@ class TestExperimentCommands:
             "--noise", "shifted-gamma", "--shape", shape, "--out", str(out), "--seed", "3",
         )
         assert code == 0
-        assert len(list(csv.DictReader(out.open()))) == 4
+        assert len(read_rows(out)) == 4
 
     def test_cauchy_noise_runs(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -409,7 +430,7 @@ class TestExperimentCommands:
             "--noise", "student-t", "--dof", "1", "--out", str(out), "--seed", "3",
         )
         assert code == 0
-        assert len(list(csv.DictReader(out.open()))) == 4
+        assert len(read_rows(out)) == 4
 
     def test_student_t_dof_below_one_is_validation_error(self, tmp_path, capsys):
         code = run(
@@ -419,6 +440,34 @@ class TestExperimentCommands:
         assert code == 1
         assert "at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise", ["gaussian", "student-t", "shifted-gamma"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--dof", "nan", "dof must be at least 1 and finite"),
+        ("--dof", "0.5", "dof must be at least 1 and finite"),
+        ("--shape", "-3", "shape must be at least 1 and finite"),
+        ("--shape", "inf", "shape must be at least 1 and finite"),
+    ])
+    def test_every_noise_option_is_checked(self, tmp_path, capsys, noise, flag, value,
+                                           message):
+        # an option the chosen noise does not use is checked all the same
+        out = tmp_path / "curve.csv"
+        code = run("learning-curve", "--m-grid", "32", "--replicates", "1", "--chain-n", "6",
+                   "--noise", noise, flag, value, "--out", str(out))
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "curve.csv.manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["learning-curve", "gamma-sweep", "breakdown",
+                                         "robust-compare"])
+    @pytest.mark.parametrize("flag, message", [
+        ("--dof", "dof must be at least 1"),
+        ("--degree", "'degree' must be finite"),
+    ])
+    def test_experiments_check_unused_options(self, tmp_path, capsys, command, flag, message):
+        code = run(command, flag, "nan", "--out", str(tmp_path / "out.csv"))
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_robust_compare_runs(self, tmp_path, capsys):
         out = tmp_path / "rc.csv"
         code = run(
@@ -427,5 +476,5 @@ class TestExperimentCommands:
             "--lambda", "0.001", "--out", str(out), "--seed", "11",
         )
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert len(rows) == 3

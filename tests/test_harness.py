@@ -362,6 +362,29 @@ class TestGammaSweep:
             gamma_sweep(self.base_config(task), [iid_chain(8, d=2)])
 
 
+class TestSweep:
+    """learning_curve and gamma_sweep run one replicate sweep with one seed rule."""
+
+    @settings(max_examples=25)
+    @given(grid=st.lists(st.integers(16, 64), min_size=1, max_size=3, unique=True),
+           reps=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_every_chain_runs_the_learning_curve(self, grid, reps, seed):
+        task = small_task(n_states=6)
+        config = ExperimentConfig(task=task, m_grid=tuple(sorted(grid)), n_replicates=reps,
+                                  schedule=Theorem2Schedule(2.0, 0.01), seed=seed)
+        curve = learning_curve(config)
+        # a twin of the task's chain: rows sort stably by gamma, so its rows follow
+        rows = gamma_sweep(config, [task.chain, iid_chain(6)])
+        first, twin = rows[:len(grid)], rows[len(grid):]
+        assert [r.m for r in first] == [r.m for r in twin] == list(config.m_grid)
+        for row, twin_row in zip(first, twin):
+            assert row.replicate_excess == twin_row.replicate_excess
+            mine = [r for r in curve.rows if r.m == row.m]
+            assert row.replicate_excess == tuple(r.excess_risk for r in mine)
+            assert {(r.lambda_used, r.sigma_used) for r in mine} == {
+                (row.lambda_used, row.sigma_used)}
+
+
 class TestReplicateFailures:
     """A replicate whose fit raises a numeric error scores NaN, is counted and
     logged once, and the other replicates run on unchanged."""
@@ -414,7 +437,7 @@ class TestReplicateFailures:
         caplog.set_level(logging.WARNING, logger="modalmr.harness")
         (row,) = gamma_sweep(config, [task.chain])
         (warning,) = self.warnings(caplog)
-        assert "replicate 2" in warning
+        assert "fit failed at gamma=1.000, m=64 replicate 2: injected failure" in warning
         assert np.isnan(row.replicate_excess[2])
         assert row.replicate_excess[:2] == clean.replicate_excess[:2]
         assert row.mean_excess_risk == float(np.mean(clean.replicate_excess[:2]))
