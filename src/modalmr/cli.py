@@ -38,6 +38,7 @@ from .solver import (  # noqa: F401 - fit_hq stays importable from here
     load_model,
     predict,
     save_model,
+    schedule_theorem2,
 )
 
 
@@ -84,7 +85,8 @@ _SOLVER_OPTS = [
     ("sigma", float, 1.0, "modal bandwidth"),
     ("lambda", float, 0.1, "regularization weight"),
     ("q", int, 2, "penalty exponent, 1 or 2"),
-    ("phi", str, "gaussian", f"representing function: {', '.join(PHI_KINDS)}"),
+    ("phi", str, "gaussian",
+     f"representing function: {', '.join(PHI_KINDS)}; triangular fits by --method gradient only"),
     ("max-iters", int, 200, "outer iteration cap; gradient fits run max(this, 2000)"),
     ("tol", float, 1e-8, "objective-change stopping threshold"),
     ("inner-iters", int, 20,
@@ -129,7 +131,7 @@ _COMMAND_OPTIONS = {
     + _SOLVER_OPTS
     + _KERNEL_OPTS
     + [
-        ("method", str, "hq", "hq | gradient"),
+        ("method", str, "hq", "hq (every phi but triangular) | gradient (any phi)"),
         ("fitted-out", str, None, "also write per-sample fitted values CSV"),
     ],
     "predict": _COMMON
@@ -274,6 +276,7 @@ def _solver_from(opts):
 
 
 def _schedule_from(opts):
+    schedule_theorem2(1, 1.0, opts["beta"], opts["s"])  # checks --beta and --s, used or not
     if opts["schedule"] == "theorem2":
         return harness.Theorem2Schedule(opts["beta"], opts["s"])
     if opts["schedule"] == "fixed":

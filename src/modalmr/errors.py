@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Two families matter to callers (and to the CLI exit codes): bad inputs
-(``InputError``, exit 1) and numerical failures discovered mid-computation
-(``NumericError``, exit 2).
+Two families matter to callers and to the CLI exit codes: bad inputs
+(``InputError``, exit 1; a half-quadratic fit of triangular phi is one) and
+numerical failures found mid-computation (``NumericError``, exit 2).
 """
 
 
@@ -36,10 +36,6 @@ class NotReversible(InputError):
 
 class SingularSystem(NumericError):
     """The weighted least-squares system stayed singular after jitter."""
-
-
-class NonGaussianPhi(InputError):
-    """Half-quadratic updates require a Gaussian-family representing function."""
 
 
 class NonSmoothNoise(InputError):

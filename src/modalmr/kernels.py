@@ -36,9 +36,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 class RepresentingFunction(NamedTuple):
     """A smoothing kernel phi: its frozen calibration constants, phi and phi',
-    and for the Gaussian family the pair (coeff, a_sq) of
-    phi(u) = coeff * exp(-u^2 / (2 a_sq)), which the half-quadratic solver
-    needs (None for the compact kinds).
+    and the half-quadratic pair ``hq = (weight, C)``: with phi(u) = g(u^2), g
+    convex and decreasing, -g'(r^2 / sigma^2) = C * weight(r, sigma) (None for
+    triangular phi, whose g'(t) is unbounded at t = 0).
 
     ``lipschitz_bound`` and ``second_moment`` are exact values for the
     built-in kinds; ``check_calibration`` re-derives them numerically.
@@ -55,7 +55,7 @@ class RepresentingFunction(NamedTuple):
     calibrated: bool
     value: Callable
     slope: Callable
-    gaussian: tuple | None = None
+    hq: tuple | None = None
 
     def __call__(self, u):
         out = self.value(np.asarray(u, dtype=float))
@@ -76,18 +76,20 @@ _PHI_TABLE = {phi.kind: phi for phi in (
         "gaussian", 1.0 / _SQRT_2PI, math.exp(-0.5) / _SQRT_2PI, 1.0, math.inf, True,
         lambda u: np.exp(-0.5 * u * u) / _SQRT_2PI,
         lambda u: -u * np.exp(-0.5 * u * u) / _SQRT_2PI,
-        (1.0 / _SQRT_2PI, 1.0),
+        (lambda r, s: np.exp(-(r * r) / (2.0 * s * s)), 0.5 / _SQRT_2PI),
     ),
     RepresentingFunction(
         "epanechnikov", 0.75, 1.5, 0.2, 1.0, True,
         lambda u: _inside(u, 0.75 * (1.0 - u * u)),
         lambda u: _inside(u, -1.5 * u),
+        (lambda r, s: (np.abs(r) < s) * 1.0, 0.75),
     ),
     # quartic polynomial from the same beta family as Epanechnikov
     RepresentingFunction(
         "quadratic", 15.0 / 16.0, 5.0 * math.sqrt(3.0) / 6.0, 1.0 / 7.0, 1.0, True,
         lambda u: _inside(u, (15.0 / 16.0) * (1.0 - u * u) * (1.0 - u * u)),
         lambda u: _inside(u, -(15.0 / 4.0) * u * (1.0 - u * u)),
+        (lambda r, s: np.maximum(1.0 - r * r / (s * s), 0.0), 15.0 / 8.0),
     ),
     RepresentingFunction(
         "triangular", 1.0, 1.0, 1.0 / 6.0, 1.0, True,
@@ -98,7 +100,7 @@ _PHI_TABLE = {phi.kind: phi for phi in (
         "correntropy", 1.0, math.sqrt(2.0 / math.e), math.sqrt(math.pi) / 2.0, math.inf, False,
         lambda u: np.exp(-(u * u)),
         lambda u: -2.0 * u * np.exp(-(u * u)),
-        (1.0, 0.5),
+        (lambda r, s: np.exp(-(r * r) / (s * s)), 1.0),
     ),
 )}
 PHI_KINDS = tuple(_PHI_TABLE)

@@ -325,7 +325,10 @@ def uniform_gap_chain(n: int, gap: float, d: int = 1) -> TransitionKernel:
 
 
 def builtin_chain(family: str, d: int = 1, **params) -> TransitionKernel:
-    """Dispatch on family name: iid, two-state, lazy-walk, metropolis."""
+    """Dispatch on family name: iid, two-state, lazy-walk, metropolis.  The flip
+    probabilities and the laziness are checked whenever given, used or not."""
+    two_state_chain(params.get("p") or 0.0, params.get("q") or 0.0)
+    lazy_random_walk(2, params.get("laziness") or 0.0)
     if family == "iid":
         return iid_chain(int(params.pop("n", 2)), params.pop("target", None), d)
     if family == "two-state":

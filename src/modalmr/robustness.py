@@ -14,14 +14,16 @@ follows them and the coefficient norm grows with the outlier magnitude.
 
 from __future__ import annotations
 
+import contextlib
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError, SingularSystem
 from .harness import _default_kernel, generate_dataset
-from .kernels import RepresentingFunction
+from .kernels import RepresentingFunction, representing_function
 from .risk import SyntheticTask
 from .solver import RmrConfig, RmrModel, distinct_gram, fit_hq, objective
 from .solver import _check_problem, _solve_ridge_direct
@@ -118,10 +120,12 @@ def fit_hq_multistart(
     the bulk consensus and the least-squares seed chases whatever the
     quadratic loss chases; on small problems (up to ``_SINGLETON_ANCHOR_LIMIT``
     samples) one anchored start per sample additionally seeds the basin
-    around each sample's consensus.  Returns the fit with the best final
-    objective.  ``gram``, ``train_inputs`` and the internal ``_groups``
-    follow the rule of ``fit_hq``; the seeds are solved over the distinct
-    covariate rows, and every start reuses the one grouping.
+    around each sample's consensus.  A compact phi, whose weights vanish
+    outside its window, has more local maxima, so it also starts from this
+    multistart's optimum for Gaussian phi at the same sigma.  Returns the fit
+    with the best final objective.  ``gram``, ``train_inputs`` and the internal
+    ``_groups`` follow the rule of ``fit_hq``; the seeds are solved over the
+    distinct covariate rows, and every start reuses the one grouping.
     """
     reduced, y, groups, _ = _check_problem(gram, y, train_inputs, groups=_groups)
     m = y.shape[0]
@@ -135,6 +139,10 @@ def fit_hq_multistart(
             if anchor is not None:
                 inits.append(anchor)
     inits.extend(np.asarray(v, dtype=float) for v in extra_inits)
+    if config.phi.hq is not None and config.phi.support_halfwidth < math.inf:
+        gaussian = replace(config, phi=representing_function("gaussian"))
+        with contextlib.suppress(SingularSystem):
+            inits.append(fit_hq_multistart(reduced, y, gaussian, extra_inits, _groups=groups).alpha)
     best = None
     failure = None
     for init in inits:

@@ -4,9 +4,9 @@ The estimator maximizes
 
     J(alpha) = (1/(m sigma)) * sum_i phi((y_i - K_i^T alpha)/sigma) - lam*||alpha||_q^q
 
-where K_i is column i of the gram matrix.  For Gaussian-family phi the
-maximization runs as half-quadratic (HQ) alternation; for the other
-representing functions a proximal gradient-ascent solver is provided.
+where K_i is column i of the gram matrix.  Every phi with a finite
+half-quadratic weight (all built-in kinds but triangular) is maximized by
+half-quadratic (HQ) alternation; proximal gradient ascent serves any phi.
 
 Samples that share a covariate row share a gram column, so every solver works
 on the n distinct rows (``CovariateGroups``) and the n x n gram over them;
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, NonGaussianPhi, SingularSystem
+from .errors import InputError, SingularSystem
 from .kernels import (
     HypothesisKernel,
     RepresentingFunction,
@@ -251,16 +251,12 @@ def objective(
     return _value(alpha, y - _fitted(gram, groups, groups.sums(alpha)), phi, config)
 
 
-def _hq_weights(residuals: np.ndarray, sigma: float, a_sq: float) -> np.ndarray:
-    return np.exp(-(residuals * residuals) / (2.0 * a_sq * sigma * sigma))
-
-
 def _row_targets(groups, w, y):
     """Per-row weights W_s = sum of w_i and weighted-mean targets ybar_s.
 
     sum_i w_i (y_i - f_s(i))^2 = sum_s W_s (ybar_s - f_s)^2 + const, so a
     weighted least-squares step over the samples is the same step over the
-    distinct rows.  A row whose weights all underflow takes the plain mean.
+    distinct rows.  A row whose weights are all zero takes the plain mean.
     """
     row_w = groups.sums(w)
     spread_w = groups.spread(row_w)
@@ -423,33 +419,26 @@ def _l1_active_set(gram, w, y, beta, lam, tau, max_steps):
             beta[j] = np.sign(z) * max(abs(z) - lam, 0.0) / curvature if curvature > 0 else 0.0
 
 
-def gaussian_family_params(phi: RepresentingFunction):
-    """(coefficient, a^2) of phi(u) = c * exp(-u^2/(2 a^2)), or raise."""
-    if phi.gaussian is None:
-        raise NonGaussianPhi(
-            f"half-quadratic updates need a Gaussian-family phi, got {phi.kind!r}"
-        )
-    return phi.gaussian
-
-
 def fit_hq(
     gram, y, config: RmrConfig, init=None, *, train_inputs=None, kernel=None, _groups=None
 ) -> RmrModel:
-    """Half-quadratic ascent for Gaussian-family representing functions.
+    """Half-quadratic ascent for every phi with a finite weight (``phi.hq``).
 
-    Alternates (a) weights w_i = exp(-r_i^2 / (2 a^2 sigma^2)) at the current
-    coefficients with (b) the exact penalized weighted least-squares update
-    (q=2) or the exact minimiser of the weighted lasso surrogate by an
-    active-set search (q=1, ``_l1_active_set``).  The objective trace is
-    non-decreasing by construction; iteration stops once the objective gain
-    drops below config.tol.
-
-    The q=2 ridge constant comes from matching stationarity of the surrogate
-    with the true objective: grad of the fit term is
-    (c/(a^2 m sigma^3)) * G W r, and grad of lam||alpha||^2 is 2 lam alpha,
-    so the inner problem is min sum w_i r_i^2 + kappa||alpha||^2 with
-    kappa = 2 a^2 lam m sigma^3 / c.  For q=1 the same matching gives the
-    scaling tau = c / (a^2 m sigma^3) on the quadratic part.
+    With phi(u) = g(u^2), g convex and decreasing, the tangent of g in
+    t_i = r_i^2 / sigma^2 minorises the objective and touches it at the current
+    coefficients (Nikolova & Ng 2005; Yao, Lindsay & Li 2012).  Each step
+    takes weights w_i = -g'(t_i) / C = weight(r_i, sigma) and maximises the
+    minoriser const - (C / (m sigma^3)) sum w_i r_i^2 - lam ||alpha||_q^q
+    exactly: for q=2 by the weighted least-squares problem min sum w_i r_i^2 +
+    kappa ||alpha||^2 with kappa = lam m sigma^3 / C, for q=1 by the weighted
+    lasso with tau = 2 C / (m sigma^3) on its quadratic part, which an
+    active-set search solves (``_l1_active_set``).  So the objective trace is
+    non-decreasing; iteration stops once the objective gain drops below
+    config.tol.  If every weight is zero, lam > 0 gives the step beta = 0.
+    With lam = 0 a compact phi is flat there and the fit stops by "all weights
+    zero"; a Gaussian kind, whose zero weights mean underflow, keeps the inner
+    solve, and its direct q=2 solve raises SingularSystem.  Triangular phi has
+    no finite weight and is an InputError.
 
     Both steps run over the n distinct covariate rows rather than the m
     samples.  Sample i lies on row s(i), row s holds c_s samples, and K is the
@@ -481,19 +470,27 @@ def fit_hq(
     already (``fit_data``, ``fit_hq_multistart``), so it is not built twice.
     """
     gram, y, groups, alpha = _check_problem(gram, y, train_inputs, init, _groups)
-    coeff, a_sq = gaussian_family_params(config.phi)
+    if config.phi.hq is None:
+        raise InputError(f"phi {config.phi.kind!r} has no finite half-quadratic weight; "
+                         "fit it with --method gradient")
+    weight, C = config.phi.hq
     m = y.shape[0]
     sigma = config.sigma
-    kappa = 2.0 * a_sq * config.lam * m * sigma**3 / coeff
-    tau = coeff / (a_sq * m * sigma**3)
+    kappa = config.lam * m * sigma**3 / C
+    tau = 2.0 * C / (m * sigma**3)
     beta = groups.sums(alpha)
     residuals = y - _fitted(gram, groups, beta)
     trace = [_value(alpha, residuals, config.phi, config)]
     stopped = "max_hq_iters"
     inner_capped = 0
     for _ in range(config.max_hq_iters):
-        row_w, row_y = _row_targets(groups, _hq_weights(residuals, sigma, a_sq), y)
-        if config.q == 2:
+        row_w, row_y = _row_targets(groups, weight(residuals, sigma), y)
+        if not row_w.any() and (config.lam > 0 or config.phi.support_halfwidth < math.inf):
+            if config.lam == 0:
+                stopped = "all weights zero"
+                break
+            beta, capped = np.zeros(groups.n), False
+        elif config.q == 2:
             beta, capped = _solve_weighted_ridge(gram, row_w, row_y, kappa / groups.counts, beta)
         else:
             beta, capped = _l1_active_set(

@@ -42,6 +42,18 @@ def grid_sweep_max(gram, y, phi, sigma, lam, q, lo=-3.0, hi=3.0, step=0.01):
     return float(_grid_values(points, gram, y, phi, sigma, lam, q)[1].max())
 
 
+# max |phi'(u)| of each kind's formula in ``phi_derivative``: at u = +-1
+# (gaussian, epanechnikov), +-1/sqrt(2) (correntropy), +-1/sqrt(3) (quadratic)
+# and anywhere inside the support (triangular)
+_MAX_SLOPE = {
+    "gaussian": np.exp(-0.5) / np.sqrt(2.0 * np.pi),
+    "correntropy": np.sqrt(2.0 / np.e),
+    "epanechnikov": 1.5,
+    "quadratic": 5.0 * np.sqrt(3.0) / 6.0,
+    "triangular": 1.0,
+}
+
+
 def grid_oracle_max(gram, y, phi, sigma, lam, q, lo=-3.0, hi=3.0, step=0.01):
     """Maximum of the modal objective over a coefficient grid.
 
@@ -52,7 +64,8 @@ def grid_oracle_max(gram, y, phi, sigma, lam, q, lo=-3.0, hi=3.0, step=0.01):
     sum_j L_j h_j, where h_j is the box's reach from that point along a_j
     and L_j = max|phi'| / (m sigma^2) * sum_i |K_ji| bounds the fit term's
     slope along a_j; less lam times the least penalty on the box, that
-    bounds every grid value in it.  Boxes whose bound falls below the best
+    bounds every grid value in it; phi is Lipschitz for every kind, so the
+    bound holds for each.  Boxes whose bound falls below the best
     value seen are dropped, the rest halved along every axis until they hold
     one point.
     """
@@ -63,11 +76,8 @@ def grid_oracle_max(gram, y, phi, sigma, lam, q, lo=-3.0, hi=3.0, step=0.01):
         return grid_sweep_max(gram, y, phi, sigma, lam, q, lo, hi, step)
     if m != 3:
         raise ValueError("grid oracle supports m <= 3 only")
-    if phi.kind != "gaussian":
-        raise ValueError("the m=3 search is specialized to the standard-normal phi")
     axis = _grid_axis(lo, hi, step)
-    max_slope = np.exp(-0.5) / np.sqrt(2.0 * np.pi)  # max |phi'(u)|, at u = +-1
-    lipschitz = max_slope / (m * sigma * sigma) * np.abs(gram).sum(axis=1)
+    lipschitz = _MAX_SLOPE[phi.kind] / (m * sigma * sigma) * np.abs(gram).sum(axis=1)
     first = np.zeros((1, m), dtype=np.int64)  # grid index ranges, ends included
     last = np.full((1, m), len(axis) - 1)
     best = -np.inf

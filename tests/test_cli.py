@@ -1,7 +1,9 @@
 import contextlib
 import csv
 import io
+import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from modalmr.cli import _COMMAND_OPTIONS, main
 from modalmr.harness import generate_dataset, write_dataset_file
+from modalmr.solver import load_model
 from modalmr.markov import iid_chain
 from modalmr.risk import gaussian_noise, make_task
 
@@ -116,6 +119,20 @@ class TestFitPredict:
         ) == 0
         assert "iterations=0," in capsys.readouterr().out
         assert caplog.records[-1].getMessage().endswith("0 iterations, stopped by no ascent step")
+
+    def test_compact_phi_with_every_residual_outside_its_window(self, tmp_path, capsys,
+                                                                caplog):
+        # with lambda = 0 the objective is flat where every weight is zero:
+        # the fit stops at its start, says why and exits 0
+        caplog.set_level(logging.INFO, logger="modalmr.solver")
+        data = tmp_path / "far.txt"
+        data.write_text("2 1\n0.2 5.0\n0.7 -6.0\n")
+        assert run(
+            "fit", "--data", str(data), "--phi", "epanechnikov", "--lambda", "0",
+            "--sigma", "0.5", "--out", str(tmp_path / "model.txt"),
+        ) == 0
+        assert "objective=0, iterations=0," in capsys.readouterr().out
+        assert caplog.records[-1].getMessage().endswith("0 iterations, stopped by all weights zero")
 
     def test_numeric_failure_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -478,3 +495,79 @@ class TestExperimentCommands:
         assert code == 0
         rows = read_rows(out)
         assert len(rows) == 3
+
+
+# small runs of every command that fits by half-quadratic ascent
+HQ_COMMANDS = {
+    "learning-curve": ["--m-grid", "32,64,128", "--replicates", "2", "--chain-n", "6"],
+    "gamma-sweep": ["--gamma-list", "0.5,1.0", "--chain-n", "6", "--m", "32",
+                    "--replicates", "2"],
+    "breakdown": ["--chain-family", "iid", "--chain-n", "6", "--m", "15", "--noise-scale", "0.1",
+                  "--lambda", "0.001", "--n-outliers", "0,2", "--magnitudes", "1e2"],
+    "robust-compare": ["--m", "40", "--replicates", "2", "--chain-n", "6", "--lambda", "0.001"],
+}
+
+
+class TestHalfQuadraticPhi:
+    """Every kind with a finite half-quadratic weight runs every HQ command;
+    triangular phi, which has none, is a validation error naming the
+    gradient method."""
+
+    @staticmethod
+    def argv(command, dataset_path):
+        return ["--data", str(dataset_path)] if command == "fit" else HQ_COMMANDS[command]
+
+    @pytest.mark.parametrize("phi", ["epanechnikov", "quadratic"])
+    @pytest.mark.parametrize("q", ["1", "2"])
+    @pytest.mark.parametrize("command", ["fit", *HQ_COMMANDS])
+    def test_compact_phi_runs(self, tmp_path, dataset_path, capsys, command, phi, q):
+        out = tmp_path / "out.csv"
+        assert run(command, *self.argv(command, dataset_path), "--phi", phi, "--q", q,
+                   "--out", str(out)) == 0
+        summary = capsys.readouterr().out.split(" -> ")[0]
+        assert "nan" not in summary and "inf" not in summary
+        if command == "fit":
+            load_model(out)  # rejects non-finite coefficients
+            return
+        lines = out.read_text().splitlines()
+        if command == "breakdown":
+            header = json.loads(lines.pop(0).lstrip("# "))
+            assert all(math.isfinite(v) for v in header.values())
+        rows = list(csv.DictReader(lines))
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row.values())
+
+    @pytest.mark.parametrize("command", ["fit", *HQ_COMMANDS])
+    def test_triangular_phi_names_the_gradient_method(self, tmp_path, dataset_path, capsys,
+                                                      command):
+        out = tmp_path / "out.csv"
+        assert run(command, *self.argv(command, dataset_path), "--phi", "triangular",
+                   "--out", str(out)) == 1
+        assert "--method gradient" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["learning-curve", "--chain-family", "iid", "--laziness", "nan", "--chain-p", "7"],
+     "flip probabilities must lie in [0, 1]"),
+    (["learning-curve", "--chain-family", "iid", "--laziness", "nan"],
+     "laziness must lie in [0, 1)"),
+    (["learning-curve", "--chain-family", "lazy-walk", "--chain-q", "-1"],
+     "flip probabilities must lie in [0, 1]"),
+    (["breakdown", "--chain-family", "two-state", "--laziness", "1"],
+     "laziness must lie in [0, 1)"),
+    (["robust-compare", "--chain-family", "metropolis", "--chain-p", "inf"],
+     "flip probabilities must lie in [0, 1]"),
+    (["chain-info", "--family", "iid", "--p", "7"], "flip probabilities must lie in [0, 1]"),
+    (["learning-curve", "--schedule", "fixed", "--beta", "nan", "--s", "-5"],
+     "beta must lie in (0, 2]"),
+    (["learning-curve", "--schedule", "fixed", "--s", "-5"], "s must lie in (0, 2)"),
+    (["gamma-sweep", "--schedule", "fixed", "--beta", "inf"], "beta must lie in (0, 2]"),
+], ids=["iid-p", "iid-laziness", "lazy-walk-q", "two-state-laziness", "metropolis-p",
+        "chain-info-p", "fixed-beta", "fixed-s", "gamma-sweep-beta"])
+def test_unused_chain_and_schedule_options_are_checked(tmp_path, capsys, argv, message):
+    # an option that the chosen chain family or schedule does not use is
+    # checked all the same, and nothing is written
+    out = tmp_path / "out.csv"
+    command, *flags = argv
+    assert run(command, *HQ_COMMANDS.get(command, []), *flags, "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "out.csv.manifest.json").exists()

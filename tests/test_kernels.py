@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import phi_derivative, phi_value
-from modalmr.errors import InputError, NonGaussianPhi
+from modalmr.errors import InputError
 from modalmr.kernels import (
     PHI_KINDS,
     check_calibration,
@@ -14,7 +14,6 @@ from modalmr.kernels import (
     hypothesis_kernel,
     representing_function,
 )
-from modalmr.solver import gaussian_family_params
 
 CALIBRATED = [k for k in PHI_KINDS if k != "correntropy"]
 
@@ -78,19 +77,38 @@ class TestPhiTable:
                 assert type(new) is type(old)
                 assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
 
-    @pytest.mark.parametrize("kind, pair", [("gaussian", (1.0 / math.sqrt(2.0 * math.pi), 1.0)),
-                                            ("correntropy", (1.0, 0.5))])
-    def test_gaussian_family_pairs(self, kind, pair):
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([("gaussian", (1.0 / math.sqrt(2.0 * math.pi), 1.0)),
+                            ("correntropy", (1.0, 0.5))]),
+           st.lists(st.floats(-1e3, 1e3), max_size=30), st.floats(1e-3, 1e3))
+    def test_gaussian_family_weights_are_the_old_expressions(self, kind_pair, r, sigma):
+        # phi(u) = coeff exp(-u^2 / (2 a^2)); the half-quadratic weight is the
+        # expression the Gaussian-only solver used, bit for bit, and
+        # C = -g'(t) / weight = coeff / (2 a^2)
+        kind, (coeff, a_sq) = kind_pair
         phi = representing_function(kind)
-        assert gaussian_family_params(phi) == pair
-        coeff, a_sq = pair
         u = np.linspace(-4.0, 4.0, 81)
         np.testing.assert_allclose(phi(u), coeff * np.exp(-u * u / (2.0 * a_sq)), rtol=1e-15)
+        weight, C = phi.hq
+        assert C == coeff / (2.0 * a_sq)
+        r = np.array(r)
+        old = np.exp(-(r * r) / (2.0 * a_sq * sigma * sigma))
+        assert weight(r, sigma).tobytes() == old.tobytes()
 
-    @pytest.mark.parametrize("kind", ["epanechnikov", "quadratic", "triangular"])
-    def test_compact_kinds_are_not_gaussian_family(self, kind):
-        with pytest.raises(NonGaussianPhi, match=kind):
-            gaussian_family_params(representing_function(kind))
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([k for k in PHI_KINDS if k != "triangular"]),
+           st.lists(st.floats(1e-3, 3.0).filter(lambda u: abs(u - 1.0) > 1e-6), max_size=30),
+           st.floats(1e-2, 1e2))
+    def test_hq_pair_is_the_slope_of_g(self, kind, u, sigma):
+        # phi(u) = g(u^2), so C * weight(u sigma, sigma) = -g'(u^2) = -phi'(u) / (2u)
+        weight, C = representing_function(kind).hq
+        u = np.array(u)
+        np.testing.assert_allclose(C * weight(u * sigma, sigma),
+                                   -phi_derivative(kind, u) / (2.0 * u), rtol=1e-9, atol=1e-15)
+
+    def test_triangular_has_no_half_quadratic_weight(self):
+        # g(t) = 1 - sqrt(t) has an unbounded slope at t = 0
+        assert representing_function("triangular").hq is None
 
 
 class TestCalibration:

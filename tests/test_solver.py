@@ -2,10 +2,11 @@ import logging
 import math
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,9 +17,11 @@ from _oracles import (
     group_rows,
     l1_coordinate_descent,
     objective_value,
+    phi_derivative,
 )
-from modalmr.errors import InputError, NonGaussianPhi, SingularSystem
+from modalmr.errors import InputError, SingularSystem
 from modalmr.kernels import PHI_KINDS, gram_matrix, hypothesis_kernel, representing_function
+from modalmr.robustness import fit_hq_multistart
 from modalmr.solver import (
     CovariateGroups,
     RmrConfig,
@@ -34,6 +37,8 @@ from modalmr.solver import (
 )
 
 GAUSS = representing_function("gaussian")
+HQ_KINDS = [kind for kind in PHI_KINDS if kind != "triangular"]
+COMPACT_HQ_KINDS = ["epanechnikov", "quadratic"]
 
 
 def rbf_gram(x, bandwidth=1.0):
@@ -85,18 +90,19 @@ class TestObjective:
 
 
 class TestGridOracle:
-    @settings(max_examples=15)
+    @settings(max_examples=30)
     @given(points=arrays(float, 3, elements=st.floats(0.0, 1.0)),
            y=arrays(float, 3, elements=st.floats(-1.5, 1.5)),
            bandwidth=st.sampled_from([0.3, 1.0]), sigma=st.sampled_from([0.5, 1.0]),
            lam=st.sampled_from([0.01, 0.1]), q=st.sampled_from([1, 2]),
-           step=st.sampled_from([0.1, 0.15]))
-    def test_branch_and_bound_matches_sweep(self, points, y, bandwidth, sigma, lam, q, step):
+           step=st.sampled_from([0.1, 0.15]), kind=st.sampled_from(["gaussian", *COMPACT_HQ_KINDS]))
+    def test_branch_and_bound_matches_sweep(self, points, y, bandwidth, sigma, lam, q, step, kind):
         # the m=3 oracle prunes boxes by a bound; on a grid coarse enough to
         # sweep, it must find the sweep's maximum
         gram = rbf_gram(points, bandwidth)
-        got = grid_oracle_max(gram, y, GAUSS, sigma, lam, q, step=step)
-        assert got == pytest.approx(grid_sweep_max(gram, y, GAUSS, sigma, lam, q, step=step),
+        phi = representing_function(kind)
+        got = grid_oracle_max(gram, y, phi, sigma, lam, q, step=step)
+        assert got == pytest.approx(grid_sweep_max(gram, y, phi, sigma, lam, q, step=step),
                                     rel=0, abs=1e-12)
 
 
@@ -150,10 +156,57 @@ class TestFitHq:
         oracle = grid_oracle_max(gram, y, phi, 0.8, 0.05, 2)
         assert trace[-1] >= oracle - 1e-3
 
-    def test_non_gaussian_phi_rejected(self):
-        cfg = RmrConfig(sigma=1.0, lam=0.1, phi=representing_function("epanechnikov"))
-        with pytest.raises(NonGaussianPhi):
+    def test_triangular_phi_rejected(self):
+        # g(t) = 1 - sqrt(t) has no finite weight at t = 0
+        cfg = RmrConfig(sigma=1.0, lam=0.1, phi=representing_function("triangular"))
+        with pytest.raises(InputError, match="'triangular'.*--method gradient"):
             fit_hq(np.eye(2), np.zeros(2), cfg)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([("gaussian", (1.0 / math.sqrt(2.0 * math.pi), 1.0)),
+                            ("correntropy", (1.0, 0.5))]),
+           st.integers(1, 12), st.floats(0.1, 100.0), st.floats(1e-6, 100.0),
+           st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+    def test_gaussian_kinds_keep_the_old_weights_and_constants(self, kind_pair, m, sigma, lam,
+                                                              seed, q):
+        # phi(u) = coeff exp(-u^2 / (2 a^2)): the Gaussian-only solver weighted
+        # residuals by exp(-r^2 / (2 a^2 sigma^2)) and used
+        # kappa = 2 a^2 lam m sigma^3 / coeff and tau = coeff / (a^2 m sigma^3);
+        # the first step must see those values bit for bit
+        kind, (coeff, a_sq) = kind_pair
+        gram, y = random_instance(np.random.default_rng(seed), m)
+        cfg = RmrConfig(sigma=sigma, lam=lam, q=q, phi=representing_function(kind),
+                        max_hq_iters=1)
+        inner = "_solve_weighted_ridge" if q == 2 else "_l1_active_set"
+        with mock.patch.object(modalmr.solver, "_row_targets",
+                               wraps=modalmr.solver._row_targets) as targets, \
+                mock.patch.object(modalmr.solver, inner,
+                                  wraps=getattr(modalmr.solver, inner)) as solve:
+            fit_hq(gram, y, cfg)
+        weights = targets.call_args.args[1]
+        assert weights.tobytes() == np.exp(-(y * y) / (2.0 * a_sq * sigma * sigma)).tobytes()
+        if q == 2:
+            kappa = solve.call_args.args[3]
+            assert kappa.tobytes() == np.full(m, 2.0 * a_sq * lam * m * sigma**3 / coeff).tobytes()
+        else:
+            assert solve.call_args.args[5] == coeff / (a_sq * m * sigma**3)
+
+    @pytest.mark.parametrize("kind", COMPACT_HQ_KINDS)
+    def test_compact_phi_multistart_matches_grid_oracle(self, kind):
+        # the m <= 3 instances of acceptance criterion 5 (test_05), for the
+        # compact kinds
+        rng = np.random.default_rng(555)
+        phi = representing_function(kind)
+        for index, m in enumerate([1] * 20 + [2] * 22 + [3] * 8):
+            gram = rbf_gram(rng.random(m))
+            y = rng.uniform(-1.5, 1.5, m)
+            sigma = float(rng.choice([0.5, 1.0]))
+            lam = float(rng.choice([0.01, 0.1]))
+            q = int(rng.choice([1, 2]))
+            cfg = RmrConfig(sigma=sigma, lam=lam, q=q, phi=phi, max_hq_iters=300, tol=1e-13)
+            model = fit_hq_multistart(gram, y, cfg)
+            oracle = grid_oracle_max(gram, y, phi, sigma, lam, q)
+            assert model.objective_trace[-1] >= oracle - 1e-3, f"instance {index}"
 
     def test_singular_system_signalled(self):
         # enormous target underflows every weight; with lam = 0 there is no ridge
@@ -201,6 +254,56 @@ class TestFitHq:
         assert via_cg.objective_trace[-1] == pytest.approx(
             via_direct.objective_trace[-1], abs=1e-9
         )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_compact_hq_beats_the_capped_gradient_fit(seed):
+    # the fit_predict benchmark's data (384 distinct uniform covariates,
+    # shifted-gamma noise with its mode at zero) and solver settings: the
+    # epanechnikov q=2 HQ fit ends above the 2000-iteration gradient fit
+    from modalmr.risk import default_target, shifted_gamma_noise
+
+    rng = np.random.default_rng([seed, 7])
+    x = rng.uniform(0.0, 1.0, size=(384, 1))
+    y = np.array([default_target(v) for v in x]) + shifted_gamma_noise(2.0, 0.1).sample(rng, 384)
+    cfg = RmrConfig(sigma=0.8, lam=1e-4, q=2, phi=representing_function("epanechnikov"))
+    hq = fit_data(x, y, RBF, cfg)
+    gradient = fit_data(x, y, RBF, replace(cfg, tol=1e-12), method="gradient")
+    assert len(hq.objective_trace) <= 5
+    assert hq.objective_trace[-1] > gradient.objective_trace[-1]
+
+
+class TestZeroWeights:
+    """Every residual outside a compact phi's window: every weight is zero."""
+
+    gram = rbf_gram([0.1, 0.5, 0.9])
+    y = np.array([5.0, -6.0, 7.0])
+    init = np.array([0.1, -0.2, 0.1])
+
+    @pytest.mark.parametrize("kind", COMPACT_HQ_KINDS)
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_positive_lambda_steps_to_zero(self, monkeypatch, kind, q):
+        def no_inner_solve(*args):
+            pytest.fail("an all-zero-weight step ran an inner solve")
+
+        for inner in ("_solve_weighted_ridge", "_l1_active_set"):
+            monkeypatch.setattr(modalmr.solver, inner, no_inner_solve)
+        cfg = RmrConfig(sigma=0.5, lam=0.1, q=q, phi=representing_function(kind))
+        model = fit_hq(self.gram, self.y, cfg, init=self.init)
+        np.testing.assert_array_equal(model.alpha, np.zeros(3))
+        assert model.objective_trace[1:] == (0.0, 0.0)
+        assert model.objective_trace[0] < 0.0
+
+    @pytest.mark.parametrize("kind", COMPACT_HQ_KINDS)
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_zero_lambda_stops_by_its_reason(self, caplog, kind, q):
+        caplog.set_level(logging.INFO, logger="modalmr.solver")
+        cfg = RmrConfig(sigma=0.5, lam=0.0, q=q, phi=representing_function(kind))
+        model = fit_hq(self.gram, self.y, cfg, init=self.init)
+        np.testing.assert_array_equal(model.alpha, self.init)
+        assert model.objective_trace == (0.0,)
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "modalmr.solver"]
+        assert line.endswith("0 iterations, stopped by all weights zero")
 
 
 class TestFitGradient:
@@ -737,12 +840,32 @@ class TestMonotoneTrace:
         self.assert_monotone(model)
 
     @PROPERTY
-    @given(grouped_problems(), st.sampled_from(["gaussian", "correntropy"]),
-           st.sampled_from([1, 2]))
+    @given(grouped_problems(), st.sampled_from(HQ_KINDS), st.sampled_from([1, 2]))
     def test_hq(self, problem, kind, q):
         x, y, sigma, lam = problem
         cfg = RmrConfig(sigma=sigma, lam=lam, q=q, phi=representing_function(kind))
         self.assert_monotone(fit_data(x, y, RBF, cfg))
+
+
+class TestHqFixedPoint:
+    @PROPERTY
+    @given(grouped_problems(), st.sampled_from(HQ_KINDS))
+    def test_q2_gradient_vanishes(self, problem, kind):
+        # run the q=2 fit until a step leaves the objective exactly unchanged;
+        # where phi' is continuous at every residual (no |r| = sigma for the
+        # compact kinds), the objective's gradient, formed independently of
+        # the solver, vanishes there
+        x, y, sigma, lam = problem
+        phi = representing_function(kind)
+        cfg = RmrConfig(sigma=sigma, lam=lam, q=2, phi=phi, max_hq_iters=1000, tol=1e-300)
+        model = fit_data(x, y, RBF, cfg)
+        assert len(model.objective_trace) <= cfg.max_hq_iters
+        gram = RBF.cross(x, x)
+        r = y - gram.T @ model.alpha
+        assume(np.min(np.abs(np.abs(r) - sigma)) > 1e-6)
+        grad = (-gram @ phi_derivative(kind, r / sigma) / (len(y) * sigma**2)
+                - 2.0 * lam * model.alpha)
+        assert np.max(np.abs(grad)) <= 1e-6
 
 
 class TestInnerLoops:
