@@ -89,8 +89,6 @@ _SOLVER_OPTS = [
      f"representing function: {', '.join(PHI_KINDS)}; triangular fits by --method gradient only"),
     ("max-iters", int, 200, "outer iteration cap; gradient fits run max(this, 2000)"),
     ("tol", float, 1e-8, "objective-change stopping threshold"),
-    ("inner-iters", int, 20,
-     "active-set steps per outer step (q=1); a cold start can exceed the default and warn"),
 ]
 
 _KERNEL_OPTS = [
@@ -101,7 +99,7 @@ _KERNEL_OPTS = [
 ]
 
 _SCHEDULE_OPTS = [
-    ("schedule", str, "theorem2", "theorem2 | fixed"),
+    ("schedule", str, "theorem2", "theorem2 | fixed (--lambda and --sigma at every m)"),
     ("beta", float, 2.0, "smoothness exponent for the theorem2 schedule"),
     ("s", float, 0.01, "capacity exponent for the theorem2 schedule"),
 ]
@@ -271,7 +269,6 @@ def _solver_from(opts):
         phi=representing_function(opts["phi"]),
         max_hq_iters=opts["max-iters"],
         tol=opts["tol"],
-        inner_max_iters=opts["inner-iters"],
     )
 
 
@@ -280,7 +277,7 @@ def _schedule_from(opts):
     if opts["schedule"] == "theorem2":
         return harness.Theorem2Schedule(opts["beta"], opts["s"])
     if opts["schedule"] == "fixed":
-        return harness.FixedSchedule(opts["lambda"], opts["sigma"])
+        return None  # the solver's --lambda and --sigma
     raise InputError("schedule must be theorem2 or fixed")
 
 

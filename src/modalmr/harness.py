@@ -37,7 +37,6 @@ if TYPE_CHECKING:  # markov and risk load with the first experiment that needs t
 __all__ = [
     "Dataset",
     "Theorem2Schedule",
-    "FixedSchedule",
     "ExperimentConfig",
     "LearningCurveResult",
     "generate_dataset",
@@ -97,11 +96,6 @@ class Theorem2Schedule(NamedTuple):
     s: float
 
 
-class FixedSchedule(NamedTuple):
-    lam: float
-    sigma: float
-
-
 def _default_solver() -> RmrConfig:
     return RmrConfig(sigma=1.0, lam=0.1, q=2, max_hq_iters=100, tol=1e-9)
 
@@ -112,10 +106,13 @@ def _default_kernel() -> HypothesisKernel:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment.  A ``schedule`` sets each fit's lambda and sigma from
+    (m, gamma_abs); ``None`` fits every m with the solver's own."""
+
     task: SyntheticTask
     m_grid: tuple
     n_replicates: int
-    schedule: Theorem2Schedule | FixedSchedule
+    schedule: Theorem2Schedule | None
     seed: int
     solver: RmrConfig = field(default_factory=_default_solver)
     kernel: HypothesisKernel = field(default_factory=_default_kernel)
@@ -148,13 +145,6 @@ class LearningCurveResult(NamedTuple):
     n_failed: int
 
 
-def _schedule_params(schedule, m: int, gamma_abs: float):
-    if isinstance(schedule, Theorem2Schedule):
-        _, lam, sigma = schedule_theorem2(m, gamma_abs, schedule.beta, schedule.s)
-        return lam, sigma
-    return schedule.lam, schedule.sigma
-
-
 def _sweep(config: ExperimentConfig, chains):
     """Replicate fits on each chain at each m of ``config.m_grid``.
 
@@ -175,8 +165,11 @@ def _sweep(config: ExperimentConfig, chains):
         chain_task = make_task(chain, task.noise, task.f_star, task.M)
         gamma = absolute_spectral_gap(chain)
         for mi, m in enumerate(config.m_grid):
-            lam, sigma = _schedule_params(config.schedule, m, gamma)
-            solver = replace(config.solver, lam=lam, sigma=sigma)
+            solver = config.solver
+            if config.schedule is not None:
+                beta, s = config.schedule
+                _, lam, sigma = schedule_theorem2(m, gamma, beta, s)
+                solver = replace(solver, lam=lam, sigma=sigma)
             excesses, n_failed = [], 0
             for rep in range(config.n_replicates):
                 try:
@@ -188,7 +181,7 @@ def _sweep(config: ExperimentConfig, chains):
                     log.warning("fit failed at gamma=%.3f, m=%d replicate %d: %s",
                                 gamma, m, rep, exc)
                     excesses.append(float("nan"))
-            yield gamma, m, lam, sigma, excesses, n_failed
+            yield gamma, m, solver.lam, solver.sigma, excesses, n_failed
 
 
 _BOOTSTRAP_DRAWS = 1000

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InputError, SingularSystem
 from .harness import _default_kernel, generate_dataset
-from .kernels import RepresentingFunction, representing_function
+from .kernels import representing_function
 from .risk import SyntheticTask
 from .solver import RmrConfig, RmrModel, distinct_gram, fit_hq, objective
 from .solver import _check_problem, _solve_ridge_direct
@@ -51,18 +51,18 @@ class BreakdownReport(NamedTuple):
     contamination_curve: tuple  # rows (n_outliers, magnitude, coef_norm)
 
 
-def breakdown_N(model: RmrModel, y, phi: RepresentingFunction) -> float:
+def breakdown_N(model: RmrModel, y) -> float:
     """Breakdown statistic of a fitted model on its own training responses."""
     if model.train_inputs is None or model.kernel is None:
         raise InputError("model must carry its training inputs and kernel")
     _, gram = distinct_gram(model.kernel, model.train_inputs)
-    value = objective(model.alpha, gram, y, phi, model.config, train_inputs=model.train_inputs)
-    return _statistic(value, model.m, model.config.sigma, phi)
+    value = objective(model.alpha, gram, y, model.config, train_inputs=model.train_inputs)
+    return _statistic(value, model.m, model.config)
 
 
-def _statistic(value: float, m: int, sigma: float, phi: RepresentingFunction) -> float:
+def _statistic(value: float, m: int, config: RmrConfig) -> float:
     """N = m sigma J / phi(0) from an m-sample fit's objective value J."""
-    return m * sigma * value / phi(0.0)
+    return m * config.sigma * value / config.phi(0.0)
 
 
 def breakdown_bracket(N: float, m: int):
@@ -186,7 +186,7 @@ def contamination_experiment(
     clean = fit_hq_multistart(gram, data.y, config, train_inputs=data.x, kernel=kernel,
                               _groups=groups)
     clean_norm = float(np.linalg.norm(clean.alpha))
-    N = _statistic(clean.objective_trace[-1], m, config.sigma, config.phi)
+    N = _statistic(clean.objective_trace[-1], m, config)
     low, high, fraction = breakdown_bracket(max(N, 0.0), m)
     outlier_x = data.x[0]
     curve = []

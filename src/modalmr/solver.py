@@ -48,13 +48,15 @@ __all__ = [
 ]
 
 _DIRECT_SOLVE_LIMIT = 600  # above this many distinct covariates, the HQ inner solve uses CG
+_ACTIVE_SET_STEPS = 100  # step cap of a q=1 inner solve; a cold 384-row start takes 17-29
 
 log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class RmrConfig:
-    """Solver knobs: modal bandwidth, penalty weight/exponent, iteration caps."""
+    """Solver knobs: modal bandwidth, penalty weight/exponent, phi, outer
+    iteration cap and stopping threshold."""
 
     sigma: float
     lam: float
@@ -62,7 +64,6 @@ class RmrConfig:
     phi: RepresentingFunction = field(default_factory=lambda: representing_function("gaussian"))
     max_hq_iters: int = 200
     tol: float = 1e-8
-    inner_max_iters: int = 20
 
     def __post_init__(self):
         # written so that NaN fails each test, which a bare sigma <= 0 would pass
@@ -76,8 +77,6 @@ class RmrConfig:
             raise InputError("max_hq_iters must be at least 1")
         if not 0 < self.tol < math.inf:
             raise InputError("tol must be positive and finite")
-        if self.inner_max_iters < 1:
-            raise InputError("inner_max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -231,24 +230,22 @@ def _fitted(gram, groups, beta):
     return groups.spread(gram.T @ beta)
 
 
-def _value(alpha, residuals, phi, config):
+def _value(alpha, residuals, config):
     """Objective at alpha from its per-sample residuals y_i - f(x_i)."""
     m = residuals.shape[0]
-    fit = float(np.add.reduce(phi(residuals / config.sigma))) / (m * config.sigma)
+    fit = float(np.add.reduce(config.phi(residuals / config.sigma))) / (m * config.sigma)
     return fit - config.lam * _penalty(alpha, config.q)
 
 
-def objective(
-    alpha, gram, y, phi: RepresentingFunction, config: RmrConfig, *, train_inputs=None
-) -> float:
-    """Value of the regularized modal objective at alpha.
+def objective(alpha, gram, y, config: RmrConfig, *, train_inputs=None) -> float:
+    """Value of the regularized modal objective at alpha, with config.phi.
 
     ``gram`` and ``train_inputs`` follow the rule of ``fit_hq``.  Residuals
     only need the per-row sums of alpha, so the value is exact for any alpha,
     constant on each covariate row or not.
     """
     gram, y, groups, alpha = _check_problem(gram, y, train_inputs, alpha)
-    return _value(alpha, y - _fitted(gram, groups, groups.sums(alpha)), phi, config)
+    return _value(alpha, y - _fitted(gram, groups, groups.sums(alpha)), config)
 
 
 def _row_targets(groups, w, y):
@@ -433,8 +430,13 @@ def fit_hq(
     kappa ||alpha||^2 with kappa = lam m sigma^3 / C, for q=1 by the weighted
     lasso with tau = 2 C / (m sigma^3) on its quadratic part, which an
     active-set search solves (``_l1_active_set``).  So the objective trace is
-    non-decreasing; iteration stops once the objective gain drops below
-    config.tol.  If every weight is zero, lam > 0 gives the step beta = 0.
+    non-decreasing when the inner solve is exact; iteration stops once the
+    objective changes by less than config.tol.  A near-singular inner system
+    (lam = 0 or tiny on an ill-conditioned gram) can return an inexact
+    solution whose step lowers the objective: a step that lowers it by
+    config.tol or more is not taken, and the fit keeps the previous
+    coefficients, stops by "no ascent step" and logs a warning.  If every
+    weight is zero, lam > 0 gives the step beta = 0.
     With lam = 0 a compact phi is flat there and the fit stops by "all weights
     zero"; a Gaussian kind, whose zero weights mean underflow, keeps the inner
     solve, and its direct q=2 solve raises SingularSystem.  Triangular phi has
@@ -454,7 +456,7 @@ def fit_hq(
     whose minimum-norm expansion alpha_i = beta_s(i) / c_s(i) is exactly the
     m x m solution of (G W G^T + kappa I) alpha = G W y.  The q=1 step is the
     same lasso on beta with the penalty sum_s |beta_s|; one that stops at
-    config.inner_max_iters still lowers it, and such steps, like CG solves
+    _ACTIVE_SET_STEPS steps still lowers it, and such steps, like CG solves
     stopped at their cap, are counted in one warning per fit.  A warm start
     is reduced to its row sums after its objective is recorded; reducing can
     only raise the objective, so the trace stays monotone.  The half-quadratic
@@ -480,26 +482,33 @@ def fit_hq(
     tau = 2.0 * C / (m * sigma**3)
     beta = groups.sums(alpha)
     residuals = y - _fitted(gram, groups, beta)
-    trace = [_value(alpha, residuals, config.phi, config)]
+    trace = [_value(alpha, residuals, config)]
     stopped = "max_hq_iters"
-    inner_capped = 0
-    for _ in range(config.max_hq_iters):
+    capped_steps = []  # per inner solve, whether it stopped at its cap
+    for step in range(1, config.max_hq_iters + 1):
         row_w, row_y = _row_targets(groups, weight(residuals, sigma), y)
         if not row_w.any() and (config.lam > 0 or config.phi.support_halfwidth < math.inf):
             if config.lam == 0:
                 stopped = "all weights zero"
                 break
-            beta, capped = np.zeros(groups.n), False
+            new_beta, capped = np.zeros(groups.n), False
         elif config.q == 2:
-            beta, capped = _solve_weighted_ridge(gram, row_w, row_y, kappa / groups.counts, beta)
+            new_beta, capped = _solve_weighted_ridge(gram, row_w, row_y, kappa / groups.counts,
+                                                     beta)
         else:
-            beta, capped = _l1_active_set(
-                gram, row_w, row_y, beta, config.lam, tau, config.inner_max_iters
-            )
-        inner_capped += capped
-        alpha = groups.expand(beta)
-        residuals = y - _fitted(gram, groups, beta)
-        trace.append(_value(alpha, residuals, config.phi, config))
+            new_beta, capped = _l1_active_set(gram, row_w, row_y, beta, config.lam, tau,
+                                              _ACTIVE_SET_STEPS)
+        capped_steps.append(capped)
+        new_alpha = groups.expand(new_beta)
+        new_residuals = y - _fitted(gram, groups, new_beta)
+        value = _value(new_alpha, new_residuals, config)
+        if trace[-1] - value >= config.tol:
+            stopped = "no ascent step"
+            log.warning("hq fit: step %d lowers the objective by %.3g; the fit keeps the "
+                        "coefficients of step %d", step, trace[-1] - value, step - 1)
+            break
+        beta, alpha, residuals = new_beta, new_alpha, new_residuals
+        trace.append(value)
         if abs(trace[-1] - trace[-2]) < config.tol:
             stopped = "tol"
             break
@@ -507,10 +516,10 @@ def fit_hq(
         inner = "active-set"
     else:
         inner = "direct" if groups.n <= _DIRECT_SOLVE_LIMIT else "CG"
-    if inner_capped:
+    if any(capped_steps):
         log.warning(
             "hq fit: %d of %d %s inner solves stopped at their iteration cap before "
-            "reaching their tolerance", inner_capped, len(trace) - 1,
+            "reaching their tolerance", sum(capped_steps), len(capped_steps),
             "conjugate-gradient" if inner == "CG" else inner,
         )
     log.info(
@@ -520,9 +529,9 @@ def fit_hq(
     return RmrModel(alpha, train_inputs, kernel, config, tuple(trace))
 
 
-def _gradient(alpha, residuals, gram, phi, config, groups):
+def _gradient(alpha, residuals, gram, config, groups):
     """Gradient of the smooth part at alpha from its per-sample residuals."""
-    slopes = groups.sums(phi.derivative(residuals / config.sigma))
+    slopes = groups.sums(config.phi.derivative(residuals / config.sigma))
     grad = -groups.spread(gram @ slopes) / (residuals.shape[0] * config.sigma**2)
     if config.q == 2:
         grad = grad - 2.0 * config.lam * alpha
@@ -560,17 +569,16 @@ def fit_gradient(
     ``fit_hq``.
     """
     gram, y, groups, alpha = _check_problem(gram, y, train_inputs, init, _groups)
-    phi = config.phi
     if max_iters is None:
         max_iters = max(config.max_hq_iters, 2000)
     fitted = gram.T @ groups.sums(alpha)
     residuals = y - groups.spread(fitted)
-    current = _value(alpha, residuals, phi, config)
+    current = _value(alpha, residuals, config)
     trace = [current]
     step = 1.0
     stopped = "max_iters"
     for _ in range(max_iters):
-        grad = _gradient(alpha, residuals, gram, phi, config, groups)
+        grad = _gradient(alpha, residuals, gram, config, groups)
         if config.q == 2:
             # the candidate is linear in the step, and so are its fitted values
             fitted_step = gram.T @ groups.sums(grad)
@@ -584,7 +592,7 @@ def fit_gradient(
                 candidate = alpha + step * grad
                 candidate_fitted = fitted + step * fitted_step
             candidate_residuals = y - groups.spread(candidate_fitted)
-            value = _value(candidate, candidate_residuals, phi, config)
+            value = _value(candidate, candidate_residuals, config)
             if value >= current:
                 break
             step *= 0.5
@@ -600,8 +608,8 @@ def fit_gradient(
             break
     log.info(
         "gradient fit (q=%d, phi=%s, %d distinct of %d samples): "
-        "%d iterations, stopped by %s", config.q, phi.kind, groups.n, y.shape[0], len(trace) - 1,
-        stopped,
+        "%d iterations, stopped by %s", config.q, config.phi.kind, groups.n, y.shape[0],
+        len(trace) - 1, stopped,
     )
     return RmrModel(alpha, train_inputs, kernel, config, tuple(trace))
 

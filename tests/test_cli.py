@@ -10,9 +10,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modalmr.cli import _COMMAND_OPTIONS, main
-from modalmr.harness import generate_dataset, write_dataset_file
-from modalmr.solver import load_model
+from modalmr.cli import _COMMAND_OPTIONS, _SOLVER_OPTS, main
+from modalmr.harness import (
+    ExperimentConfig,
+    _fmt,
+    generate_dataset,
+    learning_curve,
+    write_dataset_file,
+)
+from modalmr.kernels import hypothesis_kernel
+from modalmr.solver import RmrConfig, load_model
 from modalmr.markov import iid_chain
 from modalmr.risk import gaussian_noise, make_task
 
@@ -321,6 +328,14 @@ class TestConfigFile:
         cfg.write_text("family two-state\n")
         assert run("chain-info", "--config", str(cfg)) == 1
 
+    def test_removed_inner_iters_key_rejected(self, tmp_path, capsys, dataset_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("inner-iters = 5\n")
+        assert run("fit", "--data", str(dataset_path), "--out", str(tmp_path / "m.txt"),
+                   "--config", str(cfg)) == 1
+        assert "unknown config keys ['inner-iters']" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
     def test_repeated_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("family = two-state\np = 0.3\nq = 0.2\np = 0.9\n")
@@ -350,6 +365,20 @@ class TestFlags:
         assert run("fit", "--data", str(dataset_path), "--out", "predict") == 0
         assert (tmp_path / "predict").read_text().startswith("40 1\n")
 
+    def test_removed_inner_iters_flag_rejected(self, tmp_path, capsys, dataset_path):
+        assert run("fit", "--data", str(dataset_path), "--out", str(tmp_path / "m.txt"),
+                   "--inner-iters", "5") == 1
+        assert "unrecognized arguments: --inner-iters 5" in capsys.readouterr().err
+
+    def test_solver_option_defaults_are_the_config_defaults(self):
+        # the command line and the library fit with the same settings by default
+        defaults = {name: default for name, _, default, _ in _SOLVER_OPTS}
+        config = RmrConfig(sigma=defaults["sigma"], lam=defaults["lambda"])
+        assert defaults["max-iters"] == config.max_hq_iters
+        assert defaults["tol"] == config.tol
+        assert defaults["q"] == config.q
+        assert defaults["phi"] == config.phi.kind
+
     def test_bad_log_level(self, monkeypatch):
         monkeypatch.setenv("MODALMR_LOG", "verbose")
         assert run("chain-info", "--family", "iid") == 1
@@ -373,6 +402,21 @@ class TestExperimentCommands:
         assert set(rows[0]) == {"m", "gamma_abs", "replicate", "excess_risk",
                                 "lambda_used", "sigma_used"}
         assert (tmp_path / "curve.csv.manifest.json").exists()
+
+    def test_fixed_schedule_is_the_solver_lambda_and_sigma(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert run("learning-curve", "--chain-n", "6", "--m-grid", "32,64", "--replicates", "2",
+                   "--schedule", "fixed", "--lambda", "0.003", "--sigma", "0.7", "--seed", "3",
+                   "--out", str(out)) == 0
+        rows = read_rows(out)
+        assert {(r["lambda_used"], r["sigma_used"]) for r in rows} == {("0.003", "0.7")}
+        config = ExperimentConfig(
+            task=make_task(iid_chain(6), gaussian_noise(0.5)), m_grid=(32, 64),
+            n_replicates=2, schedule=None, seed=3, solver=RmrConfig(sigma=0.7, lam=0.003),
+            kernel=hypothesis_kernel("gaussian-rbf", bandwidth=0.5),
+        )
+        expected = [[_fmt(v) for v in row] for row in learning_curve(config).rows]
+        assert [list(r.values()) for r in rows] == expected
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["gamma-sweep", "--gamma-list", "0.5,1.0", "--chain-n", "6", "--m", "64",

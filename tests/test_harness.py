@@ -1,5 +1,6 @@
 import logging
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from modalmr.errors import InputError, SingularSystem
 from modalmr.harness import (
     Dataset,
     ExperimentConfig,
-    FixedSchedule,
     Theorem2Schedule,
     derive_seed,
     gamma_sweep,
@@ -30,6 +30,7 @@ from modalmr.harness import (
     _BOOTSTRAP_DRAWS,
     _bootstrap_means,
     _bootstrap_slope,
+    _default_solver,
     _percentiles,
 )
 from modalmr.kernels import hypothesis_kernel
@@ -87,8 +88,9 @@ class TestLearningCurve:
             task=task,
             m_grid=(32, 64),
             n_replicates=3,
-            schedule=FixedSchedule(lam=50.0, sigma=1.0),
+            schedule=None,
             seed=4,
+            solver=replace(_default_solver(), lam=50.0, sigma=1.0),
         )
         result = learning_curve(config)
         for _, mean in result.mean_by_m:
@@ -150,12 +152,12 @@ class TestLearningCurve:
         with pytest.raises(InputError):
             ExperimentConfig(
                 task=small_task(), m_grid=(64, 64), n_replicates=2,
-                schedule=FixedSchedule(0.1, 1.0), seed=0,
+                schedule=None, seed=0,
             )
         with pytest.raises(InputError):
             ExperimentConfig(
                 task=small_task(), m_grid=(64,), n_replicates=0,
-                schedule=FixedSchedule(0.1, 1.0), seed=0,
+                schedule=None, seed=0,
             )
 
     @staticmethod

@@ -438,8 +438,8 @@ def test_fit_beats_zero_function_on_training_data():
     y = np.sin(2 * np.pi * x[:, 0]) + rng.normal(0, 0.2, 12)
     cfg = RmrConfig(sigma=0.6, lam=0.02, q=2, tol=1e-12)
     model = fit_hq(gram, y, cfg)
-    fitted_obj = objective(model.alpha, gram, y, GAUSS, cfg)
-    zero_obj = objective(np.zeros(12), gram, y, GAUSS, cfg)
+    fitted_obj = objective(model.alpha, gram, y, cfg)
+    zero_obj = objective(np.zeros(12), gram, y, cfg)
     assert fitted_obj >= zero_obj - 1e-12
     # equivalently: empirical risk of the fit covers the penalty it pays
     fit_risk = empirical_modal_risk(gram.T @ model.alpha, y, GAUSS, 0.6)

@@ -36,7 +36,7 @@ class TestBreakdownN:
         x = rng.random(6)
         y = rng.normal(0, 0.5, 6)
         model, _ = interpolating_model(x, y, lam=0.0)
-        assert breakdown_N(model, y, GAUSS) == pytest.approx(6.0, abs=1e-9)
+        assert breakdown_N(model, y) == pytest.approx(6.0, abs=1e-9)
 
     def test_compact_support_far_residuals(self):
         phi = representing_function("epanechnikov")
@@ -45,7 +45,7 @@ class TestBreakdownN:
         cfg = RmrConfig(sigma=1.0, lam=0.0, q=2, phi=phi)
         model = RmrModel(np.zeros(5), x, kernel, cfg, ())
         y = np.full(5, 5.0)  # residuals 5 with support [-1, 1]
-        assert breakdown_N(model, y, phi) == 0.0
+        assert breakdown_N(model, y) == 0.0
 
     def test_hand_arithmetic(self):
         # two samples, residuals (0, 1), sigma=1, lam=0.1, ||alpha||^2 = 1
@@ -59,26 +59,26 @@ class TestBreakdownN:
         cfg = RmrConfig(sigma=1.0, lam=0.1, q=2)
         model = RmrModel(alpha, x, kernel, cfg, ())
         expected = (GAUSS(0.0) + GAUSS(1.0)) / GAUSS(0.0) - 0.1 * 2 * 1.0 * 1.0 / GAUSS(0.0)
-        assert breakdown_N(model, y, GAUSS) == pytest.approx(expected, abs=1e-12)
-        assert breakdown_N(model, y, GAUSS) == pytest.approx(1.1052, abs=1e-4)
+        assert breakdown_N(model, y) == pytest.approx(expected, abs=1e-12)
+        assert breakdown_N(model, y) == pytest.approx(1.1052, abs=1e-4)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)
         x = rng.random(7)
         y = rng.normal(0, 0.5, 7)
         model, gram = interpolating_model(x, y, lam=0.05)
-        base = breakdown_N(model, y, GAUSS)
+        base = breakdown_N(model, y)
         perm = rng.permutation(7)
         permuted_model = RmrModel(
             model.alpha[perm], model.train_inputs[perm], model.kernel, model.config, ()
         )
-        assert breakdown_N(permuted_model, y[perm], GAUSS) == pytest.approx(base, abs=1e-10)
+        assert breakdown_N(permuted_model, y[perm]) == pytest.approx(base, abs=1e-10)
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(1)
         model, _ = interpolating_model(rng.random(4), rng.normal(size=4))
         with pytest.raises(InputError):
-            breakdown_N(model, np.zeros(5), GAUSS)
+            breakdown_N(model, np.zeros(5))
 
 
 class TestBracket:
@@ -118,7 +118,7 @@ class TestPenaltyEffectOnN:
         for lam in (0.01, 0.1, 1.0):
             cfg = RmrConfig(sigma=1.0, lam=lam, q=2, tol=1e-12)
             model = fit_hq(gram, y, cfg, train_inputs=x, kernel=kernel)
-            values.append(breakdown_N(model, y, GAUSS))
+            values.append(breakdown_N(model, y))
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
 

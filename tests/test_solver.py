@@ -58,7 +58,7 @@ class TestObjective:
         gram = rbf_gram([0.1, 0.5, 0.9])
         y = np.array([0.2, -0.1, 0.4])
         expected = float(np.sum(GAUSS(y / 0.7))) / (3 * 0.7)
-        assert objective(np.zeros(3), gram, y, GAUSS, cfg) == pytest.approx(expected, abs=1e-15)
+        assert objective(np.zeros(3), gram, y, cfg) == pytest.approx(expected, abs=1e-15)
 
     def test_interpolating_alpha(self):
         cfg = RmrConfig(sigma=1.0, lam=0.05, q=2)
@@ -66,12 +66,12 @@ class TestObjective:
         y = np.array([0.5, -0.2])
         alpha = np.linalg.solve(gram.T, y)
         expected = GAUSS(0.0) / 1.0 - 0.05 * float(alpha @ alpha)
-        assert objective(alpha, gram, y, GAUSS, cfg) == pytest.approx(expected, abs=1e-12)
+        assert objective(alpha, gram, y, cfg) == pytest.approx(expected, abs=1e-12)
 
     def test_hand_value(self):
         cfg = RmrConfig(sigma=1.0, lam=0.1, q=2)
         gram = np.array([[1.0, 0.5], [0.5, 1.0]])
-        value = objective(np.array([1.0, 0.0]), gram, np.array([1.0, 0.0]), GAUSS, cfg)
+        value = objective(np.array([1.0, 0.0]), gram, np.array([1.0, 0.0]), cfg)
         expected = 0.5 * (GAUSS(0.0) + GAUSS(0.5)) - 0.1
         assert value == pytest.approx(expected, abs=1e-15)
         assert value == pytest.approx(0.27551, abs=1e-4)
@@ -79,9 +79,9 @@ class TestObjective:
     def test_dimension_mismatch(self):
         cfg = RmrConfig(sigma=1.0, lam=0.1)
         with pytest.raises(InputError):
-            objective(np.zeros(3), np.eye(2), np.zeros(2), GAUSS, cfg)
+            objective(np.zeros(3), np.eye(2), np.zeros(2), cfg)
         with pytest.raises(InputError):
-            objective(np.zeros(2), np.eye(2), np.zeros(3), GAUSS, cfg)
+            objective(np.zeros(2), np.eye(2), np.zeros(3), cfg)
 
     @pytest.mark.parametrize("fit", [fit_hq, fit_gradient])
     def test_no_samples_rejected(self, fit):
@@ -349,14 +349,14 @@ class TestFitGradient:
         for _ in range(20):
             alpha = rng.normal(0, 0.5, 5)
             residuals = y - gram.T @ alpha
-            analytic = modalmr.solver._gradient(alpha, residuals, gram, GAUSS, cfg,
+            analytic = modalmr.solver._gradient(alpha, residuals, gram, cfg,
                                                 CovariateGroups.identity(5))
             for j in range(5):
                 e = np.zeros(5)
                 e[j] = h
                 fd = (
-                    objective(alpha + e, gram, y, GAUSS, cfg)
-                    - objective(alpha - e, gram, y, GAUSS, cfg)
+                    objective(alpha + e, gram, y, cfg)
+                    - objective(alpha - e, gram, y, cfg)
                 ) / (2 * h)
                 scale = max(1.0, abs(fd))
                 assert abs(analytic[j] - fd) / scale < 1e-5
@@ -552,10 +552,11 @@ class TestFitLogging:
         (info,) = self._messages(caplog, logging.INFO)
         assert "CG inner solve" in info
 
-    def test_capped_active_set_steps_are_a_warning(self, caplog):
+    def test_capped_active_set_steps_are_a_warning(self, caplog, monkeypatch):
+        monkeypatch.setattr(modalmr.solver, "_ACTIVE_SET_STEPS", 1)
         gram, y = random_instance(np.random.default_rng(3), 12)
         caplog.set_level(logging.INFO, logger="modalmr.solver")
-        fit_hq(gram, y, RmrConfig(sigma=0.7, lam=1e-3, q=1, max_hq_iters=3, inner_max_iters=1))
+        fit_hq(gram, y, RmrConfig(sigma=0.7, lam=1e-3, q=1, max_hq_iters=3))
         (warning,) = self._messages(caplog, logging.WARNING)
         assert re.fullmatch(r"hq fit: [1-3] of 3 active-set inner solves stopped at their "
                             r"iteration cap before reaching their tolerance", warning)
@@ -598,7 +599,7 @@ def test_objective_value_oracle_consistency():
     gram, y = random_instance(rng, 3)
     cfg = RmrConfig(sigma=0.5, lam=0.01, q=1)
     alpha = rng.normal(0, 1, 3)
-    assert objective(alpha, gram, y, GAUSS, cfg) == pytest.approx(
+    assert objective(alpha, gram, y, cfg) == pytest.approx(
         objective_value(alpha, gram, y, GAUSS, 0.5, 0.01, 1), abs=1e-14
     )
 
@@ -713,13 +714,13 @@ class TestGramShapes:
         init = np.random.default_rng(5).normal(0, 0.3, 20)
         model = fit_hq(gram, self.y, cfg, init=init, train_inputs=self.x, kernel=RBF)
         trace = np.array(model.objective_trace)
-        assert trace[0] == objective(init, gram, self.y, GAUSS, cfg, train_inputs=self.x)
-        assert trace[0] == pytest.approx(objective(init, gram, self.y, GAUSS, cfg), rel=1e-12)
+        assert trace[0] == objective(init, gram, self.y, cfg, train_inputs=self.x)
+        assert trace[0] == pytest.approx(objective(init, gram, self.y, cfg), rel=1e-12)
         assert np.all(np.diff(trace) >= -1e-12 * np.maximum(1.0, np.abs(trace[1:])))
 
 
 @st.composite
-def grouped_problems(draw, max_rows=8, max_samples=64):
+def grouped_problems(draw, max_rows=8, max_samples=64, lams=st.floats(0.01, 1.0)):
     """m <= 64 samples on <= 8 distinct covariates, random y, sigma and lambda."""
     rows = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=max_rows, unique=True))
     n = len(rows)
@@ -731,7 +732,7 @@ def grouped_problems(draw, max_rows=8, max_samples=64):
     x = np.array(rows)[index[list(order)]].reshape(-1, 1)
     y = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=m, max_size=m)))
     sigma = draw(st.floats(0.5, 2.0))
-    lam = draw(st.floats(0.01, 1.0))
+    lam = draw(lams)
     return x, y, sigma, lam
 
 
@@ -762,7 +763,7 @@ class TestDistinctReduction:
         np.testing.assert_array_equal(model.alpha, model.alpha[groups.first][groups.index])
         trace = np.array(model.objective_trace)
         assert np.all(np.diff(trace) >= -1e-12 * np.maximum(1.0, np.abs(trace[1:])))
-        dense_value = objective(model.alpha, RBF.cross(x, x), y, GAUSS, cfg)
+        dense_value = objective(model.alpha, RBF.cross(x, x), y, cfg)
         assert dense_value == pytest.approx(trace[-1], rel=1e-12, abs=1e-14)
 
     @PROPERTY
@@ -840,11 +841,64 @@ class TestMonotoneTrace:
         self.assert_monotone(model)
 
     @PROPERTY
-    @given(grouped_problems(), st.sampled_from(HQ_KINDS), st.sampled_from([1, 2]))
+    @given(grouped_problems(lams=st.sampled_from([0.0, 1e-12, 1e-8]) | st.floats(0.01, 1.0)),
+           st.sampled_from(HQ_KINDS), st.sampled_from([1, 2]))
     def test_hq(self, problem, kind, q):
+        # lambda = 0 and tiny lambdas leave the inner system near singular
         x, y, sigma, lam = problem
         cfg = RmrConfig(sigma=sigma, lam=lam, q=q, phi=representing_function(kind))
         self.assert_monotone(fit_data(x, y, RBF, cfg))
+
+
+class TestAscentGuard:
+    """An HQ step that lowers the objective by config.tol or more is not
+    taken; a smaller fall ends the fit by its tolerance, as a small gain does."""
+
+    @staticmethod
+    def unridged_instance():
+        # 40 uniform covariates and t_2 noise: at lambda = 0 the q=2 system
+        # K diag(W) K^T has no ridge, is near singular (exactly so where a
+        # compact phi's weights vanish), and its direct solve is inexact
+        rng = np.random.default_rng(1)
+        x = rng.uniform(0.0, 1.0, (40, 1))
+        return x, np.sin(6.0 * x[:, 0]) + 0.3 * rng.standard_t(2, 40)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "epanechnikov", "quadratic"])
+    def test_falling_step_is_not_taken(self, caplog, kind):
+        x, y = self.unridged_instance()
+        cfg = RmrConfig(sigma=0.3, lam=0.0, q=2, phi=representing_function(kind))
+        caplog.set_level(logging.INFO, logger="modalmr.solver")
+        model = fit_data(x, y, RBF, cfg)
+        steps = len(model.objective_trace) - 1
+        messages = {r.levelno: r.getMessage() for r in caplog.records
+                    if r.name == "modalmr.solver" and r.getMessage().startswith("hq fit")}
+        assert re.fullmatch(rf"hq fit: step {steps + 1} lowers the objective by \S+; the fit "
+                            rf"keeps the coefficients of step {steps}", messages[logging.WARNING])
+        assert messages[logging.INFO].endswith(f"{steps} iterations, stopped by no ascent step")
+        assert np.all(np.diff(model.objective_trace) >= cfg.tol)
+        kept = fit_data(x, y, RBF, replace(cfg, max_hq_iters=steps))
+        np.testing.assert_array_equal(model.alpha, kept.alpha)
+        assert model.objective_trace == kept.objective_trace
+
+    @pytest.mark.parametrize("tol_per_fall, reason", [(2.0, "tol"), (0.5, "no ascent step")])
+    def test_threshold_is_tol(self, monkeypatch, caplog, tol_per_fall, reason):
+        # the inner solve returns a near optimum, then a point just below it
+        gram, y = random_instance(np.random.default_rng(3), 6)
+        cfg = RmrConfig(sigma=0.7, lam=0.05, q=2, tol=1e-12)
+        best = fit_hq(gram, y, cfg).alpha
+        worse = best + 1e-3
+        fall = objective(best, gram, y, cfg) - objective(worse, gram, y, cfg)
+        assert fall > 0
+        steps = iter([best, worse])
+        monkeypatch.setattr(modalmr.solver, "_solve_weighted_ridge",
+                            lambda *args: (next(steps), False))
+        caplog.set_level(logging.INFO, logger="modalmr.solver")
+        model = fit_hq(gram, y, replace(cfg, tol=tol_per_fall * fall))
+        assert caplog.records[-1].getMessage().endswith(f"stopped by {reason}")
+        taken = [best, worse] if reason == "tol" else [best]
+        np.testing.assert_array_equal(model.alpha, taken[-1])
+        assert model.objective_trace == (objective(np.zeros(6), gram, y, cfg),
+                                         *(objective(a, gram, y, cfg) for a in taken))
 
 
 class TestHqFixedPoint:
@@ -972,7 +1026,7 @@ class TestInnerLoops:
         model = fit_data(x, y, RBF, cfg, method="gradient")
         trace = np.array(model.objective_trace)
         assert np.all(np.diff(trace) >= 0.0)
-        value = objective(model.alpha, RBF.cross(x, x), y, phi, cfg)
+        value = objective(model.alpha, RBF.cross(x, x), y, cfg)
         assert value == pytest.approx(trace[-1], rel=1e-12, abs=1e-300)
 
     @PROPERTY
@@ -984,7 +1038,7 @@ class TestInnerLoops:
         cfg = RmrConfig(sigma=0.8, lam=0.05, q=q, max_hq_iters=30)
         model = fit_data(x, y, RBF, cfg)
         gram = RBF.cross(x, x)
-        assert model.objective_trace[-1] == objective(model.alpha, gram, y, GAUSS, cfg)
+        assert model.objective_trace[-1] == objective(model.alpha, gram, y, cfg)
 
 
 class TestConjugateGradient:
