@@ -86,7 +86,7 @@ _SOLVER_OPTS = [
     ("lambda", float, 0.1, "regularization weight"),
     ("q", int, 2, "penalty exponent, 1 or 2"),
     ("phi", str, "gaussian",
-     f"representing function: {', '.join(PHI_KINDS)}; triangular fits by --method gradient only"),
+     f"representing function: {', '.join(PHI_KINDS)}; triangular only by fit --method gradient"),
     ("max-iters", int, 200, "outer iteration cap; gradient fits run max(this, 2000)"),
     ("tol", float, 1e-8, "objective-change stopping threshold"),
 ]

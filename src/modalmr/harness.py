@@ -353,7 +353,7 @@ def robustness_comparison(
     def one(rep: int) -> RobustnessRow:
         data = generate_dataset(task, m, derive_seed(seed, 0, rep))
         groups, gram = distinct_gram(kernel, data.x)
-        model = fit_hq(gram, data.y, config, train_inputs=data.x, kernel=kernel, _groups=groups)
+        model = fit_hq(gram, data.y, config, groups=groups, train_inputs=data.x, kernel=kernel)
         states = task.chain.state_embedding
         rmr_preds = predict(model, states)
         ridge = max(config.lam, 1e-12) * m / groups.counts

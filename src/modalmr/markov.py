@@ -53,7 +53,6 @@ _WALK_BLOCK = 1 << 16  # chain steps converted to Python floats at a time
 class TransitionKernel:
     """Row-stochastic transition matrix plus covariate embedding of states."""
 
-    n_states: int
     P: np.ndarray
     state_embedding: np.ndarray
     # the stationary vector, kept by stationary_distribution on first use
@@ -64,11 +63,9 @@ class TransitionKernel:
         emb = np.array(self.state_embedding, dtype=float)
         if emb.ndim == 1:
             emb = emb[:, None]
-        n = P.shape[0]
-        if P.ndim != 2 or P.shape != (n, n):
+        if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise NotStochastic("transition matrix must be square")
-        if n != self.n_states:
-            raise NotStochastic(f"matrix is {n}x{n} but n_states={self.n_states}")
+        n = P.shape[0]
         if not np.all(np.isfinite(P)):
             raise NotStochastic("transition probabilities must be finite")
         if np.any(P < 0):
@@ -86,13 +83,16 @@ class TransitionKernel:
         object.__setattr__(self, "state_embedding", emb)
 
     @property
+    def n_states(self) -> int:
+        return self.P.shape[0]
+
+    @property
     def dim(self) -> int:
         return self.state_embedding.shape[1]
 
 
 def transition_kernel(P, state_embedding) -> TransitionKernel:
-    P = np.asarray(P, dtype=float)
-    return TransitionKernel(P.shape[0], P, state_embedding)
+    return TransitionKernel(P, state_embedding)
 
 
 def stationary_distribution(kernel: TransitionKernel) -> np.ndarray:
@@ -253,8 +253,6 @@ def _grid_embedding(n: int, d: int) -> np.ndarray:
     """First n points of the row-major [0,1]^d lattice with side ceil(n^(1/d))."""
     if d < 1:
         raise InputError("embedding dimension d must be at least 1")
-    if d == 1:
-        return np.linspace(0.0, 1.0, n)[:, None]
     side = max(2, math.ceil(n ** (1.0 / d)))
     while side**d < n:
         side += 1
@@ -271,7 +269,7 @@ def iid_chain(n: int, target=None, d: int = 1) -> TransitionKernel:
     if len(pi) != n or np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
         raise InputError("target must be a length-n probability vector")
     P = np.tile(pi, (n, 1))
-    return TransitionKernel(n, P, _grid_embedding(n, d))
+    return TransitionKernel(P, _grid_embedding(n, d))
 
 
 def two_state_chain(p: float, q: float, d: int = 1) -> TransitionKernel:
@@ -279,7 +277,7 @@ def two_state_chain(p: float, q: float, d: int = 1) -> TransitionKernel:
     if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
         raise InputError("flip probabilities must lie in [0, 1]")
     P = np.array([[1.0 - p, p], [q, 1.0 - q]])
-    return TransitionKernel(2, P, _grid_embedding(2, d))
+    return TransitionKernel(P, _grid_embedding(2, d))
 
 
 def lazy_random_walk(n: int, laziness: float, d: int = 1) -> TransitionKernel:
@@ -295,7 +293,7 @@ def lazy_random_walk(n: int, laziness: float, d: int = 1) -> TransitionKernel:
         neighbours = [j for j in (i - 1, i + 1) if 0 <= j < n]
         for j in neighbours:
             P[i, j] += move / len(neighbours)
-    return TransitionKernel(n, P, _grid_embedding(n, d))
+    return TransitionKernel(P, _grid_embedding(n, d))
 
 
 def metropolis_grid(n: int, target=None, d: int = 1) -> TransitionKernel:
@@ -311,7 +309,7 @@ def metropolis_grid(n: int, target=None, d: int = 1) -> TransitionKernel:
             if 0 <= j < n:
                 P[i, j] = 0.5 * min(1.0, t[j] / t[i])
         P[i, i] = 1.0 - P[i].sum()
-    return TransitionKernel(n, P, _grid_embedding(n, d))
+    return TransitionKernel(P, _grid_embedding(n, d))
 
 
 def uniform_gap_chain(n: int, gap: float, d: int = 1) -> TransitionKernel:
@@ -321,7 +319,7 @@ def uniform_gap_chain(n: int, gap: float, d: int = 1) -> TransitionKernel:
     if n < 2:
         raise InputError("uniform-gap chain needs at least 2 states")
     P = (1.0 - gap) * np.eye(n) + gap * np.full((n, n), 1.0 / n)
-    return TransitionKernel(n, P, _grid_embedding(n, d))
+    return TransitionKernel(P, _grid_embedding(n, d))
 
 
 def builtin_chain(family: str, d: int = 1, **params) -> TransitionKernel:
@@ -393,7 +391,7 @@ def read_transition_file(path) -> TransitionKernel:
         raise InputError(f"{path}: non-finite value in the transition matrix or embedding")
     P = body[: n * n].reshape(n, n)
     emb = body[n * n :].reshape(n, d)
-    return TransitionKernel(n, P, emb)
+    return TransitionKernel(P, emb)
 
 
 def write_transition_file(path, kernel: TransitionKernel) -> None:

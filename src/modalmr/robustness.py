@@ -55,8 +55,8 @@ def breakdown_N(model: RmrModel, y) -> float:
     """Breakdown statistic of a fitted model on its own training responses."""
     if model.train_inputs is None or model.kernel is None:
         raise InputError("model must carry its training inputs and kernel")
-    _, gram = distinct_gram(model.kernel, model.train_inputs)
-    value = objective(model.alpha, gram, y, model.config, train_inputs=model.train_inputs)
+    groups, gram = distinct_gram(model.kernel, model.train_inputs)
+    value = objective(model.alpha, gram, y, model.config, groups=groups)
     return _statistic(value, model.m, model.config)
 
 
@@ -109,9 +109,7 @@ def fit_hq_multistart(
     config: RmrConfig,
     extra_inits=(),
     *,
-    train_inputs=None,
-    kernel=None,
-    _groups=None,
+    groups=None,
 ):
     """Run half-quadratic ascent from several deterministic starts.
 
@@ -123,32 +121,31 @@ def fit_hq_multistart(
     around each sample's consensus.  A compact phi, whose weights vanish
     outside its window, has more local maxima, so it also starts from this
     multistart's optimum for Gaussian phi at the same sigma.  Returns the fit
-    with the best final objective.  ``gram``, ``train_inputs`` and the internal
-    ``_groups`` follow the rule of ``fit_hq``; the seeds are solved over the
-    distinct covariate rows, and every start reuses the one grouping.
+    with the best final objective; it carries no training inputs or kernel.
+    ``gram`` covers the rows of ``groups``, as in ``fit_hq``; the seeds are
+    solved over those rows, and every start reuses the one grouping.
     """
-    reduced, y, groups, _ = _check_problem(gram, y, train_inputs, groups=_groups)
+    gram, y, groups, _ = _check_problem(gram, y, groups=groups)
     m = y.shape[0]
     inits = [np.zeros(m)]
-    ls = _ridge_coefficients(reduced, groups, y)
+    ls = _ridge_coefficients(gram, groups, y)
     if ls is not None:
         inits.append(ls)
     if m <= _SINGLETON_ANCHOR_LIMIT:
         for i in range(m):
-            anchor = _ridge_coefficients(reduced, groups, y, rows=np.array([i]))
+            anchor = _ridge_coefficients(gram, groups, y, rows=np.array([i]))
             if anchor is not None:
                 inits.append(anchor)
     inits.extend(np.asarray(v, dtype=float) for v in extra_inits)
     if config.phi.hq is not None and config.phi.support_halfwidth < math.inf:
         gaussian = replace(config, phi=representing_function("gaussian"))
         with contextlib.suppress(SingularSystem):
-            inits.append(fit_hq_multistart(reduced, y, gaussian, extra_inits, _groups=groups).alpha)
+            inits.append(fit_hq_multistart(gram, y, gaussian, extra_inits, groups=groups).alpha)
     best = None
     failure = None
     for init in inits:
         try:
-            model = fit_hq(reduced, y, config, init=init, train_inputs=train_inputs,
-                           kernel=kernel, _groups=groups)
+            model = fit_hq(gram, y, config, init=init, groups=groups)
         except SingularSystem as exc:
             failure = exc
             continue
@@ -183,8 +180,7 @@ def contamination_experiment(
     if kernel is None:
         kernel = _default_kernel()
     groups, gram = distinct_gram(kernel, data.x)
-    clean = fit_hq_multistart(gram, data.y, config, train_inputs=data.x, kernel=kernel,
-                              _groups=groups)
+    clean = fit_hq_multistart(gram, data.y, config, groups=groups)
     clean_norm = float(np.linalg.norm(clean.alpha))
     N = _statistic(clean.objective_trace[-1], m, config)
     low, high, fraction = breakdown_bracket(max(N, 0.0), m)
@@ -202,8 +198,7 @@ def contamination_experiment(
             groups_c, gc = distinct_gram(kernel, xc)
             anchor = _ridge_coefficients(gc, groups_c, yc, rows=np.arange(m, m + n))
             extras = [anchor] if anchor is not None else []
-            model = fit_hq_multistart(gc, yc, config, extras, train_inputs=xc, kernel=kernel,
-                                      _groups=groups_c)
+            model = fit_hq_multistart(gc, yc, config, extras, groups=groups_c)
             curve.append((int(n), float(magnitude), float(np.linalg.norm(model.alpha))))
     return BreakdownReport(
         N=N,

@@ -185,24 +185,11 @@ class CovariateGroups(NamedTuple):
         Cauchy-Schwarz and the least ||alpha||_1 by the triangle inequality."""
         return self.spread(beta / self.counts)
 
-    def reduce_gram(self, gram) -> np.ndarray:
-        """The n x n gram over the distinct rows, given either that matrix or
-        the m x m sample gram (the two shapes coincide when n = m)."""
-        gram = np.asarray(gram, dtype=float)
-        if gram.shape == (self.n, self.n):
-            return gram
-        if gram.shape == (self.m, self.m):
-            return gram[np.ix_(self.first, self.first)]
-        raise InputError(
-            f"gram must be {self.m}x{self.m}, or {self.n}x{self.n} over the distinct "
-            f"inputs, got {gram.shape}"
-        )
 
-
-def _check_problem(gram, y, train_inputs=None, alpha=None, groups=None):
-    """(n x n gram, y, groups, alpha): validated targets, the grouping of
-    train_inputs (``groups`` when the caller has it, the identity without
-    inputs) and a fresh finite copy of alpha (zeros when not given)."""
+def _check_problem(gram, y, alpha=None, groups=None):
+    """(gram, y, groups, alpha): validated targets, the grouping (one row per
+    sample when not given), the gram checked to be n x n over its rows and a
+    fresh finite copy of alpha (zeros when not given)."""
     y = np.asarray(y, dtype=float).ravel()
     m = y.shape[0]
     if m < 1:
@@ -210,11 +197,13 @@ def _check_problem(gram, y, train_inputs=None, alpha=None, groups=None):
     if not np.all(np.isfinite(y)):
         raise InputError("targets must be finite")
     if groups is None:
-        groups = (CovariateGroups.identity(m) if train_inputs is None
-                  else CovariateGroups.of(train_inputs))
+        groups = CovariateGroups.identity(m)
     if groups.m != m:
         raise InputError(f"{groups.m} training inputs for {m} targets")
-    gram = groups.reduce_gram(gram)
+    gram = np.asarray(gram, dtype=float)
+    if gram.shape != (groups.n, groups.n):
+        raise InputError(f"gram must be {groups.n}x{groups.n} to match the grouping, "
+                         f"got {gram.shape}")
     if alpha is None:
         return gram, y, groups, np.zeros(m)
     alpha = np.array(alpha, dtype=float).ravel()
@@ -237,14 +226,14 @@ def _value(alpha, residuals, config):
     return fit - config.lam * _penalty(alpha, config.q)
 
 
-def objective(alpha, gram, y, config: RmrConfig, *, train_inputs=None) -> float:
+def objective(alpha, gram, y, config: RmrConfig, *, groups=None) -> float:
     """Value of the regularized modal objective at alpha, with config.phi.
 
-    ``gram`` and ``train_inputs`` follow the rule of ``fit_hq``.  Residuals
-    only need the per-row sums of alpha, so the value is exact for any alpha,
+    ``gram`` covers the rows of ``groups``, as in ``fit_hq``.  Residuals only
+    need the per-row sums of alpha, so the value is exact for any alpha,
     constant on each covariate row or not.
     """
-    gram, y, groups, alpha = _check_problem(gram, y, train_inputs, alpha)
+    gram, y, groups, alpha = _check_problem(gram, y, alpha, groups)
     return _value(alpha, y - _fitted(gram, groups, groups.sums(alpha)), config)
 
 
@@ -417,7 +406,7 @@ def _l1_active_set(gram, w, y, beta, lam, tau, max_steps):
 
 
 def fit_hq(
-    gram, y, config: RmrConfig, init=None, *, train_inputs=None, kernel=None, _groups=None
+    gram, y, config: RmrConfig, init=None, *, groups=None, train_inputs=None, kernel=None
 ) -> RmrModel:
     """Half-quadratic ascent for every phi with a finite weight (``phi.hq``).
 
@@ -463,18 +452,17 @@ def fit_hq(
     ascent argument carries over to beta unchanged, and the direct/CG switch
     at _DIRECT_SOLVE_LIMIT counts distinct rows.
 
-    Without ``train_inputs`` every sample is its own row and ``gram`` is the
-    m x m sample gram.  With them, ``gram`` may be the m x m sample gram (its
-    submatrix at the first occurrences is used) or the n x n gram over the
-    distinct rows in first-occurrence order; the two shapes coincide when
-    n = m.  The returned alpha is per sample either way.  ``_groups`` is
-    internal: the grouping of train_inputs, from a caller that built it
-    already (``fit_data``, ``fit_hq_multistart``), so it is not built twice.
+    ``groups`` is the grouping of the samples by covariate row and ``gram``
+    the n x n gram over its rows in the same order; ``distinct_gram`` returns
+    the two together.  Without ``groups`` every sample is a row of its own
+    and ``gram`` is the m x m sample gram.  Any other gram shape is an
+    InputError.  The returned alpha is per sample either way, and
+    ``train_inputs`` and ``kernel`` are only carried on the returned model.
     """
-    gram, y, groups, alpha = _check_problem(gram, y, train_inputs, init, _groups)
+    gram, y, groups, alpha = _check_problem(gram, y, init, groups)
     if config.phi.hq is None:
         raise InputError(f"phi {config.phi.kind!r} has no finite half-quadratic weight; "
-                         "fit it with --method gradient")
+                         "only fit --method gradient fits it")
     weight, C = config.phi.hq
     m = y.shape[0]
     sigma = config.sigma
@@ -545,9 +533,9 @@ def fit_gradient(
     init=None,
     max_iters: int | None = None,
     *,
+    groups=None,
     train_inputs=None,
     kernel=None,
-    _groups=None,
 ) -> RmrModel:
     """Monotone (proximal) gradient ascent for any built-in phi (config.phi).
 
@@ -556,19 +544,18 @@ def fit_gradient(
     accepted only when the objective does not decrease, with up to 50
     halvings of the step size; when none ascends (a maximum, or a kink of
     phi) the fit stops there, by "no ascent step".  The iterates stay
-    per-sample; residuals and gradients go through the n x n gram over the
-    distinct rows (``gram`` and ``train_inputs`` follow the rule of
-    ``fit_hq``), which leaves the ascent in alpha unchanged.
+    per-sample; residuals and gradients go through the gram over the rows of
+    ``groups`` (the same rule as ``fit_hq``), which leaves the ascent in alpha
+    unchanged.
 
     The fitted values K^T beta of the accepted iterate are kept, and the next
     gradient takes its residuals from them.  For q=2 a candidate's fitted
     values are those plus step * K^T (row sums of the gradient), one
     matrix-vector product per iteration however many halvings it takes; the
     soft-thresholded q=1 candidate is not linear in the step, so each of its
-    halvings evaluates K^T beta afresh.  ``_groups`` is internal, as in
-    ``fit_hq``.
+    halvings evaluates K^T beta afresh.
     """
-    gram, y, groups, alpha = _check_problem(gram, y, train_inputs, init, _groups)
+    gram, y, groups, alpha = _check_problem(gram, y, init, groups)
     if max_iters is None:
         max_iters = max(config.max_hq_iters, 2000)
     fitted = gram.T @ groups.sums(alpha)
@@ -632,7 +619,7 @@ def fit_data(
     x = as_covariate_array(x)
     groups, gram = distinct_gram(kernel, x)
     fit = fit_hq if method == "hq" else fit_gradient
-    return fit(gram, y, config, init, train_inputs=x, kernel=kernel, _groups=groups)
+    return fit(gram, y, config, init, groups=groups, train_inputs=x, kernel=kernel)
 
 
 def fitted_values(model: RmrModel) -> np.ndarray:

@@ -4,6 +4,7 @@ import io
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,27 @@ class TestCheckKernel:
 
     def test_unknown_phi(self, capsys):
         assert run("check-kernel", "--phi", "sinc") == 1
+
+    @pytest.mark.parametrize("kind", ["gaussian", "epanechnikov"])
+    def test_csv_row_matches_printed_report(self, kind, tmp_path, capsys):
+        out = tmp_path / "kernel.csv"
+        assert run("check-kernel", "--phi", kind, "--out", str(out)) == 0
+        printed = re.fullmatch(
+            r"phi=(\S+): symmetry (\S+), peak excess (\S+), \|integral-1\| (\S+), "
+            r"second moment (\S+), lipschitz (\S+) \(bound (\S+)\) -> ok",
+            capsys.readouterr().out.strip(),
+        ).groups()
+        assert out.read_text().splitlines()[0] == (
+            "kind,symmetry,peak_excess,integral_error,second_moment,"
+            "lipschitz_estimate,lipschitz_bound"
+        )
+        (row,) = read_rows(out)
+        assert row["kind"] == printed[0] == kind
+        rounded = [f"{float(row[k]):.3e}" for k in ("symmetry", "peak_excess", "integral_error")]
+        assert rounded == list(printed[1:4])
+        assert [row[k] for k in ("second_moment", "lipschitz_estimate", "lipschitz_bound")] == list(
+            printed[4:]
+        )
 
 
 class TestFitPredict:
@@ -586,7 +608,8 @@ class TestHalfQuadraticPhi:
         out = tmp_path / "out.csv"
         assert run(command, *self.argv(command, dataset_path), "--phi", "triangular",
                    "--out", str(out)) == 1
-        assert "--method gradient" in capsys.readouterr().err
+        # only fit takes --method, so the message names that command
+        assert "fit --method gradient" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -289,6 +289,19 @@ class TestBuiltins:
         chain = metropolis_grid(4, target)
         np.testing.assert_allclose(stationary_distribution(chain), target, atol=1e-10)
 
+    def test_builtin_metropolis_is_metropolis_grid(self):
+        target = [0.4, 0.3, 0.2, 0.1]
+        for d, params in ((1, {}), (2, {"target": target})):
+            chain = builtin_chain("metropolis", d=d, n=4, **params)
+            grid = metropolis_grid(4, params.get("target"), d)
+            np.testing.assert_array_equal(chain.P, grid.P)
+            np.testing.assert_array_equal(chain.state_embedding, grid.state_embedding)
+
+    def test_one_dimensional_grid_is_evenly_spaced(self):
+        for n in range(1, 300):
+            np.testing.assert_array_equal(modalmr.markov._grid_embedding(n, 1),
+                                          np.linspace(0.0, 1.0, n)[:, None])
+
     def test_grid_embedding_2d(self):
         chain = builtin_chain("iid", d=2, n=5)
         emb = chain.state_embedding

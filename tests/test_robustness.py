@@ -11,7 +11,7 @@ from modalmr.robustness import (
     contamination_experiment,
     fit_hq_multistart,
 )
-from modalmr.solver import CovariateGroups, RmrConfig, RmrModel, fit_hq
+from modalmr.solver import CovariateGroups, RmrConfig, RmrModel, fit_hq, objective
 
 GAUSS = representing_function("gaussian")
 
@@ -79,6 +79,27 @@ class TestBreakdownN:
         model, _ = interpolating_model(rng.random(4), rng.normal(size=4))
         with pytest.raises(InputError):
             breakdown_N(model, np.zeros(5))
+
+    def test_groups_its_inputs_once(self, monkeypatch):
+        # the grouping behind the statistic's gram is the one its objective
+        # uses; the value matches the objective on the m x m sample gram
+        real = CovariateGroups.of.__func__
+        calls = []
+
+        def counted(cls, inputs):
+            calls.append(len(inputs))
+            return real(cls, inputs)
+
+        monkeypatch.setattr(CovariateGroups, "of", classmethod(counted))
+        kernel = hypothesis_kernel("gaussian-rbf", bandwidth=1.0)
+        x = np.array([[0.1], [0.6], [0.1], [0.9], [0.6], [0.1]])
+        y = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.2])
+        alpha = np.array([0.4, -0.1, 0.2, 0.3, 0.0, -0.2])
+        cfg = RmrConfig(sigma=0.7, lam=0.05, q=2)
+        statistic = breakdown_N(RmrModel(alpha, x, kernel, cfg, ()), y)
+        assert calls == [6]
+        dense = objective(alpha, kernel.cross(x, x), y, cfg)
+        assert statistic == pytest.approx(6 * 0.7 * dense / GAUSS(0.0), rel=1e-12)
 
 
 class TestBracket:

@@ -26,6 +26,7 @@ from modalmr.solver import (
     CovariateGroups,
     RmrConfig,
     RmrModel,
+    distinct_gram,
     fit_data,
     fit_gradient,
     fit_hq,
@@ -159,7 +160,7 @@ class TestFitHq:
     def test_triangular_phi_rejected(self):
         # g(t) = 1 - sqrt(t) has no finite weight at t = 0
         cfg = RmrConfig(sigma=1.0, lam=0.1, phi=representing_function("triangular"))
-        with pytest.raises(InputError, match="'triangular'.*--method gradient"):
+        with pytest.raises(InputError, match="'triangular'.*fit --method gradient"):
             fit_hq(np.eye(2), np.zeros(2), cfg)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -444,6 +445,8 @@ class TestConfigValidation:
             RmrConfig(sigma=1.0, lam=0.1, q=3)
         with pytest.raises(InputError):
             RmrConfig(sigma=1.0, lam=0.1, tol=0.0)
+        with pytest.raises(InputError, match="max_hq_iters"):
+            RmrConfig(sigma=1.0, lam=0.1, max_hq_iters=0)
 
     @pytest.mark.parametrize("field", ["sigma", "lam", "tol"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -674,8 +677,10 @@ class TestCovariateGroups:
         cfg = RmrConfig(sigma=1.0, lam=0.1, max_hq_iters=5)
         model = fit_data(x, y, RBF, cfg, method=method)
         assert len(calls) == 1
+        groups = CovariateGroups.of(x)
+        rows = x[groups.first]
         fit = fit_hq if method == "hq" else fit_gradient
-        direct = fit(RBF.cross(x, x), y, cfg, train_inputs=x, kernel=RBF)
+        direct = fit(RBF.cross(rows, rows), y, cfg, groups=groups)
         assert model.alpha.tobytes() == direct.alpha.tobytes()
         assert model.objective_trace == direct.objective_trace
 
@@ -692,30 +697,31 @@ class TestGramShapes:
         self.y = rng.normal(0, 0.5, 20)
         self.cfg = RmrConfig(sigma=0.8, lam=0.05, q=2, tol=1e-12)
 
-    def test_sample_and_distinct_grams_agree(self):
-        groups = CovariateGroups.of(self.x)
-        rows = self.x[groups.first]
-        small = fit_hq(RBF.cross(rows, rows), self.y, self.cfg, train_inputs=self.x, kernel=RBF)
-        full = fit_hq(RBF.cross(self.x, self.x), self.y, self.cfg, train_inputs=self.x,
-                      kernel=RBF)
-        np.testing.assert_array_equal(small.alpha, full.alpha)
-        assert small.objective_trace == full.objective_trace
-
     def test_other_shapes_rejected(self):
-        with pytest.raises(InputError):
-            fit_hq(np.eye(5), self.y, self.cfg, train_inputs=self.x)
-        with pytest.raises(InputError):
-            fit_hq(np.eye(3), self.y, self.cfg)
+        # the gram covers the rows of groups: n x n with them, m x m without
+        groups, gram = distinct_gram(RBF, self.x)
+        for bad, bad_groups in ((np.eye(5), None), (np.eye(3), None), (np.eye(5), groups),
+                                (RBF.cross(self.x, self.x), groups)):
+            with pytest.raises(InputError, match="gram must be"):
+                fit_hq(bad, self.y, self.cfg, groups=bad_groups)
+            with pytest.raises(InputError, match="gram must be"):
+                objective(np.zeros(20), bad, self.y, self.cfg, groups=bad_groups)
+        with pytest.raises(InputError, match="gram must be 3x3"):
+            fit_gradient(RBF.cross(self.x, self.x), self.y, self.cfg, groups=groups)
+        with pytest.raises(InputError, match="gram must be 3x3"):
+            fit_hq_multistart(RBF.cross(self.x, self.x), self.y, self.cfg, groups=groups)
+        fit_hq(gram, self.y, self.cfg, groups=groups)
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_uneven_warm_start_keeps_trace_monotone(self, q):
         cfg = replace(self.cfg, q=q)
-        gram = RBF.cross(self.x, self.x)
+        groups, gram = distinct_gram(RBF, self.x)
         init = np.random.default_rng(5).normal(0, 0.3, 20)
-        model = fit_hq(gram, self.y, cfg, init=init, train_inputs=self.x, kernel=RBF)
+        model = fit_hq(gram, self.y, cfg, init=init, groups=groups)
         trace = np.array(model.objective_trace)
-        assert trace[0] == objective(init, gram, self.y, cfg, train_inputs=self.x)
-        assert trace[0] == pytest.approx(objective(init, gram, self.y, cfg), rel=1e-12)
+        assert trace[0] == objective(init, gram, self.y, cfg, groups=groups)
+        dense = RBF.cross(self.x, self.x)
+        assert trace[0] == pytest.approx(objective(init, dense, self.y, cfg), rel=1e-12)
         assert np.all(np.diff(trace) >= -1e-12 * np.maximum(1.0, np.abs(trace[1:])))
 
 
@@ -773,13 +779,12 @@ class TestDistinctReduction:
         x, y, sigma, lam = problem
         phi = representing_function(kind)
         cfg = RmrConfig(sigma=sigma, lam=lam, q=q)
-        groups = CovariateGroups.of(x)
-        rows = x[groups.first]
+        groups, gram = distinct_gram(RBF, x)
 
-        def fit(gram):
-            return fit_gradient(gram, y, replace(cfg, phi=phi), max_iters=50, train_inputs=x)
+        def fit(gram, groups=None):
+            return fit_gradient(gram, y, replace(cfg, phi=phi), max_iters=50, groups=groups)
 
-        small, full = fit(RBF.cross(rows, rows)), fit(RBF.cross(x, x))
+        small, full = fit(gram, groups), fit(RBF.cross(x, x))
         np.testing.assert_allclose(small.alpha, full.alpha, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(small.objective_trace, full.objective_trace,
                                    rtol=1e-12, atol=1e-15)
@@ -837,7 +842,8 @@ class TestMonotoneTrace:
     def test_gradient(self, problem, kind, q):
         x, y, sigma, lam = problem
         cfg = RmrConfig(sigma=sigma, lam=lam, q=q, phi=representing_function(kind))
-        model = fit_gradient(RBF.cross(x, x), y, cfg, max_iters=200, train_inputs=x)
+        groups, gram = distinct_gram(RBF, x)
+        model = fit_gradient(gram, y, cfg, max_iters=200, groups=groups)
         self.assert_monotone(model)
 
     @PROPERTY
