@@ -408,6 +408,8 @@ def _cmd_gamma_sweep(opts) -> int:
     from . import markov
 
     _require(opts, "out")
+    if not opts["gamma-list"]:
+        raise InputError("gamma-list must name at least one gap")
     chains = [markov.uniform_gap_chain(opts["chain-n"], gap, opts["d"])
               for gap in opts["gamma-list"]]
     config = _experiment_from(opts, _task_from(opts, chains[-1]), (opts["m"],))

@@ -27,7 +27,6 @@ from .solver import (
     distinct_gram,
     fit_data,
     fit_hq,
-    predict,
     schedule_theorem2,
 )
 
@@ -343,22 +342,26 @@ def robustness_comparison(
     the closed-form solution of min (1/m)||y - G^T a||^2 + lam ||a||^2.  Like
     the modal fit it is solved over the distinct covariate rows: with row
     counts C and per-row sums beta of a, (K C K^T + lam m C^-1) beta = K s,
-    where s holds the per-row sums of y.  Errors are pi-weighted squared
-    distances to f* on the chain states.  ``jobs`` is accepted and ignored:
-    replicates run one after another, and a numeric failure propagates.
+    where s holds the per-row sums of y.  Both fits are evaluated on the
+    chain states from their per-row sums, through one cross gram.  Errors
+    are pi-weighted squared distances to f* on the chain states.  ``jobs``
+    is accepted and ignored: replicates run one after another, and a
+    numeric failure propagates.
     """
+    if n_replicates < 1:
+        raise InputError("n_replicates must be at least 1")
     if kernel is None:
         kernel = _default_kernel()
 
     def one(rep: int) -> RobustnessRow:
         data = generate_dataset(task, m, derive_seed(seed, 0, rep))
         groups, gram = distinct_gram(kernel, data.x)
-        model = fit_hq(gram, data.y, config, groups=groups, train_inputs=data.x, kernel=kernel)
-        states = task.chain.state_embedding
-        rmr_preds = predict(model, states)
+        model = fit_hq(gram, data.y, config, groups=groups)
         ridge = max(config.lam, 1e-12) * m / groups.counts
         ls_beta = _solve_ridge_direct(gram, groups.counts, ridge, groups.sums(data.y))
-        ls_preds = ls_beta @ kernel.cross(data.x[groups.first], states)
+        on_states = kernel.cross(data.x[groups.first], task.chain.state_embedding)
+        rmr_preds = groups.sums(model.alpha) @ on_states
+        ls_preds = ls_beta @ on_states
         return RobustnessRow(rep, _pi_weighted_mse(task, rmr_preds), _pi_weighted_mse(task, ls_preds))
 
     rows = [one(rep) for rep in range(n_replicates)]

@@ -28,7 +28,6 @@ __all__ = [
     "representing_function",
     "hypothesis_kernel",
     "check_calibration",
-    "gram_matrix",
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -255,9 +254,3 @@ def as_covariate_array(inputs) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] < 1:
         raise InputError("covariates must form an (m, d) array with d >= 1")
     return arr
-
-
-def gram_matrix(kernel: HypothesisKernel, inputs) -> np.ndarray:
-    """Gram matrix with entry (j, i) = K(x_j, x_i) over the sample inputs."""
-    x = as_covariate_array(inputs)
-    return kernel.cross(x, x)

@@ -250,10 +250,14 @@ def tv_mixing_curve(kernel: TransitionKernel, start_state: int, t_max: int):
 
 
 def _grid_embedding(n: int, d: int) -> np.ndarray:
-    """First n points of the row-major [0,1]^d lattice with side ceil(n^(1/d))."""
+    """First n points of the row-major [0,1]^d lattice whose side is the least
+    integer >= 2 with side^d >= n.  The float root only seeds the search; it
+    can overshoot (3125 ** (1/5) is 5.000000000000001) or fall short."""
     if d < 1:
         raise InputError("embedding dimension d must be at least 1")
     side = max(2, math.ceil(n ** (1.0 / d)))
+    while side > 2 and (side - 1) ** d >= n:
+        side -= 1
     while side**d < n:
         side += 1
     axis = np.linspace(0.0, 1.0, side)

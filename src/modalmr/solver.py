@@ -81,8 +81,13 @@ class RmrConfig:
 
 @dataclass(frozen=True)
 class RmrModel:
-    """Fitted coefficients over the training inputs plus everything needed
-    to evaluate f(x) = sum_i alpha_i K(x_i, x)."""
+    """Fitted per-sample coefficients, with the training inputs and kernel
+    that evaluate f(x) = sum_i alpha_i K(x_i, x).
+
+    ``fit_data`` and ``load_model`` fill in the inputs and kernel; the
+    gram-level fits (``fit_hq``, ``fit_gradient``, ``fit_hq_multistart``) see
+    only a gram and leave both None, and such a model can neither predict
+    nor be saved."""
 
     alpha: np.ndarray
     train_inputs: np.ndarray | None
@@ -104,10 +109,6 @@ class RmrModel:
     @property
     def m(self) -> int:
         return self.alpha.shape[0]
-
-    def coefficient_penalty(self) -> float:
-        """||alpha||_q^q for the model's own q."""
-        return _penalty(self.alpha, self.config.q)
 
 
 def _penalty(alpha: np.ndarray, q: int) -> float:
@@ -405,9 +406,7 @@ def _l1_active_set(gram, w, y, beta, lam, tau, max_steps):
             beta[j] = np.sign(z) * max(abs(z) - lam, 0.0) / curvature if curvature > 0 else 0.0
 
 
-def fit_hq(
-    gram, y, config: RmrConfig, init=None, *, groups=None, train_inputs=None, kernel=None
-) -> RmrModel:
+def fit_hq(gram, y, config: RmrConfig, init=None, *, groups=None) -> RmrModel:
     """Half-quadratic ascent for every phi with a finite weight (``phi.hq``).
 
     With phi(u) = g(u^2), g convex and decreasing, the tangent of g in
@@ -456,8 +455,9 @@ def fit_hq(
     the n x n gram over its rows in the same order; ``distinct_gram`` returns
     the two together.  Without ``groups`` every sample is a row of its own
     and ``gram`` is the m x m sample gram.  Any other gram shape is an
-    InputError.  The returned alpha is per sample either way, and
-    ``train_inputs`` and ``kernel`` are only carried on the returned model.
+    InputError.  The returned alpha is per sample either way.  The model
+    carries no training inputs or kernel, so it cannot predict or be saved;
+    ``fit_data`` makes the model that does.
     """
     gram, y, groups, alpha = _check_problem(gram, y, init, groups)
     if config.phi.hq is None:
@@ -514,7 +514,7 @@ def fit_hq(
         "hq fit (q=%d, %s inner solve, %d distinct of %d samples): "
         "%d iterations, stopped by %s", config.q, inner, groups.n, m, len(trace) - 1, stopped,
     )
-    return RmrModel(alpha, train_inputs, kernel, config, tuple(trace))
+    return RmrModel(alpha, None, None, config, tuple(trace))
 
 
 def _gradient(alpha, residuals, gram, config, groups):
@@ -534,8 +534,6 @@ def fit_gradient(
     max_iters: int | None = None,
     *,
     groups=None,
-    train_inputs=None,
-    kernel=None,
 ) -> RmrModel:
     """Monotone (proximal) gradient ascent for any built-in phi (config.phi).
 
@@ -546,7 +544,7 @@ def fit_gradient(
     phi) the fit stops there, by "no ascent step".  The iterates stay
     per-sample; residuals and gradients go through the gram over the rows of
     ``groups`` (the same rule as ``fit_hq``), which leaves the ascent in alpha
-    unchanged.
+    unchanged.  Like ``fit_hq``'s, the model carries no inputs or kernel.
 
     The fitted values K^T beta of the accepted iterate are kept, and the next
     gradient takes its residuals from them.  For q=2 a candidate's fitted
@@ -598,7 +596,7 @@ def fit_gradient(
         "%d iterations, stopped by %s", config.q, config.phi.kind, groups.n, y.shape[0],
         len(trace) - 1, stopped,
     )
-    return RmrModel(alpha, train_inputs, kernel, config, tuple(trace))
+    return RmrModel(alpha, None, None, config, tuple(trace))
 
 
 def distinct_gram(kernel: HypothesisKernel, x):
@@ -609,17 +607,16 @@ def distinct_gram(kernel: HypothesisKernel, x):
     return groups, kernel.cross(rows, rows)
 
 
-def fit_data(
-    x, y, kernel: HypothesisKernel, config: RmrConfig, method: str = "hq", init=None
-) -> RmrModel:
+def fit_data(x, y, kernel: HypothesisKernel, config: RmrConfig, method: str = "hq") -> RmrModel:
     """Fit on raw covariates, grouping them once and building only the gram
-    over their distinct rows."""
+    over their distinct rows.  The model carries x and the kernel, so it
+    predicts and saves."""
     if method not in ("hq", "gradient"):
         raise InputError(f"unknown fit method {method!r}")
     x = as_covariate_array(x)
     groups, gram = distinct_gram(kernel, x)
-    fit = fit_hq if method == "hq" else fit_gradient
-    return fit(gram, y, config, init, groups=groups, train_inputs=x, kernel=kernel)
+    fit = (fit_hq if method == "hq" else fit_gradient)(gram, y, config, groups=groups)
+    return RmrModel(fit.alpha, x, kernel, config, fit.objective_trace)
 
 
 def fitted_values(model: RmrModel) -> np.ndarray:
@@ -637,13 +634,7 @@ def predict(model: RmrModel, x):
         raise InputError("model lacks training inputs / kernel; cannot predict")
     arr = np.asarray(x, dtype=float)
     single = arr.ndim < 2
-    pts = as_covariate_array(np.atleast_2d(arr))
-    if pts.shape[1] != model.train_inputs.shape[1]:
-        raise InputError(
-            f"covariate dimension {pts.shape[1]} does not match training dimension "
-            f"{model.train_inputs.shape[1]}"
-        )
-    values = model.alpha @ model.kernel.cross(model.train_inputs, pts)
+    values = model.alpha @ model.kernel.cross(model.train_inputs, np.atleast_2d(arr))
     return float(values[0]) if single else values
 
 

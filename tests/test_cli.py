@@ -358,6 +358,12 @@ class TestConfigFile:
         assert "unknown config keys ['inner-iters']" in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
 
+    def test_comment_and_blank_lines_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# two-state chain\n\nfamily = two-state\n   # indented\np = 0.3\nq = 0.2\n")
+        assert run("chain-info", "--config", str(cfg)) == 0
+        assert "gamma_a = 0.5" in capsys.readouterr().out
+
     def test_repeated_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("family = two-state\np = 0.3\nq = 0.2\np = 0.9\n")
@@ -638,3 +644,16 @@ def test_unused_chain_and_schedule_options_are_checked(tmp_path, capsys, argv, m
     assert run(command, *HQ_COMMANDS.get(command, []), *flags, "--out", str(out)) == 1
     assert message in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "out.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["robust-compare", "--replicates", "0"], "n_replicates must be at least 1"),
+    (["gamma-sweep", "--gamma-list", ""], "gamma-list must name at least one gap"),
+    (["learning-curve", "--m-grid", ""], "m_grid must be nonempty"),
+    (["learning-curve", "--schedule", "bogus"], "schedule must be theorem2 or fixed"),
+], ids=["no-replicates", "empty-gamma-list", "empty-m-grid", "unknown-schedule"])
+def test_empty_or_unknown_experiment_option_is_one_error_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()

@@ -36,7 +36,7 @@ from modalmr.harness import (
 from modalmr.kernels import hypothesis_kernel
 from modalmr.markov import absolute_spectral_gap, iid_chain, transition_kernel
 from modalmr.risk import gaussian_noise, make_task, student_t_noise
-from modalmr.solver import RmrConfig, schedule_theorem2
+from modalmr.solver import RmrConfig, fit_data, predict, schedule_theorem2
 
 
 def small_task(noise_scale=0.5, n_states=8):
@@ -159,6 +159,8 @@ class TestLearningCurve:
                 task=small_task(), m_grid=(64,), n_replicates=0,
                 schedule=None, seed=0,
             )
+        with pytest.raises(InputError, match="m_grid must be nonempty"):
+            ExperimentConfig(task=small_task(), m_grid=(), n_replicates=2, schedule=None, seed=0)
 
     @staticmethod
     def tiny_config():
@@ -466,6 +468,23 @@ class TestRobustnessComparison:
         a = robustness_comparison(task, 100, cfg, seed=2, n_replicates=4, jobs=1)
         b = robustness_comparison(task, 100, cfg, seed=2, n_replicates=4, jobs=2)
         assert a.rows == b.rows
+
+    def test_modal_error_matches_the_predicting_model(self):
+        # the per-row sums on the distinct rows give fit_data's predictions
+        task = make_task(iid_chain(8), student_t_noise(3.0, 0.5))
+        cfg = RmrConfig(sigma=1.0, lam=1e-3, q=2)
+        kernel = modalmr.harness._default_kernel()
+        out = robustness_comparison(task, 100, cfg, seed=2, n_replicates=2)
+        for row in out.rows:
+            data = generate_dataset(task, 100, derive_seed(2, 0, row.replicate))
+            preds = predict(fit_data(data.x, data.y, kernel, cfg), task.chain.state_embedding)
+            diff = preds - task.state_values
+            assert row.rmr_mse == pytest.approx(float(task.pi @ (diff * diff)), rel=1e-9)
+
+    def test_no_replicates_rejected(self):
+        cfg = RmrConfig(sigma=1.0, lam=1e-3, q=2)
+        with pytest.raises(InputError, match="n_replicates must be at least 1"):
+            robustness_comparison(small_task(), 20, cfg, seed=0, n_replicates=0)
 
 
 class TestIO:

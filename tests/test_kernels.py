@@ -10,7 +10,6 @@ from modalmr.errors import InputError
 from modalmr.kernels import (
     PHI_KINDS,
     check_calibration,
-    gram_matrix,
     hypothesis_kernel,
     representing_function,
 )
@@ -170,23 +169,23 @@ class TestCalibration:
 class TestGram:
     def test_single_input_is_one(self):
         k = hypothesis_kernel("gaussian-rbf")
-        assert gram_matrix(k, [[0.3]]) == pytest.approx(np.array([[1.0]]))
+        assert k.cross([[0.3]], [[0.3]]) == pytest.approx(np.array([[1.0]]))
 
     def test_identical_inputs_all_ones(self):
         k = hypothesis_kernel("gaussian-rbf")
-        g = gram_matrix(k, [[0.4], [0.4]])
+        g = k.cross([[0.4], [0.4]], [[0.4], [0.4]])
         np.testing.assert_allclose(g, np.ones((2, 2)), atol=1e-15)
 
     def test_two_point_off_diagonal(self):
         k = hypothesis_kernel("gaussian-rbf", bandwidth=1.0)
-        g = gram_matrix(k, [[0.0], [1.0]])
+        g = k.cross([[0.0], [1.0]], [[0.0], [1.0]])
         assert g[0, 1] == pytest.approx(math.exp(-1.0), abs=1e-12)
         assert g[1, 0] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(3)
         x = rng.random((12, 2))
-        g = gram_matrix(hypothesis_kernel("gaussian-rbf", bandwidth=0.7), x)
+        g = hypothesis_kernel("gaussian-rbf", bandwidth=0.7).cross(x, x)
         assert np.max(np.abs(g - g.T)) < 1e-12
         assert np.all(g > 0) and np.all(g <= 1.0)
 
@@ -194,14 +193,14 @@ class TestGram:
         rng = np.random.default_rng(4)
         x = rng.random((8, 3))
         for kind in ("laplacian", "polynomial"):
-            g = gram_matrix(hypothesis_kernel(kind), x)
+            g = hypothesis_kernel(kind).cross(x, x)
             assert np.all(np.isfinite(g))
-            np.testing.assert_array_equal(g, gram_matrix(hypothesis_kernel(kind), x))
+            np.testing.assert_array_equal(g, hypothesis_kernel(kind).cross(x, x))
 
     def test_dimension_mismatch(self):
         k = hypothesis_kernel("gaussian-rbf")
         with pytest.raises(InputError):
-            gram_matrix(k, [[0.0, 1.0], [0.5]])
+            k.cross([[0.0, 1.0], [0.5]], [[0.0, 1.0], [0.5]])
         with pytest.raises(InputError):
             k.cross([[0.0, 1.0]], [[0.5]])
 

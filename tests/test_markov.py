@@ -249,6 +249,8 @@ class TestSampling:
             sample_chain(iid_chain(3), 5, seed=0, start=7)
         with pytest.raises(InputError):
             sample_chain(iid_chain(3), 0, seed=0)
+        with pytest.raises(InputError, match="'stationary' or a state index"):
+            sample_chain(iid_chain(3), 5, seed=0, start="bogus")
 
 
 class TestMixingCurve:
@@ -263,6 +265,15 @@ class TestMixingCurve:
 
     def test_single_entry(self):
         assert len(tv_mixing_curve(two_state_chain(0.3, 0.2), 0, 1)) == 1
+
+    @pytest.mark.parametrize("start, t_max, message", [
+        (0, 0, "t_max must be at least 1"),
+        (3, 4, "start state 3 outside"),
+        (-1, 4, "start state -1 outside"),
+    ])
+    def test_invalid_arguments(self, start, t_max, message):
+        with pytest.raises(InputError, match=message):
+            tv_mixing_curve(iid_chain(3), start, t_max)
 
     def test_non_increasing(self):
         curve = tv_mixing_curve(metropolis_grid(6, target=[0.3, 0.2, 0.2, 0.1, 0.1, 0.1]), 5, 40)
@@ -301,6 +312,12 @@ class TestBuiltins:
         for n in range(1, 300):
             np.testing.assert_array_equal(modalmr.markov._grid_embedding(n, 1),
                                           np.linspace(0.0, 1.0, n)[:, None])
+
+    def test_grid_side_is_exact_when_the_float_root_overshoots(self):
+        # 3125 ** (1/5) is 5.000000000000001; the lattice side is still 5
+        emb = modalmr.markov._grid_embedding(3125, 5)
+        for k in range(5):
+            np.testing.assert_array_equal(np.unique(emb[:, k]), np.linspace(0.0, 1.0, 5))
 
     def test_grid_embedding_2d(self):
         chain = builtin_chain("iid", d=2, n=5)

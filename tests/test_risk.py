@@ -361,6 +361,17 @@ class TestSurrogateRisk:
         with pytest.raises(InputError, match="finite"):
             surrogate_risk(task, [0.0, math.nan, 0.0], GAUSS, 0.5)
 
+    def test_too_few_quadrature_points_rejected(self):
+        task = make_task(iid_chain(3), gaussian_noise(1.0))
+        with pytest.raises(InputError, match="quad_points too small"):
+            surrogate_risk(task, task.state_values, GAUSS, 0.5, quad_points=2)
+
+    @pytest.mark.parametrize("n_values", [2, 4])
+    def test_one_value_per_state_required(self, n_values):
+        task = make_task(iid_chain(3), gaussian_noise(1.0))
+        with pytest.raises(InputError, match=r"need one value per state \(3\)"):
+            true_modal_risk(task, np.zeros(n_values))
+
 
 class TestComparisonGap:
     def test_truth_gap_is_zero(self):
@@ -444,4 +455,4 @@ def test_fit_beats_zero_function_on_training_data():
     # equivalently: empirical risk of the fit covers the penalty it pays
     fit_risk = empirical_modal_risk(gram.T @ model.alpha, y, GAUSS, 0.6)
     zero_risk = empirical_modal_risk(np.zeros(12), y, GAUSS, 0.6)
-    assert fit_risk >= zero_risk + 0.02 * model.coefficient_penalty() - 1e-12
+    assert fit_risk >= zero_risk + 0.02 * float(model.alpha @ model.alpha) - 1e-12

@@ -11,7 +11,7 @@ from modalmr.robustness import (
     contamination_experiment,
     fit_hq_multistart,
 )
-from modalmr.solver import CovariateGroups, RmrConfig, RmrModel, fit_hq, objective
+from modalmr.solver import CovariateGroups, RmrConfig, RmrModel, fit_data, fit_hq, objective
 
 GAUSS = representing_function("gaussian")
 
@@ -127,18 +127,21 @@ class TestBracket:
         with pytest.raises(InputError):
             breakdown_bracket(-0.5, 10)
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(InputError, match="m must be at least 1"):
+            breakdown_bracket(0.5, 0)
+
 
 class TestPenaltyEffectOnN:
     def test_N_non_increasing_in_lambda(self):
         rng = np.random.default_rng(3)
         x = rng.random((15, 1))
         kernel = hypothesis_kernel("gaussian-rbf", bandwidth=0.5)
-        gram = kernel.cross(x, x)
         y = np.sin(2 * np.pi * x[:, 0]) + rng.normal(0, 0.2, 15)
         values = []
         for lam in (0.01, 0.1, 1.0):
             cfg = RmrConfig(sigma=1.0, lam=lam, q=2, tol=1e-12)
-            model = fit_hq(gram, y, cfg, train_inputs=x, kernel=kernel)
+            model = fit_data(x, y, kernel, cfg)
             values.append(breakdown_N(model, y))
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
@@ -189,6 +192,12 @@ class TestContamination:
         cfg = RmrConfig(sigma=1.0, lam=0.0, q=2)
         with pytest.raises(InputError):
             contamination_experiment(task, 5, [0], [10.0], cfg, seed=0)
+
+    def test_negative_outlier_count_rejected(self):
+        task = make_task(iid_chain(4), gaussian_noise(0.1))
+        cfg = RmrConfig(sigma=1.0, lam=0.01, q=2)
+        with pytest.raises(InputError, match="outlier counts must be nonnegative"):
+            contamination_experiment(task, 12, [0, -1], [100.0], cfg, seed=2)
 
     def test_fraction_uses_reported_m(self):
         task = make_task(iid_chain(4), gaussian_noise(0.1))

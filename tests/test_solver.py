@@ -20,7 +20,7 @@ from _oracles import (
     phi_derivative,
 )
 from modalmr.errors import InputError, SingularSystem
-from modalmr.kernels import PHI_KINDS, gram_matrix, hypothesis_kernel, representing_function
+from modalmr.kernels import PHI_KINDS, hypothesis_kernel, representing_function
 from modalmr.robustness import fit_hq_multistart
 from modalmr.solver import (
     CovariateGroups,
@@ -230,7 +230,7 @@ class TestFitHq:
         norms = []
         for lam in (0.001, 0.01, 0.1, 1.0):
             model = fit_hq(gram, y, RmrConfig(sigma=0.8, lam=lam, q=q, tol=1e-12))
-            norms.append(model.coefficient_penalty())
+            norms.append(float(np.sum(np.abs(model.alpha) ** q)))
         assert all(b <= a + 1e-9 for a, b in zip(norms, norms[1:]))
 
     def test_l1_full_shrinkage_to_exact_zero(self):
@@ -389,8 +389,20 @@ class TestPredict:
 
     def test_dimension_mismatch(self):
         model = self.kernel_and_model([1.0], [[0.0, 0.0]])
-        with pytest.raises(InputError):
-            predict(model, [0.5])
+        for point in ([0.5], [[0.5, 0.5, 0.5]]):
+            with pytest.raises(InputError, match="covariate dimension mismatch"):
+                predict(model, point)
+
+    @pytest.mark.parametrize("use", [
+        lambda model, tmp_path: predict(model, [0.5]),
+        lambda model, tmp_path: modalmr.solver.fitted_values(model),
+        lambda model, tmp_path: save_model(tmp_path / "model.txt", model),
+    ], ids=["predict", "fitted_values", "save_model"])
+    def test_gram_level_model_rejected(self, use, tmp_path):
+        # a fit from a gram carries no inputs or kernel to evaluate
+        model = fit_hq(np.ones((1, 1)), [0.3], RmrConfig(sigma=1.0, lam=0.1))
+        with pytest.raises(InputError, match="training inputs"):
+            use(model, tmp_path)
 
     def test_alpha_length_checked(self):
         kernel = hypothesis_kernel("gaussian-rbf")
@@ -464,9 +476,8 @@ class TestSerialization:
         x = rng.random((7, 2))
         kernel = hypothesis_kernel("gaussian-rbf", bandwidth=0.37)
         cfg = RmrConfig(sigma=0.61234567890123, lam=0.0123456789012345, q=1)
-        gram = kernel.cross(x, x)
         y = rng.normal(0, 0.4, 7)
-        model = fit_hq(gram, y, cfg, train_inputs=x, kernel=kernel)
+        model = fit_data(x, y, kernel, cfg)
         path = tmp_path / "model.txt"
         save_model(path, model)
         loaded = load_model(path)
@@ -484,8 +495,7 @@ class TestSerialization:
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_model_rejected(self, tmp_path, name, line, bad):
         kernel = hypothesis_kernel("gaussian-rbf", bandwidth=0.5)
-        model = fit_hq(np.ones((1, 1)), [0.3], RmrConfig(sigma=1.0, lam=0.1),
-                       train_inputs=[[0.2]], kernel=kernel)
+        model = fit_data([[0.2]], [0.3], kernel, RmrConfig(sigma=1.0, lam=0.1))
         path = tmp_path / "model.txt"
         save_model(path, model)
         lines = path.read_text().splitlines()
@@ -496,8 +506,7 @@ class TestSerialization:
 
     def test_rows_after_the_inputs_rejected(self, tmp_path):
         kernel = hypothesis_kernel("gaussian-rbf", bandwidth=0.5)
-        model = fit_hq(np.ones((1, 1)), [0.3], RmrConfig(sigma=1.0, lam=0.1),
-                       train_inputs=[[0.2]], kernel=kernel)
+        model = fit_data([[0.2]], [0.3], kernel, RmrConfig(sigma=1.0, lam=0.1))
         path = tmp_path / "model.txt"
         save_model(path, model)
         path.write_text(path.read_text() + "\n0.7\n")
@@ -588,8 +597,13 @@ def test_fit_data_wrapper():
     kernel = hypothesis_kernel("gaussian-rbf", bandwidth=0.5)
     cfg = RmrConfig(sigma=0.8, lam=0.05, q=2)
     model = fit_data(x, y, kernel, cfg)
-    direct = fit_hq(gram_matrix(kernel, x), y, cfg, train_inputs=x, kernel=kernel)
+    direct = fit_hq(kernel.cross(x, x), y, cfg)
     np.testing.assert_array_equal(model.alpha, direct.alpha)
+    assert model.objective_trace == direct.objective_trace
+    # only fit_data's model carries the inputs and kernel that predict
+    np.testing.assert_array_equal(model.train_inputs, x)
+    assert model.kernel is kernel
+    assert direct.train_inputs is None and direct.kernel is None
     grad_model = fit_data(x, y, kernel, cfg, method="gradient")
     assert grad_model.objective_trace[-1] <= model.objective_trace[-1] + 1e-6
     with pytest.raises(InputError):
@@ -657,9 +671,11 @@ class TestCovariateGroups:
     def test_non_finite_init_rejected(self, method):
         # an InputError, which the CLI reports with exit code 1; a NaN start
         # would otherwise give a NaN model without an error
+        fit = fit_hq if method == "hq" else fit_gradient
+        x = np.array([[0.1], [0.2]])
         with pytest.raises(InputError, match="coefficients must be finite"):
-            fit_data(np.array([[0.1], [0.2]]), np.zeros(2), RBF, RmrConfig(sigma=1.0, lam=0.1),
-                     method=method, init=np.array([0.0, np.nan]))
+            fit(RBF.cross(x, x), np.zeros(2), RmrConfig(sigma=1.0, lam=0.1),
+                init=np.array([0.0, np.nan]))
 
     @pytest.mark.parametrize("method", ["hq", "gradient"])
     def test_fit_data_groups_once(self, monkeypatch, method):
@@ -797,7 +813,7 @@ class TestDistinctReduction:
         y = np.random.default_rng(seed).uniform(-1.5, 1.5, len(rows))
         cfg = RmrConfig(sigma=0.8, lam=0.05, q=q, max_hq_iters=50)
         model = fit_data(x, y, RBF, cfg)
-        direct = fit_hq(RBF.cross(x, x), y, cfg, train_inputs=x, kernel=RBF)
+        direct = fit_hq(RBF.cross(x, x), y, cfg)
         np.testing.assert_array_equal(model.alpha, direct.alpha)
         assert model.objective_trace == direct.objective_trace
 
