@@ -156,8 +156,9 @@ def check_calibration(
     [-halfwidth, 0].  So the kinks at 0 and +-1 end Boole panels whatever the
     halfwidth and point count, and phi(t) is compared with phi(-t) exactly.
     """
-    if grid_halfwidth <= 0:
-        raise InputError("grid_halfwidth must be positive")
+    # written so that NaN fails the test, which a bare grid_halfwidth <= 0 would pass
+    if not 0 < grid_halfwidth < math.inf:
+        raise InputError("grid halfwidth (--halfwidth) must be positive and finite")
     if grid_points <= 2:
         raise InputError("grid_points must exceed 2")
     step = 2.0 * grid_halfwidth / (int(grid_points) - 1)

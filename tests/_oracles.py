@@ -5,8 +5,9 @@ finds the exact maximum over a coefficient grid, the eigenvalue cross-check
 goes through the characteristic polynomial, and the q=1 inner problem, which
 the library solves by an active-set search, is solved by plain cyclic
 coordinate descent.  The chain walk, the bootstrap slope CI and the covariate grouping
-are the library's earlier per-step, per-draw and row-record forms, kept
-verbatim as the references its batched forms must reproduce.
+are the library's earlier per-step, per-draw and row-record forms, and the
+gradient fit keeps its earlier line search that scores one halving at a
+time: each kept verbatim as the reference its batched form must reproduce.
 """
 
 import numpy as np
@@ -158,6 +159,70 @@ def sample_chain_per_step(P, pi, m, seed, start="stationary"):
         cur = int(np.searchsorted(cum[cur], draws[t - 1], side="right"))
         states[t] = cur
     return states
+
+
+def fit_gradient_per_halving(gram, y, config, max_iters, groups=None):
+    """(alpha, trace, stopped, halvings) of the gradient fit whose line search
+    scores one candidate per halving; ``halvings`` counts the halvings
+    before each accepted step.  ``gram`` covers the rows of ``groups``
+    (first, index, counts), or the samples when it is None."""
+    y = np.asarray(y, dtype=float)
+    m = y.shape[0]
+    n = m if groups is None else groups.first.shape[0]
+
+    def sums(values):
+        return values if n == m else np.bincount(groups.index, weights=values, minlength=n)
+
+    def spread(values):
+        return values if n == m else values[groups.index]
+
+    def value_at(alpha, residuals):
+        fit = float(np.add.reduce(config.phi(residuals / config.sigma))) / (m * config.sigma)
+        pen = np.abs(alpha) if config.q == 1 else alpha * alpha
+        return fit - config.lam * float(np.add.reduce(pen))
+
+    def gradient(alpha, residuals):
+        slopes = sums(config.phi.derivative(residuals / config.sigma))
+        grad = -spread(gram @ slopes) / (m * config.sigma**2)
+        return grad - 2.0 * config.lam * alpha if config.q == 2 else grad
+
+    alpha = np.zeros(m)
+    fitted = gram.T @ sums(alpha)
+    residuals = y - spread(fitted)
+    current = value_at(alpha, residuals)
+    trace, halvings = [current], []
+    step = 1.0
+    stopped = "max_iters"
+    for _ in range(max_iters):
+        grad = gradient(alpha, residuals)
+        if config.q == 2:
+            fitted_step = gram.T @ sums(grad)
+        step = min(step * 4.0, 1e8)
+        for halving in range(51):
+            if config.q == 1:
+                moved = alpha + step * grad
+                candidate = np.sign(moved) * np.maximum(np.abs(moved) - step * config.lam, 0.0)
+                candidate_fitted = gram.T @ sums(candidate)
+            else:
+                candidate = alpha + step * grad
+                candidate_fitted = fitted + step * fitted_step
+            candidate_residuals = y - spread(candidate_fitted)
+            value = value_at(candidate, candidate_residuals)
+            if value >= current:
+                break
+            step *= 0.5
+        else:
+            stopped = "no ascent step"
+            break
+        halvings.append(halving)
+        gain = value - current
+        alpha, current = candidate, value
+        fitted, residuals = candidate_fitted, candidate_residuals
+        trace.append(current)
+        if gain < config.tol:
+            stopped = "tol"
+            break
+    return alpha, tuple(trace), stopped, halvings
 
 
 def bootstrap_slope_per_draw(log_m, excess_lists, seed, draws=1000):

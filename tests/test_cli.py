@@ -87,6 +87,12 @@ class TestCheckKernel:
     def test_unknown_phi(self, capsys):
         assert run("check-kernel", "--phi", "sinc") == 1
 
+    @pytest.mark.parametrize("halfwidth", ["nan", "inf"])
+    def test_non_finite_halfwidth(self, halfwidth, capsys):
+        assert run("check-kernel", "--phi", "gaussian", "--halfwidth", halfwidth) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "--halfwidth" in line
+
     @pytest.mark.parametrize("kind", ["gaussian", "epanechnikov"])
     def test_csv_row_matches_printed_report(self, kind, tmp_path, capsys):
         out = tmp_path / "kernel.csv"

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import modalmr.solver
 from _oracles import (
+    fit_gradient_per_halving,
     grid_oracle_max,
     grid_sweep_max,
     group_rows,
@@ -21,6 +22,7 @@ from _oracles import (
 )
 from modalmr.errors import InputError, SingularSystem
 from modalmr.kernels import PHI_KINDS, hypothesis_kernel, representing_function
+from modalmr.risk import default_target, shifted_gamma_noise
 from modalmr.robustness import fit_hq_multistart
 from modalmr.solver import (
     CovariateGroups,
@@ -349,8 +351,8 @@ class TestFitGradient:
         h = 1e-6
         for _ in range(20):
             alpha = rng.normal(0, 0.5, 5)
-            residuals = y - gram.T @ alpha
-            analytic = modalmr.solver._gradient(alpha, residuals, gram, cfg,
+            scaled = (y - gram.T @ alpha) / cfg.sigma
+            analytic = modalmr.solver._gradient(alpha, scaled, gram, cfg,
                                                 CovariateGroups.identity(5))
             for j in range(5):
                 e = np.zeros(5)
@@ -386,6 +388,13 @@ class TestPredict:
         values = predict(model, np.array([[0.0], [1.0]]))
         assert values.shape == (2,)
         assert values[0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+        # a 1-D input longer than d = 1 is one point per entry, as fit_data reads it
+        np.testing.assert_array_equal(predict(model, [0.0, 1.0]), values)
+        fitted = fit_data(np.linspace(0.0, 1.0, 10), np.linspace(-1.0, 1.0, 10),
+                          hypothesis_kernel("gaussian-rbf"), RmrConfig(sigma=1.0, lam=0.1))
+        np.testing.assert_array_equal(predict(fitted, [0.1, 0.2]),
+                                      predict(fitted, [[0.1], [0.2]]))
+        assert predict(fitted, 0.1) == predict(fitted, [0.1]) == predict(fitted, [[0.1]])[0]
 
     def test_dimension_mismatch(self):
         model = self.kernel_and_model([1.0], [[0.0, 0.0]])
@@ -870,6 +879,70 @@ class TestMonotoneTrace:
         x, y, sigma, lam = problem
         cfg = RmrConfig(sigma=sigma, lam=lam, q=q, phi=representing_function(kind))
         self.assert_monotone(fit_data(x, y, RBF, cfg))
+
+
+class TestBlockLineSearch:
+    """The gradient fit scores its line-search steps a block at a time; its
+    trace and coefficients are bit for bit those of the earlier search that
+    scored one halving at a time (``fit_gradient_per_halving``)."""
+
+    @staticmethod
+    def assert_same_fit(gram, y, cfg, max_iters, groups=None):
+        model = fit_gradient(gram, y, cfg, max_iters=max_iters, groups=groups)
+        alpha, trace, stopped, halvings = fit_gradient_per_halving(gram, y, cfg, max_iters,
+                                                                   groups)
+        assert model.objective_trace == trace
+        np.testing.assert_array_equal(model.alpha, alpha)
+        return stopped, halvings
+
+    @PROPERTY
+    @given(grouped_problems(), st.sampled_from(PHI_KINDS), st.sampled_from([1, 2]))
+    def test_matches_per_halving_search(self, problem, kind, q):
+        x, y, sigma, lam = problem
+        cfg = RmrConfig(sigma=sigma, lam=lam, q=q, phi=representing_function(kind))
+        groups, gram = distinct_gram(RBF, x)
+        self.assert_same_fit(gram, y, cfg, 200, groups)
+        self.assert_same_fit(RBF.cross(x, x), y, cfg, 200)
+
+    def test_second_block(self):
+        # the first block's steps 4, 2 and 1 all lower the objective; the
+        # second block's first row, step 1/2, is taken
+        x = np.linspace(0.0, 1.0, 5).reshape(-1, 1)
+        cfg = RmrConfig(sigma=0.5, lam=2.0, q=2, phi=GAUSS)
+        _, halvings = self.assert_same_fit(RBF.cross(x, x), [1.0, -1.0, 1.0, -1.0, 1.0], cfg, 50)
+        assert halvings[0] == 3
+
+    def test_exhausted_search(self):
+        # alpha = 0 is a local maximum of this triangular-phi objective
+        x = np.array([[0.0], [1.0], [0.5], [0.75]])
+        cfg = RmrConfig(sigma=1.0, lam=1.0, q=2, phi=representing_function("triangular"))
+        stopped, _ = self.assert_same_fit(RBF.cross(x, x), [0.0, 0.0, 0.0, 1.0], cfg, 2000)
+        assert stopped == "no ascent step"
+
+    def test_any_gram_alignment(self):
+        # the fit copies a gram that starts off a cache line onto one; where
+        # the caller's gram starts changes no bit of the fit
+        x = np.linspace(0.0, 1.0, 23).reshape(-1, 1)
+        y = np.sin(6.0 * x[:, 0])
+        cfg = RmrConfig(sigma=0.5, lam=1e-3, q=2, phi=representing_function("epanechnikov"))
+        dense = RBF.cross(x, x)
+        spare = np.empty(dense.size + 8)
+        for start in range(8):
+            gram = spare[start:start + dense.size].reshape(dense.shape)
+            gram[...] = dense
+            self.assert_same_fit(gram, y, cfg, 300)
+
+    def test_fit_predict_benchmark_instance(self):
+        # the seed-0 data and gradient fit of the fit_predict benchmark workload:
+        # 384 distinct uniform covariates, shifted-gamma noise, epanechnikov phi
+        rng = np.random.default_rng([0, 7])
+        x = rng.uniform(0.0, 1.0, size=(384, 1))
+        noise = shifted_gamma_noise(2.0, 0.1).sample(rng, 384)
+        y = np.array([default_target(v) for v in x]) + noise
+        cfg = RmrConfig(sigma=0.8, lam=1e-4, tol=1e-12, phi=representing_function("epanechnikov"))
+        groups, gram = distinct_gram(RBF, x)
+        stopped, _ = self.assert_same_fit(gram, y, cfg, 2000, groups)
+        assert stopped == "max_iters"
 
 
 class TestAscentGuard:
