@@ -34,7 +34,6 @@ from .solver import (  # noqa: F401 - fit_hq stays importable from here
     RmrConfig,
     fit_data,
     fit_hq,
-    fitted_values,
     load_model,
     predict,
     save_model,
@@ -363,7 +362,7 @@ def _cmd_fit(opts) -> int:
     save_model(opts["out"], model)
     if opts["fitted-out"]:
         harness.write_csv(opts["fitted-out"], ["index", "fitted"],
-                          list(enumerate(fitted_values(model).tolist())))
+                          list(enumerate(predict(model, x).tolist())))
     print(
         f"fit: m={model.m}, objective={model.objective_trace[-1]:.12g}, "
         f"iterations={len(model.objective_trace) - 1}, model -> {opts['out']}"

@@ -40,7 +40,6 @@ __all__ = [
     "fit_gradient",
     "fit_data",
     "distinct_gram",
-    "fitted_values",
     "predict",
     "schedule_theorem2",
     "save_model",
@@ -87,7 +86,8 @@ class RmrModel:
     ``fit_data`` and ``load_model`` fill in the inputs and kernel; the
     gram-level fits (``fit_hq``, ``fit_gradient``, ``fit_hq_multistart``) see
     only a gram and leave both None, and such a model can neither predict
-    nor be saved."""
+    nor be saved.  ``predict`` groups the inputs on each call; the model
+    keeps no grouping of its own."""
 
     alpha: np.ndarray
     train_inputs: np.ndarray | None
@@ -660,26 +660,21 @@ def fit_data(x, y, kernel: HypothesisKernel, config: RmrConfig, method: str = "h
     return RmrModel(fit.alpha, x, kernel, config, fit.objective_trace)
 
 
-def fitted_values(model: RmrModel) -> np.ndarray:
-    """In-sample fits f(x_i) = sum_j alpha_j K(x_j, x_i), through the gram
-    over the distinct training rows."""
-    if model.train_inputs is None or model.kernel is None:
-        raise InputError("model lacks training inputs / kernel; cannot evaluate fits")
-    groups, gram = distinct_gram(model.kernel, model.train_inputs)
-    return _fitted(gram, groups, groups.sums(model.alpha))
-
-
 def predict(model: RmrModel, x):
-    """f(x) = sum_i alpha_i K(x_i, x).  A scalar, or a 1-D input of the
-    model's dimension d, is one covariate vector and gives a float; any other
-    input is read as ``fit_data`` reads covariates (a 1-D one as m points in
-    d = 1) and gives one value per point."""
+    """f(x) = sum_i alpha_i K(x_i, x), evaluated as sum_s beta_s K(x_s, x)
+    over the n distinct training rows x_s with per-row coefficient sums
+    beta_s, so the kernel is computed at n centres, not m.  A scalar, or a
+    1-D input of the model's dimension d, is one covariate vector and gives a
+    float; any other input is read as ``fit_data`` reads covariates (a 1-D one
+    as m points in d = 1) and gives one value per point.  The in-sample fits
+    are ``predict(model, model.train_inputs)``."""
     if model.train_inputs is None or model.kernel is None:
         raise InputError("model lacks training inputs / kernel; cannot predict")
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 0 or arr.shape == (model.train_inputs.shape[1],)
-    values = model.alpha @ model.kernel.cross(model.train_inputs,
-                                              arr.reshape(1, -1) if single else arr)
+    groups = CovariateGroups.of(model.train_inputs)
+    values = groups.sums(model.alpha) @ model.kernel.cross(
+        model.train_inputs[groups.first], arr.reshape(1, -1) if single else arr)
     return float(values[0]) if single else values
 
 

@@ -117,20 +117,30 @@ class TestCheckKernel:
 
 class TestFitPredict:
     def test_round_trip_reproduces_fitted_values(self, tmp_path, dataset_path):
-        model_path = tmp_path / "model.txt"
-        fitted_path = tmp_path / "fitted.csv"
-        preds_path = tmp_path / "preds.csv"
-        assert run(
-            "fit", "--data", str(dataset_path), "--sigma", "0.8", "--lambda", "0.01",
-            "--out", str(model_path), "--fitted-out", str(fitted_path),
-        ) == 0
-        assert run(
-            "predict", "--model", str(model_path), "--data", str(dataset_path),
-            "--out", str(preds_path),
-        ) == 0
-        fitted = [float(r["fitted"]) for r in read_rows(fitted_path)]
-        preds = [float(r["prediction"]) for r in read_rows(preds_path)]
-        assert max(abs(a - b) for a, b in zip(fitted, preds)) < 1e-12
+        # the fixture's 40 samples lie on 8 chain states; the second set has
+        # 2-D covariates, 20 samples on 5 rows and 10 rows of their own
+        rng = np.random.default_rng(3)
+        x = np.vstack([rng.random((5, 2))[rng.integers(0, 5, 20)], rng.random((10, 2))])
+        mixed = tmp_path / "mixed.txt"
+        mixed.write_text("30 2\n" + "".join(
+            f"{a!r} {b!r} {y!r}\n" for (a, b), y in zip(x.tolist(), rng.normal(size=30).tolist())
+        ))
+        for data, m in ((dataset_path, 40), (mixed, 30)):
+            model_path = tmp_path / "model.txt"
+            fitted_path = tmp_path / "fitted.csv"
+            preds_path = tmp_path / "preds.csv"
+            assert run(
+                "fit", "--data", str(data), "--sigma", "0.8", "--lambda", "0.01",
+                "--out", str(model_path), "--fitted-out", str(fitted_path),
+            ) == 0
+            assert run(
+                "predict", "--model", str(model_path), "--data", str(data),
+                "--out", str(preds_path),
+            ) == 0
+            # both columns come from predict, the second on the saved model
+            fitted = [r["fitted"] for r in read_rows(fitted_path)]
+            assert len(fitted) == m
+            assert fitted == [r["prediction"] for r in read_rows(preds_path)]
 
     def test_gradient_method(self, tmp_path, dataset_path):
         model_path = tmp_path / "model.txt"

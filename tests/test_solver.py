@@ -21,7 +21,12 @@ from _oracles import (
     phi_derivative,
 )
 from modalmr.errors import InputError, SingularSystem
-from modalmr.kernels import PHI_KINDS, hypothesis_kernel, representing_function
+from modalmr.kernels import (
+    PHI_KINDS,
+    HypothesisKernel,
+    hypothesis_kernel,
+    representing_function,
+)
 from modalmr.risk import default_target, shifted_gamma_noise
 from modalmr.robustness import fit_hq_multistart
 from modalmr.solver import (
@@ -365,6 +370,13 @@ class TestFitGradient:
                 assert abs(analytic[j] - fd) / scale < 1e-5
 
 
+def assert_per_sample_sum(values, alpha, cross):
+    """values equal alpha @ cross within 1e-12 of the sum's magnitude
+    |alpha| @ cross, the scale of its rounding."""
+    np.testing.assert_array_less(np.abs(values - alpha @ cross),
+                                 1e-12 * (np.abs(alpha) @ cross) + 1e-300)
+
+
 class TestPredict:
     def kernel_and_model(self, alpha, inputs, sigma=1.0, lam=0.1, q=2):
         kernel = hypothesis_kernel("gaussian-rbf", bandwidth=1.0)
@@ -404,14 +416,36 @@ class TestPredict:
 
     @pytest.mark.parametrize("use", [
         lambda model, tmp_path: predict(model, [0.5]),
-        lambda model, tmp_path: modalmr.solver.fitted_values(model),
         lambda model, tmp_path: save_model(tmp_path / "model.txt", model),
-    ], ids=["predict", "fitted_values", "save_model"])
+    ], ids=["predict", "save_model"])
     def test_gram_level_model_rejected(self, use, tmp_path):
         # a fit from a gram carries no inputs or kernel to evaluate
         model = fit_hq(np.ones((1, 1)), [0.3], RmrConfig(sigma=1.0, lam=0.1))
         with pytest.raises(InputError, match="training inputs"):
             use(model, tmp_path)
+
+    def test_kernel_evaluated_at_distinct_rows_only(self, monkeypatch):
+        # 10^4 samples on 4 covariate rows: predict sums the coefficients per
+        # row and evaluates the kernel at the 4 rows, not at every sample
+        x = np.array([0.1, 0.4, 0.6, 0.9])[np.random.default_rng(0).integers(0, 4, 10_000)]
+        model = fit_data(x, np.sin(6.0 * x), RBF, RmrConfig(sigma=0.5, lam=1e-3))
+        centres = []
+        cross = HypothesisKernel.cross
+
+        def spy(kernel, c, points):
+            centres.append(len(c))
+            return cross(kernel, c, points)
+
+        monkeypatch.setattr(HypothesisKernel, "cross", spy)
+        points = np.linspace(0.0, 1.0, 5)
+        values = predict(model, points)
+        assert centres == [4]
+        assert_per_sample_sum(values, model.alpha, RBF.cross(x, points))
+
+    def test_non_finite_training_input_rejected(self):
+        model = self.kernel_and_model([1.0, -1.0], [[0.0], [math.nan]])
+        with pytest.raises(InputError, match="covariates must be finite"):
+            predict(model, [0.5])
 
     def test_alpha_length_checked(self):
         kernel = hypothesis_kernel("gaussian-rbf")
@@ -815,6 +849,17 @@ class TestDistinctReduction:
                                    rtol=1e-12, atol=1e-15)
 
     @PROPERTY
+    @given(grouped_problems())
+    def test_predict_matches_per_sample_sum(self, problem):
+        # per-row sums of a fit's alpha, and of arbitrary coefficients a model
+        # file may hold, give sum_i alpha_i K(x_i, .) up to rounding
+        x, y, sigma, lam = problem
+        fitted = fit_data(x, y, RBF, RmrConfig(sigma=sigma, lam=lam))
+        points = np.concatenate([x[:, 0], np.linspace(-0.5, 1.5, 9)])
+        for model in (fitted, RmrModel(y, x, RBF, fitted.config, ())):
+            assert_per_sample_sum(predict(model, points), model.alpha, RBF.cross(x, points))
+
+    @PROPERTY
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24, unique=True),
            st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
     def test_all_distinct_is_bit_identical_to_sample_gram(self, rows, seed, q):
@@ -825,6 +870,7 @@ class TestDistinctReduction:
         direct = fit_hq(RBF.cross(x, x), y, cfg)
         np.testing.assert_array_equal(model.alpha, direct.alpha)
         assert model.objective_trace == direct.objective_trace
+        np.testing.assert_array_equal(predict(model, x), RBF.cross(x, x).T @ model.alpha)
 
 
 @st.composite

@@ -4,12 +4,12 @@ No command loads any scipy module: SciPy is a test dependency only.
 `import modalmr.cli` loads no thread pool, and `--version`, `fit` and
 `predict` load neither json nor the experiment modules modalmr.markov,
 modalmr.risk and modalmr.robustness.  The commands checked are `--version`,
-a q=1 `fit` (active-set inner solve), a q=2 `fit` on 4 rows (direct solve)
-and on 700 distinct rows (conjugate gradients), `predict`, `check-kernel`
-and `learning-curve` with student-t and shifted-gamma noise.  The learning
-curve loads no numpy.ma either, which np.percentile would import for the
-slope CI, and `chain-info --out` loads neither modalmr.risk nor
-modalmr.robustness.
+a q=1 `fit` (active-set inner solve), a q=2 `fit --fitted-out` on 4 rows
+(direct solve), a q=2 `fit` on 700 distinct rows (conjugate gradients),
+`predict`, `check-kernel` and `learning-curve` with student-t and
+shifted-gamma noise.  The learning curve loads no numpy.ma either, which
+np.percentile would import for the slope CI, and `chain-info --out` loads
+neither modalmr.risk nor modalmr.robustness.
 Each script runs in one fresh interpreter so no other test's imports leak in.
 """
 
@@ -50,7 +50,9 @@ data, model = str(work / "data.txt"), str(work / "model.txt")
 Path(data).write_text("4 1\n0.1 0.3\n0.4 -0.2\n0.7 0.5\n0.9 0.1\n")
 report["fit_q1_exit"] = main(["fit", "--data", data, "--q", "1", "--out", model])
 report["fit_q1"] = scipy_modules()
-report["fit_exit"] = main(["fit", "--data", data, "--out", model])
+report["fit_exit"] = main(
+    ["fit", "--data", data, "--out", model, "--fitted-out", str(work / "fitted.csv")]
+)
 report["fit"] = scipy_modules()
 report["fit_modalmr"] = modalmr_modules()
 report["fit_json"] = "json" in sys.modules
