@@ -52,8 +52,12 @@ log = logging.getLogger(__name__)
 
 
 def derive_seed(*parts: int) -> int:
-    """Stable 64-bit seed from integer components (base seed, indices, tag)."""
-    state = np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(2)
+    """Stable 64-bit seed from nonnegative integer components (base seed,
+    indices, tag)."""
+    parts = tuple(int(p) for p in parts)
+    if any(p < 0 for p in parts):
+        raise InputError("seeds must be nonnegative integers")
+    state = np.random.SeedSequence(parts).generate_state(2)
     return int(state[0]) ^ (int(state[1]) << 32)
 
 

@@ -216,7 +216,14 @@ class HypothesisKernel(NamedTuple):
         if self.kind == "polynomial":
             degree = self.shape_params["degree"]
             offset = self.shape_params["offset"]
-            return (c @ p.T + offset) ** degree
+            with np.errstate(all="ignore"):
+                values = (c @ p.T + offset) ** degree
+            if not np.all(np.isfinite(values)):
+                raise InputError(
+                    f"polynomial kernel with degree {degree:g} and offset {offset:g} is not "
+                    "finite on these covariates (a non-integer degree needs x.x' + offset >= 0)"
+                )
+            return values
         raise InputError(f"unknown hypothesis kernel kind {self.kind!r}")
 
 

@@ -25,7 +25,7 @@ from .errors import InputError, SingularSystem
 from .harness import _default_kernel, generate_dataset
 from .kernels import representing_function
 from .risk import SyntheticTask
-from .solver import RmrConfig, RmrModel, distinct_gram, fit_hq, objective
+from .solver import CovariateGroups, RmrConfig, distinct_gram, fit_hq
 from .solver import _check_problem, _solve_ridge_direct
 
 __all__ = [
@@ -51,17 +51,9 @@ class BreakdownReport(NamedTuple):
     contamination_curve: tuple  # rows (n_outliers, magnitude, coef_norm)
 
 
-def breakdown_N(model: RmrModel, y) -> float:
-    """Breakdown statistic of a fitted model on its own training responses."""
-    if model.train_inputs is None or model.kernel is None:
-        raise InputError("model must carry its training inputs and kernel")
-    groups, gram = distinct_gram(model.kernel, model.train_inputs)
-    value = objective(model.alpha, gram, y, model.config, groups=groups)
-    return _statistic(value, model.m, model.config)
-
-
-def _statistic(value: float, m: int, config: RmrConfig) -> float:
-    """N = m sigma J / phi(0) from an m-sample fit's objective value J."""
+def breakdown_N(value: float, m: int, config: RmrConfig) -> float:
+    """Breakdown statistic N = m sigma J / phi(0) of an m-sample fit whose
+    objective value (``objective_trace[-1]``) is J."""
     return m * config.sigma * value / config.phi(0.0)
 
 
@@ -171,8 +163,7 @@ def contamination_experiment(
     the worst-case construction: identical arbitrary points.  Each refit is
     a deterministic multistart so the reported optimum reflects the better
     of the clean-tracking and outlier-tracking modes of the objective.
-    Only grams over the distinct covariate rows are built; the outliers'
-    shared covariate adds at most one row.
+    The clean data's gram, over their distinct rows, serves every refit.
     """
     if m < 10:
         raise InputError("contamination experiment needs m >= 10")
@@ -182,23 +173,24 @@ def contamination_experiment(
     groups, gram = distinct_gram(kernel, data.x)
     clean = fit_hq_multistart(gram, data.y, config, groups=groups)
     clean_norm = float(np.linalg.norm(clean.alpha))
-    N = _statistic(clean.objective_trace[-1], m, config)
+    N = breakdown_N(clean.objective_trace[-1], m, config)
     low, high, fraction = breakdown_bracket(max(N, 0.0), m)
-    outlier_x = data.x[0]
     curve = []
     for n in n_outliers_list:
         if n < 0:
             raise InputError("outlier counts must be nonnegative")
+        if n == 0:
+            curve.extend((0, float(magnitude), clean_norm) for magnitude in magnitudes)
+            continue
+        # every outlier shares sample 0's covariate, already a row of the clean
+        # gram: the contaminated samples keep its rows, so they keep its gram
+        groups_c = CovariateGroups._from(
+            groups.first, np.concatenate([groups.index, np.full(n, groups.index[0])]))
         for magnitude in magnitudes:
-            if n == 0:
-                curve.append((0, float(magnitude), clean_norm))
-                continue
-            xc = np.vstack([data.x, np.tile(outlier_x, (n, 1))])
             yc = np.concatenate([data.y, np.full(n, float(magnitude))])
-            groups_c, gc = distinct_gram(kernel, xc)
-            anchor = _ridge_coefficients(gc, groups_c, yc, rows=np.arange(m, m + n))
+            anchor = _ridge_coefficients(gram, groups_c, yc, rows=np.arange(m, m + n))
             extras = [anchor] if anchor is not None else []
-            model = fit_hq_multistart(gc, yc, config, extras, groups=groups_c)
+            model = fit_hq_multistart(gram, yc, config, extras, groups=groups_c)
             curve.append((int(n), float(magnitude), float(np.linalg.norm(model.alpha))))
     return BreakdownReport(
         N=N,

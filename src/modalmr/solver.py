@@ -191,8 +191,8 @@ class CovariateGroups(NamedTuple):
 
 def _check_problem(gram, y, alpha=None, groups=None):
     """(gram, y, groups, alpha): validated targets, the grouping (one row per
-    sample when not given), the gram checked to be n x n over its rows and a
-    fresh finite copy of alpha (zeros when not given)."""
+    sample when not given), the gram checked to be finite and n x n over its
+    rows and a fresh finite copy of alpha (zeros when not given)."""
     y = np.asarray(y, dtype=float).ravel()
     m = y.shape[0]
     if m < 1:
@@ -207,6 +207,8 @@ def _check_problem(gram, y, alpha=None, groups=None):
     if gram.shape != (groups.n, groups.n):
         raise InputError(f"gram must be {groups.n}x{groups.n} to match the grouping, "
                          f"got {gram.shape}")
+    if not np.all(np.isfinite(gram)):
+        raise InputError("gram must be finite")
     if alpha is None:
         return gram, y, groups, np.zeros(m)
     alpha = np.array(alpha, dtype=float).ravel()

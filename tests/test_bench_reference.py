@@ -1,9 +1,11 @@
 """The benchmark's reference pass as a tier-1 test: each workload's commands
 run at the reference seed through ``modalmr.cli.main``, and their results
-must match ``bench/reference.json`` within each workload's tolerances.
+must match ``bench/reference.json`` within each workload's tolerances.  The
+``breakdown`` workload is also run traced, to pin the per-layer counts its
+spans report.
 
-Only ``bench/workloads.py`` is imported: importing ``bench/run.py`` would
-rewrite the BLAS thread variables in ``os.environ``.
+Only ``bench/workloads.py`` and ``bench/tracing.py`` are imported: importing
+``bench/run.py`` would rewrite the BLAS thread variables in ``os.environ``.
 """
 
 import contextlib
@@ -19,6 +21,7 @@ from modalmr.cli import main
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
 
+from tracing import Tracer, layer_metrics, traced  # noqa: E402
 from workloads import REFERENCE_SEED, WORKLOADS, Outcome, compare_to_reference  # noqa: E402
 
 
@@ -38,3 +41,17 @@ def test_reference_seed_matches_reference(name, tmp_path):
     assert reference["seed"] == REFERENCE_SEED
     assert compare_to_reference(workload, evaluation.summary,
                                 reference["workloads"][name]) == []
+
+
+def test_traced_breakdown_builds_one_gram_and_computes_the_statistic_once(tmp_path):
+    # every contaminated refit reuses the clean gram, and the statistic N is
+    # taken through the public breakdown_N, so its span is live
+    tracer = Tracer()
+    with traced(tracer):
+        for argv in WORKLOADS["breakdown"].commands(tmp_path, REFERENCE_SEED):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(list(argv)) == 0
+    metrics = layer_metrics(tracer.spans)
+    assert metrics["robustness.breakdown_N.calls"] == 1
+    assert metrics["kernels.cross.calls"] == 1
+    assert tracer.problems == []

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,33 @@ class TestFitPredict:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("fit", []), ("fit", ["--q", "1"]), ("fit", ["--method", "gradient"]), ("predict", []),
+    ], ids=["fit", "fit-q1", "fit-gradient", "predict"])
+    def test_non_finite_polynomial_kernel_is_one_error_line(self, tmp_path, capsys, command,
+                                                            flags):
+        # x.x' + 1 < 0 at x = -2.0 and x' > 0.5: its 2.5th power is not real
+        data = tmp_path / "data.txt"
+        data.write_text("3 1\n-2.0 0.1\n0.5 0.3\n1.0 -0.2\n")
+        kernel = ["--kernel", "polynomial", "--degree", "2.5"]
+        out = tmp_path / "out.txt"
+        argv = ["fit", "--data", str(data), *kernel, *flags]
+        if command == "predict":
+            positive = tmp_path / "positive.txt"
+            positive.write_text("2 1\n0.5 0.3\n1.0 -0.2\n")
+            model = tmp_path / "model.txt"
+            assert run("fit", "--data", str(positive), *kernel, "--out", str(model)) == 0
+            capsys.readouterr()
+            argv = ["predict", "--model", str(model), "--data", str(data)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*argv, "--out", str(out)) == 1
+        assert caught == []
+        assert capsys.readouterr().err.splitlines() == [
+            "error: polynomial kernel with degree 2.5 and offset 1 is not finite on these "
+            "covariates (a non-integer degree needs x.x' + offset >= 0)"]
+        assert not out.exists()
 
 
 class TestInputFiles:
@@ -667,7 +695,18 @@ def test_unused_chain_and_schedule_options_are_checked(tmp_path, capsys, argv, m
     (["gamma-sweep", "--gamma-list", ""], "gamma-list must name at least one gap"),
     (["learning-curve", "--m-grid", ""], "m_grid must be nonempty"),
     (["learning-curve", "--schedule", "bogus"], "schedule must be theorem2 or fixed"),
-], ids=["no-replicates", "empty-gamma-list", "empty-m-grid", "unknown-schedule"])
+    (["learning-curve", "--seed", "-1"], "seeds must be nonnegative integers"),
+    (["gamma-sweep", "--seed", "-1"], "seeds must be nonnegative integers"),
+    (["breakdown", "--seed", "-1"], "seeds must be nonnegative integers"),
+    (["robust-compare", "--seed", "-1"], "seeds must be nonnegative integers"),
+    (["learning-curve", "--noise", "bogus"], "unknown noise kind 'bogus'"),
+    (["learning-curve", "--d", "0"], "embedding dimension d must be at least 1"),
+    (["gamma-sweep", "--gamma-list", "0"], "gamma values must lie in (0, 1]"),
+    (["gamma-sweep", "--chain-n", "1"], "uniform-gap chain needs at least 2 states"),
+], ids=["no-replicates", "empty-gamma-list", "empty-m-grid", "unknown-schedule",
+        "learning-curve-negative-seed", "gamma-sweep-negative-seed",
+        "breakdown-negative-seed", "robust-compare-negative-seed", "unknown-noise",
+        "zero-dimension", "zero-gap", "one-state-sweep"])
 def test_empty_or_unknown_experiment_option_is_one_error_line(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
     assert run(*argv, "--out", str(out)) == 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,12 +198,25 @@ class TestGram:
             assert np.all(np.isfinite(g))
             np.testing.assert_array_equal(g, hypothesis_kernel(kind).cross(x, x))
 
+    @pytest.mark.parametrize("degree, offset", [(2.5, 1.0), (0.5, -1.0), (-1.0, 0.0)])
+    def test_polynomial_rejects_non_finite_values(self, degree, offset):
+        # a non-integer power of a negative base, or a negative power of 0,
+        # is not a kernel value; nothing is left to warn about
+        k = hypothesis_kernel("polynomial", degree=degree, offset=offset)
+        x = np.array([[-2.0], [0.0], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=f"degree {degree:g} and offset {offset:g}"):
+                k.cross(x, x)
+
     def test_dimension_mismatch(self):
         k = hypothesis_kernel("gaussian-rbf")
         with pytest.raises(InputError):
             k.cross([[0.0, 1.0], [0.5]], [[0.0, 1.0], [0.5]])
         with pytest.raises(InputError):
             k.cross([[0.0, 1.0]], [[0.5]])
+        with pytest.raises(InputError, match=r"\(m, d\) array"):
+            k.cross(np.zeros((2, 1, 1)), [[0.5]])
 
     def test_unknown_kernel_and_params(self):
         with pytest.raises(InputError):

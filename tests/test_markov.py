@@ -60,6 +60,8 @@ class TestStationary:
             transition_kernel(np.array([[0.5, 0.4], [0.2, 0.8]]), [0.0, 1.0])
         with pytest.raises(NotStochastic):
             transition_kernel(np.array([[1.1, -0.1], [0.2, 0.8]]), [0.0, 1.0])
+        with pytest.raises(NotStochastic, match="square"):
+            transition_kernel(np.full((2, 3), 1 / 3), [0.0, 1.0])
 
     @pytest.mark.parametrize("where", [(0, 0), (1, 0)])
     def test_nan_transition_rejected(self, where):
@@ -73,6 +75,8 @@ class TestStationary:
             transition_kernel(np.eye(2), [[-0.1], [1.0]])
         with pytest.raises(InputError):
             transition_kernel(np.eye(2), [[np.nan], [1.0]])
+        with pytest.raises(InputError, match="one vector per state"):
+            transition_kernel(np.eye(2), [[0.0], [0.5], [1.0]])
 
     @pytest.mark.parametrize(
         "chain",
@@ -127,8 +131,12 @@ class TestGaps:
         assert absolute_spectral_gap(chain) == pytest.approx(0.5, abs=1e-10)
         assert spectral_gap_reversible(chain) == pytest.approx(0.5, abs=1e-10)
 
-    def test_iid_gap_is_one(self):
+    def test_iid_gap_is_one(self, tmp_path):
         assert absolute_spectral_gap(iid_chain(8)) == pytest.approx(1.0, abs=1e-10)
+        # a single state has no eigenvalue besides 1: the gap is 1 by convention
+        path = tmp_path / "one.txt"
+        path.write_text("1 1\n1.0\n0.5\n")
+        assert absolute_spectral_gap(read_transition_file(path)) == 1.0
 
     def test_swap_chain(self):
         chain = two_state_chain(1.0, 1.0)
@@ -334,6 +342,14 @@ class TestBuiltins:
             builtin_chain("iid", n=1)
         with pytest.raises(InputError):
             builtin_chain("lazy-walk", n=4, laziness=1.0)
+        with pytest.raises(InputError, match="walk needs at least 2 states"):
+            builtin_chain("lazy-walk", n=1, laziness=0.5)
+        with pytest.raises(InputError, match="metropolis chain needs at least 2 states"):
+            builtin_chain("metropolis", n=1)
+        with pytest.raises(InputError, match="length-n probability vector"):
+            iid_chain(3, target=[0.5, 0.5])
+        with pytest.raises(InputError, match="strictly positive length-n probability vector"):
+            metropolis_grid(3, [0.5, 0.5, 0.0])
         with pytest.raises(InputError):
             builtin_chain("unknown")
 
@@ -379,4 +395,7 @@ class TestFileFormat:
         path = tmp_path / "bad.txt"
         path.write_text("2 1\n0.5 0.5\n")
         with pytest.raises(InputError):
+            read_transition_file(path)
+        path.write_text("")
+        with pytest.raises(InputError, match="expected 'n d' header"):
             read_transition_file(path)

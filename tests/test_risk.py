@@ -81,6 +81,10 @@ class TestNoiseModels:
             student_t_noise(-1.0)
         with pytest.raises(InputError):
             mixture_noise([0.5, 0.4], [gaussian_noise(1.0), gaussian_noise(2.0)])
+        with pytest.raises(InputError, match="scale must be positive and finite"):
+            student_t_noise(3.0, 0.0)
+        with pytest.raises(InputError, match="equal-length"):
+            mixture_noise([1.0], [gaussian_noise(1.0), gaussian_noise(2.0)])
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.one_of(st.just(1.0), st.floats(1.0, 50.0)), st.sampled_from([0.01, 0.5, 1.0, 3.0]))

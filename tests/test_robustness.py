@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import modalmr.robustness as robustness
 from modalmr.errors import InputError
-from modalmr.kernels import hypothesis_kernel, representing_function
+from modalmr.harness import generate_dataset
+from modalmr.kernels import HypothesisKernel, hypothesis_kernel, representing_function
 from modalmr.markov import iid_chain, transition_kernel
 from modalmr.risk import gaussian_noise, make_task
 from modalmr.robustness import (
@@ -11,7 +13,15 @@ from modalmr.robustness import (
     contamination_experiment,
     fit_hq_multistart,
 )
-from modalmr.solver import CovariateGroups, RmrConfig, RmrModel, fit_data, fit_hq, objective
+from modalmr.solver import (
+    CovariateGroups,
+    RmrConfig,
+    RmrModel,
+    distinct_gram,
+    fit_data,
+    fit_hq,
+    objective,
+)
 
 GAUSS = representing_function("gaussian")
 
@@ -35,17 +45,17 @@ class TestBreakdownN:
         rng = np.random.default_rng(4)
         x = rng.random(6)
         y = rng.normal(0, 0.5, 6)
-        model, _ = interpolating_model(x, y, lam=0.0)
-        assert breakdown_N(model, y) == pytest.approx(6.0, abs=1e-9)
+        model, gram = interpolating_model(x, y, lam=0.0)
+        value = objective(model.alpha, gram, y, model.config)
+        assert breakdown_N(value, 6, model.config) == pytest.approx(6.0, abs=1e-9)
 
     def test_compact_support_far_residuals(self):
         phi = representing_function("epanechnikov")
         x = np.linspace(0, 1, 5).reshape(-1, 1)
-        kernel = hypothesis_kernel("gaussian-rbf", bandwidth=1.0)
+        gram = hypothesis_kernel("gaussian-rbf", bandwidth=1.0).cross(x, x)
         cfg = RmrConfig(sigma=1.0, lam=0.0, q=2, phi=phi)
-        model = RmrModel(np.zeros(5), x, kernel, cfg, ())
         y = np.full(5, 5.0)  # residuals 5 with support [-1, 1]
-        assert breakdown_N(model, y) == 0.0
+        assert breakdown_N(objective(np.zeros(5), gram, y, cfg), 5, cfg) == 0.0
 
     def test_hand_arithmetic(self):
         # two samples, residuals (0, 1), sigma=1, lam=0.1, ||alpha||^2 = 1
@@ -57,47 +67,31 @@ class TestBreakdownN:
         preds = gram.T @ alpha
         y = preds + np.array([0.0, 1.0])
         cfg = RmrConfig(sigma=1.0, lam=0.1, q=2)
-        model = RmrModel(alpha, x, kernel, cfg, ())
+        statistic = breakdown_N(objective(alpha, gram, y, cfg), 2, cfg)
         expected = (GAUSS(0.0) + GAUSS(1.0)) / GAUSS(0.0) - 0.1 * 2 * 1.0 * 1.0 / GAUSS(0.0)
-        assert breakdown_N(model, y) == pytest.approx(expected, abs=1e-12)
-        assert breakdown_N(model, y) == pytest.approx(1.1052, abs=1e-4)
+        assert statistic == pytest.approx(expected, abs=1e-12)
+        assert statistic == pytest.approx(1.1052, abs=1e-4)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)
         x = rng.random(7)
         y = rng.normal(0, 0.5, 7)
         model, gram = interpolating_model(x, y, lam=0.05)
-        base = breakdown_N(model, y)
+        base = breakdown_N(objective(model.alpha, gram, y, model.config), 7, model.config)
         perm = rng.permutation(7)
-        permuted_model = RmrModel(
-            model.alpha[perm], model.train_inputs[perm], model.kernel, model.config, ()
-        )
-        assert breakdown_N(permuted_model, y[perm]) == pytest.approx(base, abs=1e-10)
+        value = objective(model.alpha[perm], gram[np.ix_(perm, perm)], y[perm], model.config)
+        assert breakdown_N(value, 7, model.config) == pytest.approx(base, abs=1e-10)
 
-    def test_length_mismatch(self):
-        rng = np.random.default_rng(1)
-        model, _ = interpolating_model(rng.random(4), rng.normal(size=4))
-        with pytest.raises(InputError):
-            breakdown_N(model, np.zeros(5))
-
-    def test_groups_its_inputs_once(self, monkeypatch):
-        # the grouping behind the statistic's gram is the one its objective
-        # uses; the value matches the objective on the m x m sample gram
-        real = CovariateGroups.of.__func__
-        calls = []
-
-        def counted(cls, inputs):
-            calls.append(len(inputs))
-            return real(cls, inputs)
-
-        monkeypatch.setattr(CovariateGroups, "of", classmethod(counted))
+    def test_grouped_and_dense_objectives_agree(self):
+        # the statistic of the objective over the distinct rows' gram is the
+        # one over the m x m sample gram
         kernel = hypothesis_kernel("gaussian-rbf", bandwidth=1.0)
         x = np.array([[0.1], [0.6], [0.1], [0.9], [0.6], [0.1]])
         y = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.2])
         alpha = np.array([0.4, -0.1, 0.2, 0.3, 0.0, -0.2])
         cfg = RmrConfig(sigma=0.7, lam=0.05, q=2)
-        statistic = breakdown_N(RmrModel(alpha, x, kernel, cfg, ()), y)
-        assert calls == [6]
+        groups, gram = distinct_gram(kernel, x)
+        statistic = breakdown_N(objective(alpha, gram, y, cfg, groups=groups), 6, cfg)
         dense = objective(alpha, kernel.cross(x, x), y, cfg)
         assert statistic == pytest.approx(6 * 0.7 * dense / GAUSS(0.0), rel=1e-12)
 
@@ -142,7 +136,7 @@ class TestPenaltyEffectOnN:
         for lam in (0.01, 0.1, 1.0):
             cfg = RmrConfig(sigma=1.0, lam=lam, q=2, tol=1e-12)
             model = fit_data(x, y, kernel, cfg)
-            values.append(breakdown_N(model, y))
+            values.append(breakdown_N(model.objective_trace[-1], 15, cfg))
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
 
@@ -171,9 +165,8 @@ class TestContamination:
         assert curve[(12, 1e6)] > 100 * report.clean_norm
 
     def test_groups_each_covariate_array_once(self, monkeypatch):
-        # the clean data and each contaminated copy are grouped once for all
-        # the starts of their multistart fit, and the breakdown statistic
-        # reuses the clean grouping
+        # the clean data are grouped once and their gram built once; every
+        # contaminated refit reuses both
         real = CovariateGroups.of.__func__
         calls = []
 
@@ -181,11 +174,46 @@ class TestContamination:
             calls.append(len(inputs))
             return real(cls, inputs)
 
+        cross_calls = []
+        real_cross = HypothesisKernel.cross
+
+        def counted_cross(kernel, centers, points):
+            cross_calls.append(len(centers))
+            return real_cross(kernel, centers, points)
+
         monkeypatch.setattr(CovariateGroups, "of", classmethod(counted))
+        monkeypatch.setattr(HypothesisKernel, "cross", counted_cross)
         task = make_task(iid_chain(4), gaussian_noise(0.1))
         cfg = RmrConfig(sigma=1.0, lam=0.01, q=2)
         contamination_experiment(task, 12, [0, 2, 5], [100.0, 1e4], cfg, seed=2)
-        assert calls == [12, 14, 14, 17, 17]
+        assert calls == [12]
+        assert len(cross_calls) == 1
+
+    def test_refits_use_the_contaminated_data_grouping_and_gram(self, monkeypatch):
+        # the reused grouping and gram are those of the contaminated covariates,
+        # the clean ones with n copies of sample 0's appended
+        real = robustness.fit_hq_multistart
+        problems = []
+
+        def recorded(gram, y, config, extra_inits=(), *, groups=None):
+            problems.append((gram, len(y), groups))
+            return real(gram, y, config, extra_inits, groups=groups)
+
+        monkeypatch.setattr(robustness, "fit_hq_multistart", recorded)
+        task = make_task(iid_chain(5), gaussian_noise(0.1))
+        kernel = hypothesis_kernel("gaussian-rbf", bandwidth=0.5)
+        cfg = RmrConfig(sigma=1.0, lam=0.01, q=2)
+        contamination_experiment(task, 12, [0, 3], [100.0], cfg, seed=4, kernel=kernel)
+        x = generate_dataset(task, 12, 4).x
+        (clean_gram, clean_m, _), (gram, m, groups) = problems
+        assert (clean_m, m) == (12, 15)
+        xc = np.vstack([x, np.tile(x[0], (3, 1))])
+        expected = CovariateGroups.of(xc)
+        for got, want in zip(groups, expected):
+            np.testing.assert_array_equal(got, want)
+        rows = xc[expected.first]
+        assert gram is clean_gram
+        np.testing.assert_array_equal(gram, kernel.cross(rows, rows))
 
     def test_small_m_rejected(self):
         task = single_state_task()

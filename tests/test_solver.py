@@ -720,6 +720,16 @@ class TestCovariateGroups:
             fit(RBF.cross(x, x), np.zeros(2), RmrConfig(sigma=1.0, lam=0.1),
                 init=np.array([0.0, np.nan]))
 
+    @pytest.mark.parametrize("solve", [fit_hq, fit_gradient, objective],
+                             ids=["fit_hq", "fit_gradient", "objective"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gram_rejected(self, solve, bad):
+        # a gram-level caller gets an InputError, not a NaN fit or value
+        gram = np.array([[1.0, bad], [bad, 1.0]])
+        args = (gram, np.zeros(2), RmrConfig(sigma=1.0, lam=0.1))
+        with pytest.raises(InputError, match="gram must be finite"):
+            solve(np.zeros(2), *args) if solve is objective else solve(*args)
+
     @pytest.mark.parametrize("method", ["hq", "gradient"])
     def test_fit_data_groups_once(self, monkeypatch, method):
         # the grouping distinct_gram builds is the one the fit uses
