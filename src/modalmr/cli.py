@@ -58,11 +58,13 @@ def _float_list(text: str):
 
 # name, type, default, help   (None default means "optional / command decides")
 _COMMON = [
-    ("seed", int, 0, "base random seed"),
     ("out", str, None, "output path (CSV table or model file)"),
     ("config", str, None, "flat key = value config file; flags win"),
     ("jobs", int, 1, "accepted; replicates run serially, BLAS uses the cores"),
 ]
+
+# the four experiments draw their data; the other commands draw nothing
+_EXPERIMENT_COMMON = [("seed", int, 0, "base random seed")] + _COMMON
 
 _CHAIN_OPTS = [
     ("chain-family", str, "iid", "iid | two-state | lazy-walk | metropolis"),
@@ -136,7 +138,7 @@ _COMMAND_OPTIONS = {
         ("model", str, None, "model file written by fit"),
         ("data", str, None, "dataset file with covariates to predict on"),
     ],
-    "learning-curve": _COMMON
+    "learning-curve": _EXPERIMENT_COMMON
     + _CHAIN_OPTS
     + _NOISE_OPTS
     + _SCHEDULE_OPTS
@@ -146,7 +148,7 @@ _COMMAND_OPTIONS = {
         ("m-grid", _int_list, (64, 128, 256, 512, 1024, 2048), "comma list of sample sizes"),
         ("replicates", int, 20, "replicates per sample size"),
     ],
-    "gamma-sweep": _COMMON
+    "gamma-sweep": _EXPERIMENT_COMMON
     + _NOISE_OPTS
     + _SCHEDULE_OPTS
     + _SOLVER_OPTS
@@ -158,7 +160,7 @@ _COMMAND_OPTIONS = {
         ("m", int, 512, "sample size"),
         ("replicates", int, 20, "replicates per chain"),
     ],
-    "breakdown": _COMMON
+    "breakdown": _EXPERIMENT_COMMON
     + _CHAIN_OPTS
     + _NOISE_OPTS
     + _SOLVER_OPTS
@@ -168,7 +170,7 @@ _COMMAND_OPTIONS = {
         ("n-outliers", _int_list, (0, 5, 10, 20, 60), "outlier counts to try"),
         ("magnitudes", _float_list, (1e2, 1e6), "outlier response magnitudes"),
     ],
-    "robust-compare": _COMMON
+    "robust-compare": _EXPERIMENT_COMMON
     + _CHAIN_OPTS
     + _NOISE_OPTS
     + _SOLVER_OPTS

@@ -186,6 +186,20 @@ def check_calibration(
     )
 
 
+_CACHE_LINE = 64  # bytes
+
+
+def _line_aligned_empty(rows: int, cols: int) -> np.ndarray:
+    """An uninitialised C-contiguous float matrix that starts on a 64-byte
+    boundary, which a heap allocation meets only by chance: OpenBLAS's
+    matrix-vector products over a 384 x 384 gram run about twice as fast
+    from one, and give the same bits from any start."""
+    spare = np.empty(rows * cols + _CACHE_LINE // 8)
+    # the address, read without building a ctypes object as .ctypes would
+    start = -spare.__array_interface__["data"][0] % _CACHE_LINE // 8
+    return spare[start:start + rows * cols].reshape(rows, cols)
+
+
 class HypothesisKernel(NamedTuple):
     """Two-argument kernel K(x, x') used to span the hypothesis space."""
 
@@ -193,7 +207,8 @@ class HypothesisKernel(NamedTuple):
     shape_params: dict
 
     def cross(self, centers, points) -> np.ndarray:
-        """Matrix with entry (i, p) = K(centers[i], points[p])."""
+        """Matrix with entry (i, p) = K(centers[i], points[p]), C-contiguous
+        and starting on a 64-byte boundary (``_line_aligned_empty``)."""
         c = as_covariate_array(centers)
         p = as_covariate_array(points)
         if c.shape[1] != p.shape[1]:
@@ -208,16 +223,16 @@ class HypothesisKernel(NamedTuple):
                 - 2.0 * (c @ p.T)
             )
             np.maximum(sq, 0.0, out=sq)
-            return np.exp(-sq / (bw * bw))
+            return np.exp(-sq / (bw * bw), out=_line_aligned_empty(len(c), len(p)))
         if self.kind == "laplacian":
             bw = self.shape_params["bandwidth"]
             l1 = np.sum(np.abs(c[:, None, :] - p[None, :, :]), axis=2)
-            return np.exp(-l1 / bw)
+            return np.exp(-l1 / bw, out=_line_aligned_empty(len(c), len(p)))
         if self.kind == "polynomial":
             degree = self.shape_params["degree"]
             offset = self.shape_params["offset"]
             with np.errstate(all="ignore"):
-                values = (c @ p.T + offset) ** degree
+                values = np.power(c @ p.T + offset, degree, out=_line_aligned_empty(len(c), len(p)))
             if not np.all(np.isfinite(values)):
                 raise InputError(
                     f"polynomial kernel with degree {degree:g} and offset {offset:g} is not "

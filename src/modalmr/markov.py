@@ -10,6 +10,7 @@ spectrum of a reversible chain lives in [-1, 1]), the absolute spectral gap
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -41,6 +42,8 @@ __all__ = [
     "read_transition_file",
     "write_transition_file",
 ]
+
+log = logging.getLogger(__name__)
 
 CHAIN_FAMILIES = ("iid", "two-state", "lazy-walk", "metropolis")
 
@@ -364,6 +367,12 @@ def diagnose(
     pi = stationary_distribution(kernel)
     reversible = is_reversible(kernel, pi)
     gamma = _gap_of_reversible(kernel.P, pi) if reversible else math.nan
+    if not reversible:
+        adj = adjoint_kernel(kernel, pi)
+        commutator = np.max(np.abs(kernel.P @ adj - adj @ kernel.P))
+        if commutator > 1e-10:  # P is not normal in L2(pi)
+            log.warning("P is not normal in L2(pi) (max |P P* - P* P| = %.3g): gamma_a is read "
+                        "from the eigenvalues of a non-normal P and can be far off", commutator)
     return ChainDiagnostics(
         pi=pi,
         reversible=reversible,

@@ -536,24 +536,6 @@ def _gradient(alpha, scaled, gram, config, groups):
 
 
 _LINE_SEARCH_STEPS = 51  # the grown step and up to 50 halvings of it
-_CACHE_LINE = 64  # bytes
-
-
-def _line_aligned(gram):
-    """gram, or when it is C-contiguous and starts off a cache line, a copy
-    that starts on one.
-
-    OpenBLAS's matrix-vector products over a 384 x 384 gram run about 1.5x
-    faster from a 64-byte boundary, which a heap allocation meets only by
-    chance; the arithmetic, and so every bit of each product, is the same.
-    Other layouts take other BLAS paths and are left as they are."""
-    if not gram.flags.c_contiguous or gram.ctypes.data % _CACHE_LINE == 0:
-        return gram
-    spare = np.empty(gram.size + _CACHE_LINE // gram.itemsize)
-    start = -spare.ctypes.data % _CACHE_LINE // gram.itemsize
-    aligned = spare[start:start + gram.size].reshape(gram.shape)
-    aligned[...] = gram
-    return aligned
 
 
 def fit_gradient(
@@ -591,7 +573,6 @@ def fit_gradient(
     time.  The accepted row's scaled residuals give the next gradient.
     """
     gram, y, groups, alpha = _check_problem(gram, y, init, groups)
-    gram = _line_aligned(gram)
     if max_iters is None:
         max_iters = max(config.max_hq_iters, 2000)
     block = 3 if config.q == 2 else 1  # the grown step and the halvings that undo the x4

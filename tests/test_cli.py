@@ -4,14 +4,19 @@ import io
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from modalmr import cli
 from modalmr.cli import _COMMAND_OPTIONS, _SOLVER_OPTS, main
 from modalmr.harness import (
     ExperimentConfig,
@@ -22,8 +27,11 @@ from modalmr.harness import (
 )
 from modalmr.kernels import hypothesis_kernel
 from modalmr.solver import RmrConfig, load_model
-from modalmr.markov import iid_chain
+from modalmr.markov import iid_chain, transition_kernel, write_transition_file
 from modalmr.risk import gaussian_noise, make_task
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*argv):
@@ -55,6 +63,28 @@ class TestChainInfo:
         path.write_text("2 1\n0.7 0.3\n0.2 0.8\n0.0\n1.0\n")
         assert run("chain-info", "--chain-file", str(path)) == 0
         assert "gamma_a = 0.5" in capsys.readouterr().out
+
+    def test_non_normal_chain_file_warns_on_stderr(self, tmp_path):
+        # the winning-streak chain: state i goes to i + 1 or 0 with 1/2 each,
+        # and the last state stays or goes to 0; its exact gamma_a is 1
+        n = 32
+        P = np.zeros((n, n))
+        P[:, 0] = 0.5
+        P[np.arange(n - 1), np.arange(1, n)] = 0.5
+        P[n - 1, n - 1] = 0.5
+        path = tmp_path / "streak.txt"
+        write_transition_file(path, transition_kernel(P, np.linspace(0.0, 1.0, n)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "modalmr.cli", "chain-info", "--chain-file", str(path)],
+            capture_output=True, text=True, check=False,
+            env={**os.environ, "PYTHONPATH": str(SRC), "MODALMR_LOG": "quiet"},
+        )
+        assert proc.returncode == 0
+        [line] = proc.stderr.splitlines()
+        assert line == ("WARNING:modalmr.markov:P is not normal in L2(pi) (max |P P* - P* P| = "
+                        "0.25): gamma_a is read from the eigenvalues of a non-normal P and can "
+                        "be far off")
+        assert proc.stdout.startswith("chain: 32 states, reversible=False, gamma_a = ")
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_chain_file_is_validation_error(self, tmp_path, capsys, bad):
@@ -441,6 +471,45 @@ class TestFlags:
         assert run("fit", "--data", str(dataset_path), "--out", str(tmp_path / "m.txt"),
                    "--inner-iters", "5") == 1
         assert "unrecognized arguments: --inner-iters 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "predict", "check-kernel", "chain-info"])
+    def test_seed_is_only_an_experiment_option(self, capsys, command):
+        # these commands draw nothing, so they take no seed
+        assert run(command, "--seed", "1") == 1
+        assert capsys.readouterr().err.splitlines() == ["error: unrecognized arguments: --seed 1"]
+
+    @pytest.mark.parametrize("command", list(_COMMAND_OPTIONS))
+    def test_every_option_is_read(self, tmp_path, monkeypatch, dataset_path, command):
+        # each option a command accepts is read by its handler; --config is
+        # read before it, and --jobs is accepted for compatibility only
+        model, out = tmp_path / "model.txt", str(tmp_path / "out.csv")
+        if command == "predict":
+            assert run("fit", "--data", str(dataset_path), "--out", str(model)) == 0
+        argv = {
+            "chain-info": ["--family", "iid", "--n", "4"],
+            "check-kernel": ["--phi", "epanechnikov"],
+            "fit": ["--data", str(dataset_path)],
+            "predict": ["--model", str(model), "--data", str(dataset_path)],
+            "learning-curve": ["--chain-n", "4", "--m-grid", "20", "--replicates", "2"],
+            "gamma-sweep": ["--chain-n", "4", "--gamma-list", "0.5", "--m", "20",
+                            "--replicates", "2"],
+            "breakdown": ["--chain-n", "4", "--m", "10", "--n-outliers", "0,2",
+                          "--magnitudes", "1e2"],
+            "robust-compare": ["--chain-n", "4", "--m", "20", "--replicates", "2"],
+        }[command]
+
+        read = set()
+
+        class Recorder(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        merge = cli._merge_options
+        monkeypatch.setattr(cli, "_merge_options", lambda *a: Recorder(merge(*a)))
+        assert run(command, *argv, "--out", out) == 0
+        names = {name for name, *_ in _COMMAND_OPTIONS[command]} - {"config", "jobs"}
+        assert names - read == set()
 
     def test_solver_option_defaults_are_the_config_defaults(self):
         # the command line and the library fit with the same settings by default

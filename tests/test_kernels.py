@@ -198,6 +198,40 @@ class TestGram:
             assert np.all(np.isfinite(g))
             np.testing.assert_array_equal(g, hypothesis_kernel(kind).cross(x, x))
 
+    @pytest.mark.parametrize("kind, params", [
+        ("gaussian-rbf", {"bandwidth": 0.7}),
+        ("laplacian", {"bandwidth": 0.7}),
+        ("polynomial", {"degree": 2.0, "offset": 1.0}),
+        ("polynomial", {"degree": 3.0, "offset": 0.5}),
+        ("polynomial", {"degree": 0.5, "offset": 1.0}),
+        ("polynomial", {"degree": 1.5, "offset": 1.0}),
+        ("polynomial", {"degree": -1.0, "offset": 1.0}),
+    ])
+    def test_cross_is_line_aligned_with_unchanged_bits(self, kind, params):
+        # every gram starts on a 64-byte boundary, whatever the heap gives,
+        # and holds the bits of the plain expressions
+        def plain(c, p):
+            if kind == "gaussian-rbf":
+                sq = (np.sum(c * c, axis=1)[:, None] + np.sum(p * p, axis=1)[None, :]
+                      - 2.0 * (c @ p.T))
+                np.maximum(sq, 0.0, out=sq)
+                return np.exp(-sq / (params["bandwidth"] ** 2))
+            if kind == "laplacian":
+                return np.exp(-np.sum(np.abs(c[:, None, :] - p[None, :, :]), axis=2)
+                              / params["bandwidth"])
+            return (c @ p.T + params["offset"]) ** params["degree"]
+
+        k = hypothesis_kernel(kind, **params)
+        rng = np.random.default_rng(5)
+        shapes = [(n, n) for n in (1, 2, 3, 6, 9, 23, 100, 384)]
+        shapes += [(n, 16) for n in (1, 5, 23, 384)]
+        for rows, cols in shapes:
+            c, p = rng.random((rows, 2)), rng.random((cols, 2))
+            g = k.cross(c, p)
+            assert g.shape == (rows, cols) and g.dtype == np.float64
+            assert g.flags.c_contiguous and g.ctypes.data % 64 == 0, (rows, cols)
+            assert g.tobytes() == plain(c, p).tobytes(), (rows, cols)
+
     @pytest.mark.parametrize("degree, offset", [(2.5, 1.0), (0.5, -1.0), (-1.0, 0.0)])
     def test_polynomial_rejects_non_finite_values(self, degree, offset):
         # a non-integer power of a negative base, or a negative power of 0,

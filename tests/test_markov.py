@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -368,6 +370,15 @@ class TestDiagnostics:
         assert not diag.reversible
         assert np.isnan(diag.gamma)
         assert 0.0 <= diag.gamma_abs <= 1.0
+
+    @pytest.mark.parametrize("chain", [cyclic3(), lazy_random_walk(6, 0.5)],
+                             ids=["cyclic3", "lazy-walk"])
+    def test_normal_chain_does_not_warn(self, caplog, chain):
+        # cyclic3 is not reversible, but it commutes with its adjoint; the
+        # CLI test of chain-info shows a chain that does not
+        caplog.set_level(logging.WARNING, logger="modalmr.markov")
+        diagnose(chain)
+        assert caplog.records == []
 
 
 class TestFileFormat:
