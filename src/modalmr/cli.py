@@ -255,11 +255,13 @@ def _task_from(opts, chain=None):
 
 
 def _kernel_from(opts):
-    """The named kernel; every kernel's shape options are checked, used or not."""
-    for other, names in _KERNEL_DEFAULTS.items():
-        hypothesis_kernel(other, **{k: opts[k] for k in names})
+    """The named kernel; every kernel's shape options are checked, used or not:
+    an unused one by each kernel that takes it."""
     kind = opts["kernel"]
-    return hypothesis_kernel(kind, **{k: opts[k] for k in _KERNEL_DEFAULTS.get(kind, ())})
+    used = _KERNEL_DEFAULTS.get(kind, ())
+    for other, names in _KERNEL_DEFAULTS.items():
+        hypothesis_kernel(other, **{k: opts[k] for k in names if k not in used})
+    return hypothesis_kernel(kind, **{k: opts[k] for k in used})
 
 
 def _solver_from(opts):

@@ -86,14 +86,17 @@ class RmrModel:
     ``fit_data`` and ``load_model`` fill in the inputs and kernel; the
     gram-level fits (``fit_hq``, ``fit_gradient``, ``fit_hq_multistart``) see
     only a gram and leave both None, and such a model can neither predict
-    nor be saved.  ``predict`` groups the inputs on each call; the model
-    keeps no grouping of its own."""
+    nor be saved.  ``groups`` is the grouping of the training inputs that
+    ``fit_data`` fitted on or ``load_model`` made, so that ``predict`` need
+    not sort the inputs again; a model built without one is grouped by each
+    ``predict``.  It is not compared, shown or saved."""
 
     alpha: np.ndarray
     train_inputs: np.ndarray | None
     kernel: HypothesisKernel | None
     config: RmrConfig
     objective_trace: tuple
+    groups: CovariateGroups | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         alpha = np.array(self.alpha, dtype=float)
@@ -225,14 +228,9 @@ def _fitted(gram, groups, beta):
 
 
 def _value(alpha, scaled, config):
-    """Objective at alpha from its scaled residuals (y_i - f(x_i)) / sigma.
-
-    Both arguments reduce over their last axis: 1-D ones give a float, and
-    the rows of 2-D ones (a line search's block of candidates) give one
-    value each, bit for bit those of the rows scored one at a time."""
-    fit = np.add.reduce(config.phi.value(scaled), axis=-1) / (scaled.shape[-1] * config.sigma)
-    value = fit - config.lam * _penalty(alpha, config.q)
-    return float(value) if value.ndim == 0 else value
+    """Objective at alpha from its scaled residuals (y_i - f(x_i)) / sigma."""
+    fit = np.add.reduce(config.phi.value(scaled)) / (scaled.shape[0] * config.sigma)
+    return float(fit - config.lam * _penalty(alpha, config.q))
 
 
 def objective(alpha, gram, y, config: RmrConfig, *, groups=None) -> float:
@@ -525,14 +523,8 @@ def fit_hq(gram, y, config: RmrConfig, init=None, *, groups=None) -> RmrModel:
     return RmrModel(alpha, None, None, config, tuple(trace))
 
 
-def _gradient(alpha, scaled, gram, config, groups):
-    """Gradient of the smooth part at alpha from its scaled residuals."""
-    slopes = groups.sums(config.phi.slope(scaled))
-    # -v / c exactly, in one pass over v
-    grad = groups.spread(gram @ slopes) / -(scaled.shape[0] * config.sigma**2)
-    if config.q == 2:
-        grad = grad - 2.0 * config.lam * alpha
-    return grad
+def _same(values):
+    return values
 
 
 _LINE_SEARCH_STEPS = 51  # the grown step and up to 50 halvings of it
@@ -571,21 +563,39 @@ def fit_gradient(
     each row is scored by the arithmetic of a single candidate, so the
     iterates are bit for bit those of a search that scores one step at a
     time.  The accepted row's scaled residuals give the next gradient.
+
+    At a few hundred rows an iteration costs more in dispatch than in its two
+    gram products, so the loop looks nothing up that one fit keeps fixed:
+    phi's value and slope, the constants -(m sigma^2), 2 lam and m sigma, and
+    the transposed gram are bound once, and with one sample per row the row
+    sums and spreads are skipped, as ``CovariateGroups`` would return their
+    input.  A block's row values are combined from its two reductions, the
+    phi sums f and the penalties p, as Python floats f / (m sigma) - lam p:
+    the same IEEE operations, in the same order, as ``_value`` makes.
+    ``np.dot`` runs the same gemv as ``@``.  So no bit of the fit moves.
     """
     gram, y, groups, alpha = _check_problem(gram, y, init, groups)
     if max_iters is None:
         max_iters = max(config.max_hq_iters, 2000)
-    block = 3 if config.q == 2 else 1  # the grown step and the halvings that undo the x4
-    fitted = gram.T @ groups.sums(alpha)
-    scaled = (y - groups.spread(fitted)) / config.sigma
+    q, lam, sigma = config.q, config.lam, config.sigma
+    phi_value, phi_slope = config.phi.value, config.phi.slope
+    m = y.shape[0]
+    m_sigma, grad_scale, two_lam = m * sigma, -(m * sigma**2), 2.0 * lam
+    gram_t = gram.T
+    sums, spread = (groups.sums, groups.spread) if groups.n < m else (_same, _same)
+    block = 3 if q == 2 else 1  # the grown step and the halvings that undo the x4
+    fitted = np.dot(gram_t, sums(alpha))
+    scaled = (y - spread(fitted)) / sigma
     current = _value(alpha, scaled, config)
     trace = [current]
     step = 1.0
     stopped = "max_iters"
     for _ in range(max_iters):
-        grad = _gradient(alpha, scaled, gram, config, groups)
-        if config.q == 2:
-            fitted_step = gram.T @ groups.sums(grad)
+        # the smooth part's gradient; -v / c exactly, in one pass over v
+        grad = spread(np.dot(gram, sums(phi_slope(scaled)))) / grad_scale
+        if q == 2:
+            grad -= two_lam * alpha
+            fitted_step = np.dot(gram_t, sums(grad))
         step = min(step * 4.0, 1e8)
         for first in range(0, _LINE_SEARCH_STEPS, block):
             steps = []  # halved one at a time, which a single 2^-j factor is not once subnormal
@@ -594,22 +604,26 @@ def fit_gradient(
                 step *= 0.5
             column = np.array(steps)[:, None]
             moved = alpha + column * grad
-            if config.q == 2:
+            if q == 2:
                 rows, rows_fitted = moved, fitted + column * fitted_step
             else:
-                rows = np.sign(moved) * np.maximum(np.abs(moved) - column * config.lam, 0.0)
-                rows_fitted = np.array([gram.T @ groups.sums(row) for row in rows])
-            rows_scaled = (y - groups.spread(rows_fitted)) / config.sigma
-            values = _value(rows, rows_scaled, config).tolist()
-            ascent = [j for j, value in enumerate(values) if value >= current]
-            if ascent:
-                break
+                rows = np.sign(moved) * np.maximum(np.abs(moved) - column * lam, 0.0)
+                rows_fitted = np.array([np.dot(gram_t, sums(row)) for row in rows])
+            rows_scaled = (y - spread(rows_fitted)) / sigma
+            fits = np.add.reduce(phi_value(rows_scaled), axis=-1).tolist()
+            penalties = _penalty(rows, q).tolist()
+            for j, (fit, penalty) in enumerate(zip(fits, penalties)):
+                value = fit / m_sigma - lam * penalty
+                if value >= current:
+                    break
+            else:
+                continue  # no row of this block ascends
+            break
         else:
             stopped = "no ascent step"
             break
-        j = ascent[0]
-        gain = values[j] - current
-        step, alpha, current = steps[j], rows[j], values[j]
+        gain = value - current
+        step, alpha, current = steps[j], rows[j], value
         fitted, scaled = rows_fitted[j], rows_scaled[j]
         trace.append(current)
         if gain < config.tol:
@@ -617,8 +631,7 @@ def fit_gradient(
             break
     log.info(
         "gradient fit (q=%d, phi=%s, %d distinct of %d samples): "
-        "%d iterations, stopped by %s", config.q, config.phi.kind, groups.n, y.shape[0],
-        len(trace) - 1, stopped,
+        "%d iterations, stopped by %s", q, config.phi.kind, groups.n, m, len(trace) - 1, stopped,
     )
     return RmrModel(alpha, None, None, config, tuple(trace))
 
@@ -640,7 +653,7 @@ def fit_data(x, y, kernel: HypothesisKernel, config: RmrConfig, method: str = "h
     x = as_covariate_array(x)
     groups, gram = distinct_gram(kernel, x)
     fit = (fit_hq if method == "hq" else fit_gradient)(gram, y, config, groups=groups)
-    return RmrModel(fit.alpha, x, kernel, config, fit.objective_trace)
+    return RmrModel(fit.alpha, x, kernel, config, fit.objective_trace, groups)
 
 
 def predict(model: RmrModel, x):
@@ -655,7 +668,9 @@ def predict(model: RmrModel, x):
         raise InputError("model lacks training inputs / kernel; cannot predict")
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 0 or arr.shape == (model.train_inputs.shape[1],)
-    groups = CovariateGroups.of(model.train_inputs)
+    groups = model.groups
+    if groups is None:
+        groups = CovariateGroups.of(model.train_inputs)
     values = groups.sums(model.alpha) @ model.kernel.cross(
         model.train_inputs[groups.first], arr.reshape(1, -1) if single else arr)
     return float(values[0]) if single else values
@@ -719,7 +734,8 @@ def _keyed(line: str, key: str) -> str:
 
 def load_model(path) -> RmrModel:
     """Inverse of save_model.  The objective trace is a fit artifact and is
-    not persisted; loaded models carry an empty trace."""
+    not persisted; loaded models carry an empty trace, and the grouping of
+    their inputs for ``predict``."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     try:
@@ -760,4 +776,4 @@ def load_model(path) -> RmrModel:
         raise InputError(
             f"model file {path}: kernel {kkind!r} takes each of {sorted(kernel.shape_params)} once"
         )
-    return RmrModel(alpha, inputs, kernel, config, tuple())
+    return RmrModel(alpha, inputs, kernel, config, tuple(), CovariateGroups.of(inputs))

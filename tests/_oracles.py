@@ -8,6 +8,8 @@ coordinate descent.  The chain walk, the bootstrap slope CI and the covariate gr
 are the library's earlier per-step, per-draw and row-record forms, and the
 gradient fit keeps its earlier line search that scores one halving at a
 time: each kept verbatim as the reference its batched form must reproduce.
+The compact kinds' phi values keep the masked forms that np.fmax clipping
+replaced.
 """
 
 import numpy as np
@@ -281,6 +283,19 @@ def phi_value(kind, u):
     else:
         raise ValueError(kind)
     return float(out) if out.ndim == 0 else out
+
+
+def _inside(u, values):
+    return np.where(np.abs(u) <= 1.0, values, 0.0)
+
+
+# the compact kinds' values as the kind table masked them with _inside before
+# it clipped them with np.fmax, verbatim
+MASKED_PHI_VALUES = {
+    "epanechnikov": lambda u: _inside(u, 0.75 * (1.0 - u * u)),
+    "quadratic": lambda u: _inside(u, (15.0 / 16.0) * (1.0 - u * u) * (1.0 - u * u)),
+    "triangular": lambda u: _inside(u, 1.0 - np.abs(u)),
+}
 
 
 def phi_derivative(kind, u):

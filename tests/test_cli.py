@@ -270,6 +270,32 @@ class TestFitPredict:
         assert message in capsys.readouterr().err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("kernel, bandwidth, code", [
+        ("gaussian-rbf", "1e-300", 1), ("gaussian-rbf", "1e-162", 1),
+        ("polynomial", "1e-300", 1), ("gaussian-rbf", "1e-161", 0),
+        ("gaussian-rbf", "1e-160", 0), ("laplacian", "1e-320", 0), ("laplacian", "5e-324", 0),
+    ])
+    def test_tiny_bandwidth(self, tmp_path, dataset_path, capsys, kernel, bandwidth, code):
+        # a gaussian-rbf bandwidth whose square underflows to 0 is one error
+        # line (an unused --bandwidth is checked by the kernel that takes it);
+        # any other tiny bandwidth fits and predicts, with nothing on stderr
+        model, preds = tmp_path / "model.txt", tmp_path / "preds.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("fit", "--data", str(dataset_path), "--kernel", kernel,
+                       "--bandwidth", bandwidth, "--out", str(model)) == code
+            if code == 0:
+                assert run("predict", "--model", str(model), "--data", str(dataset_path),
+                           "--out", str(preds)) == 0
+        assert caught == []
+        err = capsys.readouterr().err
+        if code:
+            assert err.splitlines() == [f"error: gaussian-rbf bandwidth {bandwidth} is too "
+                                        "small: its square underflows to 0"]
+            assert not model.exists()
+        else:
+            assert err == ""
+
     @pytest.mark.parametrize("command, flags", [
         ("fit", []), ("fit", ["--q", "1"]), ("fit", ["--method", "gradient"]), ("predict", []),
     ], ids=["fit", "fit-q1", "fit-gradient", "predict"])

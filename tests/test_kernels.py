@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import phi_derivative, phi_value
+from _oracles import MASKED_PHI_VALUES, phi_derivative, phi_value
 from modalmr.errors import InputError
 from modalmr.kernels import (
     PHI_KINDS,
@@ -109,6 +109,28 @@ class TestPhiTable:
     def test_triangular_has_no_half_quadratic_weight(self):
         # g(t) = 1 - sqrt(t) has an unbounded slope at t = 0
         assert representing_function("triangular").hq is None
+
+
+# the support edges and their neighbours, and values whose square overflows
+CLIP_EDGES = [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+              np.nextafter(-1.0, 0.0), np.nextafter(-1.0, -2.0), 1e200, -1e200]
+# any float64 bit pattern: every NaN payload, +-inf and the subnormals
+ANY_BITS = st.integers(-2**63, 2**63 - 1).map(lambda b: float(np.int64(b).view(np.float64)))
+
+
+class TestClippedValues:
+    """The compact kinds' values are clipped at 0 by np.fmax; they keep the
+    bits of the masked forms they replaced on every float64."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(MASKED_PHI_VALUES)),
+           st.lists(st.floats() | ANY_BITS | st.sampled_from(CLIP_EDGES), max_size=40))
+    def test_fmax_forms_match_masked_forms(self, kind, values):
+        u = np.array(values + CLIP_EDGES + [math.inf, -math.inf, math.nan, 5e-324, -5e-324])
+        with np.errstate(all="ignore"):
+            new = representing_function(kind).value(u)
+            old = MASKED_PHI_VALUES[kind](u)
+        assert new.view(np.int64).tolist() == old.view(np.int64).tolist()
 
 
 class TestCalibration:
@@ -242,6 +264,37 @@ class TestGram:
             warnings.simplefilter("error")
             with pytest.raises(InputError, match=f"degree {degree:g} and offset {offset:g}"):
                 k.cross(x, x)
+
+    @pytest.mark.parametrize("kind, bandwidth", [
+        ("gaussian-rbf", 1e-161), ("gaussian-rbf", 1e-154), ("laplacian", 5e-324),
+        ("laplacian", 1e-300),
+    ])
+    def test_tiny_bandwidth_reaches_the_limit_silently(self, kind, bandwidth):
+        # distances far beyond the bandwidth overflow the exponent to -inf,
+        # whose exp is the kernel's limit 0: no warning, and the bits of the
+        # plain expression
+        k = hypothesis_kernel(kind, bandwidth=bandwidth)
+        x = np.random.default_rng(6).random((9, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = k.cross(x, x)
+        with np.errstate(over="ignore"):
+            if kind == "gaussian-rbf":
+                sq = (np.sum(x * x, axis=1)[:, None] + np.sum(x * x, axis=1)[None, :]
+                      - 2.0 * (x @ x.T))
+                plain = np.exp(-np.maximum(sq, 0.0) / (bandwidth * bandwidth))
+            else:
+                plain = np.exp(-np.sum(np.abs(x[:, None, :] - x[None, :, :]), axis=2) / bandwidth)
+        assert g.tobytes() == plain.tobytes()
+        assert np.count_nonzero(g - np.diag(np.diag(g))) == 0
+
+    @pytest.mark.parametrize("bandwidth", [1e-162, 1e-300, 5e-324])
+    def test_gaussian_bandwidth_whose_square_underflows_rejected(self, bandwidth):
+        # exp(-0 / 0) would put NaN on the gram's diagonal
+        with pytest.raises(InputError, match=f"gaussian-rbf bandwidth {bandwidth:g} is too "
+                                             "small: its square underflows to 0"):
+            hypothesis_kernel("gaussian-rbf", bandwidth=bandwidth)
+        hypothesis_kernel("laplacian", bandwidth=bandwidth)
 
     def test_dimension_mismatch(self):
         k = hypothesis_kernel("gaussian-rbf")

@@ -350,24 +350,23 @@ class TestFitGradient:
         assert np.all(np.diff(trace) >= -1e-12)
 
     def test_gradient_matches_finite_differences(self):
+        # one iteration from alpha takes alpha + s * grad for one of its
+        # line-search steps s = 4 * 2^-k, so some s brings the move to the
+        # central differences of the objective in every coordinate
         rng = np.random.default_rng(3)
         gram, y = random_instance(rng, 5)
         cfg = RmrConfig(sigma=0.9, lam=0.07, q=2)
         h = 1e-6
+        steps = 4.0 * 0.5 ** np.arange(51)
         for _ in range(20):
             alpha = rng.normal(0, 0.5, 5)
-            scaled = (y - gram.T @ alpha) / cfg.sigma
-            analytic = modalmr.solver._gradient(alpha, scaled, gram, cfg,
-                                                CovariateGroups.identity(5))
-            for j in range(5):
-                e = np.zeros(5)
-                e[j] = h
-                fd = (
-                    objective(alpha + e, gram, y, cfg)
-                    - objective(alpha - e, gram, y, cfg)
-                ) / (2 * h)
-                scale = max(1.0, abs(fd))
-                assert abs(analytic[j] - fd) / scale < 1e-5
+            moved = fit_gradient(gram, y, cfg, init=alpha, max_iters=1).alpha - alpha
+            fd = np.array([
+                (objective(alpha + e, gram, y, cfg) - objective(alpha - e, gram, y, cfg)) / (2 * h)
+                for e in h * np.eye(5)
+            ])
+            errors = np.abs(moved / steps[:, None] - fd) / np.maximum(1.0, np.abs(fd))
+            assert errors.max(axis=1).min() < 1e-5
 
 
 def assert_per_sample_sum(values, alpha, cross):
@@ -441,6 +440,35 @@ class TestPredict:
         values = predict(model, points)
         assert centres == [4]
         assert_per_sample_sum(values, model.alpha, RBF.cross(x, points))
+
+    @pytest.mark.parametrize("make", ["fit_data", "load_model"])
+    def test_model_keeps_its_grouping(self, monkeypatch, tmp_path, make):
+        # fit_data's grouping, or the one load_model makes, serves every
+        # predict, which gives the bits of a model that groups on each call
+        x = np.array([0.7, 0.2, 0.7, 0.9, 0.2, 0.7])
+        model = fit_data(x, np.sin(6.0 * x), RBF, RmrConfig(sigma=0.5, lam=1e-3))
+        save_model(tmp_path / "model.txt", model)
+        real = CovariateGroups.of.__func__
+        calls = []
+
+        def counted(cls, inputs):
+            calls.append(1)
+            return real(cls, inputs)
+
+        monkeypatch.setattr(CovariateGroups, "of", classmethod(counted))
+        if make == "fit_data":
+            model = fit_data(x, np.sin(6.0 * x), RBF, RmrConfig(sigma=0.5, lam=1e-3))
+        else:
+            model = load_model(tmp_path / "model.txt")
+        inputs = (x, np.linspace(0.0, 1.0, 7), 0.2)
+        values = [predict(model, points) for points in inputs]
+        assert len(calls) == 1
+        regrouped = RmrModel(model.alpha, model.train_inputs, model.kernel, model.config,
+                             model.objective_trace)
+        assert repr(regrouped) == repr(model)
+        for value, points in zip(values, inputs):
+            assert np.asarray(value).tobytes() == np.asarray(predict(regrouped, points)).tobytes()
+        assert len(calls) == 1 + len(inputs)
 
     def test_non_finite_training_input_rejected(self):
         model = self.kernel_and_model([1.0, -1.0], [[0.0], [math.nan]])
@@ -989,10 +1017,13 @@ class TestBlockLineSearch:
             gram[...] = dense
             self.assert_same_fit(gram, y, cfg, 300)
 
-    def test_fit_predict_benchmark_instance(self):
-        # the seed-0 data and gradient fit of the fit_predict benchmark workload:
-        # 384 distinct uniform covariates, shifted-gamma noise, epanechnikov phi
-        rng = np.random.default_rng([0, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fit_predict_benchmark_instance(self, seed):
+        # the data and gradient fit of the fit_predict benchmark workload: 384
+        # distinct uniform covariates, shifted-gamma noise, epanechnikov phi;
+        # at seeds 1 and 2 one reordered iteration moves the final objective
+        # by 1.1e-4 and 1.5e-5 relative, so only bit-faithful arithmetic passes
+        rng = np.random.default_rng([seed, 7])
         x = rng.uniform(0.0, 1.0, size=(384, 1))
         noise = shifted_gamma_noise(2.0, 0.1).sample(rng, 384)
         y = np.array([default_target(v) for v in x]) + noise
