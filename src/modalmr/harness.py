@@ -1,11 +1,11 @@
 """Synthetic experiments: learning curves, gap sweeps, robustness comparison.
 
-Every experiment is a pure function of (config, seed).  Learning curves and
-gap sweeps share one replicate sweep over (chain, m) pairs, ``_sweep``,
-which seeds replicate ``rep`` at grid position ``mi`` with
-``derive_seed(seed, mi, rep)`` on every chain.  Replicates run one after
-another (BLAS threads use the cores), so repeated runs produce identical
-tables byte for byte.
+Every experiment is a pure function of (config, seed).  Every replicate
+experiment runs through one sweep over (chain, m) pairs, ``_sweep``, which
+seeds replicate ``rep`` at grid position ``mi`` with
+``derive_seed(seed, mi, rep)`` on every chain and scores a failed fit NaN.
+Replicates run one after another (BLAS threads use the cores), so repeated
+runs produce identical tables byte for byte.
 """
 
 from __future__ import annotations
@@ -148,18 +148,18 @@ class LearningCurveResult(NamedTuple):
     n_failed: int
 
 
-def _sweep(config: ExperimentConfig, chains):
+def _sweep(config: ExperimentConfig, chains, score):
     """Replicate fits on each chain at each m of ``config.m_grid``.
 
-    Yields (gamma_abs, m, lambda, sigma, replicate excess risks, failures)
-    per (chain, m).  Replicate ``rep`` at grid position ``mi`` draws its data
-    from ``derive_seed(config.seed, mi, rep)`` whatever the chain, so
-    replicates pair across chains.  A fit that raises NumericError logs a
-    warning and scores NaN, so one bad replicate cannot sink a whole
-    experiment.
+    Yields (gamma_abs, m, lambda, sigma, replicate scores, failures) per
+    (chain, m); a replicate scores ``score(task, data, solver, kernel)``.
+    Replicate ``rep`` at grid position ``mi`` draws its data from
+    ``derive_seed(config.seed, mi, rep)`` whatever the chain, so replicates
+    pair across chains.  A replicate that raises NumericError logs a warning
+    and scores NaN, so one bad replicate cannot sink a whole experiment.
     """
     from .markov import absolute_spectral_gap
-    from .risk import excess_risk, make_task
+    from .risk import make_task
 
     task = config.task
     for chain in chains:
@@ -173,18 +173,24 @@ def _sweep(config: ExperimentConfig, chains):
                 beta, s = config.schedule
                 _, lam, sigma = schedule_theorem2(m, gamma, beta, s)
                 solver = replace(solver, lam=lam, sigma=sigma)
-            excesses, n_failed = [], 0
+            scores, n_failed = [], 0
             for rep in range(config.n_replicates):
                 try:
                     data = generate_dataset(chain_task, m, derive_seed(config.seed, mi, rep))
-                    model = fit_data(data.x, data.y, config.kernel, solver)
-                    excesses.append(excess_risk(chain_task, model))
+                    scores.append(score(chain_task, data, solver, config.kernel))
                 except NumericError as exc:
                     n_failed += 1
                     log.warning("fit failed at gamma=%.3f, m=%d replicate %d: %s",
                                 gamma, m, rep, exc)
-                    excesses.append(float("nan"))
-            yield gamma, m, solver.lam, solver.sigma, excesses, n_failed
+                    scores.append(float("nan"))
+            yield gamma, m, solver.lam, solver.sigma, scores, n_failed
+
+
+def _excess_score(task, data, solver, kernel) -> float:
+    """A replicate's excess risk, fitted through this module's ``fit_data``."""
+    from .risk import excess_risk
+
+    return excess_risk(task, fit_data(data.x, data.y, kernel, solver))
 
 
 _BOOTSTRAP_DRAWS = 1000
@@ -261,11 +267,10 @@ def learning_curve(config: ExperimentConfig, jobs: int = 1) -> LearningCurveResu
     rows = []
     finite = {}  # m -> its finite replicate excess risks
     n_failed = 0
-    for gamma_abs, m, lam, sigma, excesses, failed in _sweep(config, [config.task.chain]):
+    for gamma, m, lam, sigma, risks, failed in _sweep(config, [config.task.chain], _excess_score):
         n_failed += failed
-        rows += [LearningCurveRow(m, gamma_abs, rep, e, lam, sigma)
-                 for rep, e in enumerate(excesses)]
-        finite[m] = np.array([e for e in excesses if np.isfinite(e)])
+        rows += [LearningCurveRow(m, gamma, rep, e, lam, sigma) for rep, e in enumerate(risks)]
+        finite[m] = np.array([e for e in risks if np.isfinite(e)])
     means = [(m, float(np.mean(v)) if len(v) else float("nan")) for m, v in finite.items()]
     usable = [(m, v) for m, v in means if np.isfinite(v) and v > 0]
     if len(usable) >= 3:
@@ -303,7 +308,7 @@ def gamma_sweep(base_config: ExperimentConfig, chains, jobs: int = 1):
     m.  ``jobs`` is accepted and ignored: replicates run one after another.
     """
     rows = []
-    for gamma, m, lam, sigma, excesses, _ in _sweep(base_config, chains):
+    for gamma, m, lam, sigma, excesses, _ in _sweep(base_config, chains, _excess_score):
         valid = [v for v in excesses if np.isfinite(v)]
         rows.append(GammaSweepRow(
             gamma, 2.0 * gamma - gamma * gamma, m, base_config.n_replicates,
@@ -349,33 +354,32 @@ def robustness_comparison(
     where s holds the per-row sums of y.  Both fits are evaluated on the
     chain states from their per-row sums, through one cross gram.  Errors
     are pi-weighted squared distances to f* on the chain states.  ``jobs``
-    is accepted and ignored: replicates run one after another, and a
-    numeric failure propagates.
+    is accepted and ignored: replicates run one after another, through a
+    one-m ``_sweep``, whose failure rule puts NaN in both columns of a
+    failed replicate and leaves it out of the means and the win fraction.
     """
-    if n_replicates < 1:
-        raise InputError("n_replicates must be at least 1")
-    if kernel is None:
-        kernel = _default_kernel()
 
-    def one(rep: int) -> RobustnessRow:
-        data = generate_dataset(task, m, derive_seed(seed, 0, rep))
+    def score(task, data, solver, kernel):
         groups, gram = distinct_gram(kernel, data.x)
-        model = fit_hq(gram, data.y, config, groups=groups)
-        ridge = max(config.lam, 1e-12) * m / groups.counts
+        model = fit_hq(gram, data.y, solver, groups=groups)
+        ridge = max(solver.lam, 1e-12) * data.m / groups.counts
         ls_beta = _solve_ridge_direct(gram, groups.counts, ridge, groups.sums(data.y))
         on_states = kernel.cross(data.x[groups.first], task.chain.state_embedding)
-        rmr_preds = groups.sums(model.alpha) @ on_states
-        ls_preds = ls_beta @ on_states
-        return RobustnessRow(rep, _pi_weighted_mse(task, rmr_preds), _pi_weighted_mse(task, ls_preds))
+        return (_pi_weighted_mse(task, groups.sums(model.alpha) @ on_states),
+                _pi_weighted_mse(task, ls_beta @ on_states))
 
-    rows = [one(rep) for rep in range(n_replicates)]
-    wins = sum(1 for r in rows if r.rmr_mse < r.ls_mse)
-    return RobustnessComparison(
-        rows=tuple(rows),
-        mean_rmr_mse=float(np.mean([r.rmr_mse for r in rows])),
-        mean_ls_mse=float(np.mean([r.ls_mse for r in rows])),
-        rmr_win_fraction=wins / n_replicates,
-    )
+    experiment = ExperimentConfig(task, (m,), n_replicates, None, seed, config,
+                                  kernel or _default_kernel())
+    ((*_, pairs, _),) = _sweep(experiment, [task.chain], score)
+    # a failed replicate scores one NaN, which fills both columns
+    rows = tuple(RobustnessRow(rep, *(p if isinstance(p, tuple) else (p, p)))
+                 for rep, p in enumerate(pairs))
+    fitted = [r for r in rows if not math.isnan(r.rmr_mse)]
+    if not fitted:
+        return RobustnessComparison(rows, math.nan, math.nan, math.nan)
+    wins = sum(1 for r in fitted if r.rmr_mse < r.ls_mse)
+    return RobustnessComparison(rows, float(np.mean([r.rmr_mse for r in fitted])),
+                                float(np.mean([r.ls_mse for r in fitted])), wins / len(fitted))
 
 
 def write_dataset_file(path, dataset: Dataset) -> None:

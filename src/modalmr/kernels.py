@@ -162,14 +162,14 @@ def check_calibration(
 
     The grid should cover the support generously (halfwidth >= 8 for the
     Gaussian kind).  [0, halfwidth] is cut at the compact kinds' support end
-    1 when it lies inside, each piece gets composite Boole with an equal step
-    of at most 2 halfwidth / (grid_points - 1), and the rule is mirrored onto
-    [-halfwidth, 0].  So the kinks at 0 and +-1 end Boole panels whatever the
-    halfwidth and point count, and phi(t) is compared with phi(-t) exactly.
+    1 when it lies inside, each piece gets composite Boole on 4 or more
+    intervals of an equal step at most 2 halfwidth / (grid_points - 1), and
+    the rule is mirrored onto [-halfwidth, 0].  So the kinks at 0 and +-1 end
+    panels at any halfwidth and point count, and phi(t) meets phi(-t) exactly.
     """
-    # written so that NaN fails the test, which a bare grid_halfwidth <= 0 would pass
-    if not 0 < grid_halfwidth < math.inf:
-        raise InputError("grid halfwidth (--halfwidth) must be positive and finite")
+    # NaN fails this test, which a bare grid_halfwidth <= 0 passes; the moment squares t
+    if not (0 < grid_halfwidth and grid_halfwidth * grid_halfwidth < math.inf):
+        raise InputError("grid halfwidth (--halfwidth) must be positive with a finite square")
     if grid_points <= 2:
         raise InputError("grid_points must exceed 2")
     step = 2.0 * grid_halfwidth / (int(grid_points) - 1)
@@ -179,7 +179,7 @@ def check_calibration(
     pieces = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         # a piece of exactly k steps gets k intervals despite rounding
-        u, w = _boole(4 * math.ceil((b - a) / (4.0 * step) - 1e-9))
+        u, w = _boole(max(4, 4 * math.ceil((b - a) / (4.0 * step) - 1e-9)))
         t = a + (b - a) * u
         t[-1] = b  # exactly the next piece's first node
         pieces.append((t, (b - a) * w))

@@ -78,7 +78,7 @@ class RmrConfig:
             raise InputError("tol must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RmrModel:
     """Fitted per-sample coefficients, with the training inputs and kernel
     that evaluate f(x) = sum_i alpha_i K(x_i, x).
@@ -89,14 +89,14 @@ class RmrModel:
     nor be saved.  ``groups`` is the grouping of the training inputs that
     ``fit_data`` fitted on or ``load_model`` made, so that ``predict`` need
     not sort the inputs again; a model built without one is grouped by each
-    ``predict``.  It is not compared, shown or saved."""
+    ``predict``.  It is not shown or saved.  Models compare by identity."""
 
     alpha: np.ndarray
     train_inputs: np.ndarray | None
     kernel: HypothesisKernel | None
     config: RmrConfig
     objective_trace: tuple
-    groups: CovariateGroups | None = field(default=None, compare=False, repr=False)
+    groups: CovariateGroups | None = field(default=None, repr=False)
 
     def __post_init__(self):
         alpha = np.array(self.alpha, dtype=float)

@@ -25,6 +25,7 @@ from modalmr.harness import (
     learning_curve,
     write_dataset_file,
 )
+from modalmr.errors import SingularSystem
 from modalmr.kernels import hypothesis_kernel
 from modalmr.solver import RmrConfig, load_model
 from modalmr.markov import iid_chain, transition_kernel, write_transition_file
@@ -118,9 +119,19 @@ class TestCheckKernel:
     def test_unknown_phi(self, capsys):
         assert run("check-kernel", "--phi", "sinc") == 1
 
-    @pytest.mark.parametrize("halfwidth", ["nan", "inf"])
-    def test_non_finite_halfwidth(self, halfwidth, capsys):
-        assert run("check-kernel", "--phi", "gaussian", "--halfwidth", halfwidth) == 1
+    @pytest.mark.parametrize("argv", [
+        ["--phi", "gaussian", "--halfwidth", "nan"],
+        ["--phi", "gaussian", "--halfwidth", "inf"],
+        ["--phi", "gaussian", "--halfwidth", "1e308"],
+        ["--phi", "epanechnikov", "--halfwidth", "1e300", "--points", "5"],
+        ["--phi", "gaussian", "--halfwidth", "1e300"],
+    ], ids=["nan", "inf", "gaussian-1e308", "epanechnikov-1e300-5-points", "gaussian-1e300"])
+    def test_non_finite_halfwidth(self, argv, capsys):
+        # a finite halfwidth whose square is not finite overflowed 2 halfwidth
+        # or the second moment's squares
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("check-kernel", *argv) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and "--halfwidth" in line
 
@@ -706,6 +717,31 @@ class TestExperimentCommands:
         assert code == 0
         rows = read_rows(out)
         assert len(rows) == 3
+
+    def test_robust_compare_failed_fit_is_a_nan_row(self, tmp_path, monkeypatch):
+        # a replicate whose fit fails scores NaN, as in the sweeps, and the
+        # command still exits 0: the manifest averages the fitted replicates
+        import modalmr.harness
+
+        real = modalmr.harness.fit_hq
+        calls = []
+
+        def fit(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise SingularSystem("injected failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(modalmr.harness, "fit_hq", fit)
+        out = tmp_path / "rc.csv"
+        assert run("robust-compare", "--m", "40", "--replicates", "3", "--chain-n", "6",
+                   "--lambda", "0.001", "--out", str(out), "--seed", "11") == 0
+        rows = read_rows(out)
+        assert [list(r.values()) for r in rows][1] == ["1", "nan", "nan"]
+        results = json.loads((tmp_path / "rc.csv.manifest.json").read_text())["results"]
+        rmr = [float(r["rmr_mse"]) for r in rows if r["replicate"] != "1"]
+        assert math.isfinite(results["mean_rmr_mse"])
+        assert results["mean_rmr_mse"] == pytest.approx(float(np.mean(rmr)), rel=1e-11)
 
 
 # small runs of every command that fits by half-quadratic ascent

@@ -388,22 +388,40 @@ class TestSweep:
             assert {(r.lambda_used, r.sigma_used) for r in mine} == {
                 (row.lambda_used, row.sigma_used)}
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_robustness_comparison_draws_the_learning_curves_data(self, monkeypatch, seed):
+        task = small_task(n_states=6)
+        cfg = RmrConfig(sigma=1.0, lam=1e-3, q=2)
+        real = modalmr.harness.generate_dataset
+        drawn = []
+
+        def recorded(task, m, seed):
+            drawn.append((m, seed))
+            return real(task, m, seed)
+
+        monkeypatch.setattr(modalmr.harness, "generate_dataset", recorded)
+        robustness_comparison(task, 40, cfg, seed, n_replicates=3)
+        compared = drawn[:]
+        drawn.clear()
+        learning_curve(ExperimentConfig(task, (40,), 3, None, seed, cfg))
+        assert compared == drawn == [(40, derive_seed(seed, 0, rep)) for rep in range(3)]
+
 
 class TestReplicateFailures:
     """A replicate whose fit raises a numeric error scores NaN, is counted and
     logged once, and the other replicates run on unchanged."""
 
     @staticmethod
-    def fail_on(monkeypatch, task, m, seed):
+    def fail_on(monkeypatch, task, m, seed, fit_name="fit_data"):
         bad_y = generate_dataset(task, m, seed).y
-        real = modalmr.harness.fit_data
+        real = getattr(modalmr.harness, fit_name)
 
-        def fit(x, y, *args, **kwargs):
+        def fit(x_or_gram, y, *args, **kwargs):
             if np.array_equal(y, bad_y):
                 raise SingularSystem("injected failure")
-            return real(x, y, *args, **kwargs)
+            return real(x_or_gram, y, *args, **kwargs)
 
-        monkeypatch.setattr(modalmr.harness, "fit_data", fit)
+        monkeypatch.setattr(modalmr.harness, fit_name, fit)
 
     @staticmethod
     def warnings(caplog):
@@ -445,6 +463,36 @@ class TestReplicateFailures:
         assert np.isnan(row.replicate_excess[2])
         assert row.replicate_excess[:2] == clean.replicate_excess[:2]
         assert row.mean_excess_risk == float(np.mean(clean.replicate_excess[:2]))
+
+    def test_robustness_comparison_averages_the_other_replicates(self, monkeypatch, caplog):
+        task = small_task()
+        cfg = RmrConfig(sigma=1.0, lam=1e-3, q=2)
+        clean = robustness_comparison(task, 64, cfg, seed=3, n_replicates=4)
+        self.fail_on(monkeypatch, task, 64, derive_seed(3, 0, 1), fit_name="fit_hq")
+        caplog.set_level(logging.WARNING, logger="modalmr.harness")
+        result = robustness_comparison(task, 64, cfg, seed=3, n_replicates=4)
+        (warning,) = self.warnings(caplog)
+        assert "fit failed at gamma=1.000, m=64 replicate 1: injected failure" in warning
+        failed = result.rows[1]
+        assert failed.replicate == 1 and np.isnan(failed.rmr_mse) and np.isnan(failed.ls_mse)
+        kept = [r for r in clean.rows if r.replicate != 1]
+        assert [r for r in result.rows if r.replicate != 1] == kept
+        assert result.mean_rmr_mse == float(np.mean([r.rmr_mse for r in kept]))
+        assert result.mean_ls_mse == float(np.mean([r.ls_mse for r in kept]))
+        assert result.rmr_win_fraction == sum(r.rmr_mse < r.ls_mse for r in kept) / 3
+
+    def test_robustness_comparison_with_no_fitted_replicate(self, monkeypatch, caplog):
+        def fail(*args, **kwargs):
+            raise SingularSystem("injected failure")
+
+        monkeypatch.setattr(modalmr.harness, "fit_hq", fail)
+        caplog.set_level(logging.WARNING, logger="modalmr.harness")
+        cfg = RmrConfig(sigma=1.0, lam=1e-3, q=2)
+        result = robustness_comparison(small_task(), 32, cfg, seed=3, n_replicates=2)
+        assert len(self.warnings(caplog)) == 2
+        assert [r.replicate for r in result.rows] == [0, 1]
+        assert all(np.isnan(v) for r in result.rows for v in r[1:])
+        assert all(np.isnan(v) for v in result[1:])
 
 
 class TestRobustnessComparison:

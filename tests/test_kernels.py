@@ -187,6 +187,21 @@ class TestCalibration:
             check_calibration(phi, -1.0, 1001)
         with pytest.raises(InputError):
             check_calibration(phi, 2.0, 0)
+        for half in (1e200, 1e308):  # finite, with an infinite square
+            with pytest.raises(InputError, match="--halfwidth"):
+                check_calibration(phi, half, 5)
+
+    @pytest.mark.parametrize("kind", ["epanechnikov", "quadratic", "triangular"])
+    @pytest.mark.parametrize("half, points", [(1e150, 5), (1e9, 3)])
+    def test_compact_piece_far_shorter_than_the_step(self, kind, half, points):
+        # the support piece [0, 1] gets one Boole panel, 4 intervals, and
+        # integrates these polynomials of degree at most 4 exactly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_calibration(representing_function(kind), half, points)
+        assert report.integral_error < 1e-12
+        assert report.max_symmetry_violation == 0.0
+        assert math.isfinite(report.second_moment) and math.isfinite(report.lipschitz_estimate)
 
 
 class TestGram:

@@ -470,6 +470,17 @@ class TestPredict:
             assert np.asarray(value).tobytes() == np.asarray(predict(regrouped, points)).tobytes()
         assert len(calls) == 1 + len(inputs)
 
+    def test_models_compare_by_identity(self):
+        # a generated __eq__ would compare the alpha arrays, which have no
+        # single truth value
+        x = np.array([0.7, 0.2, 0.9])
+        model = fit_data(x, np.sin(6.0 * x), RBF, RmrConfig(sigma=0.5, lam=1e-3))
+        twin = RmrModel(model.alpha, model.train_inputs, model.kernel, model.config,
+                        model.objective_trace, model.groups)
+        assert (model == twin) is False
+        assert (model == model) is True
+        assert len({model, twin, model}) == 2
+
     def test_non_finite_training_input_rejected(self):
         model = self.kernel_and_model([1.0, -1.0], [[0.0], [math.nan]])
         with pytest.raises(InputError, match="covariates must be finite"):

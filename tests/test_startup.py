@@ -8,8 +8,9 @@ a q=1 `fit` (active-set inner solve), a q=2 `fit --fitted-out` on 4 rows
 (direct solve), a q=2 `fit` on 700 distinct rows (conjugate gradients),
 `predict`, `check-kernel` and `learning-curve` with student-t and
 shifted-gamma noise.  The learning curve loads no numpy.ma either, which
-np.percentile would import for the slope CI, and `chain-info --out` loads
-neither modalmr.risk nor modalmr.robustness.
+np.percentile would import for the slope CI, `chain-info --out` loads
+neither modalmr.risk nor modalmr.robustness, and `robust-compare` loads
+neither modalmr.robustness nor numpy.ma.
 Each script runs in one fresh interpreter so no other test's imports leak in.
 """
 
@@ -101,6 +102,14 @@ report["chain_info_exit"] = main([
     "chain-info", "--family", "lazy-walk", "--n", "4", "--out", str(Path(sys.argv[1]) / "tv.csv"),
 ])
 report["chain_info"] = sorted(m for m in sys.modules if m.startswith("modalmr."))
+report["robust_compare_exit"] = main([
+    "robust-compare", "--chain-family", "lazy-walk", "--chain-n", "4", "--m", "20",
+    "--replicates", "2", "--out", str(Path(sys.argv[1]) / "rc.csv"),
+])
+report["robust_compare"] = sorted(
+    m for m in sys.modules if m in ("modalmr.robustness", "numpy.ma", "scipy")
+    or m.startswith(("numpy.ma.", "scipy."))
+)
 print(json.dumps(report))
 """
 
@@ -187,6 +196,13 @@ def test_info_logging_reports_each_fit(startup):
 def test_check_kernel_loads_no_scipy(others):
     assert others["check_kernel_exit"] == 0
     assert others["check_kernel"] == []
+
+
+def test_robust_compare_loads_no_robustness_numpy_ma_or_scipy(others):
+    # robust-compare runs through the sweep: its means over the fitted
+    # replicates must not bring in what np.percentile imports
+    assert others["robust_compare_exit"] == 0
+    assert others["robust_compare"] == []
 
 
 def test_chain_info_loads_neither_risk_nor_robustness(others):
