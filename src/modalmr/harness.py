@@ -10,6 +10,7 @@ runs produce identical tables byte for byte.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from array import array
@@ -151,8 +152,9 @@ class LearningCurveResult(NamedTuple):
 def _sweep(config: ExperimentConfig, chains, score):
     """Replicate fits on each chain at each m of ``config.m_grid``.
 
-    Yields (gamma_abs, m, lambda, sigma, replicate scores, failures) per
-    (chain, m); a replicate scores ``score(task, data, solver, kernel)``.
+    Yields (gap, m, lambda, sigma, replicate scores, failures) per (chain, m);
+    ``gap()`` is the chain's absolute spectral gap, an eigensolve made once and
+    only if read.  A replicate scores ``score(task, data, solver, kernel)``.
     Replicate ``rep`` at grid position ``mi`` draws its data from
     ``derive_seed(config.seed, mi, rep)`` whatever the chain, so replicates
     pair across chains.  A replicate that raises NumericError logs a warning
@@ -166,12 +168,12 @@ def _sweep(config: ExperimentConfig, chains, score):
         if chain.dim != task.chain.dim:
             raise InputError("all sweep chains must share the task's embedding dimension")
         chain_task = make_task(chain, task.noise, task.f_star, task.M)
-        gamma = absolute_spectral_gap(chain)
+        gap = functools.cache(functools.partial(absolute_spectral_gap, chain))
         for mi, m in enumerate(config.m_grid):
             solver = config.solver
             if config.schedule is not None:
                 beta, s = config.schedule
-                _, lam, sigma = schedule_theorem2(m, gamma, beta, s)
+                _, lam, sigma = schedule_theorem2(m, gap(), beta, s)
                 solver = replace(solver, lam=lam, sigma=sigma)
             scores, n_failed = [], 0
             for rep in range(config.n_replicates):
@@ -181,9 +183,9 @@ def _sweep(config: ExperimentConfig, chains, score):
                 except NumericError as exc:
                     n_failed += 1
                     log.warning("fit failed at gamma=%.3f, m=%d replicate %d: %s",
-                                gamma, m, rep, exc)
+                                gap(), m, rep, exc)
                     scores.append(float("nan"))
-            yield gamma, m, solver.lam, solver.sigma, scores, n_failed
+            yield gap, m, solver.lam, solver.sigma, scores, n_failed
 
 
 def _excess_score(task, data, solver, kernel) -> float:
@@ -267,9 +269,9 @@ def learning_curve(config: ExperimentConfig, jobs: int = 1) -> LearningCurveResu
     rows = []
     finite = {}  # m -> its finite replicate excess risks
     n_failed = 0
-    for gamma, m, lam, sigma, risks, failed in _sweep(config, [config.task.chain], _excess_score):
+    for gap, m, lam, sigma, risks, failed in _sweep(config, [config.task.chain], _excess_score):
         n_failed += failed
-        rows += [LearningCurveRow(m, gamma, rep, e, lam, sigma) for rep, e in enumerate(risks)]
+        rows += [LearningCurveRow(m, gap(), rep, e, lam, sigma) for rep, e in enumerate(risks)]
         finite[m] = np.array([e for e in risks if np.isfinite(e)])
     means = [(m, float(np.mean(v)) if len(v) else float("nan")) for m, v in finite.items()]
     usable = [(m, v) for m, v in means if np.isfinite(v) and v > 0]
@@ -308,8 +310,8 @@ def gamma_sweep(base_config: ExperimentConfig, chains, jobs: int = 1):
     m.  ``jobs`` is accepted and ignored: replicates run one after another.
     """
     rows = []
-    for gamma, m, lam, sigma, excesses, _ in _sweep(base_config, chains, _excess_score):
-        valid = [v for v in excesses if np.isfinite(v)]
+    for gap, m, lam, sigma, excesses, _ in _sweep(base_config, chains, _excess_score):
+        gamma, valid = gap(), [v for v in excesses if np.isfinite(v)]
         rows.append(GammaSweepRow(
             gamma, 2.0 * gamma - gamma * gamma, m, base_config.n_replicates,
             float(np.mean(valid)) if valid else float("nan"), lam, sigma, tuple(excesses),

@@ -219,7 +219,8 @@ class HypothesisKernel(NamedTuple):
 
     def cross(self, centers, points) -> np.ndarray:
         """Matrix with entry (i, p) = K(centers[i], points[p]), C-contiguous
-        and starting on a 64-byte boundary (``_line_aligned_empty``)."""
+        and starting on a 64-byte boundary (``_line_aligned_empty``).  Given
+        one array twice, its gaussian-rbf self-gram has a unit diagonal."""
         c = as_covariate_array(centers)
         p = as_covariate_array(points)
         if c.shape[1] != p.shape[1]:
@@ -234,6 +235,8 @@ class HypothesisKernel(NamedTuple):
                 - 2.0 * (c @ p.T)
             )
             np.maximum(sq, 0.0, out=sq)
+            if centers is points:  # |x|^2 + |x|^2 - 2 x.x rounds off zero once d > 1
+                np.fill_diagonal(sq, 0.0)
             with np.errstate(over="ignore"):  # a distance far beyond bw: exp(-inf) = 0
                 return np.exp(-sq / (bw * bw), out=_line_aligned_empty(len(c), len(p)))
         if self.kind == "laplacian":

@@ -114,15 +114,19 @@ class RmrModel:
         return self.alpha.shape[0]
 
 
-def _penalty(alpha: np.ndarray, q: int):
+def _penalty(alpha: np.ndarray, q: int, counts=None):
     """||alpha||_q^q over the last axis, the one penalty used by every
     objective and statistic.
+
+    Given row counts c, ``alpha`` holds per-row sums beta, and the penalty is
+    that of alpha_i = beta_s / c_s (``CovariateGroups.expand``): sum_s |beta_s|
+    for q=1, sum_s beta_s (beta_s / c_s) for q=2; unit counts give the same bits.
 
     np.add.reduce is np.sum's arithmetic without its dispatch cost, which
     line searches pay once per block of candidates."""
     if q == 1:
         return np.add.reduce(np.abs(alpha), axis=-1)
-    return np.add.reduce(alpha * alpha, axis=-1)
+    return np.add.reduce(alpha * (alpha if counts is None else alpha / counts), axis=-1)
 
 
 class CovariateGroups(NamedTuple):
@@ -227,10 +231,10 @@ def _fitted(gram, groups, beta):
     return groups.spread(gram.T @ beta)
 
 
-def _value(alpha, scaled, config):
-    """Objective at alpha from its scaled residuals (y_i - f(x_i)) / sigma."""
+def _value(alpha, scaled, config, counts=None):
+    """Objective at alpha from scaled residuals (y_i - f(x_i)) / sigma (counts: ``_penalty``)."""
     fit = np.add.reduce(config.phi.value(scaled)) / (scaled.shape[0] * config.sigma)
-    return float(fit - config.lam * _penalty(alpha, config.q))
+    return float(fit - config.lam * _penalty(alpha, config.q, counts))
 
 
 def objective(alpha, gram, y, config: RmrConfig, *, groups=None) -> float:
@@ -242,19 +246,6 @@ def objective(alpha, gram, y, config: RmrConfig, *, groups=None) -> float:
     """
     gram, y, groups, alpha = _check_problem(gram, y, alpha, groups)
     return _value(alpha, (y - _fitted(gram, groups, groups.sums(alpha))) / config.sigma, config)
-
-
-def _row_targets(groups, w, y):
-    """Per-row weights W_s = sum of w_i and weighted-mean targets ybar_s.
-
-    sum_i w_i (y_i - f_s(i))^2 = sum_s W_s (ybar_s - f_s)^2 + const, so a
-    weighted least-squares step over the samples is the same step over the
-    distinct rows.  A row whose weights are all zero takes the plain mean.
-    """
-    row_w = groups.sums(w)
-    spread_w = groups.spread(row_w)
-    share = np.divide(w, spread_w, out=groups.expand(np.ones(groups.n)), where=spread_w > 0)
-    return row_w, groups.sums(share * y)
 
 
 def _solve_ridge_direct(gram, d, r, s):
@@ -282,23 +273,23 @@ def _solve_ridge_direct(gram, d, r, s):
     return out
 
 
-def _solve_weighted_ridge(gram, w, y, kappa, beta_guess):
-    """(beta, capped): argmin over beta of sum_s w_s (y_s - K_s^T beta)^2 +
-    sum_s kappa_s beta_s^2, and whether CG stopped at its iteration cap.
+def _solve_weighted_ridge(gram, w, wy, kappa, beta_guess):
+    """(beta, capped): beta solving (K diag(w) K^T + diag(kappa)) beta = K wy,
+    and whether CG stopped at its iteration cap; w and wy are per-row sums.
 
-    Normal equations (K W K^T + diag(kappa)) beta = K W y.  Direct solve for
-    small systems; above _DIRECT_SOLVE_LIMIT, conjugate gradients warm-started
-    at beta_guess, step for step SciPy's cg, ending once ||r|| < 1e-12 ||b||.
-    CG keeps the HQ ascent property because it monotonically decreases this
-    quadratic starting from the current iterate, even when it stops at its cap.
+    Direct solve for small systems; above _DIRECT_SOLVE_LIMIT, conjugate
+    gradients warm-started at beta_guess, step for step SciPy's cg, ending
+    once ||r|| < 1e-12 ||b||.  CG keeps the HQ ascent property because it
+    monotonically decreases this quadratic starting from the current iterate,
+    even when it stops at its cap.
     """
-    n = y.shape[0]
+    n = wy.shape[0]
     if n <= _DIRECT_SOLVE_LIMIT:
-        return _solve_ridge_direct(gram, w, kappa, w * y), False
+        return _solve_ridge_direct(gram, w, kappa, wy), False
 
     def matvec(v):
         return gram @ (w * (gram.T @ v)) + kappa * v
-    b = gram @ (w * y)
+    b = gram @ wy
     if not b.any():
         return np.zeros(n), False
     x, p, rho_prev, capped = beta_guess.copy(), None, None, True
@@ -321,12 +312,12 @@ _KKT_RTOL = 1e-10  # KKT residual, relative to max(|c|, lam), that ends a q=1 st
 _PROX_SHIFT = 1e-12  # proximal shift of H_AA, relative to its largest diagonal entry
 
 
-def _l1_active_set(gram, w, y, beta, lam, tau, max_steps):
+def _l1_active_set(gram, tw, twy, beta, lam, max_steps):
     """(beta, capped): feature-sign search (Lee, Battle, Raina & Ng 2007)
     from beta for the minimiser of the q=1 surrogate, which up to a constant is
 
         F(beta) = (1/2) beta^T H beta - c^T beta + lam ||beta||_1,
-        H = tau K diag(w) K^T,  c = tau K (w y).
+        H = K diag(tw) K^T,  c = K twy,  tw and twy per-row sums.
 
     With g = H beta - c, beta is optimal when g_i = -lam sign(beta_i) on the
     nonzeros (the active set A, signs theta) and |g_i| <= lam on the zeros.
@@ -346,14 +337,13 @@ def _l1_active_set(gram, w, y, beta, lam, tau, max_steps):
     unless several cross zero together, so a start with more than max_steps
     nonzeros (a dense least-squares seed) could not be pruned within the cap:
     the search then starts from zero, which the convex lasso allows, and
-    returns the start unchanged if it ends above the start's F.  Column j of H is built when j first
-    enters A, as K (tau w * K_j), and g comes from these columns: an n x n
-    matrix-matrix product would be the process's first level-3 BLAS call,
-    and OpenBLAS would then allocate its level-3 work buffers.
+    returns the start unchanged if it ends above the start's F.  Column j of
+    H is built when j first enters A, as K (tw * K_j), and g comes from these
+    columns: an n x n matrix-matrix product would be the process's first
+    level-3 BLAS call, and OpenBLAS would then allocate its level-3 work buffers.
     """
-    n = y.shape[0]
-    tw = tau * w
-    c = gram @ (tw * y)
+    n = twy.shape[0]
+    c = gram @ twy
     tol = _KKT_RTOL * max(float(np.max(np.abs(c))), lam)
     columns = {}
     restart = np.count_nonzero(beta) > max_steps
@@ -449,13 +439,16 @@ def fit_hq(gram, y, config: RmrConfig, init=None, *, groups=None) -> RmrModel:
 
     whose minimum-norm expansion alpha_i = beta_s(i) / c_s(i) is exactly the
     m x m solution of (G W G^T + kappa I) alpha = G W y.  The q=1 step is the
-    same lasso on beta with the penalty sum_s |beta_s|; one that stops at
-    _ACTIVE_SET_STEPS steps still lowers it, and such steps, like CG solves
-    stopped at their cap, are counted in one warning per fit.  A warm start
-    is reduced to its row sums after its objective is recorded; reducing can
-    only raise the objective, so the trace stays monotone.  The half-quadratic
-    ascent argument carries over to beta unchanged, and the direct/CG switch
-    at _DIRECT_SOLVE_LIMIT counts distinct rows.
+    same lasso on beta with the penalty sum_s |beta_s|, posed in the row sums
+    of tw_i = tau w_i and tw_i y_i; one that stops at _ACTIVE_SET_STEPS steps
+    still lowers it, and such steps, like CG solves stopped at their cap, are
+    counted in one warning per fit.  A step's objective reads its penalty off
+    beta and c (``_penalty``), so the loop forms no alpha: the fit returns the
+    expansion of the last step's beta, or the start if no step was taken.  A
+    warm start is reduced to its row sums after its objective is recorded;
+    reducing can only raise the objective, so the trace stays monotone.  The
+    half-quadratic ascent argument carries over to beta unchanged, and the
+    direct/CG switch at _DIRECT_SOLVE_LIMIT counts distinct rows.
 
     ``groups`` is the grouping of the samples by covariate row and ``gram``
     the n x n gram over its rows in the same order; ``distinct_gram`` returns
@@ -471,8 +464,8 @@ def fit_hq(gram, y, config: RmrConfig, init=None, *, groups=None) -> RmrModel:
                          "only fit --method gradient fits it")
     weight, C = config.phi.hq
     m = y.shape[0]
-    sigma = config.sigma
-    kappa = config.lam * m * sigma**3 / C
+    sigma, lam = config.sigma, config.lam
+    row_kappa = lam * m * sigma**3 / C / groups.counts
     tau = 2.0 * C / (m * sigma**3)
     beta = groups.sums(alpha)
     residuals = y - _fitted(gram, groups, beta)
@@ -480,32 +473,34 @@ def fit_hq(gram, y, config: RmrConfig, init=None, *, groups=None) -> RmrModel:
     stopped = "max_hq_iters"
     capped_steps = []  # per inner solve, whether it stopped at its cap
     for step in range(1, config.max_hq_iters + 1):
-        row_w, row_y = _row_targets(groups, weight(residuals, sigma), y)
-        if not row_w.any() and (config.lam > 0 or config.phi.support_halfwidth < math.inf):
-            if config.lam == 0:
+        w = weight(residuals, sigma)  # nonnegative, so zero exactly where every W_s is
+        if not w.any() and (lam > 0 or config.phi.support_halfwidth < math.inf):
+            if lam == 0:
                 stopped = "all weights zero"
                 break
             new_beta, capped = np.zeros(groups.n), False
         elif config.q == 2:
-            new_beta, capped = _solve_weighted_ridge(gram, row_w, row_y, kappa / groups.counts,
-                                                     beta)
+            new_beta, capped = _solve_weighted_ridge(gram, groups.sums(w), groups.sums(w * y),
+                                                     row_kappa, beta)
         else:
-            new_beta, capped = _l1_active_set(gram, row_w, row_y, beta, config.lam, tau,
-                                              _ACTIVE_SET_STEPS)
+            tw = tau * w
+            new_beta, capped = _l1_active_set(gram, groups.sums(tw), groups.sums(tw * y), beta,
+                                              lam, _ACTIVE_SET_STEPS)
         capped_steps.append(capped)
-        new_alpha = groups.expand(new_beta)
         new_residuals = y - _fitted(gram, groups, new_beta)
-        value = _value(new_alpha, new_residuals / sigma, config)
+        value = _value(new_beta, new_residuals / sigma, config, groups.counts)
         if trace[-1] - value >= config.tol:
             stopped = "no ascent step"
             log.warning("hq fit: step %d lowers the objective by %.3g; the fit keeps the "
                         "coefficients of step %d", step, trace[-1] - value, step - 1)
             break
-        beta, alpha, residuals = new_beta, new_alpha, new_residuals
+        beta, residuals = new_beta, new_residuals
         trace.append(value)
         if abs(trace[-1] - trace[-2]) < config.tol:
             stopped = "tol"
             break
+    if len(trace) > 1:
+        alpha = groups.expand(beta)
     if config.q == 1:
         inner = "active-set"
     else:

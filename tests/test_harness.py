@@ -481,6 +481,27 @@ class TestReplicateFailures:
         assert result.mean_ls_mse == float(np.mean([r.ls_mse for r in kept]))
         assert result.rmr_win_fraction == sum(r.rmr_mse < r.ls_mse for r in kept) / 3
 
+    def test_gap_is_computed_once_and_only_where_read(self, monkeypatch, caplog):
+        # the gap is a dense eigenvalue solve; robust-compare reads it only
+        # in a failure warning, a learning curve once per chain
+        calls = []
+        real = modalmr.markov.absolute_spectral_gap
+        monkeypatch.setattr(modalmr.markov, "absolute_spectral_gap",
+                            lambda chain: calls.append(chain) or real(chain))
+        task = small_task()
+        cfg = RmrConfig(sigma=1.0, lam=1e-3, q=2)
+        robustness_comparison(task, 64, cfg, seed=3, n_replicates=4)
+        assert calls == []
+        learning_curve(ExperimentConfig(task, (32, 64), 2, Theorem2Schedule(2.0, 0.01), 3, cfg))
+        assert calls == [task.chain]
+        calls.clear()
+        self.fail_on(monkeypatch, task, 64, derive_seed(3, 0, 1), fit_name="fit_hq")
+        caplog.set_level(logging.WARNING, logger="modalmr.harness")
+        robustness_comparison(task, 64, cfg, seed=3, n_replicates=4)
+        assert calls == [task.chain]
+        (warning,) = self.warnings(caplog)
+        assert "fit failed at gamma=1.000, m=64 replicate 1: injected failure" in warning
+
     def test_robustness_comparison_with_no_fitted_replicate(self, monkeypatch, caplog):
         def fail(*args, **kwargs):
             raise SingularSystem("injected failure")

@@ -14,6 +14,7 @@ from modalmr.kernels import (
     hypothesis_kernel,
     representing_function,
 )
+from modalmr.solver import distinct_gram
 
 CALIBRATED = [k for k in PHI_KINDS if k != "correntropy"]
 
@@ -227,6 +228,16 @@ class TestGram:
         assert np.max(np.abs(g - g.T)) < 1e-12
         assert np.all(g > 0) and np.all(g <= 1.0)
 
+    @pytest.mark.parametrize("bandwidth", [1e-100, 1e-9, 1e-6, 1e-3])
+    def test_self_gram_has_a_unit_diagonal(self, bandwidth):
+        # |x|^2 + |x|^2 - 2 x.x rounds off zero at 7 of these 5-d points, which
+        # a small bandwidth turned into K(x, x) < 1, down to 0
+        x = np.random.default_rng(6).uniform(0.0, 100.0, (50, 5))
+        kernel = hypothesis_kernel("gaussian-rbf", bandwidth=bandwidth)
+        _, gram = distinct_gram(kernel, x)
+        assert np.all(np.diag(gram) == 1.0)
+        assert np.all(np.diag(kernel.cross(x, x)) == 1.0)
+
     def test_other_kinds_finite_on_unit_cube(self):
         rng = np.random.default_rng(4)
         x = rng.random((8, 3))
@@ -287,7 +298,7 @@ class TestGram:
     def test_tiny_bandwidth_reaches_the_limit_silently(self, kind, bandwidth):
         # distances far beyond the bandwidth overflow the exponent to -inf,
         # whose exp is the kernel's limit 0: no warning, and the bits of the
-        # plain expression
+        # plain expression, with the unit diagonal of a self-gram
         k = hypothesis_kernel(kind, bandwidth=bandwidth)
         x = np.random.default_rng(6).random((9, 2))
         with warnings.catch_warnings():
@@ -297,11 +308,12 @@ class TestGram:
             if kind == "gaussian-rbf":
                 sq = (np.sum(x * x, axis=1)[:, None] + np.sum(x * x, axis=1)[None, :]
                       - 2.0 * (x @ x.T))
+                np.fill_diagonal(sq, 0.0)
                 plain = np.exp(-np.maximum(sq, 0.0) / (bandwidth * bandwidth))
             else:
                 plain = np.exp(-np.sum(np.abs(x[:, None, :] - x[None, :, :]), axis=2) / bandwidth)
         assert g.tobytes() == plain.tobytes()
-        assert np.count_nonzero(g - np.diag(np.diag(g))) == 0
+        assert np.count_nonzero(g - np.eye(9)) == 0
 
     @pytest.mark.parametrize("bandwidth", [1e-162, 1e-300, 5e-324])
     def test_gaussian_bandwidth_whose_square_underflows_rejected(self, bandwidth):

@@ -185,19 +185,20 @@ class TestFitHq:
         gram, y = random_instance(np.random.default_rng(seed), m)
         cfg = RmrConfig(sigma=sigma, lam=lam, q=q, phi=representing_function(kind),
                         max_hq_iters=1)
+        # the inner solve sees the per-row sums of the weights, which with one
+        # sample per row are the weights themselves; q=1 scales them by tau
         inner = "_solve_weighted_ridge" if q == 2 else "_l1_active_set"
-        with mock.patch.object(modalmr.solver, "_row_targets",
-                               wraps=modalmr.solver._row_targets) as targets, \
-                mock.patch.object(modalmr.solver, inner,
-                                  wraps=getattr(modalmr.solver, inner)) as solve:
+        with mock.patch.object(modalmr.solver, inner,
+                               wraps=getattr(modalmr.solver, inner)) as solve:
             fit_hq(gram, y, cfg)
-        weights = targets.call_args.args[1]
-        assert weights.tobytes() == np.exp(-(y * y) / (2.0 * a_sq * sigma * sigma)).tobytes()
+        weights = np.exp(-(y * y) / (2.0 * a_sq * sigma * sigma))
         if q == 2:
             kappa = solve.call_args.args[3]
             assert kappa.tobytes() == np.full(m, 2.0 * a_sq * lam * m * sigma**3 / coeff).tobytes()
         else:
-            assert solve.call_args.args[5] == coeff / (a_sq * m * sigma**3)
+            weights = coeff / (a_sq * m * sigma**3) * weights
+        assert solve.call_args.args[1].tobytes() == weights.tobytes()
+        assert solve.call_args.args[2].tobytes() == (weights * y).tobytes()
 
     @pytest.mark.parametrize("kind", COMPACT_HQ_KINDS)
     def test_compact_phi_multistart_matches_grid_oracle(self, kind):
@@ -881,6 +882,19 @@ class TestDistinctReduction:
         assert dense_value == pytest.approx(trace[-1], rel=1e-12, abs=1e-14)
 
     @PROPERTY
+    @given(grouped_problems(), st.sampled_from(HQ_KINDS), st.sampled_from([1, 2]))
+    def test_hq_trace_is_the_objective_of_the_returned_alpha(self, problem, kind, q):
+        # a step's value takes its penalty from the row sums and counts; it
+        # is the per-sample penalty of the alpha the fit returns
+        x, y, sigma, lam = problem
+        cfg = RmrConfig(sigma=sigma, lam=lam, q=q, phi=representing_function(kind),
+                        max_hq_iters=50)
+        groups, gram = distinct_gram(RBF, x)
+        model = fit_hq(gram, y, cfg, groups=groups)
+        value = objective(model.alpha, gram, y, cfg, groups=groups)
+        assert model.objective_trace[-1] == pytest.approx(value, rel=1e-13, abs=0.0)
+
+    @PROPERTY
     @given(grouped_problems(), st.sampled_from(["epanechnikov", "triangular", "gaussian"]),
            st.sampled_from([1, 2]))
     def test_gradient_distinct_gram_matches_sample_gram(self, problem, kind, q):
@@ -1125,7 +1139,7 @@ class TestInnerLoops:
     def test_active_set_step_not_above_coordinate_descent(self, problem):
         gram, w, y, beta, lam, tau, _ = problem
         _, _, surrogate = lasso_surrogate(gram, w, y, lam, tau)
-        got, _ = modalmr.solver._l1_active_set(gram, w, y, beta, lam, tau, 1000)
+        got, _ = modalmr.solver._l1_active_set(gram, tau * w, tau * w * y, beta, lam, 1000)
         oracle = surrogate(l1_coordinate_descent(gram, w, y, beta, lam, tau, 2000))
         assert surrogate(got) <= oracle + 1e-12 * abs(oracle)
 
@@ -1134,7 +1148,7 @@ class TestInnerLoops:
     def test_active_set_step_meets_kkt_unless_capped(self, problem):
         gram, w, y, beta, lam, tau, _ = problem
         H, c, _ = lasso_surrogate(gram, w, y, lam, tau)
-        got, capped = modalmr.solver._l1_active_set(gram, w, y, beta, lam, tau, 1000)
+        got, capped = modalmr.solver._l1_active_set(gram, tau * w, tau * w * y, beta, lam, 1000)
         if capped:
             return
         g = H @ got - c
@@ -1157,10 +1171,12 @@ class TestInnerLoops:
         expected = np.sign(c) * np.maximum(np.abs(c) - lam, 0.0) / (tau * w)
         k = np.count_nonzero(expected)
         assert 0 < k < 8
-        got, capped = modalmr.solver._l1_active_set(np.eye(8), w, y, np.zeros(8), lam, tau, k)
+        got, capped = modalmr.solver._l1_active_set(np.eye(8), tau * w, tau * w * y, np.zeros(8),
+                                                    lam, k)
         assert not capped
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0.0)
-        _, capped = modalmr.solver._l1_active_set(np.eye(8), w, y, np.zeros(8), lam, tau, k - 1)
+        _, capped = modalmr.solver._l1_active_set(np.eye(8), tau * w, tau * w * y, np.zeros(8),
+                                                  lam, k - 1)
         assert capped
 
     def test_zero_weights_shrink_the_start_to_zero(self):
@@ -1168,8 +1184,8 @@ class TestInnerLoops:
         # minimise F = lam |b|_1 one coordinate at a time
         gram = rbf_gram([0.2, 0.5, 0.9])
         start = np.array([0.5, -0.3, 0.0])
-        got, capped = modalmr.solver._l1_active_set(gram, np.zeros(3), np.ones(3), start,
-                                                    0.1, 1.0, 5)
+        got, capped = modalmr.solver._l1_active_set(gram, np.zeros(3), np.zeros(3), start,
+                                                    0.1, 5)
         assert not capped
         np.testing.assert_array_equal(got, np.zeros(3))
 
@@ -1181,8 +1197,8 @@ class TestInnerLoops:
         gram, w, y = rbf_gram(x), rng.uniform(0.5, 1.0, 300), np.sin(2 * np.pi * x)
         _, _, surrogate = lasso_surrogate(gram, w, y, 1e-3, 1.0)
         start = rng.normal(0, 1, 300)
-        got, _ = modalmr.solver._l1_active_set(gram, w, y, start, 1e-3, 1.0, 20)
-        cold, _ = modalmr.solver._l1_active_set(gram, w, y, np.zeros(300), 1e-3, 1.0, 20)
+        got, _ = modalmr.solver._l1_active_set(gram, w, w * y, start, 1e-3, 20)
+        cold, _ = modalmr.solver._l1_active_set(gram, w, w * y, np.zeros(300), 1e-3, 20)
         np.testing.assert_array_equal(got, cold)
         assert surrogate(got) < surrogate(start)
 
@@ -1194,7 +1210,8 @@ class TestInnerLoops:
         y = rng.choice([-1.0, 1.0], 8) * rng.uniform(0.5, 1.5, 8)
         c = tau * w * y
         optimum = np.sign(c) * (np.abs(c) - lam) / (tau * w)
-        got, capped = modalmr.solver._l1_active_set(np.eye(8), w, y, optimum, lam, tau, 2)
+        got, capped = modalmr.solver._l1_active_set(np.eye(8), tau * w, tau * w * y, optimum,
+                                                    lam, 2)
         assert capped
         np.testing.assert_array_equal(got, optimum)
 
@@ -1204,7 +1221,7 @@ class TestInnerLoops:
         # the drawn step count caps the search, so capped exits are covered too
         gram, w, y, beta, lam, tau, steps = problem
         _, _, surrogate = lasso_surrogate(gram, w, y, lam, tau)
-        got, _ = modalmr.solver._l1_active_set(gram, w, y, beta, lam, tau, steps)
+        got, _ = modalmr.solver._l1_active_set(gram, tau * w, tau * w * y, beta, lam, steps)
         start = surrogate(beta)
         assert surrogate(got) <= start + 1e-12 * abs(start)
 
@@ -1244,7 +1261,7 @@ class TestConjugateGradient:
     def numpy_cg(gram, w, y, kappa, guess):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(modalmr.solver, "_DIRECT_SOLVE_LIMIT", 0)
-            return modalmr.solver._solve_weighted_ridge(gram, w, y, kappa, guess)
+            return modalmr.solver._solve_weighted_ridge(gram, w, w * y, kappa, guess)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 40, 260]),

@@ -5,7 +5,8 @@ No command loads any scipy module: SciPy is a test dependency only.
 `predict` load neither json nor the experiment modules modalmr.markov,
 modalmr.risk and modalmr.robustness.  The commands checked are `--version`,
 a q=1 `fit` (active-set inner solve), a q=2 `fit --fitted-out` on 4 rows
-(direct solve), a q=2 `fit` on 700 distinct rows (conjugate gradients),
+(direct solve), a q=2 `fit` on 6 samples over 3 distinct covariates (the
+reduced direct solve), a q=2 `fit` on 700 distinct rows (conjugate gradients),
 `predict`, `check-kernel` and `learning-curve` with student-t and
 shifted-gamma noise.  The learning curve loads no numpy.ma either, which
 np.percentile would import for the slope CI, `chain-info --out` loads
@@ -63,6 +64,10 @@ report["predict_exit"] = main(
 report["predict"] = scipy_modules()
 report["predict_modalmr"] = modalmr_modules()
 report["predict_json"] = "json" in sys.modules
+repeated = str(work / "repeated.txt")
+Path(repeated).write_text("6 1\n0.1 0.3\n0.4 -0.2\n0.1 0.5\n0.4 0.1\n0.1 -0.1\n0.9 0.2\n")
+report["fit_repeated_exit"] = main(["fit", "--data", repeated, "--out", model])
+report["fit_repeated"] = scipy_modules()
 large = str(work / "large.txt")
 rows = "".join(f"{i / 699!r} {(-1) ** i * 0.5!r}\n" for i in range(700))
 Path(large).write_text("700 1\n" + rows)
@@ -150,7 +155,7 @@ def test_import_loads_no_thread_pool(startup):
     assert report["pools"] == []
 
 
-@pytest.mark.parametrize("step", ["version", "fit", "fit_large", "predict"])
+@pytest.mark.parametrize("step", ["version", "fit", "fit_repeated", "fit_large", "predict"])
 def test_commands_load_no_scipy(startup, step):
     report, _ = startup
     assert report[f"{step}_exit"] == 0
@@ -190,6 +195,7 @@ def test_q1_fit_loads_no_scipy(startup):
 def test_info_logging_reports_each_fit(startup):
     _, stderr = startup
     assert "hq fit (q=2, direct inner solve, 4 distinct of 4 samples)" in stderr
+    assert "hq fit (q=2, direct inner solve, 3 distinct of 6 samples)" in stderr
     assert "hq fit (q=2, CG inner solve, 700 distinct of 700 samples)" in stderr
 
 
