@@ -2,8 +2,9 @@
 
 Commands map one-to-one onto library operations; every run is a pure
 function of (argv, config file, input files), so repeated runs write
-byte-identical outputs.  Exit codes: 0 success, 1 validation error,
-2 numeric failure.
+byte-identical outputs; ``write_csv`` and ``write_manifest`` write every
+table and manifest.  Exit codes: 0 success, 1 validation error, 2 numeric
+failure.
 
 A flat ``key = value`` config file (# comments allowed) can supply any
 long-flag value; explicit flags win.  Unknown keys are rejected with the
@@ -14,14 +15,14 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
 import numpy as np
 
-from . import __version__, harness
+from . import __version__
 from .errors import InputError, ModalRegressionError, NumericError
-from .harness import _fmt
 from .kernels import (
     _KERNEL_DEFAULTS,
     KERNEL_KINDS,
@@ -36,6 +37,7 @@ from .solver import (  # noqa: F401 - fit_hq stays importable from here
     fit_hq,
     load_model,
     predict,
+    read_dataset_file,
     save_model,
     schedule_theorem2,
 )
@@ -276,6 +278,8 @@ def _solver_from(opts):
 
 
 def _schedule_from(opts):
+    from . import harness
+
     schedule_theorem2(1, 1.0, opts["beta"], opts["s"])  # checks --beta and --s, used or not
     if opts["schedule"] == "theorem2":
         return harness.Theorem2Schedule(opts["beta"], opts["s"])
@@ -285,11 +289,55 @@ def _schedule_from(opts):
 
 
 def _experiment_from(opts, task, m_grid):
+    from . import harness
+
     return harness.ExperimentConfig(
         task=task, m_grid=m_grid, n_replicates=opts["replicates"],
         schedule=_schedule_from(opts), seed=opts["seed"], solver=_solver_from(opts),
         kernel=_kernel_from(opts),
     )
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """Fixed column order, 12-significant-digit floats, LF line endings."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _plain(value):
+    """A manifest value as plain JSON values: numpy values as Python ones,
+    tuples as lists and a non-finite float as None (``null``)."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return _plain(value.tolist())
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def write_manifest(path, command: str, config: dict, extras: dict | None = None) -> None:
+    """JSON record of the full experiment configuration and library version;
+    a value that is not a finite number, such as the slope of a one-m learning
+    curve, is written as ``null``, so any strict JSON parser reads the file."""
+    import json
+
+    payload = {"command": command, "version": __version__, "config": config}
+    if extras:
+        payload["results"] = extras
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(_plain(payload), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 def _require(opts, *names):
@@ -320,9 +368,8 @@ def _cmd_chain_info(opts) -> int:
         f"gamma_p = {_fmt(diag.gamma_pseudo)}, pi = ({pi_text})"
     )
     if opts["out"]:
-        harness.write_csv(opts["out"], ["t", "tv_distance"],
-                          [(t, tv) for t, tv in diag.tv_decay])
-        harness.write_manifest(
+        write_csv(opts["out"], ["t", "tv_distance"], [(t, tv) for t, tv in diag.tv_decay])
+        write_manifest(
             opts["out"] + ".manifest.json", "chain-info", opts,
             {"gamma_abs": diag.gamma_abs, "gamma": diag.gamma,
              "gamma_pseudo": diag.gamma_pseudo, "pi": diag.pi,
@@ -348,7 +395,7 @@ def _cmd_check_kernel(opts) -> int:
         f"(bound {_fmt(phi.lipschitz_bound)}) -> {status}"
     )
     if opts["out"]:
-        harness.write_csv(
+        write_csv(
             opts["out"],
             ["kind", "symmetry", "peak_excess", "integral_error", "second_moment",
              "lipschitz_estimate", "lipschitz_bound"],
@@ -361,12 +408,12 @@ def _cmd_check_kernel(opts) -> int:
 
 def _cmd_fit(opts) -> int:
     _require(opts, "data", "out")
-    x, y = harness.read_dataset_file(opts["data"])
+    x, y = read_dataset_file(opts["data"])
     model = fit_data(x, y, _kernel_from(opts), _solver_from(opts), method=opts["method"])
     save_model(opts["out"], model)
     if opts["fitted-out"]:
-        harness.write_csv(opts["fitted-out"], ["index", "fitted"],
-                          list(enumerate(predict(model, x).tolist())))
+        write_csv(opts["fitted-out"], ["index", "fitted"],
+                  list(enumerate(predict(model, x).tolist())))
     print(
         f"fit: m={model.m}, objective={model.objective_trace[-1]:.12g}, "
         f"iterations={len(model.objective_trace) - 1}, model -> {opts['out']}"
@@ -377,24 +424,26 @@ def _cmd_fit(opts) -> int:
 def _cmd_predict(opts) -> int:
     _require(opts, "model", "data", "out")
     model = load_model(opts["model"])
-    x, _y = harness.read_dataset_file(opts["data"])
+    x, _y = read_dataset_file(opts["data"])
     values = predict(model, x)
-    harness.write_csv(opts["out"], ["index", "prediction"],
-                      list(enumerate(np.atleast_1d(values).tolist())))
+    write_csv(opts["out"], ["index", "prediction"],
+              list(enumerate(np.atleast_1d(values).tolist())))
     print(f"predict: {len(np.atleast_1d(values))} predictions -> {opts['out']}")
     return 0
 
 
 def _cmd_learning_curve(opts) -> int:
+    from . import harness
+
     _require(opts, "out")
     result = harness.learning_curve(_experiment_from(opts, _task_from(opts), opts["m-grid"]))
-    harness.write_csv(
+    write_csv(
         opts["out"],
         ["m", "gamma_abs", "replicate", "excess_risk", "lambda_used", "sigma_used"],
         [(r.m, r.gamma_abs, r.replicate, r.excess_risk, r.lambda_used, r.sigma_used)
          for r in result.rows],
     )
-    harness.write_manifest(
+    write_manifest(
         opts["out"] + ".manifest.json", "learning-curve", opts,
         {"slope": result.slope, "slope_ci": result.slope_ci,
          "mean_by_m": result.mean_by_m, "n_failed": result.n_failed},
@@ -408,7 +457,7 @@ def _cmd_learning_curve(opts) -> int:
 
 
 def _cmd_gamma_sweep(opts) -> int:
-    from . import markov
+    from . import harness, markov
 
     _require(opts, "out")
     if not opts["gamma-list"]:
@@ -417,14 +466,14 @@ def _cmd_gamma_sweep(opts) -> int:
               for gap in opts["gamma-list"]]
     config = _experiment_from(opts, _task_from(opts, chains[-1]), (opts["m"],))
     rows = harness.gamma_sweep(config, chains)
-    harness.write_csv(
+    write_csv(
         opts["out"],
         ["gamma_abs", "discount", "m", "n_replicates", "mean_excess_risk",
          "lambda_used", "sigma_used"],
         [(r.gamma_abs, r.discount, r.m, r.n_replicates, r.mean_excess_risk,
           r.lambda_used, r.sigma_used) for r in rows],
     )
-    harness.write_manifest(opts["out"] + ".manifest.json", "gamma-sweep", opts)
+    write_manifest(opts["out"] + ".manifest.json", "gamma-sweep", opts)
     summary = "; ".join(f"gamma={r.gamma_abs:.3g}: {r.mean_excess_risk:.5g}" for r in rows)
     print(f"gamma-sweep at m={opts['m']}: {summary} -> {opts['out']}")
     return 0
@@ -461,17 +510,19 @@ def _cmd_breakdown(opts) -> int:
 
 
 def _cmd_robust_compare(opts) -> int:
+    from . import harness
+
     _require(opts, "out")
     result = harness.robustness_comparison(
         _task_from(opts), opts["m"], _solver_from(opts), opts["seed"],
         n_replicates=opts["replicates"], kernel=_kernel_from(opts),
     )
-    harness.write_csv(
+    write_csv(
         opts["out"],
         ["replicate", "rmr_mse", "ls_mse"],
         [(r.replicate, r.rmr_mse, r.ls_mse) for r in result.rows],
     )
-    harness.write_manifest(
+    write_manifest(
         opts["out"] + ".manifest.json", "robust-compare", opts,
         {"mean_rmr_mse": result.mean_rmr_mse, "mean_ls_mse": result.mean_ls_mse,
          "rmr_win_fraction": result.rmr_win_fraction},

@@ -13,13 +13,11 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from array import array
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import __version__
 from .errors import InputError, NumericError
 from .kernels import HypothesisKernel, hypothesis_kernel
 from .solver import (
@@ -29,6 +27,9 @@ from .solver import (
     fit_data,
     fit_hq,
     schedule_theorem2,
+    # an alias: the benchmark's bench/workloads.py, which changes only with the
+    # benchmark, writes its dataset through harness.write_dataset_file
+    write_dataset_file,  # noqa: F401
 )
 
 if TYPE_CHECKING:  # markov and risk load with the first experiment that needs them
@@ -43,10 +44,6 @@ __all__ = [
     "learning_curve",
     "gamma_sweep",
     "robustness_comparison",
-    "read_dataset_file",
-    "write_dataset_file",
-    "write_csv",
-    "write_manifest",
 ]
 
 log = logging.getLogger(__name__)
@@ -382,76 +379,3 @@ def robustness_comparison(
     wins = sum(1 for r in fitted if r.rmr_mse < r.ls_mse)
     return RobustnessComparison(rows, float(np.mean([r.rmr_mse for r in fitted])),
                                 float(np.mean([r.ls_mse for r in fitted])), wins / len(fitted))
-
-
-def write_dataset_file(path, dataset: Dataset) -> None:
-    """Plain text: header ``m d`` then rows of d covariates followed by y."""
-    m, d = dataset.x.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{m} {d}\n")
-        for xi, yi in zip(dataset.x, dataset.y):
-            fh.write(" ".join(repr(float(v)) for v in xi) + " " + repr(float(yi)) + "\n")
-
-
-def read_dataset_file(path):
-    """Returns (x, y) arrays from the plain-text dataset format.
-
-    The rows are counted against the header as they are read, and nothing is
-    allocated from the header's count; blank lines may follow the rows.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise InputError(f"{path}: expected 'm d' header")
-        m, d = int(header[0]), int(header[1])
-        if m < 1 or d < 1:
-            raise InputError(f"{path}: m and d must be at least 1, got m={m}, d={d}")
-        values = array("d")
-        for i, line in enumerate(fh):
-            parts = line.split()
-            if i >= m and parts:
-                raise InputError(f"{path}: header gives {m} rows, the file has more")
-            if i < m and len(parts) != d + 1:
-                raise InputError(f"{path}: row {i} has {len(parts)} fields, expected {d + 1}")
-            values.extend(map(float, parts))
-    if len(values) < m * (d + 1):
-        raise InputError(f"{path}: header gives {m} rows, the file has {len(values) // (d + 1)}")
-    table = np.frombuffer(values).reshape(m, d + 1)
-    x, y = table[:, :d].copy(), table[:, d].copy()
-    finite = np.isfinite(x).all(axis=1) & np.isfinite(y)
-    if not finite.all():
-        raise InputError(f"{path}: row {int(np.argmin(finite))} has a non-finite value")
-    return x, y
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
-def write_csv(path, header, rows) -> None:
-    """Fixed column order, 12-significant-digit floats, LF line endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _plain(value):
-    """json.dump's fallback: numpy values as plain ones."""
-    if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
-def write_manifest(path, command: str, config: dict, extras: dict | None = None) -> None:
-    """JSON record of the full experiment configuration and library version."""
-    import json
-
-    payload = {"command": command, "version": __version__, "config": config}
-    if extras:
-        payload["results"] = extras
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_plain)
-        fh.write("\n")

@@ -219,8 +219,8 @@ class HypothesisKernel(NamedTuple):
 
     def cross(self, centers, points) -> np.ndarray:
         """Matrix with entry (i, p) = K(centers[i], points[p]), C-contiguous
-        and starting on a 64-byte boundary (``_line_aligned_empty``).  Given
-        one array twice, its gaussian-rbf self-gram has a unit diagonal."""
+        and starting on a 64-byte boundary (``_line_aligned_empty``).  A
+        gaussian-rbf entry whose point equals its centre is exactly 1."""
         c = as_covariate_array(centers)
         p = as_covariate_array(points)
         if c.shape[1] != p.shape[1]:
@@ -235,8 +235,14 @@ class HypothesisKernel(NamedTuple):
                 - 2.0 * (c @ p.T)
             )
             np.maximum(sq, 0.0, out=sq)
-            if centers is points:  # |x|^2 + |x|^2 - 2 x.x rounds off zero once d > 1
-                np.fill_diagonal(sq, 0.0)
+            if c.shape[1] > 1:
+                # |x|^2 + |x|^2 - 2 x.x rounds off zero once d > 1, so a point
+                # equal to a centre gets its exact distance 0; in d = 1 it is
+                # 2 rd(x^2) - 2 rd(x^2), exactly 0 already
+                same = c[:, :1] == p[:, 0]
+                for k in range(1, c.shape[1]):
+                    same &= c[:, k:k + 1] == p[:, k]
+                np.copyto(sq, 0.0, where=same)
             with np.errstate(over="ignore"):  # a distance far beyond bw: exp(-inf) = 0
                 return np.exp(-sq / (bw * bw), out=_line_aligned_empty(len(c), len(p)))
         if self.kind == "laplacian":

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -44,6 +45,8 @@ __all__ = [
     "schedule_theorem2",
     "save_model",
     "load_model",
+    "read_dataset_file",
+    "write_dataset_file",
 ]
 
 _DIRECT_SOLVE_LIMIT = 600  # above this many distinct covariates, the HQ inner solve uses CG
@@ -772,3 +775,45 @@ def load_model(path) -> RmrModel:
             f"model file {path}: kernel {kkind!r} takes each of {sorted(kernel.shape_params)} once"
         )
     return RmrModel(alpha, inputs, kernel, config, tuple(), CovariateGroups.of(inputs))
+
+
+def write_dataset_file(path, dataset) -> None:
+    """Plain text: header ``m d`` then rows of d covariates followed by y,
+    from any record with (m, d) covariates ``x`` and responses ``y``, such as
+    ``harness.Dataset``."""
+    m, d = dataset.x.shape
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{m} {d}\n")
+        for xi, yi in zip(dataset.x, dataset.y):
+            fh.write(" ".join(repr(float(v)) for v in xi) + " " + repr(float(yi)) + "\n")
+
+
+def read_dataset_file(path):
+    """Returns (x, y) arrays from the plain-text dataset format.
+
+    The rows are counted against the header as they are read, and nothing is
+    allocated from the header's count; blank lines may follow the rows.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise InputError(f"{path}: expected 'm d' header")
+        m, d = int(header[0]), int(header[1])
+        if m < 1 or d < 1:
+            raise InputError(f"{path}: m and d must be at least 1, got m={m}, d={d}")
+        values = array("d")
+        for i, line in enumerate(fh):
+            parts = line.split()
+            if i >= m and parts:
+                raise InputError(f"{path}: header gives {m} rows, the file has more")
+            if i < m and len(parts) != d + 1:
+                raise InputError(f"{path}: row {i} has {len(parts)} fields, expected {d + 1}")
+            values.extend(map(float, parts))
+    if len(values) < m * (d + 1):
+        raise InputError(f"{path}: header gives {m} rows, the file has {len(values) // (d + 1)}")
+    table = np.frombuffer(values).reshape(m, d + 1)
+    x, y = table[:, :d].copy(), table[:, d].copy()
+    finite = np.isfinite(x).all(axis=1) & np.isfinite(y)
+    if not finite.all():
+        raise InputError(f"{path}: row {int(np.argmin(finite))} has a non-finite value")
+    return x, y

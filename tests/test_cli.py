@@ -17,17 +17,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modalmr import cli
-from modalmr.cli import _COMMAND_OPTIONS, _SOLVER_OPTS, main
-from modalmr.harness import (
-    ExperimentConfig,
-    _fmt,
-    generate_dataset,
-    learning_curve,
-    write_dataset_file,
-)
+from modalmr.cli import _COMMAND_OPTIONS, _SOLVER_OPTS, _fmt, main
+from modalmr.harness import ExperimentConfig, generate_dataset, learning_curve
 from modalmr.errors import SingularSystem
 from modalmr.kernels import hypothesis_kernel
-from modalmr.solver import RmrConfig, load_model
+from modalmr.solver import RmrConfig, load_model, write_dataset_file
 from modalmr.markov import iid_chain, transition_kernel, write_transition_file
 from modalmr.risk import gaussian_noise, make_task
 
@@ -41,6 +35,14 @@ def run(*argv):
 
 def read_rows(path):
     return list(csv.DictReader(path.read_text().splitlines()))
+
+
+def strict_json(path):
+    """The JSON in ``path``, read by a parser that rejects NaN and infinities."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 @pytest.fixture()
@@ -742,6 +744,29 @@ class TestExperimentCommands:
         rmr = [float(r["rmr_mse"]) for r in rows if r["replicate"] != "1"]
         assert math.isfinite(results["mean_rmr_mse"])
         assert results["mean_rmr_mse"] == pytest.approx(float(np.mean(rmr)), rel=1e-11)
+
+    def test_one_m_learning_curve_manifest_is_strict_json(self, tmp_path):
+        # a slope needs three m values, so one m has none: null, not a bare NaN
+        out = tmp_path / "curve.csv"
+        assert run("learning-curve", "--m-grid", "40", "--replicates", "2", "--chain-n", "6",
+                   "--out", str(out)) == 0
+        results = strict_json(tmp_path / "curve.csv.manifest.json")["results"]
+        assert results["slope"] is None and results["slope_ci"] == [None, None]
+        assert results["mean_by_m"][0][0] == 40 and results["mean_by_m"][0][1] > 0
+
+    def test_robust_compare_without_a_fitted_replicate_manifest_is_strict_json(
+            self, tmp_path, monkeypatch):
+        import modalmr.harness
+
+        def fit(*args, **kwargs):
+            raise SingularSystem("injected failure")
+
+        monkeypatch.setattr(modalmr.harness, "fit_hq", fit)
+        out = tmp_path / "rc.csv"
+        assert run("robust-compare", "--m", "40", "--replicates", "2", "--chain-n", "6",
+                   "--out", str(out)) == 0
+        results = strict_json(tmp_path / "rc.csv.manifest.json")["results"]
+        assert results == {"mean_rmr_mse": None, "mean_ls_mse": None, "rmr_win_fraction": None}
 
 
 # small runs of every command that fits by half-quadratic ascent

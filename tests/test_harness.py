@@ -11,6 +11,7 @@ import modalmr.harness
 import modalmr.markov
 import modalmr.risk
 from _oracles import bootstrap_slope_per_draw
+from modalmr.cli import write_csv, write_manifest
 from modalmr.errors import InputError, SingularSystem
 from modalmr.harness import (
     Dataset,
@@ -20,11 +21,7 @@ from modalmr.harness import (
     gamma_sweep,
     generate_dataset,
     learning_curve,
-    read_dataset_file,
     robustness_comparison,
-    write_csv,
-    write_dataset_file,
-    write_manifest,
 )
 from modalmr.harness import (
     _BOOTSTRAP_DRAWS,
@@ -36,7 +33,14 @@ from modalmr.harness import (
 from modalmr.kernels import hypothesis_kernel
 from modalmr.markov import absolute_spectral_gap, iid_chain, transition_kernel
 from modalmr.risk import gaussian_noise, make_task, student_t_noise
-from modalmr.solver import RmrConfig, fit_data, predict, schedule_theorem2
+from modalmr.solver import (
+    RmrConfig,
+    fit_data,
+    predict,
+    read_dataset_file,
+    schedule_theorem2,
+    write_dataset_file,
+)
 
 
 def small_task(noise_scale=0.5, n_states=8):

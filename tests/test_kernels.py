@@ -231,12 +231,15 @@ class TestGram:
     @pytest.mark.parametrize("bandwidth", [1e-100, 1e-9, 1e-6, 1e-3])
     def test_self_gram_has_a_unit_diagonal(self, bandwidth):
         # |x|^2 + |x|^2 - 2 x.x rounds off zero at 7 of these 5-d points, which
-        # a small bandwidth turned into K(x, x) < 1, down to 0
+        # a small bandwidth turned into K(x, x) < 1, down to 0; a point equal to
+        # a centre gets K = 1 from any pair of arrays, in any order
         x = np.random.default_rng(6).uniform(0.0, 100.0, (50, 5))
         kernel = hypothesis_kernel("gaussian-rbf", bandwidth=bandwidth)
         _, gram = distinct_gram(kernel, x)
         assert np.all(np.diag(gram) == 1.0)
         assert np.all(np.diag(kernel.cross(x, x)) == 1.0)
+        assert np.all(np.diag(kernel.cross(x, x.copy())) == 1.0)
+        assert np.all(np.diag(kernel.cross(x, x[::-1])[:, ::-1]) == 1.0)
 
     def test_other_kinds_finite_on_unit_cube(self):
         rng = np.random.default_rng(4)

@@ -408,6 +408,18 @@ class TestPredict:
                                       predict(fitted, [[0.1], [0.2]]))
         assert predict(fitted, 0.1) == predict(fitted, [0.1]) == predict(fitted, [[0.1]])[0]
 
+    def test_reproduces_fitted_values_in_five_dimensions(self):
+        # predict's cross gram comes from two different arrays, so K(x, x) is
+        # 1 only if a point equal to a centre gets distance 0, not the rounding
+        # residue of |x|^2 + |x|^2 - 2 x.x that a bandwidth of 1e-3 magnifies
+        rng = np.random.default_rng(6)
+        x = rng.uniform(0.0, 100.0, (50, 5))
+        kernel = hypothesis_kernel("gaussian-rbf", bandwidth=1e-3)
+        model = fit_data(x, rng.standard_normal(50), kernel, RmrConfig(sigma=1.0, lam=0.1))
+        groups, gram = distinct_gram(kernel, x)
+        fitted = gram.T @ groups.sums(model.alpha)
+        np.testing.assert_allclose(predict(model, x), fitted, rtol=1e-12, atol=0)
+
     def test_dimension_mismatch(self):
         model = self.kernel_and_model([1.0], [[0.0, 0.0]])
         for point in ([0.5], [[0.5, 0.5, 0.5]]):

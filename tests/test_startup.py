@@ -1,17 +1,18 @@
 """Start-up guard: the CLI loads only what the command runs.
 
 No command loads any scipy module: SciPy is a test dependency only.
-`import modalmr.cli` loads no thread pool, and `--version`, `fit` and
-`predict` load neither json nor the experiment modules modalmr.markov,
-modalmr.risk and modalmr.robustness.  The commands checked are `--version`,
+`import modalmr.cli` loads no thread pool, `--version`, `fit` and
+`predict` load neither json nor the experiment modules modalmr.harness,
+modalmr.markov, modalmr.risk and modalmr.robustness, and `check-kernel`
+loads none of those modules either.  The commands checked are `--version`,
 a q=1 `fit` (active-set inner solve), a q=2 `fit --fitted-out` on 4 rows
 (direct solve), a q=2 `fit` on 6 samples over 3 distinct covariates (the
 reduced direct solve), a q=2 `fit` on 700 distinct rows (conjugate gradients),
 `predict`, `check-kernel` and `learning-curve` with student-t and
 shifted-gamma noise.  The learning curve loads no numpy.ma either, which
 np.percentile would import for the slope CI, `chain-info --out` loads
-neither modalmr.risk nor modalmr.robustness, and `robust-compare` loads
-neither modalmr.robustness nor numpy.ma.
+none of modalmr.harness, modalmr.risk and modalmr.robustness, and
+`robust-compare` loads neither modalmr.robustness nor numpy.ma.
 Each script runs in one fresh interpreter so no other test's imports leak in.
 """
 
@@ -24,7 +25,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-EXPERIMENT = ("modalmr.markov", "modalmr.risk", "modalmr.robustness")
+EXPERIMENT = ("modalmr.harness", "modalmr.markov", "modalmr.risk", "modalmr.robustness")
 
 SCRIPT = r"""
 import sys
@@ -103,6 +104,7 @@ from modalmr.cli import main
 
 report = {"check_kernel_exit": main(["check-kernel", "--phi", "triangular"])}
 report["check_kernel"] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+report["check_kernel_modalmr"] = sorted(m for m in sys.modules if m.startswith("modalmr."))
 report["chain_info_exit"] = main([
     "chain-info", "--family", "lazy-walk", "--n", "4", "--out", str(Path(sys.argv[1]) / "tv.csv"),
 ])
@@ -204,6 +206,11 @@ def test_check_kernel_loads_no_scipy(others):
     assert others["check_kernel"] == []
 
 
+def test_check_kernel_skips_experiment_modules(others):
+    loaded = [m for m in others["check_kernel_modalmr"] if m.startswith(EXPERIMENT)]
+    assert loaded == [], f"check-kernel loaded {loaded}"
+
+
 def test_robust_compare_loads_no_robustness_numpy_ma_or_scipy(others):
     # robust-compare runs through the sweep: its means over the fitted
     # replicates must not bring in what np.percentile imports
@@ -211,8 +218,8 @@ def test_robust_compare_loads_no_robustness_numpy_ma_or_scipy(others):
     assert others["robust_compare"] == []
 
 
-def test_chain_info_loads_neither_risk_nor_robustness(others):
+def test_chain_info_loads_neither_harness_risk_nor_robustness(others):
     assert others["chain_info_exit"] == 0
     assert "modalmr.markov" in others["chain_info"]
-    loaded = [m for m in others["chain_info"] if m in ("modalmr.risk", "modalmr.robustness")]
+    loaded = [m for m in others["chain_info"] if m.startswith(EXPERIMENT) and m != "modalmr.markov"]
     assert loaded == [], f"chain-info loaded {loaded}"
