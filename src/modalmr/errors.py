@@ -30,10 +30,6 @@ class ZeroMass(InputError):
     """A stationary distribution entry is zero where positivity is required."""
 
 
-class NotReversible(InputError):
-    """Detailed balance does not hold for the given chain."""
-
-
 class SingularSystem(NumericError):
     """The weighted least-squares system stayed singular after jitter."""
 

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_INTEGRAL_TOL = 1e-6  # largest |integral - 1| that passes; gaussian phi cut at 5 misses 5.7e-7
 
 
 class RepresentingFunction(NamedTuple):
@@ -133,11 +134,11 @@ class CalibrationReport(NamedTuple):
     second_moment: float
     lipschitz_estimate: float
 
-    def ok(self, integral_tol: float = 1e-6) -> bool:
+    def ok(self) -> bool:
         return (
             self.max_symmetry_violation < 1e-12
             and self.max_excess_over_peak <= 0.0
-            and self.integral_error < integral_tol
+            and self.integral_error < _INTEGRAL_TOL
             and math.isfinite(self.second_moment)
         )
 

@@ -2,9 +2,9 @@
 
 State spaces are finite and embedded as grid points in [0,1]^d, so the
 spectral quantities are exact eigendecompositions rather than estimates.
-Three gaps are exposed: the reversible spectral gap (range [0, 2], since the
-spectrum of a reversible chain lives in [-1, 1]), the absolute spectral gap
-(range [0, 1]) and the pseudo spectral gap max_k gap((P*)^k P^k)/k.
+Three gaps are computed: the reversible spectral gap, read as ``diagnose(...).gamma``
+(range [0, 2]: a reversible chain's spectrum lives in [-1, 1]), the absolute
+spectral gap (range [0, 1]) and the pseudo spectral gap max_k gap((P*)^k P^k)/k.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, NonUniqueStationary, NotReversible, NotStochastic, ZeroMass
+from .errors import InputError, NonUniqueStationary, NotStochastic, ZeroMass
 
 __all__ = [
     "TransitionKernel",
@@ -28,7 +28,6 @@ __all__ = [
     "is_reversible",
     "adjoint_kernel",
     "absolute_spectral_gap",
-    "spectral_gap_reversible",
     "pseudo_spectral_gap",
     "sample_chain",
     "tv_mixing_curve",
@@ -49,6 +48,7 @@ CHAIN_FAMILIES = ("iid", "two-state", "lazy-walk", "metropolis")
 
 _SIMPLE_TOL = 1e-8  # |lambda - 1| below this counts as the unit eigenvalue
 _ROW_TOL = 1e-12
+_BALANCE_TOL = 1e-10  # absolute, on probability flows pi_i P_ij, which sum to 1
 _WALK_BLOCK = 1 << 16  # chain steps converted to Python floats at a time
 
 
@@ -126,10 +126,10 @@ def stationary_distribution(kernel: TransitionKernel) -> np.ndarray:
     return pi
 
 
-def is_reversible(kernel: TransitionKernel, pi: np.ndarray, tol: float = 1e-10) -> bool:
-    """Detailed balance pi_i P_ij == pi_j P_ji within tol."""
+def is_reversible(kernel: TransitionKernel, pi: np.ndarray) -> bool:
+    """Detailed balance pi_i P_ij == pi_j P_ji within ``_BALANCE_TOL``."""
     flow = pi[:, None] * kernel.P
-    return bool(np.max(np.abs(flow - flow.T)) <= tol)
+    return bool(np.max(np.abs(flow - flow.T)) <= _BALANCE_TOL)
 
 
 def adjoint_kernel(kernel: TransitionKernel, pi: np.ndarray) -> np.ndarray:
@@ -165,14 +165,6 @@ def _gap_of_reversible(P: np.ndarray, pi: np.ndarray) -> float:
     root = np.sqrt(pi)
     sym = (root[:, None] * P) / root[None, :]
     return _gap(np.linalg.eigvalsh(0.5 * (sym + sym.T)), np.real)
-
-
-def spectral_gap_reversible(kernel: TransitionKernel) -> float:
-    """1 - (largest eigenvalue below 1); lives in [0, 2] for reversible chains."""
-    pi = stationary_distribution(kernel)
-    if not is_reversible(kernel, pi):
-        raise NotReversible("chain does not satisfy detailed balance")
-    return _gap_of_reversible(kernel.P, pi)
 
 
 def pseudo_spectral_gap(kernel: TransitionKernel, k_max: int) -> float:

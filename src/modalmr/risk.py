@@ -28,10 +28,8 @@ __all__ = [
     "gaussian_noise",
     "student_t_noise",
     "shifted_gamma_noise",
-    "mixture_noise",
     "builtin_noise",
     "make_task",
-    "empirical_modal_risk",
     "true_modal_risk",
     "surrogate_risk",
     "comparison_gap",
@@ -56,8 +54,6 @@ class NoiseModel(NamedTuple):
     kind: str
     params: dict
     smooth: bool
-    components: tuple = ()
-    weights: tuple = ()
 
     def density(self, t):
         """Density at t.  Each kind uses the arithmetic of SciPy's distribution
@@ -83,10 +79,6 @@ class NoiseModel(NamedTuple):
             x_log_x = (k - 1.0) * np.log(x_in) if k != 1.0 else 0.0
             log_pdf = x_log_x - x_in - math.lgamma(k)
             out = np.where(inside, np.exp(log_pdf) / theta, 0.0)
-        elif self.kind == "mixture":
-            out = sum(
-                w * comp.density(t) for w, comp in zip(self.weights, self.components)
-            )
         else:  # pragma: no cover - constructors prevent this
             raise InputError(f"unknown noise kind {self.kind!r}")
         return float(out) if np.ndim(out) == 0 else out
@@ -99,15 +91,6 @@ class NoiseModel(NamedTuple):
         if self.kind == "shifted-gamma":
             k, theta = self.params["shape"], self.params["scale"]
             return rng.gamma(k, theta, size) - (k - 1.0) * theta
-        if self.kind == "mixture":
-            idx = rng.choice(len(self.weights), size=size, p=np.asarray(self.weights))
-            out = np.empty(size)
-            for c, comp in enumerate(self.components):
-                mask = idx == c
-                count = int(mask.sum())
-                if count:
-                    out[mask] = comp.sample(rng, count)
-            return out
         raise InputError(f"unknown noise kind {self.kind!r}")  # pragma: no cover
 
 
@@ -122,13 +105,8 @@ def _noise_cuts(model: NoiseModel):
 
     The cuts are the mode 0 (where a shape-1 shifted gamma jumps), a shifted
     gamma's support start, and the ends of the noise body 10 scales from the
-    mode.  A mixture takes its components' cuts and starts and their largest
-    scale.
+    mode.
     """
-    if model.kind == "mixture":
-        parts = [_noise_cuts(c) for c in model.components]
-        return ([t for p in parts for t in p[0]], [t for p in parts for t in p[1]],
-                max(p[2] for p in parts))
     scale = model.params["scale"]
     body = _BODY_SCALES * scale
     if model.kind == "shifted-gamma":
@@ -246,17 +224,6 @@ def shifted_gamma_noise(shape: float, scale: float = 1.0) -> NoiseModel:
     return _validate_noise(NoiseModel("shifted-gamma", params, smooth=shape >= 3.0))
 
 
-def mixture_noise(weights, components) -> NoiseModel:
-    w = tuple(float(v) for v in weights)
-    comps = tuple(components)
-    if len(w) != len(comps) or not comps:
-        raise InputError("weights and components must be equal-length and nonempty")
-    if any(v < 0 for v in w) or abs(sum(w) - 1.0) > 1e-12:
-        raise InputError("weights must be a probability vector")
-    smooth = all(c.smooth for c in comps)
-    return _validate_noise(NoiseModel("mixture", {}, smooth, components=comps, weights=w))
-
-
 _PARAM_CHECKS = {"dof": _check_dof, "shape": _check_shape}
 
 
@@ -313,18 +280,6 @@ def make_task(
     chain: TransitionKernel, noise: NoiseModel, f_star: Callable | None = None, M: float = 1.0
 ) -> SyntheticTask:
     return SyntheticTask(f_star or default_target, M, noise, chain)
-
-
-def empirical_modal_risk(f_values, y, phi: RepresentingFunction, sigma: float) -> float:
-    """(1/(m sigma)) sum_i phi((y_i - f(x_i))/sigma)."""
-    f_values = np.asarray(f_values, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if f_values.shape != y.shape:
-        raise InputError(f"f has length {f_values.shape[0]}, y has {y.shape[0]}")
-    if not 0 < sigma < math.inf:  # NaN fails this test; it would pass sigma <= 0
-        raise InputError("sigma must be positive and finite")
-    m = y.shape[0]
-    return float(np.sum(phi((y - f_values) / sigma))) / (m * sigma)
 
 
 def _state_offsets(task: SyntheticTask, f_values_on_states) -> np.ndarray:

@@ -167,6 +167,9 @@ def contamination_experiment(
     """
     if m < 10:
         raise InputError("contamination experiment needs m >= 10")
+    for name, values in (("n_outliers_list", n_outliers_list), ("magnitudes", magnitudes)):
+        if len(values) == 0:
+            raise InputError(f"{name} must be nonempty")
     data = generate_dataset(task, m, seed)
     if kernel is None:
         kernel = _default_kernel()

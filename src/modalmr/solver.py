@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -68,9 +69,11 @@ class RmrConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        # written so that NaN fails each test, which a bare sigma <= 0 would pass
-        if not 0 < self.sigma < math.inf:
-            raise InputError("sigma must be positive and finite")
+        # written so that NaN fails each test, which a bare sigma <= 0 would pass;
+        # the fits divide by sigma**3, a normal float here; * gives inf where ** raises
+        if not sys.float_info.min <= self.sigma * self.sigma * self.sigma < math.inf:
+            raise InputError("sigma must be positive and finite, with a cube that is a "
+                             "normal float (about 2.81e-103 to 5.64e102)")
         if not 0 <= self.lam < math.inf:
             raise InputError("lambda must be nonnegative and finite")
         if self.q not in (1, 2):

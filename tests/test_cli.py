@@ -27,6 +27,8 @@ from modalmr.risk import gaussian_noise, make_task
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+SIGMA_RANGE = ("sigma must be positive and finite, with a cube that is a normal float "
+               "(about 2.81e-103 to 5.64e102)")
 
 
 def run(*argv):
@@ -265,6 +267,28 @@ class TestFitPredict:
         assert code == 1
         assert "finite" in capsys.readouterr().err
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("sigma", ["1e-120", "1e200"])
+    def test_sigma_without_a_normal_cube_is_one_error_line(self, tmp_path, dataset_path,
+                                                           capsys, sigma):
+        # the fits divide by sigma**3, which underflows to 0 or overflows here
+        model_path = tmp_path / "model.txt"
+        code = run("fit", "--data", str(dataset_path), "--sigma", sigma, "--out", str(model_path))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {SIGMA_RANGE}"]
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("sigma", ["3e-103", "5.6e102"])
+    @pytest.mark.parametrize("flags", [["--q", "1"], ["--q", "2"], ["--method", "gradient"]],
+                             ids=["q1", "q2", "gradient"])
+    def test_sigma_at_the_range_ends_fits_quietly(self, tmp_path, dataset_path, capsys,
+                                                  sigma, flags):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("fit", "--data", str(dataset_path), "--sigma", sigma, *flags,
+                       "--out", str(tmp_path / "model.txt")) == 0
+        assert caught == []
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("kernel", ["gaussian-rbf", "laplacian", "polynomial"])
     @pytest.mark.parametrize("flag, value, message", [
@@ -859,10 +883,15 @@ def test_unused_chain_and_schedule_options_are_checked(tmp_path, capsys, argv, m
     (["learning-curve", "--d", "0"], "embedding dimension d must be at least 1"),
     (["gamma-sweep", "--gamma-list", "0"], "gamma values must lie in (0, 1]"),
     (["gamma-sweep", "--chain-n", "1"], "uniform-gap chain needs at least 2 states"),
+    (["breakdown", "--n-outliers", ""], "n_outliers_list must be nonempty"),
+    (["breakdown", "--magnitudes", ""], "magnitudes must be nonempty"),
+    (["breakdown", "--sigma", "1e-200"], SIGMA_RANGE),
+    (["robust-compare", "--sigma", "1e200"], SIGMA_RANGE),
 ], ids=["no-replicates", "empty-gamma-list", "empty-m-grid", "unknown-schedule",
         "learning-curve-negative-seed", "gamma-sweep-negative-seed",
         "breakdown-negative-seed", "robust-compare-negative-seed", "unknown-noise",
-        "zero-dimension", "zero-gap", "one-state-sweep"])
+        "zero-dimension", "zero-gap", "one-state-sweep", "empty-n-outliers",
+        "empty-magnitudes", "breakdown-tiny-sigma", "robust-compare-huge-sigma"])
 def test_empty_or_unknown_experiment_option_is_one_error_line(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
     assert run(*argv, "--out", str(out)) == 1

@@ -11,7 +11,6 @@ from _oracles import char_poly_eigen_moduli, sample_chain_per_step
 from modalmr.errors import (
     InputError,
     NonUniqueStationary,
-    NotReversible,
     NotStochastic,
     ZeroMass,
 )
@@ -27,7 +26,6 @@ from modalmr.markov import (
     pseudo_spectral_gap,
     read_transition_file,
     sample_chain,
-    spectral_gap_reversible,
     stationary_distribution,
     transition_kernel,
     tv_mixing_curve,
@@ -131,7 +129,7 @@ class TestGaps:
     def test_two_state_gaps(self):
         chain = two_state_chain(0.3, 0.2)
         assert absolute_spectral_gap(chain) == pytest.approx(0.5, abs=1e-10)
-        assert spectral_gap_reversible(chain) == pytest.approx(0.5, abs=1e-10)
+        assert diagnose(chain).gamma == pytest.approx(0.5, abs=1e-10)
 
     def test_iid_gap_is_one(self, tmp_path):
         assert absolute_spectral_gap(iid_chain(8)) == pytest.approx(1.0, abs=1e-10)
@@ -144,19 +142,15 @@ class TestGaps:
         chain = two_state_chain(1.0, 1.0)
         assert absolute_spectral_gap(chain) == pytest.approx(0.0, abs=1e-12)
         # spectrum {1, -1}: the reversible gap reaches its upper endpoint 2
-        assert spectral_gap_reversible(chain) == pytest.approx(2.0, abs=1e-12)
+        assert diagnose(chain).gamma == pytest.approx(2.0, abs=1e-12)
 
     def test_identity_multiplicity_branch(self):
         chain = transition_kernel(np.eye(3), np.linspace(0, 1, 3))
         assert absolute_spectral_gap(chain) == 0.0
 
-    def test_not_reversible_error(self):
-        with pytest.raises(NotReversible):
-            spectral_gap_reversible(cyclic3())
-
     def test_reversible_dominates_absolute(self):
         for chain in (two_state_chain(0.3, 0.2), lazy_random_walk(5, 0.4), metropolis_grid(4)):
-            assert spectral_gap_reversible(chain) >= absolute_spectral_gap(chain) - 1e-12
+            assert diagnose(chain).gamma >= absolute_spectral_gap(chain) - 1e-12
 
     def test_char_poly_cross_check(self):
         for chain in (two_state_chain(0.3, 0.2), cyclic3(), lazy_random_walk(4, 0.3)):
@@ -179,7 +173,7 @@ class TestPseudoGap:
         adj = adjoint_kernel(chain, pi)
         product = transition_kernel(adj @ chain.P, chain.state_embedding)
         assert pseudo_spectral_gap(chain, 1) == pytest.approx(
-            spectral_gap_reversible(product), abs=1e-10
+            diagnose(product).gamma, abs=1e-10
         )
 
     def test_monotone_in_k_max(self):

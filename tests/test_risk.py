@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import objective_value
 from modalmr.errors import InputError, NonSmoothNoise
 from modalmr.kernels import PHI_KINDS, hypothesis_kernel, representing_function
 from modalmr.markov import iid_chain, transition_kernel, two_state_chain
@@ -14,11 +15,9 @@ from modalmr.risk import (
     _validate_noise,
     comparison_gap,
     default_target,
-    empirical_modal_risk,
     excess_risk,
     gaussian_noise,
     make_task,
-    mixture_noise,
     shifted_gamma_noise,
     student_t_noise,
     surrogate_risk,
@@ -48,7 +47,6 @@ class TestNoiseModels:
             student_t_noise(5.0, 0.5),
             shifted_gamma_noise(2.0, 0.5),
             shifted_gamma_noise(3.5, 1.0),
-            mixture_noise([0.7, 0.3], [gaussian_noise(0.5), student_t_noise(3.0)]),
         ],
     )
     def test_mode_at_zero_and_unit_mass(self, model):
@@ -64,12 +62,6 @@ class TestNoiseModels:
         assert np.mean(draws) == pytest.approx(1.0, abs=0.02)
         assert np.min(draws) >= -1.0
 
-    def test_mixture_sampling_deterministic(self):
-        model = mixture_noise([0.5, 0.5], [gaussian_noise(0.3), shifted_gamma_noise(2.0)])
-        a = model.sample(np.random.default_rng(5), 100)
-        b = model.sample(np.random.default_rng(5), 100)
-        np.testing.assert_array_equal(a, b)
-
     def test_invalid_constructions(self):
         for scale in (0.0, math.nan, math.inf):
             with pytest.raises(InputError):
@@ -79,12 +71,8 @@ class TestNoiseModels:
                 shifted_gamma_noise(shape, scale)
         with pytest.raises(InputError):
             student_t_noise(-1.0)
-        with pytest.raises(InputError):
-            mixture_noise([0.5, 0.4], [gaussian_noise(1.0), gaussian_noise(2.0)])
         with pytest.raises(InputError, match="scale must be positive and finite"):
             student_t_noise(3.0, 0.0)
-        with pytest.raises(InputError, match="equal-length"):
-            mixture_noise([1.0], [gaussian_noise(1.0), gaussian_noise(2.0)])
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.one_of(st.just(1.0), st.floats(1.0, 50.0)), st.sampled_from([0.01, 0.5, 1.0, 3.0]))
@@ -104,17 +92,18 @@ class TestNoiseModels:
             student_t_noise(dof)
 
     def test_validator_rejects_bad_mass_and_mode(self):
-        wide, narrow = gaussian_noise(1.0), gaussian_noise(0.5)
-        heavy = NoiseModel("mixture", {}, smooth=True, components=(wide, wide),
-                           weights=(0.7, 0.7))
+        class Bent(NoiseModel):
+            # a gaussian density scaled by ``gain`` and moved right by ``shift``
+            def density(self, t):
+                x = np.asarray(t, dtype=float) - self.params["shift"]
+                return self.params["gain"] * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+        heavy = Bent("gaussian", {"scale": 1.0, "gain": 1.4, "shift": 0.0}, smooth=True)
         with pytest.raises(InputError, match="mass on its grid is 1.400000"):
             _validate_noise(heavy)
-        # 1.5 N(0, 1) - 0.5 N(0, 1/4) is a density of unit mass with its modes
-        # at +-sqrt(ln(8/3) / 1.5) = +-0.809
-        dipped = NoiseModel("mixture", {}, smooth=True, components=(wide, narrow),
-                            weights=(1.5, -0.5))
-        with pytest.raises(InputError, match=r"mode sits at -0\.80"):
-            _validate_noise(dipped)
+        moved = Bent("gaussian", {"scale": 1.0, "gain": 1.0, "shift": 0.8}, smooth=True)
+        with pytest.raises(InputError, match=r"mode sits at 0\.8,"):
+            _validate_noise(moved)
 
     @pytest.mark.parametrize("scale", [0.01, 0.5, 1.0, 3.0])
     def test_shape_one_passes_its_grid_check(self, scale):
@@ -125,7 +114,6 @@ class TestNoiseModels:
         assert model.density(-1e-9 * scale) == 0.0
         nodes, weights = _line_rule(model, [], 10001)
         assert np.sum(weights * model.density(nodes)) == pytest.approx(1.0, abs=1e-13)
-        mixture_noise([0.5, 0.5], [gaussian_noise(scale), model])
 
     @pytest.mark.parametrize("shape", [1.01, 1.05, 1.125, 1.15, 1.17, 1.2])
     @pytest.mark.parametrize("scale", [0.01, 0.5, 1.0, 3.0])
@@ -228,29 +216,6 @@ class TestTask:
         task = make_task(two_state_chain(0.3, 0.2), gaussian_noise(1.0), f_star=lambda x: x[0])
         np.testing.assert_allclose(task.state_values, [0.0, 1.0])
         np.testing.assert_allclose(task.pi, [0.4, 0.6], atol=1e-12)
-
-
-class TestEmpiricalRisk:
-    def test_perfect_interpolation(self):
-        y = np.array([0.3, -0.4, 0.9])
-        assert empirical_modal_risk(y, y, GAUSS, 0.5) == pytest.approx(
-            GAUSS(0.0) / 0.5, abs=1e-15
-        )
-
-    def test_compact_support_far_residuals(self):
-        phi = representing_function("epanechnikov")
-        f = np.zeros(4)
-        y = np.full(4, 5.0)
-        assert empirical_modal_risk(f, y, phi, 1.0) == 0.0
-
-    def test_hand_value(self):
-        value = empirical_modal_risk(np.zeros(2), np.array([0.0, 1.0]), GAUSS, 1.0)
-        assert value == pytest.approx((normal_pdf(0) + normal_pdf(1)) / 2, abs=1e-12)
-        assert value == pytest.approx(0.32046, abs=1e-5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(InputError):
-            empirical_modal_risk(np.zeros(2), np.zeros(3), GAUSS, 1.0)
 
 
 class TestTrueRisk:
@@ -405,12 +370,11 @@ class TestComparisonGap:
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
-@pytest.mark.parametrize("risk", ["empirical", "surrogate", "gap"])
+@pytest.mark.parametrize("risk", ["surrogate", "gap"])
 def test_sigma_must_be_positive_and_finite(risk, sigma):
     task = make_task(iid_chain(3), gaussian_noise(1.0))
     f = task.state_values + 0.1
     call = {
-        "empirical": lambda: empirical_modal_risk(f, task.state_values, GAUSS, sigma),
         "surrogate": lambda: surrogate_risk(task, f, GAUSS, sigma),
         "gap": lambda: comparison_gap(task, f, GAUSS, sigma),
     }[risk]
@@ -457,6 +421,6 @@ def test_fit_beats_zero_function_on_training_data():
     zero_obj = objective(np.zeros(12), gram, y, cfg)
     assert fitted_obj >= zero_obj - 1e-12
     # equivalently: empirical risk of the fit covers the penalty it pays
-    fit_risk = empirical_modal_risk(gram.T @ model.alpha, y, GAUSS, 0.6)
-    zero_risk = empirical_modal_risk(np.zeros(12), y, GAUSS, 0.6)
+    fit_risk = objective_value(model.alpha, gram, y, GAUSS, 0.6, 0.0, 2)
+    zero_risk = objective_value(np.zeros(12), gram, y, GAUSS, 0.6, 0.0, 2)
     assert fit_risk >= zero_risk + 0.02 * float(model.alpha @ model.alpha) - 1e-12

@@ -561,6 +561,13 @@ class TestConfigValidation:
         with pytest.raises(InputError, match="finite"):
             RmrConfig(**{"sigma": 1.0, "lam": 0.1, field: bad})
 
+    @pytest.mark.parametrize("sigma", [1e-120, 2.8e-103, 5.7e102, 1e200])
+    def test_sigma_cube_must_be_a_normal_float(self, sigma):
+        # the fits divide by sigma**3: 0, subnormal or overflowing outside
+        # about [2.81e-103, 5.64e102]
+        with pytest.raises(InputError, match="finite, with a cube that is a normal float"):
+            RmrConfig(sigma=sigma, lam=0.1)
+
     def test_lambda_zero_allowed(self):
         assert RmrConfig(sigma=1.0, lam=0.0).lam == 0.0
 

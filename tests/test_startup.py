@@ -14,6 +14,10 @@ np.percentile would import for the slope CI, `chain-info --out` loads
 none of modalmr.harness, modalmr.risk and modalmr.robustness, and
 `robust-compare` loads neither modalmr.robustness nor numpy.ma.
 Each script runs in one fresh interpreter so no other test's imports leak in.
+
+Two more checks run in fresh interpreters: the benchmark's `fit_predict`
+commands write the same bytes under one and two BLAS threads, and each
+module's `__all__` lists each name once, every one defined and star-importable.
 """
 
 import json
@@ -121,11 +125,11 @@ print(json.dumps(report))
 """
 
 
-def _run(script, tmp_path_factory):
+def _run(script, tmp_path_factory, *args):
     env = dict(os.environ, MODALMR_LOG="info")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path_factory.mktemp("startup"))],
+        [sys.executable, "-c", script, str(tmp_path_factory.mktemp("startup")), *args],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1]), proc.stderr
@@ -223,3 +227,55 @@ def test_chain_info_loads_neither_harness_risk_nor_robustness(others):
     assert "modalmr.markov" in others["chain_info"]
     loaded = [m for m in others["chain_info"] if m.startswith(EXPERIMENT) and m != "modalmr.markov"]
     assert loaded == [], f"chain-info loaded {loaded}"
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+MAIN = "import sys; from modalmr.cli import main; sys.exit(main(sys.argv[1:]))"
+THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_fit_predict_bytes_do_not_depend_on_one_or_two_blas_threads(tmp_path):
+    # byte identity holds at one BLAS thread count; on the benchmark's
+    # fit_predict commands (384 distinct rows) it holds across 1 and 2 too
+    sys.path.insert(0, str(BENCH))
+    try:
+        from workloads import FitPredict
+    finally:
+        sys.path.remove(str(BENCH))
+    commands = FitPredict().commands(tmp_path, 0)
+    outputs = ("q1.model", "gradient.model", "fitted.csv", "predicted.csv")
+    seen = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, **dict.fromkeys(THREADS, threads))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        stdout = [subprocess.run([sys.executable, "-c", MAIN, *argv], env=env,
+                                 capture_output=True, timeout=120, check=True).stdout
+                  for argv in commands]
+        seen.append((stdout, [(tmp_path / name).read_bytes() for name in outputs]))
+    assert seen[0] == seen[1]
+
+
+ALL_NAMES = r"""
+import importlib, json, sys
+
+name = sys.argv[2]
+names = list(importlib.import_module(name).__all__)
+report = {"missing": [n for n in names if not hasattr(sys.modules[name], n)],
+          "repeated": sorted({n for n in names if names.count(n) > 1})}
+try:
+    exec(f"from {name} import *", {})
+    report["star"] = None
+except Exception as exc:
+    report["star"] = repr(exc)
+print(json.dumps(report))
+"""
+
+
+@pytest.mark.parametrize("module", sorted(
+    f"modalmr.{path.stem}" for path in (SRC / "modalmr").glob("*.py")
+    if "\n__all__ = " in path.read_text(encoding="utf-8")))
+def test_all_names_exist_once_and_star_import(module, tmp_path_factory):
+    # each name in __all__ is defined and listed once, and a star import of
+    # the module succeeds, in a fresh interpreter
+    report, _ = _run(ALL_NAMES, tmp_path_factory, module)
+    assert report == {"missing": [], "repeated": [], "star": None}
