@@ -9,8 +9,8 @@ Library layout:
 * ``solver`` -- the regularized modal estimator (half-quadratic and gradient
   solvers), prediction, the gap-aware parameter schedule and both input file
   formats: datasets and models.
-* ``risk`` -- empirical, surrogate and true modal risks plus the
-  comparison-gap bound check.
+* ``risk`` -- surrogate and true modal risks plus the comparison-gap bound
+  check.
 * ``robustness`` -- breakdown statistic, bracket and contamination experiments.
 * ``harness`` -- seeded synthetic experiments (learning curves, gap sweeps,
   robustness comparisons).

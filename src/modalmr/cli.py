@@ -3,12 +3,13 @@
 Commands map one-to-one onto library operations; every run is a pure
 function of (argv, config file, input files), so repeated runs write
 byte-identical outputs; ``write_csv`` and ``write_manifest`` write every
-table and manifest.  Exit codes: 0 success, 1 validation error, 2 numeric
-failure.
+table and manifest, whose columns and ``results`` are the fields of the
+record the library returns.  Exit codes: 0 success, 1 validation error, 2
+numeric failure.
 
 A flat ``key = value`` config file (# comments allowed) can supply any
-long-flag value; explicit flags win.  Unknown keys are rejected with the
-list of valid keys for the chosen command.
+long-flag value but ``config``; explicit flags win.  Unknown keys are
+rejected with the list of valid keys for the chosen command.
 """
 
 from __future__ import annotations
@@ -115,7 +116,6 @@ _COMMAND_OPTIONS = {
         ("p", float, None, "two-state flip probability 0 -> 1"),
         ("q", float, None, "two-state flip probability 1 -> 0"),
         ("laziness", float, 0.5, "holding probability for lazy-walk"),
-        ("d", int, 1, "embedding dimension"),
         ("chain-file", str, None, "load the chain from a transition file instead"),
         ("k-max", int, 5, "pseudo-gap search depth"),
         ("tv-tmax", int, 30, "mixing-curve horizon"),
@@ -226,11 +226,10 @@ def _merge_options(args, options):
     file_values = {}
     if getattr(args, "config", None):
         file_values = _read_config_file(args.config)
-        unknown = sorted(set(file_values) - set(table) - {"config"})
+        valid = set(table) - {"config"}  # a config file cannot name another
+        unknown = sorted(set(file_values) - valid)
         if unknown:
-            raise InputError(
-                f"unknown config keys {unknown}; valid keys: {sorted(table)}"
-            )
+            raise InputError(f"unknown config keys {unknown}; valid keys: {sorted(valid)}")
     for name, (typ, default) in table.items():
         cli_value = getattr(args, _dest(name))
         if cli_value is not None:
@@ -312,6 +311,13 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _results(result, table) -> dict:
+    """A result record's fields but its table: a manifest's ``results``."""
+    results = result._asdict()
+    del results[table]
+    return results
+
+
 def _plain(value):
     """A manifest value as plain JSON values: numpy values as Python ones,
     tuples as lists and a non-finite float as None (``null``)."""
@@ -355,10 +361,8 @@ def _cmd_chain_info(opts) -> int:
         _require(opts, "family")
         if opts["family"] == "two-state":
             _require(opts, "p", "q")
-        chain = markov.builtin_chain(
-            opts["family"], d=opts["d"], n=opts["n"], p=opts["p"], q=opts["q"],
-            laziness=opts["laziness"],
-        )
+        chain = markov.builtin_chain(opts["family"], n=opts["n"], p=opts["p"], q=opts["q"],
+                                     laziness=opts["laziness"])
     diag = markov.diagnose(chain, k_max=opts["k-max"], t_max=opts["tv-tmax"],
                            start_state=opts["tv-start"])
     pi_text = ", ".join(_fmt(v) for v in diag.pi)
@@ -368,13 +372,9 @@ def _cmd_chain_info(opts) -> int:
         f"gamma_p = {_fmt(diag.gamma_pseudo)}, pi = ({pi_text})"
     )
     if opts["out"]:
-        write_csv(opts["out"], ["t", "tv_distance"], [(t, tv) for t, tv in diag.tv_decay])
-        write_manifest(
-            opts["out"] + ".manifest.json", "chain-info", opts,
-            {"gamma_abs": diag.gamma_abs, "gamma": diag.gamma,
-             "gamma_pseudo": diag.gamma_pseudo, "pi": diag.pi,
-             "reversible": diag.reversible},
-        )
+        write_csv(opts["out"], ["t", "tv_distance"], diag.tv_decay)
+        write_manifest(opts["out"] + ".manifest.json", "chain-info", opts,
+                       _results(diag, "tv_decay"))
     return 0
 
 
@@ -437,17 +437,9 @@ def _cmd_learning_curve(opts) -> int:
 
     _require(opts, "out")
     result = harness.learning_curve(_experiment_from(opts, _task_from(opts), opts["m-grid"]))
-    write_csv(
-        opts["out"],
-        ["m", "gamma_abs", "replicate", "excess_risk", "lambda_used", "sigma_used"],
-        [(r.m, r.gamma_abs, r.replicate, r.excess_risk, r.lambda_used, r.sigma_used)
-         for r in result.rows],
-    )
-    write_manifest(
-        opts["out"] + ".manifest.json", "learning-curve", opts,
-        {"slope": result.slope, "slope_ci": result.slope_ci,
-         "mean_by_m": result.mean_by_m, "n_failed": result.n_failed},
-    )
+    write_csv(opts["out"], harness.LearningCurveRow._fields, result.rows)
+    write_manifest(opts["out"] + ".manifest.json", "learning-curve", opts,
+                   _results(result, "rows"))
     print(
         f"learning-curve: slope {result.slope:.4f} "
         f"(90% CI {result.slope_ci[0]:.4f}..{result.slope_ci[1]:.4f}), "
@@ -466,13 +458,8 @@ def _cmd_gamma_sweep(opts) -> int:
               for gap in opts["gamma-list"]]
     config = _experiment_from(opts, _task_from(opts, chains[-1]), (opts["m"],))
     rows = harness.gamma_sweep(config, chains)
-    write_csv(
-        opts["out"],
-        ["gamma_abs", "discount", "m", "n_replicates", "mean_excess_risk",
-         "lambda_used", "sigma_used"],
-        [(r.gamma_abs, r.discount, r.m, r.n_replicates, r.mean_excess_risk,
-          r.lambda_used, r.sigma_used) for r in rows],
-    )
+    columns = [c for c in harness.GammaSweepRow._fields if c != "replicate_excess"]
+    write_csv(opts["out"], columns, [[getattr(r, c) for c in columns] for r in rows])
     write_manifest(opts["out"] + ".manifest.json", "gamma-sweep", opts)
     summary = "; ".join(f"gamma={r.gamma_abs:.3g}: {r.mean_excess_risk:.5g}" for r in rows)
     print(f"gamma-sweep at m={opts['m']}: {summary} -> {opts['out']}")
@@ -489,19 +476,11 @@ def _cmd_breakdown(opts) -> int:
         _task_from(opts), opts["m"], opts["n-outliers"], opts["magnitudes"], _solver_from(opts),
         opts["seed"], kernel=_kernel_from(opts),
     )
-    header = {
-        "N": report.N,
-        "n_star_low": report.n_star_low,
-        "n_star_high": report.n_star_high,
-        "breakdown_fraction": report.breakdown_fraction,
-        "m": report.m,
-        "clean_norm": report.clean_norm,
-    }
     with open(opts["out"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
+        fh.write("# " + json.dumps(_results(report, "contamination_curve"), sort_keys=True) + "\n")
         fh.write("n_outliers,magnitude,coef_norm\n")
-        for n_out, magnitude, norm in report.contamination_curve:
-            fh.write(f"{n_out},{_fmt(magnitude)},{_fmt(norm)}\n")
+        for row in report.contamination_curve:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
     print(
         f"breakdown: N={report.N:.6g}, bracket=({report.n_star_low}, {report.n_star_high}), "
         f"fraction={report.breakdown_fraction:.6g} -> {opts['out']}"
@@ -517,16 +496,9 @@ def _cmd_robust_compare(opts) -> int:
         _task_from(opts), opts["m"], _solver_from(opts), opts["seed"],
         n_replicates=opts["replicates"], kernel=_kernel_from(opts),
     )
-    write_csv(
-        opts["out"],
-        ["replicate", "rmr_mse", "ls_mse"],
-        [(r.replicate, r.rmr_mse, r.ls_mse) for r in result.rows],
-    )
-    write_manifest(
-        opts["out"] + ".manifest.json", "robust-compare", opts,
-        {"mean_rmr_mse": result.mean_rmr_mse, "mean_ls_mse": result.mean_ls_mse,
-         "rmr_win_fraction": result.rmr_win_fraction},
-    )
+    write_csv(opts["out"], harness.RobustnessRow._fields, result.rows)
+    write_manifest(opts["out"] + ".manifest.json", "robust-compare", opts,
+                   _results(result, "rows"))
     print(
         f"robust-compare: rmr mse {result.mean_rmr_mse:.5g}, "
         f"ls mse {result.mean_ls_mse:.5g}, rmr wins {result.rmr_win_fraction:.0%} "

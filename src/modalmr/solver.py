@@ -93,9 +93,9 @@ class RmrModel:
     gram-level fits (``fit_hq``, ``fit_gradient``, ``fit_hq_multistart``) see
     only a gram and leave both None, and such a model can neither predict
     nor be saved.  ``groups`` is the grouping of the training inputs that
-    ``fit_data`` fitted on or ``load_model`` made, so that ``predict`` need
-    not sort the inputs again; a model built without one is grouped by each
-    ``predict``.  It is not shown or saved.  Models compare by identity."""
+    ``fit_data`` fitted on, or the one the model makes when given inputs
+    without it, so that ``predict`` need not sort the inputs again.  It is
+    not shown or saved.  Models compare by identity."""
 
     alpha: np.ndarray
     train_inputs: np.ndarray | None
@@ -114,6 +114,8 @@ class RmrModel:
                 raise InputError("alpha length must equal the number of training inputs")
             ti.setflags(write=False)
             object.__setattr__(self, "train_inputs", ti)
+            if self.groups is None:
+                object.__setattr__(self, "groups", CovariateGroups.of(ti))
 
     @property
     def m(self) -> int:
@@ -669,11 +671,8 @@ def predict(model: RmrModel, x):
         raise InputError("model lacks training inputs / kernel; cannot predict")
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 0 or arr.shape == (model.train_inputs.shape[1],)
-    groups = model.groups
-    if groups is None:
-        groups = CovariateGroups.of(model.train_inputs)
-    values = groups.sums(model.alpha) @ model.kernel.cross(
-        model.train_inputs[groups.first], arr.reshape(1, -1) if single else arr)
+    values = model.groups.sums(model.alpha) @ model.kernel.cross(
+        model.train_inputs[model.groups.first], arr.reshape(1, -1) if single else arr)
     return float(values[0]) if single else values
 
 
@@ -735,8 +734,7 @@ def _keyed(line: str, key: str) -> str:
 
 def load_model(path) -> RmrModel:
     """Inverse of save_model.  The objective trace is a fit artifact and is
-    not persisted; loaded models carry an empty trace, and the grouping of
-    their inputs for ``predict``."""
+    not persisted; loaded models carry an empty trace."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     try:
@@ -777,7 +775,7 @@ def load_model(path) -> RmrModel:
         raise InputError(
             f"model file {path}: kernel {kkind!r} takes each of {sorted(kernel.shape_params)} once"
         )
-    return RmrModel(alpha, inputs, kernel, config, tuple(), CovariateGroups.of(inputs))
+    return RmrModel(alpha, inputs, kernel, config, tuple())
 
 
 def write_dataset_file(path, dataset) -> None:

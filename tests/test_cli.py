@@ -109,6 +109,11 @@ class TestChainInfo:
         assert rows and float(rows[0]["tv_distance"]) == pytest.approx(0.0, abs=1e-12)
         assert (tmp_path / "tv.csv.manifest.json").exists()
 
+    def test_no_embedding_dimension_option(self, capsys):
+        # the diagnostics read only P, so a dimension would change no output
+        assert run("chain-info", "--family", "iid", "--d", "2") == 1
+        assert capsys.readouterr().err.splitlines() == ["error: unrecognized arguments: --d 2"]
+
 
 class TestCheckKernel:
     @pytest.mark.parametrize("kind", ["gaussian", "epanechnikov", "quadratic", "triangular"])
@@ -501,6 +506,15 @@ class TestConfigFile:
         assert run("chain-info", "--config", str(cfg)) == 0
         assert "gamma_a = 0.5" in capsys.readouterr().out
 
+    def test_config_key_in_config_file_rejected(self, tmp_path, capsys):
+        # a config file cannot name another one, so the key is unknown there
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("phi = gaussian\nconfig = /nonexistent/other.cfg\n")
+        assert run("check-kernel", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: unknown config keys ['config']; valid keys: "
+                       "['halfwidth', 'jobs', 'out', 'phi', 'points']"]
+
     def test_repeated_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("family = two-state\np = 0.3\nq = 0.2\np = 0.9\n")
@@ -791,6 +805,44 @@ class TestExperimentCommands:
                    "--out", str(out)) == 0
         results = strict_json(tmp_path / "rc.csv.manifest.json")["results"]
         assert results == {"mean_rmr_mse": None, "mean_ls_mse": None, "rmr_win_fraction": None}
+
+
+# each table's columns, the key set of a breakdown's "# {...}" line, and
+# the key set of the manifest's results (None: the manifest has none)
+@pytest.mark.parametrize("argv, columns, header_keys, result_keys", [
+    (["chain-info", "--family", "iid", "--n", "4"], "t,tv_distance", None,
+     {"gamma", "gamma_abs", "gamma_pseudo", "pi", "reversible"}),
+    (["check-kernel", "--phi", "epanechnikov"],
+     "kind,symmetry,peak_excess,integral_error,second_moment,lipschitz_estimate,"
+     "lipschitz_bound", None, None),
+    (["learning-curve", "--m-grid", "20,30", "--replicates", "2", "--chain-n", "4"],
+     "m,gamma_abs,replicate,excess_risk,lambda_used,sigma_used", None,
+     {"mean_by_m", "slope", "slope_ci", "n_failed"}),
+    (["gamma-sweep", "--gamma-list", "0.5", "--chain-n", "4", "--m", "20", "--replicates", "2"],
+     "gamma_abs,discount,m,n_replicates,mean_excess_risk,lambda_used,sigma_used", None, None),
+    (["breakdown", "--chain-n", "4", "--m", "10", "--n-outliers", "0,2", "--magnitudes", "1e2"],
+     "n_outliers,magnitude,coef_norm",
+     {"N", "n_star_low", "n_star_high", "breakdown_fraction", "m", "clean_norm"}, None),
+    (["robust-compare", "--chain-n", "4", "--m", "20", "--replicates", "2"],
+     "replicate,rmr_mse,ls_mse", None, {"mean_rmr_mse", "mean_ls_mse", "rmr_win_fraction"}),
+], ids=["chain-info", "check-kernel", "learning-curve", "gamma-sweep", "breakdown",
+        "robust-compare"])
+def test_table_columns_and_result_keys(tmp_path, argv, columns, header_keys, result_keys):
+    # written from the library's result records, so renaming a field fails here
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    if header_keys is not None:
+        assert lines[0].startswith("# ")
+        assert set(json.loads(lines.pop(0)[2:])) == header_keys
+    assert lines[0] == columns
+    manifest = tmp_path / "out.csv.manifest.json"
+    if argv[0] in ("check-kernel", "breakdown"):
+        assert not manifest.exists()
+    elif result_keys is None:
+        assert "results" not in strict_json(manifest)
+    else:
+        assert set(strict_json(manifest)["results"]) == result_keys
 
 
 # small runs of every command that fits by half-quadratic ascent
