@@ -476,11 +476,13 @@ def _cmd_breakdown(opts) -> int:
         _task_from(opts), opts["m"], opts["n-outliers"], opts["magnitudes"], _solver_from(opts),
         opts["seed"], kernel=_kernel_from(opts),
     )
+    results = _results(report, "contamination_curve")
     with open(opts["out"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# " + json.dumps(_results(report, "contamination_curve"), sort_keys=True) + "\n")
+        fh.write("# " + json.dumps(results, sort_keys=True) + "\n")
         fh.write("n_outliers,magnitude,coef_norm\n")
         for row in report.contamination_curve:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    write_manifest(opts["out"] + ".manifest.json", "breakdown", opts, results)
     print(
         f"breakdown: N={report.N:.6g}, bracket=({report.n_star_low}, {report.n_star_high}), "
         f"fraction={report.breakdown_fraction:.6g} -> {opts['out']}"

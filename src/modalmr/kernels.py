@@ -199,6 +199,7 @@ def check_calibration(
 
 
 _CACHE_LINE = 64  # bytes
+_FACTOR_RTOL = 1e-15  # residual trace, relative to the trace, that ends a gram factor
 
 
 def _line_aligned_empty(rows: int, cols: int) -> np.ndarray:
@@ -252,17 +253,64 @@ class HypothesisKernel(NamedTuple):
             with np.errstate(over="ignore"):
                 return np.exp(-l1 / bw, out=_line_aligned_empty(len(c), len(p)))
         if self.kind == "polynomial":
-            degree = self.shape_params["degree"]
-            offset = self.shape_params["offset"]
-            with np.errstate(all="ignore"):
-                values = np.power(c @ p.T + offset, degree, out=_line_aligned_empty(len(c), len(p)))
-            if not np.all(np.isfinite(values)):
-                raise InputError(
-                    f"polynomial kernel with degree {degree:g} and offset {offset:g} is not "
-                    "finite on these covariates (a non-integer degree needs x.x' + offset >= 0)"
-                )
-            return values
+            return self._polynomial(c @ p.T, _line_aligned_empty(len(c), len(p)))
         raise InputError(f"unknown hypothesis kernel kind {self.kind!r}")
+
+    def _polynomial(self, dots, out=None):
+        """(x.x' + offset)^degree from the inner products x.x', checked finite."""
+        degree = self.shape_params["degree"]
+        offset = self.shape_params["offset"]
+        with np.errstate(all="ignore"):
+            values = np.power(dots + offset, degree, out=out)
+        if not np.all(np.isfinite(values)):
+            raise InputError(
+                f"polynomial kernel with degree {degree:g} and offset {offset:g} is not "
+                "finite on these covariates (a non-integer degree needs x.x' + offset >= 0)"
+            )
+        return values
+
+    def factor(self, points, max_rank: int):
+        """L, C-contiguous n x r, with K(points, points) = L L^T to rounding,
+        by greedy pivoted Cholesky (Fine & Scheinberg 2001; Harbrecht, Peters
+        & Schneider 2012), or None if r would exceed ``max_rank``.
+
+        Each step takes the point with the largest residual diagonal as its
+        pivot j and appends the column (K_j - L L_j^T) / sqrt(residual_j),
+        from ``cross(points, points[j])``; the n x n gram is never formed.
+        The diagonal costs O(n d): exactly 1 for the gaussian-rbf and
+        laplacian kinds.  The factor ends once the residual diagonal sums to
+        at most _FACTOR_RTOL of the trace, which bounds max |K - L L^T| for
+        a positive semi-definite gram.  A polynomial gram need not be one
+        (a negative offset, or a degree that is not a whole number), so such
+        a kernel gets None.  Only matrix-vector products are used: a first
+        matrix-matrix product would make OpenBLAS allocate its level-3 work
+        buffers."""
+        x = as_covariate_array(points)
+        if self.kind == "polynomial":
+            degree, offset = self.shape_params["degree"], self.shape_params["offset"]
+            if offset < 0 or degree < 0 or not float(degree).is_integer():
+                return None
+            residual = self._polynomial(np.einsum("ij,ij->i", x, x))
+        else:
+            residual = np.ones(len(x))
+        stop = _FACTOR_RTOL * np.add.reduce(residual)
+        columns = np.empty((max_rank, len(x)))  # row k holds column k of L
+        pivots = []
+        for k in range(max_rank + 1):
+            if np.add.reduce(residual) <= stop:
+                return np.ascontiguousarray(columns[:k].T)
+            if k == max_rank:
+                return None
+            j = int(np.argmax(residual))
+            column = columns[k]
+            np.subtract(self.cross(x, x[j:j + 1])[:, 0], columns[:k, j] @ columns[:k],
+                        out=column)
+            column /= math.sqrt(residual[j])
+            pivots.append(j)
+            column[pivots] = 0.0  # on the pivots taken, as in exact arithmetic
+            column[j] = math.sqrt(residual[j])
+            residual -= column * column
+            residual[j] = 0.0
 
 
 _KERNEL_DEFAULTS = {

@@ -9,8 +9,9 @@ half-quadratic weight (all built-in kinds but triangular) is maximized by
 half-quadratic (HQ) alternation; proximal gradient ascent serves any phi.
 
 Samples that share a covariate row share a gram column, so every solver works
-on the n distinct rows (``CovariateGroups``) and the n x n gram over them;
-all-distinct data is the case n = m of the same code.
+on the n distinct rows (``CovariateGroups``) and the n x n gram over them, or
+for the gradient fit a low-rank factor of it; all-distinct data is the case
+n = m of the same code.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ __all__ = [
 ]
 
 _DIRECT_SOLVE_LIMIT = 600  # above this many distinct covariates, the HQ inner solve uses CG
+# a gradient fit on n rows runs on a gram factor of rank <= n / 4; an
+# iteration on the factor costs about what one on the gram does near rank n / 2
+_FACTOR_RANK_SHARE = 0.25
 _ACTIVE_SET_STEPS = 100  # step cap of a q=1 inner solve; a cold 384-row start takes 17-29
 
 log = logging.getLogger(__name__)
@@ -204,10 +208,11 @@ class CovariateGroups(NamedTuple):
         return self.spread(beta / self.counts)
 
 
-def _check_problem(gram, y, alpha=None, groups=None):
+def _check_problem(gram, y, alpha=None, groups=None, *, factor=False):
     """(gram, y, groups, alpha): validated targets, the grouping (one row per
     sample when not given), the gram checked to be finite and n x n over its
-    rows and a fresh finite copy of alpha (zeros when not given)."""
+    rows (with ``factor``, or n x r with r < n: a factor L of K = L L^T) and a
+    fresh finite copy of alpha (zeros when not given)."""
     y = np.asarray(y, dtype=float).ravel()
     m = y.shape[0]
     if m < 1:
@@ -219,9 +224,11 @@ def _check_problem(gram, y, alpha=None, groups=None):
     if groups.m != m:
         raise InputError(f"{groups.m} training inputs for {m} targets")
     gram = np.asarray(gram, dtype=float)
-    if gram.shape != (groups.n, groups.n):
-        raise InputError(f"gram must be {groups.n}x{groups.n} to match the grouping, "
-                         f"got {gram.shape}")
+    n = groups.n
+    thin = factor and gram.ndim == 2 and gram.shape[0] == n > gram.shape[1]
+    if gram.shape != (n, n) and not thin:
+        shapes = f"{n}x{n} or a {n}xr factor with r < {n}" if factor else f"{n}x{n}"
+        raise InputError(f"gram must be {shapes} to match the grouping, got {gram.shape}")
     if not np.all(np.isfinite(gram)):
         raise InputError("gram must be finite")
     if alpha is None:
@@ -570,24 +577,35 @@ def fit_gradient(
     At a few hundred rows an iteration costs more in dispatch than in its two
     gram products, so the loop looks nothing up that one fit keeps fixed:
     phi's value and slope, the constants -(m sigma^2), 2 lam and m sigma, and
-    the transposed gram are bound once, and with one sample per row the row
+    the products K v and K^T v are bound once, and with one sample per row the row
     sums and spreads are skipped, as ``CovariateGroups`` would return their
     input.  A block's row values are combined from its two reductions, the
     phi sums f and the penalties p, as Python floats f / (m sigma) - lam p:
     the same IEEE operations, in the same order, as ``_value`` makes.
-    ``np.dot`` runs the same gemv as ``@``.  So no bit of the fit moves.
+    ``ndarray.dot`` runs the same gemv as ``@``.  So no bit of the fit moves.
+
+    ``gram`` may also be an n x r factor L with r < n (``HypothesisKernel.factor``):
+    the fit is then the one on K = L L^T, and each product K v is the two
+    thin products L (L^T v) in place of one over the n x n gram.
     """
-    gram, y, groups, alpha = _check_problem(gram, y, init, groups)
+    gram, y, groups, alpha = _check_problem(gram, y, init, groups, factor=True)
     if max_iters is None:
         max_iters = max(config.max_hq_iters, 2000)
     q, lam, sigma = config.q, config.lam, config.sigma
     phi_value, phi_slope = config.phi.value, config.phi.slope
     m = y.shape[0]
     m_sigma, grad_scale, two_lam = m * sigma, -(m * sigma**2), 2.0 * lam
-    gram_t = gram.T
+    if gram.shape[1] < gram.shape[0]:  # a factor L of K = L L^T
+        factor_t = gram.T
+
+        def k_dot(v):
+            return gram.dot(factor_t.dot(v))
+        kt_dot = k_dot
+    else:
+        k_dot, kt_dot = gram.dot, gram.T.dot
     sums, spread = (groups.sums, groups.spread) if groups.n < m else (_same, _same)
     block = 3 if q == 2 else 1  # the grown step and the halvings that undo the x4
-    fitted = np.dot(gram_t, sums(alpha))
+    fitted = kt_dot(sums(alpha))
     scaled = (y - spread(fitted)) / sigma
     current = _value(alpha, scaled, config)
     trace = [current]
@@ -595,10 +613,10 @@ def fit_gradient(
     stopped = "max_iters"
     for _ in range(max_iters):
         # the smooth part's gradient; -v / c exactly, in one pass over v
-        grad = spread(np.dot(gram, sums(phi_slope(scaled)))) / grad_scale
+        grad = spread(k_dot(sums(phi_slope(scaled)))) / grad_scale
         if q == 2:
             grad -= two_lam * alpha
-            fitted_step = np.dot(gram_t, sums(grad))
+            fitted_step = kt_dot(sums(grad))
         step = min(step * 4.0, 1e8)
         for first in range(0, _LINE_SEARCH_STEPS, block):
             steps = []  # halved one at a time, which a single 2^-j factor is not once subnormal
@@ -611,7 +629,7 @@ def fit_gradient(
                 rows, rows_fitted = moved, fitted + column * fitted_step
             else:
                 rows = np.sign(moved) * np.maximum(np.abs(moved) - column * lam, 0.0)
-                rows_fitted = np.array([np.dot(gram_t, sums(row)) for row in rows])
+                rows_fitted = np.array([kt_dot(sums(row)) for row in rows])
             rows_scaled = (y - spread(rows_fitted)) / sigma
             fits = np.add.reduce(phi_value(rows_scaled), axis=-1).tolist()
             penalties = _penalty(rows, q).tolist()
@@ -649,12 +667,20 @@ def distinct_gram(kernel: HypothesisKernel, x):
 
 def fit_data(x, y, kernel: HypothesisKernel, config: RmrConfig, method: str = "hq") -> RmrModel:
     """Fit on raw covariates, grouping them once and building only the gram
-    over their distinct rows.  The model carries x and the kernel, so it
-    predicts and saves."""
+    over their n distinct rows.  The gradient method runs on the gram's
+    pivoted-Cholesky factor instead when it stops at rank
+    _FACTOR_RANK_SHARE * n or below (``HypothesisKernel.factor``).  The model
+    carries x and the kernel, so it predicts and saves."""
     if method not in ("hq", "gradient"):
         raise InputError(f"unknown fit method {method!r}")
     x = as_covariate_array(x)
-    groups, gram = distinct_gram(kernel, x)
+    groups = CovariateGroups.of(x)
+    rows = x[groups.first]
+    gram = None
+    if method == "gradient":
+        gram = kernel.factor(rows, int(_FACTOR_RANK_SHARE * groups.n))
+    if gram is None:
+        gram = kernel.cross(rows, rows)
     fit = (fit_hq if method == "hq" else fit_gradient)(gram, y, config, groups=groups)
     return RmrModel(fit.alpha, x, kernel, config, fit.objective_trace, groups)
 

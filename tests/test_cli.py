@@ -659,6 +659,16 @@ class TestExperimentCommands:
         assert lines[0].startswith("# {")
         assert lines[1] == "n_outliers,magnitude,coef_norm"
 
+    def test_breakdown_manifest_results_are_the_csv_header(self, tmp_path):
+        out = tmp_path / "bd.csv"
+        assert run("breakdown", "--chain-family", "iid", "--chain-n", "6", "--m", "15",
+                   "--n-outliers", "0,2", "--magnitudes", "1e2", "--out", str(out),
+                   "--seed", "2") == 0
+        header = json.loads(out.read_text().splitlines()[0][2:])
+        manifest = strict_json(tmp_path / "bd.csv.manifest.json")
+        assert manifest["command"] == "breakdown"
+        assert manifest["results"] == header
+
     @pytest.mark.parametrize("argv, chains", [
         (["learning-curve", "--m-grid", "20,30,40", "--replicates", "2", "--chain-n", "6"], 1),
         (["gamma-sweep", "--gamma-list", "0.5,1.0", "--chain-n", "6", "--m", "20",
@@ -807,6 +817,9 @@ class TestExperimentCommands:
         assert results == {"mean_rmr_mse": None, "mean_ls_mse": None, "rmr_win_fraction": None}
 
 
+BREAKDOWN_KEYS = {"N", "n_star_low", "n_star_high", "breakdown_fraction", "m", "clean_norm"}
+
+
 # each table's columns, the key set of a breakdown's "# {...}" line, and
 # the key set of the manifest's results (None: the manifest has none)
 @pytest.mark.parametrize("argv, columns, header_keys, result_keys", [
@@ -821,8 +834,7 @@ class TestExperimentCommands:
     (["gamma-sweep", "--gamma-list", "0.5", "--chain-n", "4", "--m", "20", "--replicates", "2"],
      "gamma_abs,discount,m,n_replicates,mean_excess_risk,lambda_used,sigma_used", None, None),
     (["breakdown", "--chain-n", "4", "--m", "10", "--n-outliers", "0,2", "--magnitudes", "1e2"],
-     "n_outliers,magnitude,coef_norm",
-     {"N", "n_star_low", "n_star_high", "breakdown_fraction", "m", "clean_norm"}, None),
+     "n_outliers,magnitude,coef_norm", BREAKDOWN_KEYS, BREAKDOWN_KEYS),
     (["robust-compare", "--chain-n", "4", "--m", "20", "--replicates", "2"],
      "replicate,rmr_mse,ls_mse", None, {"mean_rmr_mse", "mean_ls_mse", "rmr_win_fraction"}),
 ], ids=["chain-info", "check-kernel", "learning-curve", "gamma-sweep", "breakdown",
@@ -837,7 +849,7 @@ def test_table_columns_and_result_keys(tmp_path, argv, columns, header_keys, res
         assert set(json.loads(lines.pop(0)[2:])) == header_keys
     assert lines[0] == columns
     manifest = tmp_path / "out.csv.manifest.json"
-    if argv[0] in ("check-kernel", "breakdown"):
+    if argv[0] == "check-kernel":
         assert not manifest.exists()
     elif result_keys is None:
         assert "results" not in strict_json(manifest)

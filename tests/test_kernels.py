@@ -10,6 +10,7 @@ from _oracles import MASKED_PHI_VALUES, phi_derivative, phi_value
 from modalmr.errors import InputError
 from modalmr.kernels import (
     PHI_KINDS,
+    HypothesisKernel,
     check_calibration,
     hypothesis_kernel,
     representing_function,
@@ -349,3 +350,65 @@ class TestGram:
     def test_non_finite_shape_parameters_rejected(self, kind, param, bad):
         with pytest.raises(InputError, match="finite"):
             hypothesis_kernel(kind, **{param: bad})
+
+
+def distinct_points(max_size=24):
+    """Distinct 1-D or 2-D points in [-1, 1]^d as an (n, d) array."""
+    return st.integers(1, 2).flatmap(lambda d: st.lists(
+        st.tuples(*[st.floats(-1.0, 1.0)] * d), min_size=1, max_size=max_size, unique=True,
+    )).map(np.array)
+
+
+FACTOR_KERNELS = [hypothesis_kernel("gaussian-rbf", bandwidth=0.5), hypothesis_kernel("polynomial")]
+
+
+class TestFactor:
+    """HypothesisKernel.factor: greedy pivoted Cholesky from kernel columns."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(distinct_points(), st.sampled_from(FACTOR_KERNELS))
+    def test_reproduces_the_gram(self, x, kernel):
+        # the stop rule bounds every residual entry by 1e-15 of the trace,
+        # which is at most n max diag; rounding adds a few eps max diag
+        gram = kernel.cross(x, x)
+        factor = kernel.factor(x, len(x))
+        assert factor.flags.c_contiguous and factor.shape[0] == len(x)
+        assert factor.shape[1] <= len(x)
+        top = float(np.max(np.diag(gram)))
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(gram - factor @ factor.T)) <= 8 * len(x) * eps * top
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=40, unique=True))
+    def test_quadratic_polynomial_in_one_dimension_has_rank_at_most_three(self, points):
+        # (x x' + 1)^2 = 1 + 2 x x' + x^2 x'^2 has three features
+        x = np.array(points).reshape(-1, 1)
+        factor = hypothesis_kernel("polynomial", degree=2.0, offset=1.0).factor(x, 3)
+        assert factor is not None and factor.shape[1] <= 3
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(0, 100), min_size=2, max_size=30, unique=True))
+    def test_laplacian_on_full_rank_points_reaches_the_cap(self, grid):
+        # points at least 0.01 apart: the laplacian gram is positive definite
+        x = np.array(grid, dtype=float).reshape(-1, 1) / 100.0
+        assert hypothesis_kernel("laplacian").factor(x, len(x) - 1) is None
+
+    @pytest.mark.parametrize("degree, offset", [(2.0, -0.5), (1.5, 1.0), (-1.0, 1.0)])
+    def test_polynomial_that_need_not_be_semi_definite_gets_none(self, degree, offset):
+        x = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
+        assert hypothesis_kernel("polynomial", degree=degree, offset=offset).factor(x, 8) is None
+
+    @pytest.mark.parametrize("kernel", FACTOR_KERNELS + [hypothesis_kernel("laplacian")],
+                             ids=lambda k: k.kind)
+    def test_builds_no_gram(self, kernel, monkeypatch):
+        cross, shapes = HypothesisKernel.cross, []
+
+        def spy(self, centers, points):
+            values = cross(self, centers, points)
+            shapes.append(values.shape)
+            return values
+
+        monkeypatch.setattr(HypothesisKernel, "cross", spy)
+        x = np.random.default_rng(2).uniform(0.0, 1.0, (60, 2))
+        kernel.factor(x, 15)
+        assert shapes and all(shape == (60, 1) for shape in shapes)

@@ -1076,6 +1076,66 @@ class TestBlockLineSearch:
         assert stopped == "max_iters"
 
 
+class TestFactorPath:
+    """fit_data's gradient fits run on a pivoted-Cholesky factor L of the
+    gram when its rank stays at or below _FACTOR_RANK_SHARE of the rows."""
+
+    @staticmethod
+    def distinct_problem(m, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, (m, 1))
+        return x, np.sin(6.0 * x[:, 0]) + 0.3 * rng.standard_t(2, m)
+
+    def test_factor_fit_agrees_with_the_gram_fit(self):
+        x, y = self.distinct_problem(80, 3)
+        cfg = RmrConfig(sigma=0.5, lam=1e-3, q=2, phi=GAUSS)
+        factor = RBF.factor(x, 40)
+        assert factor.shape[1] < 40
+        on_factor = fit_gradient(factor, y, cfg, max_iters=20)
+        on_gram = fit_gradient(RBF.cross(x, x), y, cfg, max_iters=20)
+        assert len(on_factor.objective_trace) == len(on_gram.objective_trace) == 21
+        np.testing.assert_allclose(on_factor.objective_trace, on_gram.objective_trace,
+                                   rtol=1e-10, atol=0)
+        np.testing.assert_allclose(on_factor.alpha, on_gram.alpha, rtol=0,
+                                   atol=1e-10 * np.max(np.abs(on_gram.alpha)))
+
+    def test_fit_predict_benchmark_instance_takes_the_factor(self):
+        # the fit_predict workload's gradient fit: 384 distinct rows, and an
+        # RBF gram of numerical rank 15
+        rng = np.random.default_rng([0, 7])
+        x = rng.uniform(0.0, 1.0, size=(384, 1))
+        noise = shifted_gamma_noise(2.0, 0.1).sample(rng, 384)
+        y = np.array([default_target(v) for v in x]) + noise
+        cfg = RmrConfig(sigma=0.8, lam=1e-4, tol=1e-12, phi=representing_function("epanechnikov"))
+        with mock.patch.object(modalmr.solver, "fit_gradient", wraps=fit_gradient) as spy:
+            model = fit_data(x, y, RBF, cfg, method="gradient")
+        factor = spy.call_args.args[0]
+        assert factor.shape[0] == 384 and factor.shape[1] <= 384 // 4
+        exact = objective(model.alpha, RBF.cross(x, x), y, cfg)
+        assert exact == pytest.approx(model.objective_trace[-1], rel=1e-12)
+
+    @pytest.mark.parametrize("kernel", [hypothesis_kernel("laplacian"),
+                                        hypothesis_kernel("polynomial", degree=1.5)],
+                             ids=["laplacian", "polynomial-1.5"])
+    def test_gram_when_the_factor_stops_at_its_cap(self, kernel):
+        x, y = self.distinct_problem(40, 4)
+        cfg = RmrConfig(sigma=0.5, lam=1e-3, q=2, phi=GAUSS)
+        with mock.patch.object(modalmr.solver, "fit_gradient", wraps=fit_gradient) as spy:
+            fit_data(x, y, kernel, cfg, method="gradient")
+        assert spy.call_args.args[0].shape == (40, 40)
+
+    def test_hq_fits_reject_a_factor(self):
+        x, y = self.distinct_problem(30, 5)
+        factor = RBF.factor(x, 15)
+        cfg = RmrConfig(sigma=0.5, lam=1e-3, q=2)
+        with pytest.raises(InputError, match="gram must be 30x30 to match"):
+            fit_hq(factor, y, cfg)
+        with pytest.raises(InputError, match="gram must be 30x30 to match"):
+            objective(np.zeros(30), factor, y, cfg)
+        with pytest.raises(InputError, match="gram must be 30x30 or a 30xr factor"):
+            fit_gradient(np.ones((30, 31)), y, cfg)
+
+
 class TestAscentGuard:
     """An HQ step that lowers the objective by config.tol or more is not
     taken; a smaller fall ends the fit by its tolerance, as a small gain does."""
@@ -1245,14 +1305,20 @@ class TestInnerLoops:
 
     @PROPERTY
     @given(grouped_problems(), st.sampled_from(["epanechnikov", "triangular", "gaussian"]),
-           st.sampled_from([1, 2]), st.booleans())
-    def test_gradient_trace_matches_recomputed_objective(self, problem, kind, q, distinct):
+           st.sampled_from([1, 2]), st.booleans(), st.booleans())
+    def test_gradient_trace_matches_recomputed_objective(self, problem, kind, q, distinct,
+                                                         factor):
+        # with the rank cap raised to 0.99 n, small problems fit on the
+        # gram's factor, and the trace is the objective on L L^T
         x, y, sigma, lam = problem
         if distinct:
             x = np.arange(x.shape[0], dtype=float).reshape(-1, 1) / x.shape[0]
         phi = representing_function(kind)
         cfg = RmrConfig(sigma=sigma, lam=lam, q=q, phi=phi, tol=1e-14)
-        model = fit_data(x, y, RBF, cfg, method="gradient")
+        with pytest.MonkeyPatch.context() as patch:
+            if factor:
+                patch.setattr(modalmr.solver, "_FACTOR_RANK_SHARE", 0.99)
+            model = fit_data(x, y, RBF, cfg, method="gradient")
         trace = np.array(model.objective_trace)
         assert np.all(np.diff(trace) >= 0.0)
         value = objective(model.alpha, RBF.cross(x, x), y, cfg)

@@ -16,7 +16,8 @@ none of modalmr.harness, modalmr.risk and modalmr.robustness, and
 Each script runs in one fresh interpreter so no other test's imports leak in.
 
 Two more checks run in fresh interpreters: the benchmark's `fit_predict`
-commands write the same bytes under one and two BLAS threads, and each
+commands and a 700-row gradient fit write the same bytes under one and two
+BLAS threads, and each
 module's `__all__` lists each name once, every one defined and star-importable.
 """
 
@@ -236,14 +237,26 @@ THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 def test_fit_predict_bytes_do_not_depend_on_one_or_two_blas_threads(tmp_path):
     # byte identity holds at one BLAS thread count; on the benchmark's
-    # fit_predict commands (384 distinct rows) it holds across 1 and 2 too
+    # fit_predict commands (384 distinct rows) it holds across 1 and 2 too,
+    # and so it does for a gradient fit on 700 rows, which runs on the gram's
+    # factor: over the full 700 x 700 gram its bits differed
+    import numpy as np
+
     sys.path.insert(0, str(BENCH))
     try:
         from workloads import FitPredict
     finally:
         sys.path.remove(str(BENCH))
     commands = FitPredict().commands(tmp_path, 0)
-    outputs = ("q1.model", "gradient.model", "fitted.csv", "predicted.csv")
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, 700)
+    y = np.sin(6.0 * x) + 0.3 * rng.standard_t(2, 700)
+    (tmp_path / "700.txt").write_text("700 1\n" + "".join(
+        f"{xi!r} {yi!r}\n" for xi, yi in zip(x.tolist(), y.tolist())))
+    commands.append(["fit", "--data", str(tmp_path / "700.txt"), "--method", "gradient",
+                     "--phi", "triangular", "--sigma", "0.5", "--lambda", "1e-3",
+                     "--out", str(tmp_path / "700.model")])
+    outputs = ("q1.model", "gradient.model", "fitted.csv", "predicted.csv", "700.model")
     seen = []
     for threads in ("1", "2"):
         env = dict(os.environ, **dict.fromkeys(THREADS, threads))
