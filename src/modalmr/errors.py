@@ -1,8 +1,13 @@
 """Exception hierarchy shared across the package.
 
-Two families matter to callers and to the CLI exit codes: bad inputs
-(``InputError``, exit 1; a half-quadratic fit of triangular phi is one) and
-numerical failures found mid-computation (``NumericError``, exit 2).
+Two families matter to callers and to the CLI exit codes, and the package
+raises no other.  ``InputError`` (exit 1) covers bad arguments and malformed
+files, a transition matrix that is not row-stochastic, a stationary vector
+with a zero entry where the adjoint or the spectral gap needs positive mass,
+non-smooth noise in the comparison-gap bound and a half-quadratic fit of
+triangular phi.  ``NumericError`` (exit 2) covers failures found
+mid-computation: a stationary distribution that is not unique and a weighted
+least-squares system that stays singular or yields non-finite coefficients.
 """
 
 
@@ -16,23 +21,3 @@ class InputError(ModalRegressionError, ValueError):
 
 class NumericError(ModalRegressionError, RuntimeError):
     """A computation failed numerically (singularity, divergence, ...)."""
-
-
-class NotStochastic(InputError):
-    """Matrix rows do not form probability distributions."""
-
-
-class NonUniqueStationary(NumericError):
-    """Eigenvalue 1 of the transition matrix is not simple."""
-
-
-class ZeroMass(InputError):
-    """A stationary distribution entry is zero where positivity is required."""
-
-
-class SingularSystem(NumericError):
-    """The weighted least-squares system stayed singular after jitter."""
-
-
-class NonSmoothNoise(InputError):
-    """Noise density lacks the bounded second derivative the bound needs."""

@@ -61,11 +61,6 @@ class RepresentingFunction(NamedTuple):
         out = self.value(np.asarray(u, dtype=float))
         return float(out) if out.ndim == 0 else out
 
-    def derivative(self, u):
-        """phi'(u), using the zero subgradient at kink points."""
-        out = self.slope(np.asarray(u, dtype=float))
-        return float(out) if out.ndim == 0 else out
-
 
 def _inside(u, values):
     return np.where(np.abs(u) <= 1.0, values, 0.0)
@@ -277,15 +272,18 @@ class HypothesisKernel(NamedTuple):
         Each step takes the point with the largest residual diagonal as its
         pivot j and appends the column (K_j - L L_j^T) / sqrt(residual_j),
         from ``cross(points, points[j])``; the n x n gram is never formed.
-        The diagonal costs O(n d): exactly 1 for the gaussian-rbf and
-        laplacian kinds.  The factor ends once the residual diagonal sums to
-        at most _FACTOR_RTOL of the trace, which bounds max |K - L L^T| for
-        a positive semi-definite gram.  A polynomial gram need not be one
-        (a negative offset, or a degree that is not a whole number), so such
-        a kernel gets None.  Only matrix-vector products are used: a first
-        matrix-matrix product would make OpenBLAS allocate its level-3 work
-        buffers."""
+        The diagonal costs O(n d): exactly 1 for the gaussian-rbf kind.  The
+        factor ends once the residual diagonal sums to at most _FACTOR_RTOL
+        of the trace, which bounds max |K - L L^T| for a positive
+        semi-definite gram.  A polynomial gram need not be one (a negative
+        offset, or a degree that is not a whole number), so such a kernel
+        gets None.  A laplacian gram of distinct points is positive definite,
+        so it has full rank and gets None before any column is built.  Only
+        matrix-vector products are used: a first matrix-matrix product would
+        make OpenBLAS allocate its level-3 work buffers."""
         x = as_covariate_array(points)
+        if self.kind == "laplacian":
+            return None
         if self.kind == "polynomial":
             degree, offset = self.shape_params["degree"], self.shape_params["offset"]
             if offset < 0 or degree < 0 or not float(degree).is_integer():

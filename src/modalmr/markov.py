@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, NonUniqueStationary, NotStochastic, ZeroMass
+from .errors import InputError, NumericError
 
 __all__ = [
     "TransitionKernel",
@@ -67,15 +67,15 @@ class TransitionKernel:
         if emb.ndim == 1:
             emb = emb[:, None]
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise NotStochastic("transition matrix must be square")
+            raise InputError("transition matrix must be square")
         n = P.shape[0]
         if not np.all(np.isfinite(P)):
-            raise NotStochastic("transition probabilities must be finite")
+            raise InputError("transition probabilities must be finite")
         if np.any(P < 0):
-            raise NotStochastic("transition probabilities must be nonnegative")
+            raise InputError("transition probabilities must be nonnegative")
         rows = P.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > _ROW_TOL:
-            raise NotStochastic(f"row sums deviate from 1 by {np.max(np.abs(rows - 1.0)):.3e}")
+            raise InputError(f"row sums deviate from 1 by {np.max(np.abs(rows - 1.0)):.3e}")
         if emb.shape[0] != n:
             raise InputError("state_embedding must have one vector per state")
         if not np.all((emb >= 0) & (emb <= 1)):
@@ -102,7 +102,7 @@ def stationary_distribution(kernel: TransitionKernel) -> np.ndarray:
     """Unique probability vector pi with pi P = pi, read-only.
 
     The dense eigendecomposition behind it runs once per kernel; the vector
-    is kept on the kernel for every later call.  Raises NonUniqueStationary
+    is kept on the kernel for every later call.  Raises NumericError
     when eigenvalue 1 of P is not simple (for example the identity chain or
     a disconnected chain).
     """
@@ -112,7 +112,7 @@ def stationary_distribution(kernel: TransitionKernel) -> np.ndarray:
     vals, vecs = np.linalg.eig(P.T)
     unit = np.flatnonzero(np.abs(vals - 1.0) < _SIMPLE_TOL)
     if len(unit) != 1:
-        raise NonUniqueStationary(
+        raise NumericError(
             f"eigenvalue 1 has multiplicity {len(unit)}; stationary distribution not unique"
         )
     v = np.real(vecs[:, unit[0]])
@@ -120,7 +120,7 @@ def stationary_distribution(kernel: TransitionKernel) -> np.ndarray:
     pi = v / v.sum()
     residual = np.max(np.abs(pi @ P - pi))
     if residual > 1e-10:
-        raise NonUniqueStationary(f"stationary residual {residual:.3e} exceeds tolerance")
+        raise NumericError(f"stationary residual {residual:.3e} exceeds tolerance")
     pi.setflags(write=False)
     object.__setattr__(kernel, "_pi", pi)
     return pi
@@ -136,7 +136,7 @@ def adjoint_kernel(kernel: TransitionKernel, pi: np.ndarray) -> np.ndarray:
     """Time-reversed kernel P*_ij = pi_j P_ji / pi_i (row-stochastic)."""
     pi = np.asarray(pi, dtype=float)
     if np.any(pi <= 0):
-        raise ZeroMass("adjoint requires a strictly positive stationary distribution")
+        raise InputError("adjoint requires a strictly positive stationary distribution")
     adj = (kernel.P.T * pi[None, :]) / pi[:, None]
     return adj
 
@@ -161,7 +161,7 @@ def _gap_of_reversible(P: np.ndarray, pi: np.ndarray) -> float:
     """1 - (largest eigenvalue below 1) of a pi-reversible P, from the
     spectrum of the symmetrized D^1/2 P D^-1/2."""
     if np.any(pi <= 0):
-        raise ZeroMass("spectral decomposition requires positive stationary mass")
+        raise InputError("spectral decomposition requires positive stationary mass")
     root = np.sqrt(pi)
     sym = (root[:, None] * P) / root[None, :]
     return _gap(np.linalg.eigvalsh(0.5 * (sym + sym.T)), np.real)

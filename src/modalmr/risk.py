@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InputError, NonSmoothNoise
+from .errors import InputError
 from .kernels import _SQRT_2PI, RepresentingFunction, _boole
 from .markov import TransitionKernel, stationary_distribution
 from .solver import RmrModel, predict
@@ -340,9 +340,7 @@ def comparison_gap(
     (quad_points - 1).
     """
     if not task.noise.smooth:
-        raise NonSmoothNoise(
-            f"{task.noise.kind} noise lacks a bounded second derivative"
-        )
+        raise InputError(f"{task.noise.kind} noise lacks a bounded second derivative")
     r_true_star = true_modal_risk(task, task.state_values)
     r_true_f = true_modal_risk(task, f_values_on_states)
     r_sur_star = surrogate_risk(task, task.state_values, phi, sigma, quad_points)

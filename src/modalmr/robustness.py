@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, SingularSystem
+from .errors import InputError, NumericError
 from .harness import _default_kernel, generate_dataset
 from .kernels import representing_function
 from .risk import SyntheticTask
@@ -90,7 +90,7 @@ def _ridge_coefficients(gram, groups, targets, rows=None):
     sums = np.bincount(picked, weights=t, minlength=groups.n)
     try:
         beta = _solve_ridge_direct(gram, selected, ridge / groups.counts, sums)
-    except SingularSystem:
+    except NumericError:
         return None
     return groups.expand(beta)
 
@@ -112,8 +112,10 @@ def fit_hq_multistart(
     samples) one anchored start per sample additionally seeds the basin
     around each sample's consensus.  A compact phi, whose weights vanish
     outside its window, has more local maxima, so it also starts from this
-    multistart's optimum for Gaussian phi at the same sigma.  Returns the fit
-    with the best final objective; it carries no training inputs or kernel.
+    multistart's optimum for Gaussian phi at the same sigma.  A start whose
+    fit fails numerically (``NumericError``) is skipped, and the last failure
+    is raised only when every start fails.  Returns the fit with the best
+    final objective; it carries no training inputs or kernel.
     ``gram`` covers the rows of ``groups``, as in ``fit_hq``; the seeds are
     solved over those rows, and every start reuses the one grouping.
     """
@@ -131,20 +133,20 @@ def fit_hq_multistart(
     inits.extend(np.asarray(v, dtype=float) for v in extra_inits)
     if config.phi.hq is not None and config.phi.support_halfwidth < math.inf:
         gaussian = replace(config, phi=representing_function("gaussian"))
-        with contextlib.suppress(SingularSystem):
+        with contextlib.suppress(NumericError):
             inits.append(fit_hq_multistart(gram, y, gaussian, extra_inits, groups=groups).alpha)
     best = None
     failure = None
     for init in inits:
         try:
             model = fit_hq(gram, y, config, init=init, groups=groups)
-        except SingularSystem as exc:
+        except NumericError as exc:
             failure = exc
             continue
         if best is None or model.objective_trace[-1] > best.objective_trace[-1]:
             best = model
     if best is None:
-        raise failure if failure is not None else SingularSystem("all starts failed")
+        raise failure if failure is not None else NumericError("all starts failed")
     return best
 
 

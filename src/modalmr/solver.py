@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, SingularSystem
+from .errors import InputError, NumericError
 from .kernels import (
     HypothesisKernel,
     RepresentingFunction,
@@ -275,16 +275,16 @@ def _solve_ridge_direct(gram, d, r, s):
     except np.linalg.LinAlgError:
         jitter = 1e-10 * np.trace(A) / len(A)
         if jitter <= 0:
-            raise SingularSystem("weighted system singular with zero trace") from None
+            raise NumericError("weighted system singular with zero trace") from None
         log.warning("singular weighted system: retrying with %.3g added to its diagonal",
                     jitter)
         A.flat[:: len(A) + 1] += jitter
         try:
             out = np.linalg.solve(A, b)
         except np.linalg.LinAlgError:
-            raise SingularSystem("weighted system singular after jitter") from None
+            raise NumericError("weighted system singular after jitter") from None
     if not np.all(np.isfinite(out)):
-        raise SingularSystem("weighted system produced non-finite coefficients")
+        raise NumericError("weighted system produced non-finite coefficients")
     return out
 
 
@@ -319,7 +319,7 @@ def _solve_weighted_ridge(gram, w, wy, kappa, beta_guess):
         step = rho / (p @ ap)
         x, r, rho_prev = x + step * p, r - step * ap, rho
     if not np.all(np.isfinite(x)):
-        raise SingularSystem("conjugate gradient produced non-finite coefficients")
+        raise NumericError("conjugate gradient produced non-finite coefficients")
     return x, capped
 
 
@@ -438,7 +438,7 @@ def fit_hq(gram, y, config: RmrConfig, init=None, *, groups=None) -> RmrModel:
     weight is zero, lam > 0 gives the step beta = 0.
     With lam = 0 a compact phi is flat there and the fit stops by "all weights
     zero"; a Gaussian kind, whose zero weights mean underflow, keeps the inner
-    solve, and its direct q=2 solve raises SingularSystem.  Triangular phi has
+    solve, and its direct q=2 solve raises NumericError.  Triangular phi has
     no finite weight and is an InputError.
 
     Both steps run over the n distinct covariate rows rather than the m

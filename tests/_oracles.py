@@ -184,7 +184,7 @@ def fit_gradient_per_halving(gram, y, config, max_iters, groups=None):
         return fit - config.lam * float(np.add.reduce(pen))
 
     def gradient(alpha, residuals):
-        slopes = sums(config.phi.derivative(residuals / config.sigma))
+        slopes = sums(config.phi.slope(residuals / config.sigma))
         grad = -spread(gram @ slopes) / (m * config.sigma**2)
         return grad - 2.0 * config.lam * alpha if config.q == 2 else grad
 

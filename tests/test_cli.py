@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from modalmr import cli
 from modalmr.cli import _COMMAND_OPTIONS, _SOLVER_OPTS, _fmt, main
 from modalmr.harness import ExperimentConfig, generate_dataset, learning_curve
-from modalmr.errors import SingularSystem
+from modalmr.errors import NumericError
 from modalmr.kernels import hypothesis_kernel
 from modalmr.solver import RmrConfig, load_model, write_dataset_file
 from modalmr.markov import iid_chain, transition_kernel, write_transition_file
@@ -98,6 +98,25 @@ class TestChainInfo:
         assert run("chain-info", "--chain-file", str(path)) == 1
         err = capsys.readouterr().err
         assert str(path) in err and "non-finite" in err
+
+    @pytest.mark.parametrize("rows, code, line", [
+        (["1.2 -0.2", "0.5 0.5"], 1, "error: transition probabilities must be nonnegative"),
+        (["0.5 0.4", "0.5 0.5"], 1, "error: row sums deviate from 1 by 1.000e-01"),
+        (["1 0", "0 1"], 2,
+         "numeric failure: eigenvalue 1 has multiplicity 2; stationary distribution not unique"),
+        (["0.5 0.5 0", "0.5 0.5 0", "0.5 0 0.5"], 1,
+         "error: spectral decomposition requires positive stationary mass"),
+    ], ids=["negative", "row-sum", "identity", "transient-state"])
+    def test_faulty_chain_file_exit_code(self, tmp_path, capsys, rows, code, line):
+        # a chain that is not stochastic, or has no positive stationary
+        # vector, is invalid input; a stationary vector that is not unique
+        # is a numeric failure
+        n = len(rows)
+        path = tmp_path / "chain.txt"
+        embedding = "\n".join(str(v) for v in np.linspace(0.0, 1.0, n))
+        path.write_text(f"{n} 1\n" + "\n".join(rows) + f"\n{embedding}\n")
+        assert run("chain-info", "--chain-file", str(path)) == code
+        assert capsys.readouterr().err.splitlines() == [line]
 
     def test_missing_family_is_validation_error(self, capsys):
         assert run("chain-info") == 1
@@ -779,7 +798,7 @@ class TestExperimentCommands:
         def fit(*args, **kwargs):
             calls.append(1)
             if len(calls) == 2:
-                raise SingularSystem("injected failure")
+                raise NumericError("injected failure")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(modalmr.harness, "fit_hq", fit)
@@ -807,7 +826,7 @@ class TestExperimentCommands:
         import modalmr.harness
 
         def fit(*args, **kwargs):
-            raise SingularSystem("injected failure")
+            raise NumericError("injected failure")
 
         monkeypatch.setattr(modalmr.harness, "fit_hq", fit)
         out = tmp_path / "rc.csv"

@@ -12,7 +12,7 @@ import modalmr.markov
 import modalmr.risk
 from _oracles import bootstrap_slope_per_draw
 from modalmr.cli import write_csv, write_manifest
-from modalmr.errors import InputError, SingularSystem
+from modalmr.errors import InputError, NumericError
 from modalmr.harness import (
     Dataset,
     ExperimentConfig,
@@ -422,7 +422,7 @@ class TestReplicateFailures:
 
         def fit(x_or_gram, y, *args, **kwargs):
             if np.array_equal(y, bad_y):
-                raise SingularSystem("injected failure")
+                raise NumericError("injected failure")
             return real(x_or_gram, y, *args, **kwargs)
 
         monkeypatch.setattr(modalmr.harness, fit_name, fit)
@@ -508,7 +508,7 @@ class TestReplicateFailures:
 
     def test_robustness_comparison_with_no_fitted_replicate(self, monkeypatch, caplog):
         def fail(*args, **kwargs):
-            raise SingularSystem("injected failure")
+            raise NumericError("injected failure")
 
         monkeypatch.setattr(modalmr.harness, "fit_hq", fail)
         caplog.set_level(logging.WARNING, logger="modalmr.harness")

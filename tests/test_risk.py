@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import objective_value
-from modalmr.errors import InputError, NonSmoothNoise
+from modalmr.errors import InputError
 from modalmr.kernels import PHI_KINDS, hypothesis_kernel, representing_function
 from modalmr.markov import iid_chain, transition_kernel, two_state_chain
 from modalmr.risk import (
@@ -365,7 +365,7 @@ class TestComparisonGap:
     @pytest.mark.parametrize("shape", [1.5, 2.0, 2.5])
     def test_non_smooth_noise_rejected(self, shape):
         task = make_task(iid_chain(4), shifted_gamma_noise(shape))
-        with pytest.raises(NonSmoothNoise):
+        with pytest.raises(InputError, match="shifted-gamma noise lacks a bounded second"):
             comparison_gap(task, task.state_values + 0.1, GAUSS, 0.3)
 
 

@@ -20,7 +20,7 @@ from _oracles import (
     objective_value,
     phi_derivative,
 )
-from modalmr.errors import InputError, SingularSystem
+from modalmr.errors import InputError, NumericError
 from modalmr.kernels import (
     PHI_KINDS,
     HypothesisKernel,
@@ -220,7 +220,7 @@ class TestFitHq:
     def test_singular_system_signalled(self):
         # enormous target underflows every weight; with lam = 0 there is no ridge
         cfg = RmrConfig(sigma=1.0, lam=0.0, q=2)
-        with pytest.raises(SingularSystem):
+        with pytest.raises(NumericError, match="weighted system singular with zero trace"):
             fit_hq(np.array([[1.0]]), np.array([1e9]), cfg)
 
     def test_warm_start_accepted(self):
@@ -1124,6 +1124,24 @@ class TestFactorPath:
             fit_data(x, y, kernel, cfg, method="gradient")
         assert spy.call_args.args[0].shape == (40, 40)
 
+    def test_laplacian_builds_no_factor_column(self, monkeypatch):
+        # a laplacian gram of distinct points is full rank, so the gradient
+        # fit computes the gram once and no factor column before it
+        x, y = self.distinct_problem(40, 4)
+        kernel = hypothesis_kernel("laplacian")
+        cross, shapes = HypothesisKernel.cross, []
+
+        def spy(self, centers, points):
+            values = cross(self, centers, points)
+            shapes.append(values.shape)
+            return values
+
+        monkeypatch.setattr(HypothesisKernel, "cross", spy)
+        assert kernel.factor(x, 40) is None
+        assert shapes == []
+        fit_data(x, y, kernel, RmrConfig(sigma=0.5, lam=1e-3, q=2, phi=GAUSS), method="gradient")
+        assert shapes == [(40, 40)]
+
     def test_hq_fits_reject_a_factor(self):
         x, y = self.distinct_problem(30, 5)
         factor = RBF.factor(x, 15)
@@ -1375,5 +1393,5 @@ class TestConjugateGradient:
     def test_non_finite_result_raises(self):
         gram = np.eye(3)
         gram[0, 1] = np.nan
-        with pytest.raises(SingularSystem, match="conjugate gradient"):
+        with pytest.raises(NumericError, match="conjugate gradient produced non-finite"):
             self.numpy_cg(gram, np.ones(3), np.ones(3), np.ones(3), np.zeros(3))
