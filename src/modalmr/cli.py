@@ -59,7 +59,8 @@ def _float_list(text: str):
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
-# name, type, default, help   (None default means "optional / command decides")
+# name, type, default, help   (None default means "optional / command decides");
+# each name has one entry, shared by every command that takes it, but --m
 _COMMON = [
     ("out", str, None, "output path (CSV table or model file)"),
     ("config", str, None, "flat key = value config file; flags win"),
@@ -69,14 +70,17 @@ _COMMON = [
 # the four experiments draw their data; the other commands draw nothing
 _EXPERIMENT_COMMON = [("seed", int, 0, "base random seed")] + _COMMON
 
+_CHAIN_N = ("chain-n", int, 16, "number of states (a two-state chain has 2)")
 _CHAIN_OPTS = [
     ("chain-family", str, "iid", "iid | two-state | lazy-walk | metropolis"),
-    ("chain-n", int, 16, "number of states for iid/lazy-walk/metropolis"),
+    _CHAIN_N,
     ("chain-p", float, 0.3, "two-state flip probability 0 -> 1"),
     ("chain-q", float, 0.2, "two-state flip probability 1 -> 0"),
     ("laziness", float, 0.5, "holding probability for lazy-walk"),
-    ("d", int, 1, "embedding dimension"),
 ]
+_D = ("d", int, 1, "embedding dimension")
+_DATA = ("data", str, None, "dataset file: 'm d' header then x.. y rows")
+_REPLICATES = ("replicates", int, 20, "replicates per chain and sample size")
 
 _NOISE_OPTS = [
     ("noise", str, "gaussian", "gaussian | student-t | shifted-gamma"),
@@ -85,12 +89,13 @@ _NOISE_OPTS = [
     ("shape", float, 2.0, "shifted-gamma shape"),
 ]
 
+_PHI = ("phi", str, "gaussian",
+        f"representing function: {', '.join(PHI_KINDS)}; triangular only by fit --method gradient")
 _SOLVER_OPTS = [
     ("sigma", float, 1.0, "modal bandwidth"),
     ("lambda", float, 0.1, "regularization weight"),
     ("q", int, 2, "penalty exponent, 1 or 2"),
-    ("phi", str, "gaussian",
-     f"representing function: {', '.join(PHI_KINDS)}; triangular only by fit --method gradient"),
+    _PHI,
     ("max-iters", int, 200, "outer iteration cap; gradient fits run max(this, 2000)"),
     ("tol", float, 1e-8, "objective-change stopping threshold"),
 ]
@@ -108,14 +113,13 @@ _SCHEDULE_OPTS = [
     ("s", float, 0.01, "capacity exponent for the theorem2 schedule"),
 ]
 
+# --m alone has one entry per command: each experiment keeps the sample size
+# its own question needs by default (a sweep point, a clean sample that
+# outliers then swamp, a comparison)
 _COMMAND_OPTIONS = {
     "chain-info": _COMMON
+    + _CHAIN_OPTS
     + [
-        ("family", str, None, "iid | two-state | lazy-walk | metropolis"),
-        ("n", int, 8, "number of states"),
-        ("p", float, None, "two-state flip probability 0 -> 1"),
-        ("q", float, None, "two-state flip probability 1 -> 0"),
-        ("laziness", float, 0.5, "holding probability for lazy-walk"),
         ("chain-file", str, None, "load the chain from a transition file instead"),
         ("k-max", int, 5, "pseudo-gap search depth"),
         ("tv-tmax", int, 30, "mixing-curve horizon"),
@@ -123,47 +127,38 @@ _COMMAND_OPTIONS = {
     ],
     "check-kernel": _COMMON
     + [
-        ("phi", str, None, f"representing function: {', '.join(PHI_KINDS)}"),
+        _PHI,
         ("halfwidth", float, None, "grid halfwidth (default 2 compact, 10 unbounded)"),
         ("points", int, None, "grid points (default 10001 compact, 100001 unbounded)"),
     ],
     "fit": _COMMON
-    + [("data", str, None, "dataset file: 'm d' header then x.. y rows")]
+    + [_DATA]
     + _SOLVER_OPTS
     + _KERNEL_OPTS
     + [
         ("method", str, "hq", "hq (every phi but triangular) | gradient (any phi)"),
         ("fitted-out", str, None, "also write per-sample fitted values CSV"),
     ],
-    "predict": _COMMON
-    + [
-        ("model", str, None, "model file written by fit"),
-        ("data", str, None, "dataset file with covariates to predict on"),
-    ],
+    "predict": _COMMON + [("model", str, None, "model file written by fit"), _DATA],
     "learning-curve": _EXPERIMENT_COMMON
     + _CHAIN_OPTS
+    + [_D]
     + _NOISE_OPTS
     + _SCHEDULE_OPTS
     + _SOLVER_OPTS
     + _KERNEL_OPTS
-    + [
-        ("m-grid", _int_list, (64, 128, 256, 512, 1024, 2048), "comma list of sample sizes"),
-        ("replicates", int, 20, "replicates per sample size"),
-    ],
+    + [("m-grid", _int_list, (64, 128, 256, 512, 1024, 2048), "comma list of sample sizes"),
+       _REPLICATES],
     "gamma-sweep": _EXPERIMENT_COMMON
     + _NOISE_OPTS
     + _SCHEDULE_OPTS
     + _SOLVER_OPTS
     + _KERNEL_OPTS
-    + [
-        ("gamma-list", _float_list, (0.1, 0.5, 1.0), "absolute gaps to sweep"),
-        ("chain-n", int, 16, "states per sweep chain"),
-        ("d", int, 1, "embedding dimension"),
-        ("m", int, 512, "sample size"),
-        ("replicates", int, 20, "replicates per chain"),
-    ],
+    + [("gamma-list", _float_list, (0.1, 0.5, 1.0), "absolute gaps to sweep"), _CHAIN_N, _D,
+       ("m", int, 512, "sample size"), _REPLICATES],
     "breakdown": _EXPERIMENT_COMMON
     + _CHAIN_OPTS
+    + [_D]
     + _NOISE_OPTS
     + _SOLVER_OPTS
     + _KERNEL_OPTS
@@ -174,13 +169,11 @@ _COMMAND_OPTIONS = {
     ],
     "robust-compare": _EXPERIMENT_COMMON
     + _CHAIN_OPTS
+    + [_D]
     + _NOISE_OPTS
     + _SOLVER_OPTS
     + _KERNEL_OPTS
-    + [
-        ("m", int, 500, "sample size"),
-        ("replicates", int, 20, "number of replicates"),
-    ],
+    + [("m", int, 500, "sample size"), _REPLICATES],
 }
 
 
@@ -241,15 +234,20 @@ def _merge_options(args, options):
     return merged
 
 
-def _task_from(opts, chain=None):
-    """The named noise on ``chain``, by default on the chain the options name."""
-    from . import markov, risk
+def _chain_from(opts):
+    """The built-in chain the options name; chain-info, which reads only P, takes no --d."""
+    from . import markov
 
-    if chain is None:
-        chain = markov.builtin_chain(
-            opts["chain-family"], d=opts["d"], n=opts["chain-n"], p=opts["chain-p"],
-            q=opts["chain-q"], laziness=opts["laziness"],
-        )
+    return markov.builtin_chain(
+        opts["chain-family"], d=opts["d"] if "d" in opts else 1, n=opts["chain-n"],
+        p=opts["chain-p"], q=opts["chain-q"], laziness=opts["laziness"],
+    )
+
+
+def _task_from(opts, chain):
+    """The named noise on ``chain``."""
+    from . import risk
+
     noise = risk.builtin_noise(opts["noise"], opts["noise-scale"], dof=opts["dof"],
                                shape=opts["shape"])
     return risk.make_task(chain, noise)
@@ -355,14 +353,8 @@ def _require(opts, *names):
 def _cmd_chain_info(opts) -> int:
     from . import markov
 
-    if opts["chain-file"]:
-        chain = markov.read_transition_file(opts["chain-file"])
-    else:
-        _require(opts, "family")
-        if opts["family"] == "two-state":
-            _require(opts, "p", "q")
-        chain = markov.builtin_chain(opts["family"], n=opts["n"], p=opts["p"], q=opts["q"],
-                                     laziness=opts["laziness"])
+    chain = (markov.read_transition_file(opts["chain-file"]) if opts["chain-file"]
+             else _chain_from(opts))
     diag = markov.diagnose(chain, k_max=opts["k-max"], t_max=opts["tv-tmax"],
                            start_state=opts["tv-start"])
     pi_text = ", ".join(_fmt(v) for v in diag.pi)
@@ -379,7 +371,6 @@ def _cmd_chain_info(opts) -> int:
 
 
 def _cmd_check_kernel(opts) -> int:
-    _require(opts, "phi")
     phi = representing_function(opts["phi"])
     compact = np.isfinite(phi.support_halfwidth)
     halfwidth = opts["halfwidth"] if opts["halfwidth"] is not None else (2.0 if compact else 10.0)
@@ -436,7 +427,8 @@ def _cmd_learning_curve(opts) -> int:
     from . import harness
 
     _require(opts, "out")
-    result = harness.learning_curve(_experiment_from(opts, _task_from(opts), opts["m-grid"]))
+    task = _task_from(opts, _chain_from(opts))
+    result = harness.learning_curve(_experiment_from(opts, task, opts["m-grid"]))
     write_csv(opts["out"], harness.LearningCurveRow._fields, result.rows)
     write_manifest(opts["out"] + ".manifest.json", "learning-curve", opts,
                    _results(result, "rows"))
@@ -473,8 +465,8 @@ def _cmd_breakdown(opts) -> int:
 
     _require(opts, "out")
     report = robustness.contamination_experiment(
-        _task_from(opts), opts["m"], opts["n-outliers"], opts["magnitudes"], _solver_from(opts),
-        opts["seed"], kernel=_kernel_from(opts),
+        _task_from(opts, _chain_from(opts)), opts["m"], opts["n-outliers"], opts["magnitudes"],
+        _solver_from(opts), opts["seed"], kernel=_kernel_from(opts),
     )
     results = _results(report, "contamination_curve")
     with open(opts["out"], "w", encoding="utf-8", newline="\n") as fh:
@@ -495,7 +487,7 @@ def _cmd_robust_compare(opts) -> int:
 
     _require(opts, "out")
     result = harness.robustness_comparison(
-        _task_from(opts), opts["m"], _solver_from(opts), opts["seed"],
+        _task_from(opts, _chain_from(opts)), opts["m"], _solver_from(opts), opts["seed"],
         n_replicates=opts["replicates"], kernel=_kernel_from(opts),
     )
     write_csv(opts["out"], harness.RobustnessRow._fields, result.rows)
@@ -538,7 +530,7 @@ def main(argv=None) -> int:
     except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericError as exc:
+    except (NumericError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except ModalRegressionError as exc:  # pragma: no cover - safety net

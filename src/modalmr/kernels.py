@@ -195,6 +195,7 @@ def check_calibration(
 
 _CACHE_LINE = 64  # bytes
 _FACTOR_RTOL = 1e-15  # residual trace, relative to the trace, that ends a gram factor
+_FACTOR_BLOCK = 64  # first rows of a factor's buffer, doubled when full, not max_rank
 
 
 def _line_aligned_empty(rows: int, cols: int) -> np.ndarray:
@@ -292,13 +293,17 @@ class HypothesisKernel(NamedTuple):
         else:
             residual = np.ones(len(x))
         stop = _FACTOR_RTOL * np.add.reduce(residual)
-        columns = np.empty((max_rank, len(x)))  # row k holds column k of L
+        columns = np.empty((min(_FACTOR_BLOCK, max_rank), len(x)))  # row k: column k of L
         pivots = []
         for k in range(max_rank + 1):
             if np.add.reduce(residual) <= stop:
                 return np.ascontiguousarray(columns[:k].T)
             if k == max_rank:
                 return None
+            if k == len(columns):
+                grown = np.empty((min(2 * k, max_rank), len(x)))
+                grown[:k] = columns
+                columns = grown
             j = int(np.argmax(residual))
             column = columns[k]
             np.subtract(self.cross(x, x[j:j + 1])[:, 0], columns[:k, j] @ columns[:k],

@@ -6,6 +6,7 @@ import logging
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modalmr import cli
+from modalmr import cli, kernels
 from modalmr.cli import _COMMAND_OPTIONS, _SOLVER_OPTS, _fmt, main
 from modalmr.harness import ExperimentConfig, generate_dataset, learning_curve
 from modalmr.errors import NumericError
@@ -58,7 +59,8 @@ def dataset_path(tmp_path):
 
 class TestChainInfo:
     def test_two_state_summary(self, capsys):
-        assert run("chain-info", "--family", "two-state", "--p", "0.3", "--q", "0.2") == 0
+        assert run("chain-info", "--chain-family", "two-state", "--chain-p", "0.3",
+                   "--chain-q", "0.2") == 0
         out = capsys.readouterr().out
         assert "gamma_a = 0.5" in out
         assert "pi = (0.4, 0.6)" in out
@@ -118,19 +120,23 @@ class TestChainInfo:
         assert run("chain-info", "--chain-file", str(path)) == code
         assert capsys.readouterr().err.splitlines() == [line]
 
-    def test_missing_family_is_validation_error(self, capsys):
-        assert run("chain-info") == 1
+    def test_bare_run_diagnoses_the_default_chain(self, capsys):
+        # the experiments' chain defaults: iid on 16 states, two-state 0.3 and 0.2
+        assert run("chain-info") == 0
+        assert capsys.readouterr().out.startswith("chain: 16 states, reversible=True, ")
+        assert run("chain-info", "--chain-family", "two-state") == 0
+        assert "gamma_a = 0.5" in capsys.readouterr().out
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "tv.csv"
-        assert run("chain-info", "--family", "iid", "--n", "4", "--out", str(out)) == 0
+        assert run("chain-info", "--chain-family", "iid", "--chain-n", "4", "--out", str(out)) == 0
         rows = read_rows(out)
         assert rows and float(rows[0]["tv_distance"]) == pytest.approx(0.0, abs=1e-12)
         assert (tmp_path / "tv.csv.manifest.json").exists()
 
     def test_no_embedding_dimension_option(self, capsys):
         # the diagnostics read only P, so a dimension would change no output
-        assert run("chain-info", "--family", "iid", "--d", "2") == 1
+        assert run("chain-info", "--chain-family", "iid", "--d", "2") == 1
         assert capsys.readouterr().err.splitlines() == ["error: unrecognized arguments: --d 2"]
 
 
@@ -143,6 +149,10 @@ class TestCheckKernel:
     def test_correntropy_flagged(self, capsys):
         assert run("check-kernel", "--phi", "correntropy") == 0
         assert "not-calibrated" in capsys.readouterr().out
+
+    def test_default_phi_is_gaussian(self, capsys):
+        assert run("check-kernel") == 0
+        assert capsys.readouterr().out.startswith("phi=gaussian: ")
 
     def test_unknown_phi(self, capsys):
         assert run("check-kernel", "--phi", "sinc") == 1
@@ -489,26 +499,26 @@ class TestMalformedFiles:
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("family = two-state\np = 0.3\nq = 0.2  # comment\n")
+        cfg.write_text("chain-family = two-state\nchain-p = 0.3\nchain-q = 0.2  # comment\n")
         assert run("chain-info", "--config", str(cfg)) == 0
         assert "gamma_a = 0.5" in capsys.readouterr().out
 
     def test_flags_win_over_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("family = two-state\np = 0.9\nq = 0.9\n")
-        assert run("chain-info", "--config", str(cfg), "--p", "0.3", "--q", "0.2") == 0
+        cfg.write_text("chain-family = two-state\nchain-p = 0.9\nchain-q = 0.9\n")
+        assert run("chain-info", "--config", str(cfg), "--chain-p", "0.3", "--chain-q", "0.2") == 0
         assert "gamma_a = 0.5" in capsys.readouterr().out
 
     def test_unknown_key_rejected_with_listing(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("family = iid\nbogus-key = 1\n")
+        cfg.write_text("chain-family = iid\nbogus-key = 1\n")
         assert run("chain-info", "--config", str(cfg)) == 1
         err = capsys.readouterr().err
-        assert "bogus-key" in err and "family" in err
+        assert "bogus-key" in err and "chain-family" in err
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("family two-state\n")
+        cfg.write_text("chain-family two-state\n")
         assert run("chain-info", "--config", str(cfg)) == 1
 
     def test_removed_inner_iters_key_rejected(self, tmp_path, capsys, dataset_path):
@@ -521,7 +531,8 @@ class TestConfigFile:
 
     def test_comment_and_blank_lines_skipped(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("# two-state chain\n\nfamily = two-state\n   # indented\np = 0.3\nq = 0.2\n")
+        cfg.write_text("# two-state chain\n\nchain-family = two-state\n   # indented\n"
+                       "chain-p = 0.3\nchain-q = 0.2\n")
         assert run("chain-info", "--config", str(cfg)) == 0
         assert "gamma_a = 0.5" in capsys.readouterr().out
 
@@ -536,14 +547,14 @@ class TestConfigFile:
 
     def test_repeated_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("family = two-state\np = 0.3\nq = 0.2\np = 0.9\n")
+        cfg.write_text("chain-family = two-state\nchain-p = 0.3\nchain-q = 0.2\nchain-p = 0.9\n")
         assert run("chain-info", "--config", str(cfg)) == 1
-        assert "run.cfg:4: repeated key 'p'" in capsys.readouterr().err
+        assert "run.cfg:4: repeated key 'chain-p'" in capsys.readouterr().err
 
 
 class TestFlags:
     def test_unknown_flag_exit_one(self):
-        assert run("chain-info", "--family", "iid", "--frobnicate", "1") == 1
+        assert run("chain-info", "--chain-family", "iid", "--frobnicate", "1") == 1
 
     def test_unknown_command_exit_one(self):
         assert run("transmogrify") == 1
@@ -582,7 +593,7 @@ class TestFlags:
         if command == "predict":
             assert run("fit", "--data", str(dataset_path), "--out", str(model)) == 0
         argv = {
-            "chain-info": ["--family", "iid", "--n", "4"],
+            "chain-info": ["--chain-family", "iid", "--chain-n", "4"],
             "check-kernel": ["--phi", "epanechnikov"],
             "fit": ["--data", str(dataset_path)],
             "predict": ["--model", str(model), "--data", str(dataset_path)],
@@ -607,6 +618,36 @@ class TestFlags:
         names = {name for name, *_ in _COMMAND_OPTIONS[command]} - {"config", "jobs"}
         assert names - read == set()
 
+    def test_each_option_name_has_one_definition(self):
+        # one (type, default, help) per name, whichever command takes it;
+        # --m alone keeps a default sample size per experiment
+        entries = {}
+        for options in _COMMAND_OPTIONS.values():
+            for entry in options:
+                entries.setdefault(entry[0], set()).add(entry)
+        assert sorted(name for name, found in entries.items() if len(found) > 1) == ["m"]
+
+    def test_readme_usage_lines_parse(self):
+        # every example in the README's usage block names flags the parser has
+        text = (SRC.parent / "README.md").read_text()
+        block = text.split("```bash\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+        examples = [shlex.split(line)[1:] for line in block.splitlines()
+                    if line.startswith("modalmr ")]
+        assert {argv[0] for argv in examples} == set(_COMMAND_OPTIONS)
+        for argv in examples:
+            assert cli.build_parser(argv).parse_args(argv).command == argv[0]
+
+    def test_exhausted_memory_is_numeric_failure(self, tmp_path, monkeypatch, capsys,
+                                                 dataset_path):
+        message = "Unable to allocate 32.0 GiB for an array with shape (65536, 65536)"
+
+        def exhausted(*_args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(kernels.HypothesisKernel, "cross", exhausted)
+        assert run("fit", "--data", str(dataset_path), "--out", str(tmp_path / "m.txt")) == 2
+        assert capsys.readouterr().err.splitlines() == [f"numeric failure: {message}"]
+
     def test_solver_option_defaults_are_the_config_defaults(self):
         # the command line and the library fit with the same settings by default
         defaults = {name: default for name, _, default, _ in _SOLVER_OPTS}
@@ -618,7 +659,7 @@ class TestFlags:
 
     def test_bad_log_level(self, monkeypatch):
         monkeypatch.setenv("MODALMR_LOG", "verbose")
-        assert run("chain-info", "--family", "iid") == 1
+        assert run("chain-info", "--chain-family", "iid") == 1
 
     def test_log_levels_accepted(self, monkeypatch, capsys):
         for level in ("quiet", "info", "debug"):
@@ -842,7 +883,7 @@ BREAKDOWN_KEYS = {"N", "n_star_low", "n_star_high", "breakdown_fraction", "m", "
 # each table's columns, the key set of a breakdown's "# {...}" line, and
 # the key set of the manifest's results (None: the manifest has none)
 @pytest.mark.parametrize("argv, columns, header_keys, result_keys", [
-    (["chain-info", "--family", "iid", "--n", "4"], "t,tv_distance", None,
+    (["chain-info", "--chain-family", "iid", "--chain-n", "4"], "t,tv_distance", None,
      {"gamma", "gamma_abs", "gamma_pseudo", "pi", "reversible"}),
     (["check-kernel", "--phi", "epanechnikov"],
      "kind,symmetry,peak_excess,integral_error,second_moment,lipschitz_estimate,"
@@ -936,7 +977,8 @@ class TestHalfQuadraticPhi:
      "laziness must lie in [0, 1)"),
     (["robust-compare", "--chain-family", "metropolis", "--chain-p", "inf"],
      "flip probabilities must lie in [0, 1]"),
-    (["chain-info", "--family", "iid", "--p", "7"], "flip probabilities must lie in [0, 1]"),
+    (["chain-info", "--chain-family", "iid", "--chain-p", "7"],
+     "flip probabilities must lie in [0, 1]"),
     (["learning-curve", "--schedule", "fixed", "--beta", "nan", "--s", "-5"],
      "beta must lie in (0, 2]"),
     (["learning-curve", "--schedule", "fixed", "--s", "-5"], "s must lie in (0, 2)"),

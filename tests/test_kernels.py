@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -411,3 +412,27 @@ class TestFactor:
         x = np.random.default_rng(2).uniform(0.0, 1.0, (60, 2))
         kernel.factor(x, 15)
         assert shapes and all(shape == (60, 1) for shape in shapes)
+
+    def test_buffer_grows_with_the_rank(self):
+        # rank 15 over 65,536 points under an n/4 cap: the buffer holds its
+        # first block of rows, not the 16,384 rows (8 GiB) the cap allows
+        x = np.linspace(0.0, 1.0, 65536).reshape(-1, 1)
+        tracemalloc.start()
+        try:
+            factor = hypothesis_kernel("gaussian-rbf", bandwidth=0.5).factor(x, len(x) // 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert factor.shape == (65536, 15)
+        assert peak < 64 * 2**20
+
+    def test_grows_past_its_first_block(self):
+        # rank 82: the buffer doubles once; under a cap of 70 it grows to 70
+        # rows and the factor gives None
+        x = np.linspace(0.0, 1.0, 300).reshape(-1, 1)
+        kernel = hypothesis_kernel("gaussian-rbf", bandwidth=0.05)
+        factor = kernel.factor(x, len(x))
+        assert factor.shape == (300, 82)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(kernel.cross(x, x) - factor @ factor.T)) <= 8 * len(x) * eps
+        assert kernel.factor(x, 70) is None

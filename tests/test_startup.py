@@ -111,7 +111,8 @@ report = {"check_kernel_exit": main(["check-kernel", "--phi", "triangular"])}
 report["check_kernel"] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 report["check_kernel_modalmr"] = sorted(m for m in sys.modules if m.startswith("modalmr."))
 report["chain_info_exit"] = main([
-    "chain-info", "--family", "lazy-walk", "--n", "4", "--out", str(Path(sys.argv[1]) / "tv.csv"),
+    "chain-info", "--chain-family", "lazy-walk", "--chain-n", "4",
+    "--out", str(Path(sys.argv[1]) / "tv.csv"),
 ])
 report["chain_info"] = sorted(m for m in sys.modules if m.startswith("modalmr."))
 report["robust_compare_exit"] = main([
