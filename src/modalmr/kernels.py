@@ -193,20 +193,8 @@ def check_calibration(
     )
 
 
-_CACHE_LINE = 64  # bytes
 _FACTOR_RTOL = 1e-15  # residual trace, relative to the trace, that ends a gram factor
 _FACTOR_BLOCK = 64  # first rows of a factor's buffer, doubled when full, not max_rank
-
-
-def _line_aligned_empty(rows: int, cols: int) -> np.ndarray:
-    """An uninitialised C-contiguous float matrix that starts on a 64-byte
-    boundary, which a heap allocation meets only by chance: OpenBLAS's
-    matrix-vector products over a 384 x 384 gram run about twice as fast
-    from one, and give the same bits from any start."""
-    spare = np.empty(rows * cols + _CACHE_LINE // 8)
-    # the address, read without building a ctypes object as .ctypes would
-    start = -spare.__array_interface__["data"][0] % _CACHE_LINE // 8
-    return spare[start:start + rows * cols].reshape(rows, cols)
 
 
 class HypothesisKernel(NamedTuple):
@@ -216,9 +204,8 @@ class HypothesisKernel(NamedTuple):
     shape_params: dict
 
     def cross(self, centers, points) -> np.ndarray:
-        """Matrix with entry (i, p) = K(centers[i], points[p]), C-contiguous
-        and starting on a 64-byte boundary (``_line_aligned_empty``).  A
-        gaussian-rbf entry whose point equals its centre is exactly 1."""
+        """Matrix with entry (i, p) = K(centers[i], points[p]), C-contiguous.
+        A gaussian-rbf entry whose point equals its centre is exactly 1."""
         c = as_covariate_array(centers)
         p = as_covariate_array(points)
         if c.shape[1] != p.shape[1]:
@@ -242,22 +229,22 @@ class HypothesisKernel(NamedTuple):
                     same &= c[:, k:k + 1] == p[:, k]
                 np.copyto(sq, 0.0, where=same)
             with np.errstate(over="ignore"):  # a distance far beyond bw: exp(-inf) = 0
-                return np.exp(-sq / (bw * bw), out=_line_aligned_empty(len(c), len(p)))
+                return np.exp(-sq / (bw * bw))
         if self.kind == "laplacian":
             bw = self.shape_params["bandwidth"]
             l1 = np.sum(np.abs(c[:, None, :] - p[None, :, :]), axis=2)
             with np.errstate(over="ignore"):
-                return np.exp(-l1 / bw, out=_line_aligned_empty(len(c), len(p)))
+                return np.exp(-l1 / bw)
         if self.kind == "polynomial":
-            return self._polynomial(c @ p.T, _line_aligned_empty(len(c), len(p)))
+            return self._polynomial(c @ p.T)
         raise InputError(f"unknown hypothesis kernel kind {self.kind!r}")
 
-    def _polynomial(self, dots, out=None):
+    def _polynomial(self, dots):
         """(x.x' + offset)^degree from the inner products x.x', checked finite."""
         degree = self.shape_params["degree"]
         offset = self.shape_params["offset"]
         with np.errstate(all="ignore"):
-            values = np.power(dots + offset, degree, out=out)
+            values = np.power(dots + offset, degree)
         if not np.all(np.isfinite(values)):
             raise InputError(
                 f"polynomial kernel with degree {degree:g} and offset {offset:g} is not "

@@ -44,8 +44,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-CHAIN_FAMILIES = ("iid", "two-state", "lazy-walk", "metropolis")
-
 _SIMPLE_TOL = 1e-8  # |lambda - 1| below this counts as the unit eigenvalue
 _ROW_TOL = 1e-12
 _BALANCE_TOL = 1e-10  # absolute, on probability flows pi_i P_ij, which sum to 1
@@ -68,7 +66,6 @@ class TransitionKernel:
             emb = emb[:, None]
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise InputError("transition matrix must be square")
-        n = P.shape[0]
         if not np.all(np.isfinite(P)):
             raise InputError("transition probabilities must be finite")
         if np.any(P < 0):
@@ -76,7 +73,7 @@ class TransitionKernel:
         rows = P.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > _ROW_TOL:
             raise InputError(f"row sums deviate from 1 by {np.max(np.abs(rows - 1.0)):.3e}")
-        if emb.shape[0] != n:
+        if emb.shape[0] != P.shape[0]:
             raise InputError("state_embedding must have one vector per state")
         if not np.all((emb >= 0) & (emb <= 1)):
             raise InputError("state embedding coordinates must lie in [0, 1]")
@@ -108,17 +105,15 @@ def stationary_distribution(kernel: TransitionKernel) -> np.ndarray:
     """
     if kernel._pi is not None:
         return kernel._pi
-    P = kernel.P
-    vals, vecs = np.linalg.eig(P.T)
+    vals, vecs = np.linalg.eig(kernel.P.T)
     unit = np.flatnonzero(np.abs(vals - 1.0) < _SIMPLE_TOL)
     if len(unit) != 1:
         raise NumericError(
             f"eigenvalue 1 has multiplicity {len(unit)}; stationary distribution not unique"
         )
-    v = np.real(vecs[:, unit[0]])
-    v = np.abs(v)
+    v = np.abs(np.real(vecs[:, unit[0]]))
     pi = v / v.sum()
-    residual = np.max(np.abs(pi @ P - pi))
+    residual = np.max(np.abs(pi @ kernel.P - pi))
     if residual > 1e-10:
         raise NumericError(f"stationary residual {residual:.3e} exceeds tolerance")
     pi.setflags(write=False)
@@ -137,8 +132,7 @@ def adjoint_kernel(kernel: TransitionKernel, pi: np.ndarray) -> np.ndarray:
     pi = np.asarray(pi, dtype=float)
     if np.any(pi <= 0):
         raise InputError("adjoint requires a strictly positive stationary distribution")
-    adj = (kernel.P.T * pi[None, :]) / pi[:, None]
-    return adj
+    return (kernel.P.T * pi[None, :]) / pi[:, None]
 
 
 def _gap(vals: np.ndarray, size) -> float:
@@ -178,8 +172,7 @@ def pseudo_spectral_gap(kernel: TransitionKernel, k_max: int) -> float:
     pi = stationary_distribution(kernel)
     adj = adjoint_kernel(kernel, pi)
     best = 0.0
-    forward = np.eye(kernel.n_states)
-    backward = np.eye(kernel.n_states)
+    forward = backward = np.eye(kernel.n_states)
     for k in range(1, k_max + 1):
         forward = forward @ kernel.P
         backward = backward @ adj
@@ -203,8 +196,7 @@ def sample_chain(kernel: TransitionKernel, m: int, seed: int, start="stationary"
     if isinstance(start, str):
         if start != "stationary":
             raise InputError(f"start must be 'stationary' or a state index, got {start!r}")
-        pi = stationary_distribution(kernel)
-        cpi = np.cumsum(pi)
+        cpi = np.cumsum(stationary_distribution(kernel))
         cpi[-1] = 1.0
         states[0] = int(np.searchsorted(cpi, rng.random(), side="right"))
     else:
@@ -256,8 +248,7 @@ def _grid_embedding(n: int, d: int) -> np.ndarray:
     while side**d < n:
         side += 1
     axis = np.linspace(0.0, 1.0, side)
-    pts = list(itertools.islice(itertools.product(axis, repeat=d), n))
-    return np.array(pts, dtype=float)
+    return np.array(list(itertools.islice(itertools.product(axis, repeat=d), n)), dtype=float)
 
 
 def iid_chain(n: int, target=None, d: int = 1) -> TransitionKernel:
@@ -267,24 +258,32 @@ def iid_chain(n: int, target=None, d: int = 1) -> TransitionKernel:
     pi = np.full(n, 1.0 / n) if target is None else np.asarray(target, dtype=float)
     if len(pi) != n or np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
         raise InputError("target must be a length-n probability vector")
-    P = np.tile(pi, (n, 1))
-    return TransitionKernel(P, _grid_embedding(n, d))
+    return TransitionKernel(np.tile(pi, (n, 1)), _grid_embedding(n, d))
+
+
+_FLIP = (lambda p: 0.0 <= p <= 1.0, "flip probabilities must lie in [0, 1]")
+# each parameter's one check, run whenever it is given (not None), used or not
+_PARAM_CHECKS = {"p": _FLIP, "q": _FLIP,
+                 "laziness": (lambda v: 0.0 <= v < 1.0, "laziness must lie in [0, 1)")}
+
+
+def _check(**params) -> None:
+    for key, (holds, message) in _PARAM_CHECKS.items():
+        if params.get(key) is not None and not holds(params[key]):
+            raise InputError(message)
 
 
 def two_state_chain(p: float, q: float, d: int = 1) -> TransitionKernel:
     """Two states with flip probabilities p (0 -> 1) and q (1 -> 0)."""
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        raise InputError("flip probabilities must lie in [0, 1]")
-    P = np.array([[1.0 - p, p], [q, 1.0 - q]])
-    return TransitionKernel(P, _grid_embedding(2, d))
+    _check(p=p, q=q)
+    return TransitionKernel(np.array([[1.0 - p, p], [q, 1.0 - q]]), _grid_embedding(2, d))
 
 
 def lazy_random_walk(n: int, laziness: float, d: int = 1) -> TransitionKernel:
     """Lazy nearest-neighbour walk on a path of n states (reversible)."""
     if n < 2:
         raise InputError("walk needs at least 2 states")
-    if not 0.0 <= laziness < 1.0:
-        raise InputError("laziness must lie in [0, 1)")
+    _check(laziness=laziness)
     P = np.zeros((n, n))
     move = 1.0 - laziness
     for i in range(n):
@@ -321,20 +320,29 @@ def uniform_gap_chain(n: int, gap: float, d: int = 1) -> TransitionKernel:
     return TransitionKernel(P, _grid_embedding(n, d))
 
 
+_REQUIRED = object()
+# each family's constructor and its parameters before d, with defaults (_REQUIRED: none)
+_FAMILIES = {
+    "iid": (iid_chain, {"n": 2, "target": None}),
+    "two-state": (two_state_chain, {"p": _REQUIRED, "q": _REQUIRED}),
+    "lazy-walk": (lazy_random_walk, {"n": _REQUIRED, "laziness": 0.5}),
+    "metropolis": (metropolis_grid, {"n": _REQUIRED, "target": None}),
+}
+CHAIN_FAMILIES = tuple(_FAMILIES)
+
+
 def builtin_chain(family: str, d: int = 1, **params) -> TransitionKernel:
-    """Dispatch on family name: iid, two-state, lazy-walk, metropolis.  The flip
-    probabilities and the laziness are checked whenever given, used or not."""
-    two_state_chain(params.get("p") or 0.0, params.get("q") or 0.0)
-    lazy_random_walk(2, params.get("laziness") or 0.0)
-    if family == "iid":
-        return iid_chain(int(params.pop("n", 2)), params.pop("target", None), d)
-    if family == "two-state":
-        return two_state_chain(float(params.pop("p")), float(params.pop("q")), d)
-    if family == "lazy-walk":
-        return lazy_random_walk(int(params.pop("n")), float(params.pop("laziness", 0.5)), d)
-    if family == "metropolis":
-        return metropolis_grid(int(params.pop("n")), params.pop("target", None), d)
-    raise InputError(f"unknown chain family {family!r}; choose from {CHAIN_FAMILIES}")
+    """A chain of ``CHAIN_FAMILIES``; None is not given.  Every p, q, laziness given is checked."""
+    _check(**params)
+    if family not in _FAMILIES:
+        raise InputError(f"unknown chain family {family!r}; choose from {CHAIN_FAMILIES}")
+    build, defaults = _FAMILIES[family]
+    args = {key: default if params.get(key) is None else params[key]
+            for key, default in defaults.items()}
+    for key, value in args.items():
+        if value is _REQUIRED:
+            raise InputError(f"{family} chain needs parameter {key!r}")
+    return build(*(int(v) if key == "n" else v for key, v in args.items()), d)
 
 
 class ChainDiagnostics(NamedTuple):
@@ -353,9 +361,8 @@ class ChainDiagnostics(NamedTuple):
     tv_decay: list
 
 
-def diagnose(
-    kernel: TransitionKernel, k_max: int = 5, t_max: int = 30, start_state: int = 0
-) -> ChainDiagnostics:
+def diagnose(kernel: TransitionKernel, k_max: int = 5, t_max: int = 30,
+             start_state: int = 0) -> ChainDiagnostics:
     pi = stationary_distribution(kernel)
     reversible = is_reversible(kernel, pi)
     gamma = _gap_of_reversible(kernel.P, pi) if reversible else math.nan
@@ -365,14 +372,9 @@ def diagnose(
         if commutator > 1e-10:  # P is not normal in L2(pi)
             log.warning("P is not normal in L2(pi) (max |P P* - P* P| = %.3g): gamma_a is read "
                         "from the eigenvalues of a non-normal P and can be far off", commutator)
-    return ChainDiagnostics(
-        pi=pi,
-        reversible=reversible,
-        gamma=gamma,
-        gamma_abs=absolute_spectral_gap(kernel),
-        gamma_pseudo=pseudo_spectral_gap(kernel, k_max),
-        tv_decay=tv_mixing_curve(kernel, start_state, t_max),
-    )
+    return ChainDiagnostics(pi, reversible, gamma, absolute_spectral_gap(kernel),
+                            pseudo_spectral_gap(kernel, k_max),
+                            tv_mixing_curve(kernel, start_state, t_max))
 
 
 def read_transition_file(path) -> TransitionKernel:
@@ -394,9 +396,7 @@ def read_transition_file(path) -> TransitionKernel:
     body = np.array([float(t) for t in tokens[2:]])
     if not np.all(np.isfinite(body)):
         raise InputError(f"{path}: non-finite value in the transition matrix or embedding")
-    P = body[: n * n].reshape(n, n)
-    emb = body[n * n :].reshape(n, d)
-    return TransitionKernel(P, emb)
+    return TransitionKernel(body[: n * n].reshape(n, n), body[n * n :].reshape(n, d))
 
 
 def write_transition_file(path, kernel: TransitionKernel) -> None:

@@ -44,12 +44,58 @@ _BUMP_REACH = 8.0  # a phi of unbounded support is cut this many sigma out
 _JUMP_GAP = 1e-9  # the piece left of a support start ends this fraction short of it
 
 
-class NoiseModel(NamedTuple):
-    """A noise distribution with density mode pinned at zero.
+def _student_t_density(t, p):
+    dof, scale = p["dof"], p["scale"]
+    x = t / scale
+    # the log of the t(dof) density at 0: Gamma((dof+1)/2) / (Gamma(dof/2) sqrt(dof pi))
+    log_norm = math.lgamma(0.5 * dof + 0.5) - math.lgamma(0.5 * dof) - 0.5 * (
+        math.log(dof) + math.log(math.pi))
+    return np.exp(log_norm - (dof + 1) / 2 * np.log1p(x * x / dof)) / scale
 
-    ``smooth`` records whether the density has a bounded second derivative
-    (needed by comparison_gap).
-    """
+
+def _shifted_gamma_density(t, p):
+    k, theta = p["shape"], p["scale"]
+    x = (t + (k - 1.0) * theta) / theta
+    # the support is x > 0, and x = 0 too at shape 1, where the
+    # (k - 1) log x term is 0 everywhere (0 log 0 = 0)
+    inside = x >= 0.0 if k == 1.0 else x > 0.0
+    x_in = np.where(inside, x, 1.0)
+    x_log_x = (k - 1.0) * np.log(x_in) if k != 1.0 else 0.0
+    log_pdf = x_log_x - x_in - math.lgamma(k)
+    return np.where(inside, np.exp(log_pdf) / theta, 0.0)
+
+
+class _NoiseKind(NamedTuple):
+    """A noise kind: its parameters, density p(t), sampler, whether p'' is bounded
+    and its support start (None: none), each a function of ``NoiseModel.params``."""
+
+    params: tuple
+    density: Callable
+    sample: Callable
+    smooth: Callable = lambda p: True
+    start: Callable = lambda p: None
+
+
+_NOISE_TABLE = {
+    "gaussian": _NoiseKind(
+        ("scale",), lambda t, p: np.exp(-(t / p["scale"])**2 / 2.0) / _SQRT_2PI / p["scale"],
+        lambda rng, size, p: rng.normal(0.0, p["scale"], size)),
+    "student-t": _NoiseKind(
+        ("dof", "scale"), _student_t_density,
+        lambda rng, size, p: rng.standard_t(p["dof"], size) * p["scale"]),
+    "shifted-gamma": _NoiseKind(
+        ("shape", "scale"), _shifted_gamma_density,
+        lambda rng, size, p: rng.gamma(p["shape"], p["scale"], size)
+        - (p["shape"] - 1.0) * p["scale"],
+        smooth=lambda p: p["shape"] >= 3.0, start=lambda p: -(p["shape"] - 1.0) * p["scale"]),
+}
+NOISE_KINDS = tuple(_NOISE_TABLE)
+
+
+class NoiseModel(NamedTuple):
+    """A noise distribution of a kind in ``NOISE_KINDS`` with density mode pinned at
+    zero; ``smooth`` records whether the density has a bounded second derivative
+    (needed by comparison_gap)."""
 
     kind: str
     params: dict
@@ -59,45 +105,11 @@ class NoiseModel(NamedTuple):
         """Density at t.  Each kind uses the arithmetic of SciPy's distribution
         objects, with the log-gamma constants from ``math.lgamma``; the values
         agree with SciPy's to about 1e-15 relative."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "gaussian":
-            scale = self.params["scale"]
-            x = t / scale
-            out = np.exp(-x**2 / 2.0) / _SQRT_2PI / scale
-        elif self.kind == "student-t":
-            dof, scale = self.params["dof"], self.params["scale"]
-            x = t / scale
-            log_pdf = _student_t_log_norm(dof) - (dof + 1) / 2 * np.log1p(x * x / dof)
-            out = np.exp(log_pdf) / scale
-        elif self.kind == "shifted-gamma":
-            k, theta = self.params["shape"], self.params["scale"]
-            x = (t + (k - 1.0) * theta) / theta
-            # the support is x > 0, and x = 0 too at shape 1, where the
-            # (k - 1) log x term is 0 everywhere (0 log 0 = 0)
-            inside = x >= 0.0 if k == 1.0 else x > 0.0
-            x_in = np.where(inside, x, 1.0)
-            x_log_x = (k - 1.0) * np.log(x_in) if k != 1.0 else 0.0
-            log_pdf = x_log_x - x_in - math.lgamma(k)
-            out = np.where(inside, np.exp(log_pdf) / theta, 0.0)
-        else:  # pragma: no cover - constructors prevent this
-            raise InputError(f"unknown noise kind {self.kind!r}")
+        out = _NOISE_TABLE[self.kind].density(np.asarray(t, dtype=float), self.params)
         return float(out) if np.ndim(out) == 0 else out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.kind == "gaussian":
-            return rng.normal(0.0, self.params["scale"], size)
-        if self.kind == "student-t":
-            return rng.standard_t(self.params["dof"], size) * self.params["scale"]
-        if self.kind == "shifted-gamma":
-            k, theta = self.params["shape"], self.params["scale"]
-            return rng.gamma(k, theta, size) - (k - 1.0) * theta
-        raise InputError(f"unknown noise kind {self.kind!r}")  # pragma: no cover
-
-
-def _student_t_log_norm(dof: float) -> float:
-    """log of the t(dof) density at 0: Gamma((dof+1)/2) / (Gamma(dof/2) sqrt(dof pi))."""
-    return math.lgamma(0.5 * dof + 0.5) - math.lgamma(0.5 * dof) - 0.5 * (
-        math.log(dof) + math.log(math.pi))
+        return _NOISE_TABLE[self.kind].sample(rng, size, self.params)
 
 
 def _noise_cuts(model: NoiseModel):
@@ -109,10 +121,10 @@ def _noise_cuts(model: NoiseModel):
     """
     scale = model.params["scale"]
     body = _BODY_SCALES * scale
-    if model.kind == "shifted-gamma":
-        start = -(model.params["shape"] - 1.0) * scale
-        return [start, 0.0, body], [start], scale
-    return [-body, 0.0, body], [], scale
+    start = _NOISE_TABLE[model.kind].start(model.params)
+    if start is None:
+        return [-body, 0.0, body], [], scale
+    return [start, 0.0, body], [start], scale
 
 
 def _line_rule(noise: NoiseModel, cuts, points: int):
@@ -181,64 +193,51 @@ def _validate_noise(model: NoiseModel) -> NoiseModel:
     return model
 
 
-def _check_dof(dof: float) -> None:
-    if not 1 <= dof < math.inf:
-        raise InputError(f"student-t dof must be at least 1 and finite, got {dof}")
-
-
-def _check_shape(shape: float) -> None:
-    if not 1.0 <= shape < math.inf:
-        raise InputError("shape must be at least 1 and finite, for a finite mode at zero")
-
-
-def gaussian_noise(scale: float = 1.0) -> NoiseModel:
-    if not 0 < scale < math.inf:
-        raise InputError("scale must be positive and finite")
-    return _validate_noise(NoiseModel("gaussian", {"scale": float(scale)}, smooth=True))
-
-
-def student_t_noise(dof: float, scale: float = 1.0) -> NoiseModel:
-    """Student-t noise; dof 1 is Cauchy noise.  Below dof 1 the density decays
-    slower than 1/t^2, so on the tan-mapped tails of ``_line_rule`` its
-    integrand grows without bound towards theta = pi/2; dof must be at least
-    1."""
-    if not 0 < scale < math.inf:
-        raise InputError("scale must be positive and finite")
-    _check_dof(dof)
-    return _validate_noise(
-        NoiseModel("student-t", {"dof": float(dof), "scale": float(scale)}, smooth=True)
-    )
-
-
-def shifted_gamma_noise(shape: float, scale: float = 1.0) -> NoiseModel:
-    """Gamma(shape, scale) shifted left by (shape-1)*scale so the mode is 0.
-
-    An asymmetric noise whose conditional mean differs from its mode, which
-    is the case modal regression targets and mean regression cannot.
-    p rises like x^(shape - 1), so p'' is bounded (``smooth``) from shape 3.
-    """
-    _check_shape(shape)
-    if not 0 < scale < math.inf:
-        raise InputError("scale must be positive and finite")
-    params = {"shape": float(shape), "scale": float(scale)}
-    return _validate_noise(NoiseModel("shifted-gamma", params, smooth=shape >= 3.0))
-
-
-_PARAM_CHECKS = {"dof": _check_dof, "shape": _check_shape}
+# every parameter's one check and its message, in the order builtin_noise runs them
+_PARAM_CHECKS = {
+    "dof": (lambda dof: 1 <= dof < math.inf, "student-t dof must be at least 1 and finite, got {}"),
+    "shape": (lambda shape: 1.0 <= shape < math.inf,
+              "shape must be at least 1 and finite, for a finite mode at zero"),
+    "scale": (lambda scale: 0 < scale < math.inf, "scale must be positive and finite"),
+}
 
 
 def builtin_noise(kind: str, scale: float = 1.0, **params) -> NoiseModel:
-    """Dispatch on kind name: gaussian, student-t (``dof``), shifted-gamma (``shape``).
-    Every parameter given is checked, used or not; only the named noise is built."""
-    for key, value in params.items():
-        _PARAM_CHECKS[key](value)
-    if kind == "gaussian":
-        return gaussian_noise(scale)
-    if kind == "student-t":
-        return student_t_noise(params["dof"], scale)
-    if kind == "shifted-gamma":
-        return shifted_gamma_noise(params["shape"], scale)
-    raise InputError(f"unknown noise kind {kind!r}")
+    """Noise of a kind in ``NOISE_KINDS``: gaussian, student-t (``dof``) or
+    shifted-gamma (``shape``); a parameter None is not given.  Every parameter
+    given is checked, used or not; only the named noise is built."""
+    params["scale"] = 1.0 if scale is None else scale
+    given = {key: value for key, value in params.items() if value is not None}
+    for key, (holds, message) in _PARAM_CHECKS.items():
+        if key in given and not holds(given[key]):
+            raise InputError(message.format(given[key]))
+    if kind not in _NOISE_TABLE:
+        raise InputError(f"unknown noise kind {kind!r}")
+    record = _NOISE_TABLE[kind]
+    for key in record.params:
+        if key not in given:
+            raise InputError(f"{kind} noise needs parameter {key!r}")
+    values = {key: float(given[key]) for key in record.params}
+    return _validate_noise(NoiseModel(kind, values, smooth=record.smooth(values)))
+
+
+def gaussian_noise(scale: float = 1.0) -> NoiseModel:
+    return builtin_noise("gaussian", scale)
+
+
+def student_t_noise(dof: float, scale: float = 1.0) -> NoiseModel:
+    """Student-t noise; dof 1 is Cauchy noise.  Below dof 1 the density decays slower
+    than 1/t^2, so on the tan-mapped tails of ``_line_rule`` its integrand grows
+    without bound towards theta = pi/2; dof must be at least 1."""
+    return builtin_noise("student-t", scale, dof=dof)
+
+
+def shifted_gamma_noise(shape: float, scale: float = 1.0) -> NoiseModel:
+    """Gamma(shape, scale) shifted left by (shape-1)*scale so the mode is 0: an
+    asymmetric noise whose conditional mean differs from its mode, the case modal
+    regression targets and mean regression cannot.  p rises like x^(shape - 1), so
+    p'' is bounded (``smooth``) from shape 3."""
+    return builtin_noise("shifted-gamma", scale, shape=shape)
 
 
 @dataclass(frozen=True)

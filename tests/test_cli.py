@@ -627,6 +627,21 @@ class TestFlags:
                 entries.setdefault(entry[0], set()).add(entry)
         assert sorted(name for name, found in entries.items() if len(found) > 1) == ["m"]
 
+    def test_family_and_noise_help_names_every_table_entry(self):
+        # the help strings are literals, since cli loads neither markov nor
+        # risk; each must list the factory tables' keys, in order
+        from modalmr.markov import CHAIN_FAMILIES
+        from modalmr.risk import NOISE_KINDS
+
+        listed = {"chain-family": CHAIN_FAMILIES, "noise": NOISE_KINDS}
+        seen = set()
+        for options in _COMMAND_OPTIONS.values():
+            for name, _, _, text in options:
+                if name in listed:
+                    assert text.split(" | ") == list(listed[name]), name
+                    seen.add(name)
+        assert seen == set(listed)
+
     def test_readme_usage_lines_parse(self):
         # every example in the README's usage block names flags the parser has
         text = (SRC.parent / "README.md").read_text()

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from modalmr.errors import InputError, NumericError
 from modalmr.markov import (
     absolute_spectral_gap,
     adjoint_kernel,
+    CHAIN_FAMILIES,
     builtin_chain,
     diagnose,
     iid_chain,
@@ -343,6 +345,55 @@ class TestBuiltins:
             metropolis_grid(3, [0.5, 0.5, 0.0])
         with pytest.raises(InputError):
             builtin_chain("unknown")
+
+
+# every parameter builtin_chain reads, all valid, and the ones each family needs
+CHAIN_PARAMS = {"n": 4, "p": 0.3, "q": 0.2, "laziness": 0.5}
+REQUIRED = {"iid": (), "two-state": ("p", "q"), "lazy-walk": ("n",), "metropolis": ("n",)}
+FLIP = "flip probabilities must lie in [0, 1]"
+BAD_CHAIN_PARAMS = [(name, value, message) for name, values, message in [
+    ("p", [math.nan, -0.1, 1.5, math.inf, -math.inf], FLIP),
+    ("q", [math.nan, -0.1, 1.5, math.inf, -math.inf], FLIP),
+    ("laziness", [math.nan, -0.1, 1.0, math.inf, -math.inf], "laziness must lie in [0, 1)"),
+] for value in values]
+
+
+class TestFamilyTable:
+    def test_required_lists_every_family(self):
+        assert tuple(REQUIRED) == CHAIN_FAMILIES
+
+    @pytest.mark.parametrize("family, name", [
+        (family, name) for family, names in REQUIRED.items() for name in names])
+    @pytest.mark.parametrize("absent", ["dropped", "None"])
+    def test_missing_parameter_is_an_input_error(self, family, name, absent):
+        params = {key: value for key, value in CHAIN_PARAMS.items() if key != name}
+        if absent == "None":
+            params[name] = None
+        with pytest.raises(InputError, match=f"^{family} chain needs parameter '{name}'$"):
+            builtin_chain(family, **params)
+
+    @pytest.mark.parametrize("family", CHAIN_FAMILIES)
+    @pytest.mark.parametrize("name, value, message", BAD_CHAIN_PARAMS)
+    def test_every_given_parameter_is_checked(self, family, name, value, message):
+        # whether or not the family uses it
+        with pytest.raises(InputError) as exc:
+            builtin_chain(family, **{**CHAIN_PARAMS, name: value})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("family, expected", [
+        ("iid", iid_chain(2)),
+        ("two-state", two_state_chain(0.3, 0.2)),
+        ("lazy-walk", lazy_random_walk(4, 0.5)),
+        ("metropolis", metropolis_grid(4)),
+    ])
+    def test_none_is_not_given(self, family, expected):
+        # a parameter left None is skipped by the checks, and a family that
+        # takes it falls back on its default (iid n 2, lazy-walk laziness 0.5)
+        given = {key: CHAIN_PARAMS[key] if key in REQUIRED[family] else None
+                 for key in CHAIN_PARAMS}
+        chain = builtin_chain(family, **given)
+        assert chain.P.tobytes() == expected.P.tobytes()
+        assert chain.state_embedding.tobytes() == expected.state_embedding.tobytes()
 
 
 class TestDiagnostics:

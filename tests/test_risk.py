@@ -10,9 +10,11 @@ from modalmr.errors import InputError
 from modalmr.kernels import PHI_KINDS, hypothesis_kernel, representing_function
 from modalmr.markov import iid_chain, transition_kernel, two_state_chain
 from modalmr.risk import (
+    NOISE_KINDS,
     NoiseModel,
     _line_rule,
     _validate_noise,
+    builtin_noise,
     comparison_gap,
     default_target,
     excess_risk,
@@ -145,6 +147,55 @@ class TestNoiseModels:
         assert student_t_noise(2.0).smooth
         assert not shifted_gamma_noise(2.0).smooth  # p'' is unbounded below shape 3
         assert not shifted_gamma_noise(1.5).smooth
+
+
+# every parameter builtin_noise reads besides scale, all valid, and the ones
+# each kind needs
+NOISE_PARAMS = {"dof": 3.0, "shape": 2.0}
+REQUIRED_NOISE = {"gaussian": (), "student-t": ("dof",), "shifted-gamma": ("shape",)}
+SHAPE = "shape must be at least 1 and finite, for a finite mode at zero"
+BAD_NOISE_PARAMS = [
+    *[("dof", value, f"student-t dof must be at least 1 and finite, got {value}")
+      for value in (math.nan, 0.5, -1.0, math.inf, -math.inf)],
+    *[("shape", value, SHAPE) for value in (math.nan, 0.5, -1.0, math.inf, -math.inf)],
+    *[("scale", value, "scale must be positive and finite")
+      for value in (math.nan, 0.0, -1.0, math.inf, -math.inf)],
+]
+
+
+class TestNoiseTable:
+    def test_required_lists_every_kind(self):
+        assert tuple(REQUIRED_NOISE) == NOISE_KINDS
+
+    @pytest.mark.parametrize("kind, name", [
+        (kind, name) for kind, names in REQUIRED_NOISE.items() for name in names])
+    @pytest.mark.parametrize("absent", ["dropped", "None"])
+    def test_missing_parameter_is_an_input_error(self, kind, name, absent):
+        params = {key: value for key, value in NOISE_PARAMS.items() if key != name}
+        if absent == "None":
+            params[name] = None
+        with pytest.raises(InputError, match=f"^{kind} noise needs parameter '{name}'$"):
+            builtin_noise(kind, 0.5, **params)
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("name, value, message", BAD_NOISE_PARAMS)
+    def test_every_given_parameter_is_checked(self, kind, name, value, message):
+        # whether or not the kind uses it
+        params = {"scale": 0.5, **NOISE_PARAMS, name: value}
+        with pytest.raises(InputError) as exc:
+            builtin_noise(kind, **params)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind, expected", [
+        ("gaussian", gaussian_noise(1.0)),
+        ("student-t", student_t_noise(3.0)),
+        ("shifted-gamma", shifted_gamma_noise(2.0)),
+    ])
+    def test_none_is_not_given(self, kind, expected):
+        # a parameter left None is skipped by the checks; scale falls back on 1
+        given = {key: NOISE_PARAMS[key] if key in REQUIRED_NOISE[kind] else None
+                 for key in NOISE_PARAMS}
+        assert builtin_noise(kind, None, **given) == expected
 
 
 EXACT = settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -1047,9 +1047,8 @@ class TestBlockLineSearch:
         assert stopped == "no ascent step"
 
     def test_any_gram_alignment(self):
-        # kernels.cross lays its grams out on a cache line, but a hand-built
-        # gram reaches BLAS where it starts; where that is changes no bit of
-        # the fit
+        # a gram reaches BLAS wherever its buffer starts, and where that is
+        # changes no bit of the fit
         x = np.linspace(0.0, 1.0, 23).reshape(-1, 1)
         y = np.sin(6.0 * x[:, 0])
         cfg = RmrConfig(sigma=0.5, lam=1e-3, q=2, phi=representing_function("epanechnikov"))
