@@ -406,7 +406,7 @@ def _cmd_fit(opts) -> int:
         write_csv(opts["fitted-out"], ["index", "fitted"],
                   list(enumerate(predict(model, x).tolist())))
     print(
-        f"fit: m={model.m}, objective={model.objective_trace[-1]:.12g}, "
+        f"fit: m={len(y)}, objective={model.objective_trace[-1]:.12g}, "
         f"iterations={len(model.objective_trace) - 1}, model -> {opts['out']}"
     )
     return 0

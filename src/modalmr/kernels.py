@@ -253,9 +253,10 @@ class HypothesisKernel(NamedTuple):
         return values
 
     def factor(self, points, max_rank: int):
-        """L, C-contiguous n x r, with K(points, points) = L L^T to rounding,
-        by greedy pivoted Cholesky (Fine & Scheinberg 2001; Harbrecht, Peters
-        & Schneider 2012), or None if r would exceed ``max_rank``.
+        """(L, pivots): L, C-contiguous n x r, with K(points, points) = L L^T to
+        rounding, by greedy pivoted Cholesky (Fine & Scheinberg 2001; Harbrecht,
+        Peters & Schneider 2012), and its r pivots in the order taken, so L[pivots]
+        is lower triangular; or None if r would exceed ``max_rank``.
 
         Each step takes the point with the largest residual diagonal as its
         pivot j and appends the column (K_j - L L_j^T) / sqrt(residual_j),
@@ -284,7 +285,7 @@ class HypothesisKernel(NamedTuple):
         pivots = []
         for k in range(max_rank + 1):
             if np.add.reduce(residual) <= stop:
-                return np.ascontiguousarray(columns[:k].T)
+                return np.ascontiguousarray(columns[:k].T), np.array(pivots, dtype=int)
             if k == max_rank:
                 return None
             if k == len(columns):

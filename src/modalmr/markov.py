@@ -253,8 +253,7 @@ def _grid_embedding(n: int, d: int) -> np.ndarray:
 
 def iid_chain(n: int, target=None, d: int = 1) -> TransitionKernel:
     """Chain whose every row equals the target distribution (gap 1)."""
-    if n < 2:
-        raise InputError("iid chain needs at least 2 states")
+    _check("iid chain", n=n)
     pi = np.full(n, 1.0 / n) if target is None else np.asarray(target, dtype=float)
     if len(pi) != n or np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
         raise InputError("target must be a length-n probability vector")
@@ -262,28 +261,27 @@ def iid_chain(n: int, target=None, d: int = 1) -> TransitionKernel:
 
 
 _FLIP = (lambda p: 0.0 <= p <= 1.0, "flip probabilities must lie in [0, 1]")
-# each parameter's one check, run whenever it is given (not None), used or not
-_PARAM_CHECKS = {"p": _FLIP, "q": _FLIP,
+# each parameter's one check, run whenever it is given (not None), used or not;
+# {} is the chain that asks for it
+_PARAM_CHECKS = {"n": (lambda n: n >= 2, "{} needs at least 2 states"), "p": _FLIP, "q": _FLIP,
                  "laziness": (lambda v: 0.0 <= v < 1.0, "laziness must lie in [0, 1)")}
 
 
-def _check(**params) -> None:
+def _check(chain: str, **params) -> None:
     for key, (holds, message) in _PARAM_CHECKS.items():
         if params.get(key) is not None and not holds(params[key]):
-            raise InputError(message)
+            raise InputError(message.format(chain))
 
 
 def two_state_chain(p: float, q: float, d: int = 1) -> TransitionKernel:
     """Two states with flip probabilities p (0 -> 1) and q (1 -> 0)."""
-    _check(p=p, q=q)
+    _check("two-state chain", p=p, q=q)
     return TransitionKernel(np.array([[1.0 - p, p], [q, 1.0 - q]]), _grid_embedding(2, d))
 
 
 def lazy_random_walk(n: int, laziness: float, d: int = 1) -> TransitionKernel:
     """Lazy nearest-neighbour walk on a path of n states (reversible)."""
-    if n < 2:
-        raise InputError("walk needs at least 2 states")
-    _check(laziness=laziness)
+    _check("walk", n=n, laziness=laziness)
     P = np.zeros((n, n))
     move = 1.0 - laziness
     for i in range(n):
@@ -296,8 +294,7 @@ def lazy_random_walk(n: int, laziness: float, d: int = 1) -> TransitionKernel:
 
 def metropolis_grid(n: int, target=None, d: int = 1) -> TransitionKernel:
     """Metropolis walk on a path of n states targeting the given distribution."""
-    if n < 2:
-        raise InputError("metropolis chain needs at least 2 states")
+    _check("metropolis chain", n=n)
     t = np.full(n, 1.0 / n) if target is None else np.asarray(target, dtype=float)
     if len(t) != n or np.any(t <= 0) or abs(t.sum() - 1.0) > 1e-12:
         raise InputError("target must be a strictly positive length-n probability vector")
@@ -314,8 +311,7 @@ def uniform_gap_chain(n: int, gap: float, d: int = 1) -> TransitionKernel:
     """(1 - gap) I + gap / n on n grid states, with absolute spectral gap ``gap``."""
     if not 0.0 < gap <= 1.0:
         raise InputError("gamma values must lie in (0, 1]")
-    if n < 2:
-        raise InputError("uniform-gap chain needs at least 2 states")
+    _check("uniform-gap chain", n=n)
     P = (1.0 - gap) * np.eye(n) + gap * np.full((n, n), 1.0 / n)
     return TransitionKernel(P, _grid_embedding(n, d))
 
@@ -329,14 +325,19 @@ _FAMILIES = {
     "metropolis": (metropolis_grid, {"n": _REQUIRED, "target": None}),
 }
 CHAIN_FAMILIES = tuple(_FAMILIES)
+_PARAM_NAMES = tuple(dict.fromkeys(key for _, defaults in _FAMILIES.values() for key in defaults))
 
 
 def builtin_chain(family: str, d: int = 1, **params) -> TransitionKernel:
-    """A chain of ``CHAIN_FAMILIES``; None is not given.  Every p, q, laziness given is checked."""
-    _check(**params)
+    """A chain of ``CHAIN_FAMILIES``; None is not given.  Every parameter given
+    is checked once: one the family takes by its constructor, any other here."""
+    for key in params:
+        if key not in _PARAM_NAMES:
+            raise InputError(f"unknown chain parameter {key!r}; choose from {_PARAM_NAMES}")
     if family not in _FAMILIES:
         raise InputError(f"unknown chain family {family!r}; choose from {CHAIN_FAMILIES}")
     build, defaults = _FAMILIES[family]
+    _check("chain", **{key: value for key, value in params.items() if key not in defaults})
     args = {key: default if params.get(key) is None else params[key]
             for key, default in defaults.items()}
     for key, value in args.items():

@@ -205,8 +205,12 @@ _PARAM_CHECKS = {
 def builtin_noise(kind: str, scale: float = 1.0, **params) -> NoiseModel:
     """Noise of a kind in ``NOISE_KINDS``: gaussian, student-t (``dof``) or
     shifted-gamma (``shape``); a parameter None is not given.  Every parameter
-    given is checked, used or not; only the named noise is built."""
+    given is checked, used or not, and an unknown name is an error; only the
+    named noise is built."""
     params["scale"] = 1.0 if scale is None else scale
+    for key in params:
+        if key not in _PARAM_CHECKS:
+            raise InputError(f"unknown noise parameter {key!r}; choose from {tuple(_PARAM_CHECKS)}")
     given = {key: value for key, value in params.items() if value is not None}
     for key, (holds, message) in _PARAM_CHECKS.items():
         if key in given and not holds(given[key]):

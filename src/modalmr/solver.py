@@ -90,36 +90,32 @@ class RmrConfig:
 
 @dataclass(frozen=True, eq=False)
 class RmrModel:
-    """Fitted per-sample coefficients, with the training inputs and kernel
-    that evaluate f(x) = sum_i alpha_i K(x_i, x).
+    """The function f(x) = sum_i alpha_i K(x_i, x) a fit produced: one
+    coefficient per centre x_i (``train_inputs``), and the kernel K.
 
-    ``fit_data`` and ``load_model`` fill in the inputs and kernel; the
+    ``fit_data`` and ``load_model`` fill in the centres and kernel.  The
     gram-level fits (``fit_hq``, ``fit_gradient``, ``fit_hq_multistart``) see
-    only a gram and leave both None, and such a model can neither predict
-    nor be saved.  ``groups`` is the grouping of the training inputs that
-    ``fit_data`` fitted on, or the one the model makes when given inputs
-    without it, so that ``predict`` need not sort the inputs again.  It is
-    not shown or saved.  Models compare by identity."""
+    only a gram: their alpha is per sample, and a model without centres or
+    kernel can neither predict nor be saved.  Models compare by identity."""
 
     alpha: np.ndarray
     train_inputs: np.ndarray | None
     kernel: HypothesisKernel | None
     config: RmrConfig
     objective_trace: tuple
-    groups: CovariateGroups | None = field(default=None, repr=False)
 
     def __post_init__(self):
         alpha = np.array(self.alpha, dtype=float)
         alpha.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
         if self.train_inputs is not None:
-            ti = as_covariate_array(self.train_inputs)
+            ti = as_covariate_array(self.train_inputs).copy()  # frozen below, not the caller's
             if ti.shape[0] != alpha.shape[0]:
                 raise InputError("alpha length must equal the number of training inputs")
+            if not np.all(np.isfinite(ti)):
+                raise InputError("covariates must be finite")
             ti.setflags(write=False)
             object.__setattr__(self, "train_inputs", ti)
-            if self.groups is None:
-                object.__setattr__(self, "groups", CovariateGroups.of(ti))
 
     @property
     def m(self) -> int:
@@ -173,11 +169,6 @@ class CovariateGroups(NamedTuple):
         return cls._from(first[order], rank[index.reshape(-1)])
 
     @classmethod
-    def identity(cls, m: int) -> "CovariateGroups":
-        """Every sample on a row of its own."""
-        return cls._from(np.arange(m), np.arange(m))
-
-    @classmethod
     def _from(cls, first, index):
         counts = np.bincount(index, minlength=first.size).astype(float)
         return cls(first, index, counts)
@@ -220,7 +211,7 @@ def _check_problem(gram, y, alpha=None, groups=None, *, factor=False):
     if not np.all(np.isfinite(y)):
         raise InputError("targets must be finite")
     if groups is None:
-        groups = CovariateGroups.identity(m)
+        groups = CovariateGroups._from(np.arange(m), np.arange(m))  # a row per sample
     if groups.m != m:
         raise InputError(f"{groups.m} training inputs for {m} targets")
     gram = np.asarray(gram, dtype=float)
@@ -667,38 +658,40 @@ def distinct_gram(kernel: HypothesisKernel, x):
 
 def fit_data(x, y, kernel: HypothesisKernel, config: RmrConfig, method: str = "hq") -> RmrModel:
     """Fit on raw covariates, grouping them once and building only the gram
-    over their n distinct rows.  The gradient method runs on the gram's
-    pivoted-Cholesky factor instead when it stops at rank
-    _FACTOR_RANK_SHARE * n or below (``HypothesisKernel.factor``).  The model
-    carries x and the kernel, so it predicts and saves."""
+    over their n distinct rows, or for the gradient method the gram's
+    pivoted-Cholesky factor L when it stops at rank _FACTOR_RANK_SHARE * n or
+    below (``HypothesisKernel.factor``).  The model is the expansion the fit
+    made: on the distinct rows with the per-row sums beta of the fit's alpha,
+    or on the factor's pivots P with c = L_P^-T L^T beta, as L = K[:, P] L_P^-T
+    for the lower triangle L_P = L[P] (L L^T is the Nystrom gram; Williams &
+    Seeger 2001)."""
     if method not in ("hq", "gradient"):
         raise InputError(f"unknown fit method {method!r}")
     x = as_covariate_array(x)
     groups = CovariateGroups.of(x)
-    rows = x[groups.first]
-    gram = None
+    centres = x[groups.first]
+    factor = None
     if method == "gradient":
-        gram = kernel.factor(rows, int(_FACTOR_RANK_SHARE * groups.n))
-    if gram is None:
-        gram = kernel.cross(rows, rows)
+        factor = kernel.factor(centres, int(_FACTOR_RANK_SHARE * groups.n))
+    gram = kernel.cross(centres, centres) if factor is None else factor[0]
     fit = (fit_hq if method == "hq" else fit_gradient)(gram, y, config, groups=groups)
-    return RmrModel(fit.alpha, x, kernel, config, fit.objective_trace, groups)
+    alpha = groups.sums(fit.alpha)
+    if factor is not None and factor[1].size:  # a zero gram's rank-0 factor keeps the rows
+        centres, alpha = centres[factor[1]], np.linalg.solve(gram[factor[1]].T, gram.T @ alpha)
+    return RmrModel(alpha, centres, kernel, config, fit.objective_trace)
 
 
 def predict(model: RmrModel, x):
-    """f(x) = sum_i alpha_i K(x_i, x), evaluated as sum_s beta_s K(x_s, x)
-    over the n distinct training rows x_s with per-row coefficient sums
-    beta_s, so the kernel is computed at n centres, not m.  A scalar, or a
-    1-D input of the model's dimension d, is one covariate vector and gives a
-    float; any other input is read as ``fit_data`` reads covariates (a 1-D one
-    as m points in d = 1) and gives one value per point.  The in-sample fits
-    are ``predict(model, model.train_inputs)``."""
+    """f(x) = sum_i alpha_i K(x_i, x) over the model's centres x_i.  A scalar,
+    or a 1-D input of the model's dimension d, is one covariate vector and
+    gives a float; any other input is read as ``fit_data`` reads covariates
+    (a 1-D one as m points in d = 1) and gives one value per point."""
     if model.train_inputs is None or model.kernel is None:
         raise InputError("model lacks training inputs / kernel; cannot predict")
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 0 or arr.shape == (model.train_inputs.shape[1],)
-    values = model.groups.sums(model.alpha) @ model.kernel.cross(
-        model.train_inputs[model.groups.first], arr.reshape(1, -1) if single else arr)
+    values = model.alpha @ model.kernel.cross(model.train_inputs,
+                                              arr.reshape(1, -1) if single else arr)
     return float(values[0]) if single else values
 
 
@@ -725,15 +718,13 @@ def schedule_theorem2(m: int, gamma_abs: float, beta: float, s: float):
 
 
 def save_model(path, model: RmrModel) -> None:
-    """Plain-text model file; floats are written with repr so the round trip
-    is bit-faithful."""
+    """Plain-text model file, a header ``n d`` for n centres in d dimensions
+    first; floats are written with repr so the round trip is bit-faithful."""
     if model.train_inputs is None or model.kernel is None:
         raise InputError("only models with training inputs and kernel can be saved")
-    m = model.m
-    d = model.train_inputs.shape[1]
     cfg = model.config
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{m} {d}\n")
+        fh.write(f"{model.m} {model.train_inputs.shape[1]}\n")
         params = " ".join(
             f"{k}={repr(float(v))}" for k, v in sorted(model.kernel.shape_params.items())
         )

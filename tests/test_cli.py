@@ -222,6 +222,14 @@ class TestFitPredict:
             assert len(fitted) == m
             assert fitted == [r["prediction"] for r in read_rows(preds_path)]
 
+    def test_model_holds_the_distinct_rows(self, tmp_path, capsys, dataset_path):
+        # the fixture's 40 samples lie on 8 chain states: fit reports the
+        # samples it read, and the model file's header counts its 8 centres
+        model_path = tmp_path / "model.txt"
+        assert run("fit", "--data", str(dataset_path), "--out", str(model_path)) == 0
+        assert capsys.readouterr().out.startswith("fit: m=40, ")
+        assert model_path.read_text().splitlines()[0] == "8 1"
+
     def test_gradient_method(self, tmp_path, dataset_path):
         model_path = tmp_path / "model.txt"
         assert run(
@@ -572,7 +580,8 @@ class TestFlags:
         # the parser gets the options of every command argv names, "predict" too
         monkeypatch.chdir(tmp_path)
         assert run("fit", "--data", str(dataset_path), "--out", "predict") == 0
-        assert (tmp_path / "predict").read_text().startswith("40 1\n")
+        # the model's centres are the 8 distinct rows of the 40 samples
+        assert (tmp_path / "predict").read_text().startswith("8 1\n")
 
     def test_removed_inner_iters_flag_rejected(self, tmp_path, capsys, dataset_path):
         assert run("fit", "--data", str(dataset_path), "--out", str(tmp_path / "m.txt"),
@@ -994,12 +1003,16 @@ class TestHalfQuadraticPhi:
      "flip probabilities must lie in [0, 1]"),
     (["chain-info", "--chain-family", "iid", "--chain-p", "7"],
      "flip probabilities must lie in [0, 1]"),
+    (["learning-curve", "--chain-family", "two-state", "--chain-n", "0"],
+     "chain needs at least 2 states"),
+    (["chain-info", "--chain-family", "two-state", "--chain-n", "1"],
+     "chain needs at least 2 states"),
     (["learning-curve", "--schedule", "fixed", "--beta", "nan", "--s", "-5"],
      "beta must lie in (0, 2]"),
     (["learning-curve", "--schedule", "fixed", "--s", "-5"], "s must lie in (0, 2)"),
     (["gamma-sweep", "--schedule", "fixed", "--beta", "inf"], "beta must lie in (0, 2]"),
 ], ids=["iid-p", "iid-laziness", "lazy-walk-q", "two-state-laziness", "metropolis-p",
-        "chain-info-p", "fixed-beta", "fixed-s", "gamma-sweep-beta"])
+        "chain-info-p", "two-state-n", "chain-info-n", "fixed-beta", "fixed-s", "gamma-sweep-beta"])
 def test_unused_chain_and_schedule_options_are_checked(tmp_path, capsys, argv, message):
     # an option that the chosen chain family or schedule does not use is
     # checked all the same, and nothing is written

@@ -369,11 +369,14 @@ class TestFactor:
     @given(distinct_points(), st.sampled_from(FACTOR_KERNELS))
     def test_reproduces_the_gram(self, x, kernel):
         # the stop rule bounds every residual entry by 1e-15 of the trace,
-        # which is at most n max diag; rounding adds a few eps max diag
+        # which is at most n max diag; rounding adds a few eps max diag; the
+        # rows of the distinct pivots form a lower triangle
         gram = kernel.cross(x, x)
-        factor = kernel.factor(x, len(x))
+        factor, pivots = kernel.factor(x, len(x))
         assert factor.flags.c_contiguous and factor.shape[0] == len(x)
         assert factor.shape[1] <= len(x)
+        assert pivots.shape == (factor.shape[1],) and len(set(pivots.tolist())) == len(pivots)
+        assert not np.triu(factor[pivots], 1).any()
         top = float(np.max(np.diag(gram)))
         eps = np.finfo(float).eps
         assert np.max(np.abs(gram - factor @ factor.T)) <= 8 * len(x) * eps * top
@@ -384,7 +387,7 @@ class TestFactor:
         # (x x' + 1)^2 = 1 + 2 x x' + x^2 x'^2 has three features
         x = np.array(points).reshape(-1, 1)
         factor = hypothesis_kernel("polynomial", degree=2.0, offset=1.0).factor(x, 3)
-        assert factor is not None and factor.shape[1] <= 3
+        assert factor is not None and factor[0].shape[1] <= 3
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.integers(0, 100), min_size=2, max_size=30, unique=True))
@@ -418,7 +421,7 @@ class TestFactor:
         x = np.linspace(0.0, 1.0, 65536).reshape(-1, 1)
         tracemalloc.start()
         try:
-            factor = hypothesis_kernel("gaussian-rbf", bandwidth=0.5).factor(x, len(x) // 4)
+            factor, _ = hypothesis_kernel("gaussian-rbf", bandwidth=0.5).factor(x, len(x) // 4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -430,7 +433,7 @@ class TestFactor:
         # rows and the factor gives None
         x = np.linspace(0.0, 1.0, 300).reshape(-1, 1)
         kernel = hypothesis_kernel("gaussian-rbf", bandwidth=0.05)
-        factor = kernel.factor(x, len(x))
+        factor, _ = kernel.factor(x, len(x))
         assert factor.shape == (300, 82)
         eps = np.finfo(float).eps
         assert np.max(np.abs(kernel.cross(x, x) - factor @ factor.T)) <= 8 * len(x) * eps

@@ -380,6 +380,21 @@ class TestFamilyTable:
             builtin_chain(family, **{**CHAIN_PARAMS, name: value})
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("family", CHAIN_FAMILIES)
+    def test_unknown_parameter_is_an_input_error(self, family):
+        with pytest.raises(InputError, match="^unknown chain parameter 'typo'; choose from"):
+            builtin_chain(family, **CHAIN_PARAMS, typo=5)
+
+    @pytest.mark.parametrize("family, chain", [
+        ("iid", "iid chain"), ("two-state", "chain"), ("lazy-walk", "walk"),
+        ("metropolis", "metropolis chain")])
+    @pytest.mark.parametrize("n", [1, 0, -3, 1.5])
+    def test_n_is_checked_used_or_not(self, family, chain, n):
+        # by the family's constructor when it takes n, with its own message
+        with pytest.raises(InputError) as exc:
+            builtin_chain(family, **{**CHAIN_PARAMS, "n": n})
+        assert str(exc.value) == f"{chain} needs at least 2 states"
+
     @pytest.mark.parametrize("family, expected", [
         ("iid", iid_chain(2)),
         ("two-state", two_state_chain(0.3, 0.2)),

@@ -186,6 +186,12 @@ class TestNoiseTable:
             builtin_noise(kind, **params)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("name", ["sahpe", "df", "Scale"])
+    def test_unknown_parameter_is_an_input_error(self, kind, name):
+        with pytest.raises(InputError, match=f"^unknown noise parameter '{name}'; choose from"):
+            builtin_noise(kind, 0.5, **NOISE_PARAMS, **{name: 2.0})
+
     @pytest.mark.parametrize("kind, expected", [
         ("gaussian", gaussian_noise(1.0)),
         ("student-t", student_t_noise(3.0)),

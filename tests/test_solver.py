@@ -1,6 +1,8 @@
 import logging
 import math
+import os
 import re
+import tempfile
 from dataclasses import replace
 from unittest import mock
 
@@ -377,6 +379,23 @@ def assert_per_sample_sum(values, alpha, cross):
                                  1e-12 * (np.abs(alpha) @ cross) + 1e-300)
 
 
+def fit_data_and_fit(x, y, kernel, cfg, method="hq"):
+    """(model, fit): fit_data's model and the gram-level fit it was made
+    from, whose alpha is per sample."""
+    name = "fit_hq" if method == "hq" else "fit_gradient"
+    real, fits = getattr(modalmr.solver, name), []
+
+    def record(*args, **kwargs):
+        fits.append(real(*args, **kwargs))
+        return fits[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modalmr.solver, name, record)
+        model = fit_data(x, y, kernel, cfg, method=method)
+    (fit,) = fits
+    return model, fit
+
+
 class TestPredict:
     def kernel_and_model(self, alpha, inputs, sigma=1.0, lam=0.1, q=2):
         kernel = hypothesis_kernel("gaussian-rbf", bandwidth=1.0)
@@ -451,37 +470,9 @@ class TestPredict:
         monkeypatch.setattr(HypothesisKernel, "cross", spy)
         points = np.linspace(0.0, 1.0, 5)
         values = predict(model, points)
-        assert centres == [4]
-        assert_per_sample_sum(values, model.alpha, RBF.cross(x, points))
-
-    @pytest.mark.parametrize("make", ["fit_data", "load_model"])
-    def test_model_keeps_its_grouping(self, monkeypatch, tmp_path, make):
-        # fit_data's grouping, or the one a loaded model makes when built,
-        # serves every predict, which gives the bits of a model grouped anew
-        x = np.array([0.7, 0.2, 0.7, 0.9, 0.2, 0.7])
-        model = fit_data(x, np.sin(6.0 * x), RBF, RmrConfig(sigma=0.5, lam=1e-3))
-        save_model(tmp_path / "model.txt", model)
-        real = CovariateGroups.of.__func__
-        calls = []
-
-        def counted(cls, inputs):
-            calls.append(1)
-            return real(cls, inputs)
-
-        monkeypatch.setattr(CovariateGroups, "of", classmethod(counted))
-        if make == "fit_data":
-            model = fit_data(x, np.sin(6.0 * x), RBF, RmrConfig(sigma=0.5, lam=1e-3))
-        else:
-            model = load_model(tmp_path / "model.txt")
-        inputs = (x, np.linspace(0.0, 1.0, 7), 0.2)
-        values = [predict(model, points) for points in inputs]
-        assert len(calls) == 1
-        regrouped = RmrModel(model.alpha, model.train_inputs, model.kernel, model.config,
-                             model.objective_trace)
-        assert repr(regrouped) == repr(model)
-        for value, points in zip(values, inputs):
-            assert np.asarray(value).tobytes() == np.asarray(predict(regrouped, points)).tobytes()
-        assert len(calls) == 2
+        assert centres == [4] and model.m == 4
+        assert_per_sample_sum(values, CovariateGroups.of(x).expand(model.alpha),
+                              RBF.cross(x, points))
 
     def test_models_compare_by_identity(self):
         # a generated __eq__ would compare the alpha arrays, which have no
@@ -489,7 +480,7 @@ class TestPredict:
         x = np.array([0.7, 0.2, 0.9])
         model = fit_data(x, np.sin(6.0 * x), RBF, RmrConfig(sigma=0.5, lam=1e-3))
         twin = RmrModel(model.alpha, model.train_inputs, model.kernel, model.config,
-                        model.objective_trace, model.groups)
+                        model.objective_trace)
         assert (model == twin) is False
         assert (model == model) is True
         assert len({model, twin, model}) == 2
@@ -497,6 +488,13 @@ class TestPredict:
     def test_non_finite_training_input_rejected(self):
         with pytest.raises(InputError, match="covariates must be finite"):
             self.kernel_and_model([1.0, -1.0], [[0.0], [math.nan]])
+
+    def test_model_freezes_its_own_copies(self):
+        # the model's arrays are read-only; the caller's stay writeable
+        alpha, inputs = np.array([1.0, -1.0]), np.array([[0.0], [1.0]])
+        model = self.kernel_and_model(alpha, inputs)
+        assert not model.alpha.flags.writeable and not model.train_inputs.flags.writeable
+        assert alpha.flags.writeable and inputs.flags.writeable
 
     def test_alpha_length_checked(self):
         kernel = hypothesis_kernel("gaussian-rbf")
@@ -808,7 +806,8 @@ class TestCovariateGroups:
         rows = x[groups.first]
         fit = fit_hq if method == "hq" else fit_gradient
         direct = fit(RBF.cross(rows, rows), y, cfg, groups=groups)
-        assert model.alpha.tobytes() == direct.alpha.tobytes()
+        assert model.alpha.tobytes() == groups.sums(direct.alpha).tobytes()
+        assert model.train_inputs.tobytes() == rows.tobytes()
         assert model.objective_trace == direct.objective_trace
 
     def test_fit_data_length_mismatch_rejected(self):
@@ -881,7 +880,8 @@ class TestDistinctReduction:
         reduced = fit_data(x, y, RBF, cfg)
         dense = fit_hq(RBF.cross(x, x), y, cfg)
         scale = np.max(np.abs(dense.alpha)) + 1e-300
-        np.testing.assert_allclose(reduced.alpha, dense.alpha, rtol=1e-8, atol=1e-8 * scale)
+        np.testing.assert_allclose(CovariateGroups.of(x).expand(reduced.alpha), dense.alpha,
+                                   rtol=1e-8, atol=1e-8 * scale)
         assert len(reduced.objective_trace) == len(dense.objective_trace)
         np.testing.assert_allclose(reduced.objective_trace[1:], dense.objective_trace[1:],
                                    rtol=1e-10, atol=1e-12)
@@ -891,12 +891,13 @@ class TestDistinctReduction:
     def test_q1_constant_per_row_and_monotone(self, problem):
         x, y, sigma, lam = problem
         cfg = RmrConfig(sigma=sigma, lam=lam, q=1, max_hq_iters=50, tol=1e-10)
-        model = fit_data(x, y, RBF, cfg)
+        model, fit = fit_data_and_fit(x, y, RBF, cfg)
         groups = CovariateGroups.of(x)
-        np.testing.assert_array_equal(model.alpha, model.alpha[groups.first][groups.index])
+        np.testing.assert_array_equal(fit.alpha, fit.alpha[groups.first][groups.index])
+        assert model.alpha.tobytes() == groups.sums(fit.alpha).tobytes()
         trace = np.array(model.objective_trace)
         assert np.all(np.diff(trace) >= -1e-12 * np.maximum(1.0, np.abs(trace[1:])))
-        dense_value = objective(model.alpha, RBF.cross(x, x), y, cfg)
+        dense_value = objective(fit.alpha, RBF.cross(x, x), y, cfg)
         assert dense_value == pytest.approx(trace[-1], rel=1e-12, abs=1e-14)
 
     @PROPERTY
@@ -937,8 +938,9 @@ class TestDistinctReduction:
         x, y, sigma, lam = problem
         fitted = fit_data(x, y, RBF, RmrConfig(sigma=sigma, lam=lam))
         points = np.concatenate([x[:, 0], np.linspace(-0.5, 1.5, 9)])
-        for model in (fitted, RmrModel(y, x, RBF, fitted.config, ())):
-            assert_per_sample_sum(predict(model, points), model.alpha, RBF.cross(x, points))
+        for model, alpha in ((fitted, CovariateGroups.of(x).expand(fitted.alpha)),
+                             (RmrModel(y, x, RBF, fitted.config, ()), y)):
+            assert_per_sample_sum(predict(model, points), alpha, RBF.cross(x, points))
 
     @PROPERTY
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24, unique=True),
@@ -952,6 +954,72 @@ class TestDistinctReduction:
         np.testing.assert_array_equal(model.alpha, direct.alpha)
         assert model.objective_trace == direct.objective_trace
         np.testing.assert_array_equal(predict(model, x), RBF.cross(x, x).T @ model.alpha)
+
+
+class TestExpansionModel:
+    """A fit_data model is the expansion the fit produced: its centres are the
+    distinct covariate rows, or the pivots of a gram factor."""
+
+    @PROPERTY
+    @given(grouped_problems(), st.sampled_from([1, 2]))
+    def test_centres_are_the_distinct_rows(self, problem, q):
+        x, y, sigma, lam = problem
+        model, fit = fit_data_and_fit(x, y, RBF, RmrConfig(sigma=sigma, lam=lam, q=q,
+                                                           max_hq_iters=50))
+        groups = CovariateGroups.of(x)
+        assert model.m == groups.n
+        assert model.train_inputs.tobytes() == x[groups.first].tobytes()
+        points = np.concatenate([x[:, 0], np.linspace(-0.5, 1.5, 9)])
+        values = predict(model, points)
+        assert_per_sample_sum(values, fit.alpha, RBF.cross(x, points))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.txt")
+            save_model(path, model)
+            with open(path, encoding="utf-8") as fh:
+                assert fh.readline() == f"{groups.n} 1\n"
+            loaded = load_model(path)
+        assert predict(loaded, points).tobytes() == values.tobytes()
+
+    @PROPERTY
+    @given(st.lists(st.floats(0.0, 1.0), min_size=20, max_size=40, unique=True),
+           st.integers(0, 2**32 - 1), st.sampled_from(["gaussian-rbf", "polynomial"]))
+    def test_factor_fit_is_the_expansion_on_its_pivots(self, rows, seed, kind):
+        # with the rank cap raised to 0.99 n these fits run on the factor;
+        # in-sample the model gives L L^T alpha of the fit on it
+        x = np.array(rows).reshape(-1, 1)
+        y = np.random.default_rng(seed).uniform(-1.5, 1.5, len(rows))
+        kernel = RBF if kind == "gaussian-rbf" else hypothesis_kernel(kind)
+        cfg = RmrConfig(sigma=0.8, lam=1e-3, q=2, tol=1e-6)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(modalmr.solver, "_FACTOR_RANK_SHARE", 0.99)
+            model, fit = fit_data_and_fit(x, y, kernel, cfg, method="gradient")
+        factor, pivots = kernel.factor(x, int(0.99 * len(rows)))
+        assert model.m == factor.shape[1] < len(rows)
+        assert model.train_inputs.tobytes() == x[pivots].tobytes()
+        on_factor = factor @ (factor.T @ fit.alpha)
+        np.testing.assert_allclose(predict(model, x), on_factor, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(on_factor)))
+
+    def test_predict_save_and_load_group_nothing(self, monkeypatch, tmp_path):
+        # an old model file may repeat a row; its model predicts
+        # sum_i alpha_i K(x_i, .) over every row, as a fitted one does
+        x = np.array([0.7, 0.2, 0.7, 0.9, 0.2, 0.7])
+        fitted = fit_data(x, np.sin(6.0 * x), RBF, RmrConfig(sigma=0.5, lam=1e-3))
+        old = RmrModel(np.arange(6.0), x, RBF, fitted.config, ())
+
+        def grouped(*args, **kwargs):
+            pytest.fail("a CovariateGroups method was called")
+
+        for name in ("of", "_from", "sums", "spread", "expand"):
+            monkeypatch.setattr(CovariateGroups, name, grouped)
+        points = np.linspace(0.0, 1.0, 7)
+        for model in (fitted, old):
+            save_model(tmp_path / "model.txt", model)
+            loaded = load_model(tmp_path / "model.txt")
+            assert loaded.m == model.m
+            assert predict(loaded, points).tobytes() == predict(model, points).tobytes()
+        assert (fitted.m, old.m) == (3, 6)
+        assert_per_sample_sum(predict(old, points), old.alpha, RBF.cross(x, points))
 
 
 @st.composite
@@ -1088,7 +1156,7 @@ class TestFactorPath:
     def test_factor_fit_agrees_with_the_gram_fit(self):
         x, y = self.distinct_problem(80, 3)
         cfg = RmrConfig(sigma=0.5, lam=1e-3, q=2, phi=GAUSS)
-        factor = RBF.factor(x, 40)
+        factor, _ = RBF.factor(x, 40)
         assert factor.shape[1] < 40
         on_factor = fit_gradient(factor, y, cfg, max_iters=20)
         on_gram = fit_gradient(RBF.cross(x, x), y, cfg, max_iters=20)
@@ -1107,10 +1175,11 @@ class TestFactorPath:
         y = np.array([default_target(v) for v in x]) + noise
         cfg = RmrConfig(sigma=0.8, lam=1e-4, tol=1e-12, phi=representing_function("epanechnikov"))
         with mock.patch.object(modalmr.solver, "fit_gradient", wraps=fit_gradient) as spy:
-            model = fit_data(x, y, RBF, cfg, method="gradient")
+            model, fit = fit_data_and_fit(x, y, RBF, cfg, method="gradient")
         factor = spy.call_args.args[0]
         assert factor.shape[0] == 384 and factor.shape[1] <= 384 // 4
-        exact = objective(model.alpha, RBF.cross(x, x), y, cfg)
+        assert model.m == factor.shape[1]
+        exact = objective(fit.alpha, RBF.cross(x, x), y, cfg)
         assert exact == pytest.approx(model.objective_trace[-1], rel=1e-12)
 
     @pytest.mark.parametrize("kernel", [hypothesis_kernel("laplacian"),
@@ -1141,9 +1210,19 @@ class TestFactorPath:
         fit_data(x, y, kernel, RmrConfig(sigma=0.5, lam=1e-3, q=2, phi=GAUSS), method="gradient")
         assert shapes == [(40, 40)]
 
+    def test_zero_gram_keeps_the_distinct_rows(self, tmp_path):
+        # (x x' + 0)^2 at x = 0: the factor has rank 0, and the model keeps
+        # the distinct row, since a model file needs a centre
+        kernel = hypothesis_kernel("polynomial", offset=0.0)
+        model = fit_data(np.zeros(3), [0.5, 0.7, 0.1], kernel, RmrConfig(sigma=1.0, lam=0.1),
+                         method="gradient")
+        assert model.m == 1
+        save_model(tmp_path / "model.txt", model)
+        assert predict(load_model(tmp_path / "model.txt"), [0.0, 2.0]).tolist() == [0.0, 0.0]
+
     def test_hq_fits_reject_a_factor(self):
         x, y = self.distinct_problem(30, 5)
-        factor = RBF.factor(x, 15)
+        factor, _ = RBF.factor(x, 15)
         cfg = RmrConfig(sigma=0.5, lam=1e-3, q=2)
         with pytest.raises(InputError, match="gram must be 30x30 to match"):
             fit_hq(factor, y, cfg)
@@ -1215,13 +1294,13 @@ class TestHqFixedPoint:
         x, y, sigma, lam = problem
         phi = representing_function(kind)
         cfg = RmrConfig(sigma=sigma, lam=lam, q=2, phi=phi, max_hq_iters=1000, tol=1e-300)
-        model = fit_data(x, y, RBF, cfg)
+        model, fit = fit_data_and_fit(x, y, RBF, cfg)
         assert len(model.objective_trace) <= cfg.max_hq_iters
         gram = RBF.cross(x, x)
-        r = y - gram.T @ model.alpha
+        r = y - gram.T @ fit.alpha
         assume(np.min(np.abs(np.abs(r) - sigma)) > 1e-6)
         grad = (-gram @ phi_derivative(kind, r / sigma) / (len(y) * sigma**2)
-                - 2.0 * lam * model.alpha)
+                - 2.0 * lam * fit.alpha)
         assert np.max(np.abs(grad)) <= 1e-6
 
 
@@ -1335,10 +1414,10 @@ class TestInnerLoops:
         with pytest.MonkeyPatch.context() as patch:
             if factor:
                 patch.setattr(modalmr.solver, "_FACTOR_RANK_SHARE", 0.99)
-            model = fit_data(x, y, RBF, cfg, method="gradient")
+            model, fit = fit_data_and_fit(x, y, RBF, cfg, method="gradient")
         trace = np.array(model.objective_trace)
         assert np.all(np.diff(trace) >= 0.0)
-        value = objective(model.alpha, RBF.cross(x, x), y, cfg)
+        value = objective(fit.alpha, RBF.cross(x, x), y, cfg)
         assert value == pytest.approx(trace[-1], rel=1e-12, abs=1e-300)
 
     @PROPERTY
